@@ -1,39 +1,44 @@
-//! Supported-derivation incremental maintenance of the alternating
-//! fixpoint — live three-valued views under write traffic.
+//! Supported-derivation incremental maintenance — the one maintenance
+//! kernel behind every live view, and the alternating-fixpoint driver
+//! for three-valued views under write traffic.
 //!
 //! The paper's valid computation (Section 2.2) alternates two monotone
 //! inner least fixpoints: an overestimate pass (`possible`, negation
 //! succeeds unless the fact is certainly true) and an underestimate
 //! pass (`certain`, negation succeeds only on certainly-false facts).
-//! The serving layer has so far maintained such views by changed-level
-//! *recomputation*: re-running every alternation level a delta could
-//! reach. This crate maintains the fixpoint itself:
+//! On a stratified program the alternation collapses to the two-valued
+//! stratified model, so a stratum is a pass whose oracle is already
+//! final. This crate maintains either kind of level with one kernel:
 //!
-//! * Within one pass the negation oracle is frozen (it is the previous
-//!   pass's result), so the pass is effectively a *positive* program —
-//!   [`PassProgram`] condenses it once and maintains each pass's state
-//!   ([`PassState`]) by **support counts per derivation** when the pass
-//!   has no positive recursion ([`algrec_value::SupportCounts`]) and by
-//!   **DRed** (delete–rederive plus the semi-naive continuation)
-//!   otherwise. Oracle changes enter through *flipped rules*, exactly
-//!   like EDB negation in the stratified maintainer.
+//! * Within one level the negation oracle holds still — a pass reads
+//!   the previous pass's frozen result, a stratum its own total
+//!   ([`Oracle`]) — so the level is effectively a *positive* program.
+//!   [`PassProgram`] condenses it once and maintains its state by
+//!   **support counts per derivation** when the level has no positive
+//!   recursion ([`algrec_value::SupportCounts`]) and by **DRed**
+//!   (delete–rederive plus the semi-naive continuation) otherwise.
+//!   Oracle changes enter through *flipped rules*.
+//!   [`PassProgram::cold_into`] and [`PassProgram::replay`] are the only
+//!   implementation of this in the workspace; `algrec-serve`'s
+//!   `StratifiedView` drives them stratum by stratum.
 //! * Across passes, [`IncrementalModel`] stores every alternation
 //!   round's `(possible, certain)` pair and replays a delta level by
-//!   level: a pass whose positive body and negated (oracle) predicates
-//!   are untouched is **skipped**; a pass whose oracle churn exceeds a
-//!   deterministic threshold **falls back** to cold recomputation of
-//!   that level only. Convergence is re-checked after every round, so
-//!   the stored round sequence stays exactly the cold alternating
-//!   fixpoint's.
+//!   level through [`PassProgram::maintain`]: a pass whose positive body
+//!   and negated (oracle) predicates are untouched is **skipped**; a
+//!   pass whose oracle churn exceeds a deterministic threshold **falls
+//!   back** to cold recomputation of that level only. Convergence is
+//!   re-checked after every round, so the stored round sequence stays
+//!   exactly the cold alternating fixpoint's.
 //!
 //! Telemetry flows through [`algrec_value::TraceEvent`]'s
 //! `LevelReplayed` / `LevelSkipped` / `LevelFallback` / `SupportAdjust`
-//! events into `EvalStats` (the `incr` object of the stats JSON).
+//! events into `EvalStats` (the `incr` object of the stats JSON); only
+//! the alternating driver emits them.
 //!
-//! Like the plan and column subsystems, the path is governed by a
-//! process-wide toggle seeded from `ALGREC_INCR_BASELINE`: the
-//! incremental substrate is the default; setting the variable keeps the
-//! changed-level recomputation path for differential testing.
+//! There is no process-wide switch: the serving layer selects a
+//! maintainer per view, and its persisted `StrategyPin::Recompute` is
+//! the one way to get changed-level recomputation as a differential
+//! reference.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,49 +46,7 @@
 pub mod model;
 pub mod pass;
 
-pub use model::{IncrementalModel, MaintainOutcome};
-pub use pass::{PassAction, PassDelta, PassProgram, PassState};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-fn toggle() -> &'static AtomicBool {
-    static TOGGLE: OnceLock<AtomicBool> = OnceLock::new();
-    TOGGLE.get_or_init(|| {
-        let baseline = std::env::var_os("ALGREC_INCR_BASELINE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        AtomicBool::new(!baseline)
-    })
-}
-
-/// Whether the incremental three-valued maintenance path is enabled.
-///
-/// Defaults to `true`; `ALGREC_INCR_BASELINE=1` in the environment flips
-/// the default to `false` so CI can run the changed-level recomputation
-/// path end to end.
-pub fn enabled() -> bool {
-    toggle().load(Ordering::Relaxed)
-}
-
-/// Override the incremental-path toggle at runtime (used by
-/// differential tests and the E15 benchmark to run both maintainers in
-/// one process).
-pub fn set_enabled(on: bool) {
-    toggle().store(on, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn toggle_round_trips() {
-        let initial = enabled();
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(initial);
-    }
-}
+pub use model::{delta_interps, diff_count, IncrementalModel, MaintainOutcome};
+pub use pass::{
+    restrict, HeadDelta, LevelDelta, Oracle, PassAction, PassDelta, PassProgram, PassState,
+};

@@ -50,7 +50,7 @@ pub struct IncrementalModel {
 }
 
 /// Split a database delta into inserted / removed fact interpretations.
-fn delta_interps(delta: &DatabaseDelta) -> (Interp, Interp) {
+pub fn delta_interps(delta: &DatabaseDelta) -> (Interp, Interp) {
     let mut ins = Interp::new();
     let mut del = Interp::new();
     for (name, rd) in delta.iter() {
@@ -65,7 +65,7 @@ fn delta_interps(delta: &DatabaseDelta) -> (Interp, Interp) {
 }
 
 /// Size of the symmetric difference of two interpretations.
-fn diff_count(a: &Interp, b: &Interp) -> usize {
+pub fn diff_count(a: &Interp, b: &Interp) -> usize {
     let mut n = 0;
     for (p, args) in a.iter() {
         if !b.holds(p, args) {
@@ -301,6 +301,18 @@ mod tests {
             &cold_model(program, db),
             "incremental model diverged from cold alternating fixpoint"
         );
+    }
+
+    #[test]
+    fn delta_interps_split_signed_changes() {
+        let mut d = DatabaseDelta::new();
+        d.insert("e", Value::pair(i(1), i(2)));
+        d.remove("n", i(3));
+        let (ins, del) = delta_interps(&d);
+        assert!(ins.holds("e", &[i(1), i(2)]));
+        assert!(del.holds("n", &[i(3)]));
+        assert_eq!(ins.total(), 1);
+        assert_eq!(del.total(), 1);
     }
 
     #[test]

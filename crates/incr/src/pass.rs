@@ -1,25 +1,34 @@
-//! One alternation pass as an incrementally maintained positive program.
+//! One maintained level — the only implementation of per-level counting
+//! and DRed in the workspace.
 //!
-//! Within a single pass of the alternating fixpoint the negation oracle
-//! is *frozen* — it is the previous pass's interpretation — so the pass
-//! is effectively a positive program over its positive body predicates,
-//! with the oracle entering only through negative literals. That makes
-//! the stratified maintainer's per-stratum machinery applicable to one
-//! alternation level at a time:
+//! A *level* is a set of rules evaluated to an inner least fixpoint with
+//! its negation oracle held still: one pass of the alternating fixpoint
+//! (the oracle is the previous pass's interpretation, frozen for the
+//! length of the pass) or one stratum of a stratified program (the
+//! oracle is the level's own total — negated predicates live strictly
+//! below, so they are final before the stratum runs). Either way the
+//! level is effectively a positive program over its positive body
+//! predicates, with the oracle entering only through negative literals:
 //!
-//! * a **counting** pass (no head predicate appears positively in any
+//! * a **counting** level (no head predicate appears positively in any
 //!   body) stores support counts per derivation and replays exactly the
 //!   derivations killed and born by a delta;
-//! * a **DRed** pass (positive recursion through the pass's own heads)
+//! * a **DRed** level (positive recursion through the level's own heads)
 //!   over-deletes against the old state, re-derives survivors, and runs
 //!   the semi-naive continuation for insertions.
 //!
-//! Unlike a stratum, a pass has *two* delta channels: base (EDB) edits
-//! feed positive body positions, and oracle changes feed the negative
-//! literals via pre-planned *flipped* rules. An oracle insertion kills
-//! derivations (its `not q` just failed); an oracle deletion births
-//! them. Both channels flow through the same dedup'd enumeration the
-//! stratified maintainer uses, so each derivation is counted once.
+//! A level has *two* delta channels: changes to positive body
+//! predicates, and oracle changes, which reach the negative literals via
+//! pre-planned *flipped* rules. An oracle insertion kills derivations
+//! (its `not q` just failed); an oracle deletion births them.
+//!
+//! [`PassProgram::cold_into`] and [`PassProgram::replay`] are that
+//! kernel; they emit only the telemetry every driver shares. Two drivers
+//! sit on top: `algrec_serve::maintain::StratifiedView` walks strata
+//! bottom-up over one shared total, and [`PassProgram::maintain`] is the
+//! alternating driver's per-level skip / fallback / replay dispatcher
+//! (used by [`crate::IncrementalModel`]), which also owns the
+//! `Level*` / `SupportAdjust` trace events.
 
 use algrec_datalog::ast::{Literal, Program, Rule};
 use algrec_datalog::engine::{
@@ -82,19 +91,78 @@ impl PassState {
     }
 }
 
-/// A program condensed for per-pass maintenance: compiled rules, the
+/// A level's negation oracle across one delta: `not p(x̄)` holds iff
+/// `p(x̄)` is absent from it.
+#[derive(Clone, Copy)]
+pub enum Oracle<'a> {
+    /// An alternation level: the previous pass's interpretation before
+    /// and after the delta, frozen for the length of the pass.
+    Frozen {
+        /// The oracle the stored state was derived under.
+        old: &'a Interp,
+        /// The oracle the replayed state must be derived under.
+        new: &'a Interp,
+    },
+    /// A stratum: the level's own old and new total.
+    Own,
+}
+
+impl<'a> Oracle<'a> {
+    fn before(self, own: &'a Interp) -> &'a Interp {
+        match self {
+            Oracle::Frozen { old, .. } => old,
+            Oracle::Own => own,
+        }
+    }
+
+    fn after(self, own: &'a Interp) -> &'a Interp {
+        match self {
+            Oracle::Frozen { new, .. } => new,
+            Oracle::Own => own,
+        }
+    }
+}
+
+/// One delta as [`PassProgram::replay`] consumes it, already routed by
+/// the driver: the replay propagates every fact it is handed.
+pub struct LevelDelta<'a> {
+    /// Inserted facts feeding positive body literals (already applied to
+    /// the level's total).
+    pub ins: &'a Interp,
+    /// Removed facts feeding positive body literals (already applied).
+    pub del: &'a Interp,
+    /// Facts that entered the oracle, restricted to negated predicates.
+    pub oc_ins: &'a Interp,
+    /// Facts that left the oracle, restricted to negated predicates.
+    pub oc_del: &'a Interp,
+}
+
+/// What one [`PassProgram::replay`] did to a level's heads.
+#[derive(Default)]
+pub struct HeadDelta {
+    /// Head facts that entered the level.
+    pub ins: Interp,
+    /// Head facts that left the level.
+    pub del: Interp,
+    /// Support-count increments applied (0 for a DRed level).
+    pub support_incs: usize,
+    /// Support-count decrements applied (0 for a DRed level).
+    pub support_decs: usize,
+}
+
+/// A program condensed for per-level maintenance: compiled rules, the
 /// predicate sets that route delta channels, and the flipped variants of
 /// every negative literal. One `PassProgram` is shared by all alternation
 /// levels — the alternating fixpoint runs the same rules each pass, only
-/// the oracle differs.
+/// the oracle differs — while a stratified view holds one per stratum.
 pub struct PassProgram {
     compiled: Compiled,
     head_preds: BTreeSet<String>,
     /// Predicates appearing *positively* in some body (negated ones
-    /// consult the oracle, not the pass total).
+    /// consult the oracle, not the level total).
     body_preds: BTreeSet<String>,
     neg_preds: BTreeSet<String>,
-    /// Any head fed back into a positive body position — the pass then
+    /// Any head fed back into a positive body position — the level then
     /// needs DRed instead of single-pass counting.
     recursive: bool,
     /// `(rule index, body index, flipped rule, its plan)` for every
@@ -114,7 +182,7 @@ fn head_fact(rule: &Rule, b: &Bindings) -> Result<Fact, EvalError> {
 }
 
 /// Facts of `src` whose predicate is in `preds`.
-fn restrict(src: &Interp, preds: &BTreeSet<String>) -> Interp {
+pub fn restrict(src: &Interp, preds: &BTreeSet<String>) -> Interp {
     let mut out = Interp::new();
     for (p, args) in src.iter() {
         if preds.contains(p) {
@@ -125,7 +193,7 @@ fn restrict(src: &Interp, preds: &BTreeSet<String>) -> Interp {
 }
 
 impl PassProgram {
-    /// Condense `program` for per-pass maintenance.
+    /// Condense `program` for per-level maintenance.
     pub fn new(program: &Program) -> Result<Self, EvalError> {
         let compiled = Compiled::compile(program)?;
         let mut head_preds = BTreeSet::new();
@@ -167,64 +235,88 @@ impl PassProgram {
         &self.compiled
     }
 
-    /// The pass's derived (head) predicates.
+    /// The level's derived (head) predicates.
     pub fn head_preds(&self) -> &BTreeSet<String> {
         &self.head_preds
     }
 
-    /// Whether the pass is positively recursive (maintained by DRed)
+    /// Predicates appearing positively in some rule body.
+    pub fn body_preds(&self) -> &BTreeSet<String> {
+        &self.body_preds
+    }
+
+    /// Predicates appearing negated in some rule body.
+    pub fn neg_preds(&self) -> &BTreeSet<String> {
+        &self.neg_preds
+    }
+
+    /// Whether the level is positively recursive (maintained by DRed)
     /// rather than derivation-counting.
     pub fn recursive(&self) -> bool {
         self.recursive
     }
 
-    /// Evaluate one pass from scratch: the inner least fixpoint over
-    /// `base` with `oracle` frozen as the negation interpretation
-    /// (`not p(x̄)` holds iff `p(x̄)` is absent from the oracle).
+    /// Evaluate one level from scratch, in place: `total` holds the
+    /// level's base on entry and its inner least fixpoint on return.
+    /// `oracle` is the frozen negation interpretation, or `None` when
+    /// the level's own total decides negation (a stratum). Returns the
+    /// derivation counts of a counting level.
+    pub fn cold_into(
+        &self,
+        total: &mut Interp,
+        oracle: Option<&Interp>,
+        meter: &mut Meter,
+    ) -> Result<Option<SupportCounts<Fact>>, EvalError> {
+        if self.recursive {
+            let base: &Interp = total;
+            let neg = NegOracle::Complement(oracle.unwrap_or(base));
+            let (next, _) = semi_naive_oracle(&self.compiled, base, &neg, meter)?;
+            *total = next;
+            return Ok(None);
+        }
+        // Non-recursive: no positive literal mentions a head, so a single
+        // enumeration derives everything — and counts every derivation.
+        let mut support = SupportCounts::new();
+        {
+            let base: &Interp = total;
+            let oracle = oracle.unwrap_or(base);
+            let neg = |p: &str, a: &[Value]| !oracle.holds(p, a);
+            meter.phase_start("counting-init");
+            meter.tick_iteration()?;
+            for (rule, plan) in self.compiled.rules.iter().zip(&self.compiled.plans) {
+                enumerate_bindings(
+                    rule,
+                    plan,
+                    &FactSource::full(base),
+                    &neg,
+                    meter,
+                    &mut |b, meter| {
+                        meter.add_facts(1)?;
+                        support.inc(head_fact(rule, b)?);
+                        Ok(())
+                    },
+                )?;
+            }
+            meter.phase_end();
+        }
+        for ((p, args), _) in support.iter() {
+            total.insert(p, args.clone());
+        }
+        Ok(Some(support))
+    }
+
+    /// Evaluate one alternation pass from scratch: the inner least
+    /// fixpoint over `base` with `oracle` frozen as the negation
+    /// interpretation.
     pub fn cold(
         &self,
         base: &Interp,
         oracle: &Interp,
         meter: &mut Meter,
     ) -> Result<PassState, EvalError> {
-        if self.recursive {
-            let (total, _) =
-                semi_naive_oracle(&self.compiled, base, &NegOracle::Complement(oracle), meter)?;
-            return Ok(PassState {
-                total,
-                support: None,
-            });
-        }
-        // Non-recursive: no positive literal mentions a head, so a single
-        // enumeration derives everything — and counts every derivation.
-        let mut support = SupportCounts::new();
-        let neg = |p: &str, a: &[Value]| !oracle.holds(p, a);
-        meter.phase_start("counting-init");
-        meter.tick_iteration()?;
-        for (rule, plan) in self.compiled.rules.iter().zip(&self.compiled.plans) {
-            enumerate_bindings(
-                rule,
-                plan,
-                &FactSource::full(base),
-                &neg,
-                meter,
-                &mut |b, meter| {
-                    meter.add_facts(1)?;
-                    support.inc(head_fact(rule, b)?);
-                    Ok(())
-                },
-            )?;
-        }
-        meter.phase_end();
         let mut total = base.clone();
-        let facts: Vec<Fact> = support.iter().map(|(f, _)| f.clone()).collect();
-        for (p, args) in facts {
-            total.insert(&p, args);
-        }
-        Ok(PassState {
-            total,
-            support: Some(support),
-        })
+        let support = self.cold_into(&mut total, Some(oracle), meter)?;
+        Ok(PassState { total, support })
     }
 
     /// Maintain one pass under a delta. `edb_ins` / `edb_del` are the
@@ -312,20 +404,30 @@ impl PassProgram {
         for (p, args) in edb_ins.iter() {
             state.total.insert(p, args.clone());
         }
-        let (s_ins, s_del) = if self.recursive {
-            self.replay_dred(
-                state, &old_total, edb_ins, edb_del, &koc_ins, &koc_del, old_oracle, new_oracle,
-                meter,
-            )?
-        } else {
-            self.replay_counting(
-                state, &old_total, edb_ins, edb_del, oc_ins, oc_del, old_oracle, new_oracle, meter,
-            )?
-        };
+        let heads = self.replay(
+            &mut state.total,
+            state.support.as_mut(),
+            &old_total,
+            LevelDelta {
+                ins: &restrict(edb_ins, &self.body_preds),
+                del: &restrict(edb_del, &self.body_preds),
+                oc_ins: &koc_ins,
+                oc_del: &koc_del,
+            },
+            Oracle::Frozen {
+                old: old_oracle,
+                new: new_oracle,
+            },
+            meter,
+        )?;
+        meter.record_support_adjust(heads.support_incs, heads.support_decs);
+        if self.recursive {
+            meter.record_delta(heads.ins.total() + heads.del.total());
+        }
         let mut ins = edb_ins.clone();
-        ins.absorb(&s_ins);
+        ins.absorb(&heads.ins);
         let mut del = edb_del.clone();
-        del.absorb(&s_del);
+        del.absorb(&heads.del);
         Ok(PassDelta {
             ins,
             del,
@@ -333,160 +435,125 @@ impl PassProgram {
         })
     }
 
-    /// Counting replay of a non-recursive pass: enumerate exactly the
+    /// Replay one routed delta through a level's support structures.
+    ///
+    /// On entry `total` holds the *new* state of everything the level
+    /// reads positively and the *old* state of its heads; on return the
+    /// heads are new too. `old_total` is the level's total before the
+    /// delta, and `support` the derivation counts of a counting level
+    /// (`None` exactly when the level is recursive). The delta must not
+    /// touch the level's head predicates. On error `total` and `support`
+    /// are left inconsistent and the level must be rebuilt.
+    pub fn replay(
+        &self,
+        total: &mut Interp,
+        support: Option<&mut SupportCounts<Fact>>,
+        old_total: &Interp,
+        delta: LevelDelta<'_>,
+        oracle: Oracle<'_>,
+        meter: &mut Meter,
+    ) -> Result<HeadDelta, EvalError> {
+        if self.recursive {
+            self.replay_dred(total, old_total, delta, oracle, meter)
+        } else {
+            let support = support.expect("counting level");
+            self.replay_counting(total, support, old_total, delta, oracle, meter)
+        }
+    }
+
+    /// Enumerate, once each, the derivations over `full` (negation
+    /// decided by `oracle`) that read a `pos` fact at a positive literal
+    /// or a `flip` fact at a negated one, reporting each one's head. The
+    /// dedup set makes the per-position passes count a derivation once.
+    fn derivations_through(
+        &self,
+        full: &Interp,
+        oracle: &Interp,
+        pos: &Interp,
+        flip: &Interp,
+        meter: &mut Meter,
+        tally: &mut dyn FnMut(Fact),
+    ) -> Result<(), EvalError> {
+        let neg = |p: &str, a: &[Value]| !oracle.holds(p, a);
+        let mut seen: BTreeSet<(usize, Bindings)> = BTreeSet::new();
+        let mut through = |ri: usize,
+                           rule: &Rule,
+                           plan: &BodyPlan,
+                           at: usize,
+                           delta: &Interp,
+                           meter: &mut Meter| {
+            let source = FactSource {
+                full,
+                delta: Some((at, delta)),
+            };
+            enumerate_bindings(rule, plan, &source, &neg, meter, &mut |b, meter| {
+                if seen.insert((ri, b.clone())) {
+                    meter.add_facts(1)?;
+                    tally(head_fact(rule, b)?);
+                }
+                Ok(())
+            })
+        };
+        let rules = self.compiled.rules.iter().zip(&self.compiled.plans);
+        for (ri, (rule, plan)) in rules.enumerate() {
+            for (at, lit) in rule.body.iter().enumerate() {
+                let Literal::Pos(atom) = lit else { continue };
+                if pos.count(&atom.pred) > 0 {
+                    through(ri, rule, plan, at, pos, meter)?;
+                }
+            }
+        }
+        for (ri, at, frule, fplan) in &self.flipped {
+            let Literal::Pos(atom) = &frule.body[*at] else {
+                unreachable!("flipped literal is positive")
+            };
+            if flip.count(&atom.pred) > 0 {
+                through(*ri, frule, fplan, *at, flip, meter)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Counting replay of a non-recursive level: enumerate exactly the
     /// derivations that died (removed positive facts; oracle insertions
     /// through flipped rules, against the *old* state) and were born
     /// (inserted positive facts; oracle deletions, against the *new*
     /// state), then apply the support transitions.
-    #[allow(clippy::too_many_arguments)]
     fn replay_counting(
         &self,
-        state: &mut PassState,
+        total: &mut Interp,
+        support: &mut SupportCounts<Fact>,
         old_total: &Interp,
-        edb_ins: &Interp,
-        edb_del: &Interp,
-        oc_ins: &Interp,
-        oc_del: &Interp,
-        old_oracle: &Interp,
-        new_oracle: &Interp,
+        delta: LevelDelta<'_>,
+        oracle: Oracle<'_>,
         meter: &mut Meter,
-    ) -> Result<(Interp, Interp), EvalError> {
+    ) -> Result<HeadDelta, EvalError> {
         meter.phase_start("counting");
         meter.tick_iteration()?;
         // Net derivation events per head fact: (died, born).
         let mut events: BTreeMap<Fact, (usize, usize)> = BTreeMap::new();
-        let mut seen_dead: BTreeSet<(usize, Bindings)> = BTreeSet::new();
-        let mut seen_born: BTreeSet<(usize, Bindings)> = BTreeSet::new();
+        self.derivations_through(
+            old_total,
+            oracle.before(old_total),
+            delta.del,
+            delta.oc_ins,
+            meter,
+            &mut |head| events.entry(head).or_default().0 += 1,
+        )?;
+        let tot: &Interp = total;
+        self.derivations_through(
+            tot,
+            oracle.after(tot),
+            delta.ins,
+            delta.oc_del,
+            meter,
+            &mut |head| events.entry(head).or_default().1 += 1,
+        )?;
 
-        {
-            let old_neg = |p: &str, a: &[Value]| !old_oracle.holds(p, a);
-            for (ri, (rule, plan)) in self
-                .compiled
-                .rules
-                .iter()
-                .zip(&self.compiled.plans)
-                .enumerate()
-            {
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    let Literal::Pos(atom) = lit else { continue };
-                    if edb_del.count(&atom.pred) == 0 {
-                        continue;
-                    }
-                    enumerate_bindings(
-                        rule,
-                        plan,
-                        &FactSource {
-                            full: old_total,
-                            delta: Some((pos, edb_del)),
-                        },
-                        &old_neg,
-                        meter,
-                        &mut |b, meter| {
-                            if seen_dead.insert((ri, b.clone())) {
-                                meter.add_facts(1)?;
-                                events.entry(head_fact(rule, b)?).or_default().0 += 1;
-                            }
-                            Ok(())
-                        },
-                    )?;
-                }
-            }
-            for (ri, pos, frule, fplan) in &self.flipped {
-                let Literal::Pos(atom) = &frule.body[*pos] else {
-                    unreachable!("flipped literal is positive")
-                };
-                if oc_ins.count(&atom.pred) == 0 {
-                    continue;
-                }
-                enumerate_bindings(
-                    frule,
-                    fplan,
-                    &FactSource {
-                        full: old_total,
-                        delta: Some((*pos, oc_ins)),
-                    },
-                    &old_neg,
-                    meter,
-                    &mut |b, meter| {
-                        if seen_dead.insert((*ri, b.clone())) {
-                            meter.add_facts(1)?;
-                            events.entry(head_fact(frule, b)?).or_default().0 += 1;
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-        }
-
-        {
-            let tot: &Interp = &state.total;
-            let new_neg = |p: &str, a: &[Value]| !new_oracle.holds(p, a);
-            for (ri, (rule, plan)) in self
-                .compiled
-                .rules
-                .iter()
-                .zip(&self.compiled.plans)
-                .enumerate()
-            {
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    let Literal::Pos(atom) = lit else { continue };
-                    if edb_ins.count(&atom.pred) == 0 {
-                        continue;
-                    }
-                    enumerate_bindings(
-                        rule,
-                        plan,
-                        &FactSource {
-                            full: tot,
-                            delta: Some((pos, edb_ins)),
-                        },
-                        &new_neg,
-                        meter,
-                        &mut |b, meter| {
-                            if seen_born.insert((ri, b.clone())) {
-                                meter.add_facts(1)?;
-                                events.entry(head_fact(rule, b)?).or_default().1 += 1;
-                            }
-                            Ok(())
-                        },
-                    )?;
-                }
-            }
-            for (ri, pos, frule, fplan) in &self.flipped {
-                let Literal::Pos(atom) = &frule.body[*pos] else {
-                    unreachable!("flipped literal is positive")
-                };
-                if oc_del.count(&atom.pred) == 0 {
-                    continue;
-                }
-                enumerate_bindings(
-                    frule,
-                    fplan,
-                    &FactSource {
-                        full: tot,
-                        delta: Some((*pos, oc_del)),
-                    },
-                    &new_neg,
-                    meter,
-                    &mut |b, meter| {
-                        if seen_born.insert((*ri, b.clone())) {
-                            meter.add_facts(1)?;
-                            events.entry(head_fact(frule, b)?).or_default().1 += 1;
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-        }
-
-        let support = state.support.as_mut().expect("counting pass");
-        let mut s_ins = Interp::new();
-        let mut s_del = Interp::new();
-        let mut incs = 0usize;
-        let mut decs = 0usize;
+        let mut heads = HeadDelta::default();
         for (fact, (dead, born)) in events {
-            decs += dead;
-            incs += born;
+            heads.support_decs += dead;
+            heads.support_incs += born;
             let before = support.count(&fact) > 0;
             for _ in 0..dead {
                 support.dec(&fact);
@@ -496,54 +563,47 @@ impl PassProgram {
             }
             let after = support.count(&fact) > 0;
             if before && !after {
-                state.total.remove(&fact.0, &fact.1);
-                s_del.insert(&fact.0, fact.1.clone());
+                total.remove(&fact.0, &fact.1);
+                heads.del.insert(&fact.0, fact.1);
             } else if !before && after {
-                state.total.insert(&fact.0, fact.1.clone());
-                s_ins.insert(&fact.0, fact.1);
+                total.insert(&fact.0, fact.1.clone());
+                heads.ins.insert(&fact.0, fact.1);
             }
         }
-        meter.record_support_adjust(incs, decs);
-        meter.record_delta(s_ins.total() + s_del.total());
+        meter.record_delta(heads.ins.total() + heads.del.total());
         meter.phase_end();
-        Ok((s_ins, s_del))
+        Ok(heads)
     }
 
-    /// DRed replay of a positively recursive pass: over-delete the
+    /// DRed replay of a positively recursive level: over-delete the
     /// consequences of removed facts and oracle insertions against the
     /// old state, re-derive survivors against the new one, then run the
     /// semi-naive continuation for inserted facts and oracle-deletion
-    /// births. Returns the net head changes by authoritative diff.
-    #[allow(clippy::too_many_arguments)]
+    /// births.
     fn replay_dred(
         &self,
-        state: &mut PassState,
+        total: &mut Interp,
         old_total: &Interp,
-        edb_ins: &Interp,
-        edb_del: &Interp,
-        koc_ins: &Interp,
-        koc_del: &Interp,
-        old_oracle: &Interp,
-        new_oracle: &Interp,
+        delta: LevelDelta<'_>,
+        oracle: Oracle<'_>,
         meter: &mut Meter,
-    ) -> Result<(Interp, Interp), EvalError> {
-        let ins_rel = restrict(edb_ins, &self.body_preds);
-        let del_rel = restrict(edb_del, &self.body_preds);
-        let total = &mut state.total;
+    ) -> Result<HeadDelta, EvalError> {
         meter.phase_start("dred");
+        let rules = || self.compiled.rules.iter().zip(&self.compiled.plans);
 
-        if del_rel.total() > 0 || koc_ins.total() > 0 {
+        let mut over = Interp::new();
+        if delta.del.total() > 0 || delta.oc_ins.total() > 0 {
             // Phase 1: over-delete against the old state. The worklist
             // starts from the deleted inputs plus the heads of
             // derivations killed by oracle insertions.
+            let old_oracle = oracle.before(old_total);
             let old_neg = |p: &str, a: &[Value]| !old_oracle.holds(p, a);
-            let mut over = Interp::new();
-            let mut work = del_rel;
+            let mut work = delta.del.clone();
             for (_, pos, frule, fplan) in &self.flipped {
                 let Literal::Pos(atom) = &frule.body[*pos] else {
                     unreachable!("flipped literal is positive")
                 };
-                if koc_ins.count(&atom.pred) == 0 {
+                if delta.oc_ins.count(&atom.pred) == 0 {
                     continue;
                 }
                 let mut killed = Interp::new();
@@ -552,7 +612,7 @@ impl PassProgram {
                     fplan,
                     &FactSource {
                         full: old_total,
-                        delta: Some((*pos, koc_ins)),
+                        delta: Some((*pos, delta.oc_ins)),
                     },
                     &old_neg,
                     meter,
@@ -567,7 +627,7 @@ impl PassProgram {
             while work.total() > 0 {
                 meter.tick_iteration()?;
                 let mut cand = Interp::new();
-                for (rule, plan) in self.compiled.rules.iter().zip(&self.compiled.plans) {
+                for (rule, plan) in rules() {
                     for (pos, lit) in rule.body.iter().enumerate() {
                         let Literal::Pos(atom) = lit else { continue };
                         if work.count(&atom.pred) == 0 {
@@ -601,14 +661,18 @@ impl PassProgram {
             }
 
             // Phase 2: re-derive over-deleted facts that still have
-            // support in the reduced state under the *new* oracle.
+            // support in the reduced state under the *new* oracle. Only
+            // candidates that are genuinely rederived (over-deleted, not
+            // yet back) enter a working set, so the metered cost is the
+            // rederivation size, not the model size.
             while over.total() > 0 {
                 meter.tick_iteration()?;
                 let mut back = Interp::new();
                 {
-                    let tot: &Interp = &*total;
+                    let tot: &Interp = total;
+                    let new_oracle = oracle.after(tot);
                     let neg = |p: &str, a: &[Value]| !new_oracle.holds(p, a);
-                    for (rule, plan) in self.compiled.rules.iter().zip(&self.compiled.plans) {
+                    for (rule, plan) in rules() {
                         if over.count(&rule.head.pred) == 0 {
                             continue;
                         }
@@ -641,16 +705,17 @@ impl PassProgram {
         // Phase 3: propagate insertions — the inserted inputs plus the
         // heads born from oracle deletions — with the semi-naive
         // continuation under the new oracle.
-        let mut seed = ins_rel;
+        let mut seed = delta.ins.clone();
         {
-            let tot: &Interp = &*total;
+            let tot: &Interp = total;
+            let new_oracle = oracle.after(tot);
             let neg = |p: &str, a: &[Value]| !new_oracle.holds(p, a);
             let mut born = Interp::new();
             for (_, pos, frule, fplan) in &self.flipped {
                 let Literal::Pos(atom) = &frule.body[*pos] else {
                     unreachable!("flipped literal is positive")
                 };
-                if koc_del.count(&atom.pred) == 0 {
+                if delta.oc_del.count(&atom.pred) == 0 {
                     continue;
                 }
                 apply_rule(
@@ -658,7 +723,7 @@ impl PassProgram {
                     fplan,
                     &FactSource {
                         full: tot,
-                        delta: Some((*pos, koc_del)),
+                        delta: Some((*pos, delta.oc_del)),
                     },
                     &neg,
                     meter,
@@ -671,38 +736,35 @@ impl PassProgram {
                 }
             }
         }
+        let mut added = Interp::new();
         if seed.total() > 0 {
             for (p, args) in seed.iter() {
                 total.insert(p, args.clone());
             }
-            let (next, _, _) = semi_naive_from_oracle(
-                &self.compiled,
-                total,
-                &seed,
-                &NegOracle::Complement(new_oracle),
-                meter,
-            )?;
+            let tot: &Interp = total;
+            let neg = NegOracle::Complement(oracle.after(tot));
+            let (next, grown, _) = semi_naive_from_oracle(&self.compiled, tot, &seed, &neg, meter)?;
             *total = next;
+            added = grown;
         }
         meter.phase_end();
 
-        // Net head changes, by authoritative diff against the old state.
-        let mut s_ins = Interp::new();
-        let mut s_del = Interp::new();
-        for p in &self.head_preds {
-            for args in total.facts(p) {
-                if !old_total.holds(p, args) {
-                    s_ins.insert(p, args.clone());
-                }
-            }
-            for args in old_total.facts(p) {
-                if !total.holds(p, args) {
-                    s_del.insert(p, args.clone());
-                }
+        // Net head changes. Only an over-deleted fact can have left, and
+        // only a seeded or continuation-derived head can have entered;
+        // either may also have merely come back, so both are checked
+        // against the other state.
+        let mut heads = HeadDelta::default();
+        for (p, args) in seed.iter().chain(added.iter()) {
+            if self.head_preds.contains(p) && !old_total.holds(p, args) {
+                heads.ins.insert(p, args.clone());
             }
         }
-        meter.record_delta(s_ins.total() + s_del.total());
-        Ok((s_ins, s_del))
+        for (p, args) in over.iter() {
+            if !total.holds(p, args) {
+                heads.del.insert(p, args.clone());
+            }
+        }
+        Ok(heads)
     }
 }
 

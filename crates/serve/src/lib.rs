@@ -4,14 +4,16 @@
 //! A [`session::Session`] owns an extensional database and a set of named
 //! **materialized views** — datalog programs under any supported
 //! semantics, or core-algebra programs. Facts asserted and retracted
-//! against the database are propagated to every view *incrementally*:
-//! counting-based maintenance for non-recursive strata, DRed
-//! (delete–rederive) over the semi-naive engine for recursive strata,
-//! and — for non-stratified programs under the three-valued semantics —
-//! supported-derivation maintenance of the alternating fixpoint itself
-//! (`algrec-incr`), with changed-level recomputation kept as a pinnable
-//! baseline behind `ALGREC_INCR_BASELINE` (see [`maintain`] and
-//! `DESIGN.md` §19 for the strategy decision table).
+//! against the database are propagated to every view *incrementally*
+//! by one maintenance kernel (`algrec-incr`): counting for non-recursive
+//! levels, DRed (delete–rederive) over the semi-naive engine for
+//! recursive ones. Stratified programs drive it stratum by stratum;
+//! non-stratified programs under the three-valued semantics drive it
+//! over every pass of the alternating fixpoint itself. Changed-level
+//! recomputation serves the inflationary semantics and is otherwise the
+//! differential reference, selected only by a per-view `recompute` pin
+//! (see [`maintain`] and `DESIGN.md` §19 for the strategy decision
+//! table).
 //!
 //! The session is exposed two ways: an interactive REPL
 //! ([`repl::run_repl`], the `algrec repl` subcommand) and a

@@ -2,14 +2,20 @@
 //!
 //! A registered view is kept consistent with the session database under
 //! `+fact` / `-fact` deltas by one of three maintainers, chosen at
-//! registration time (see `DESIGN.md` §19 for the full decision table):
+//! registration time (see `DESIGN.md` §19 for the full decision table).
+//! The first two are drivers over the *same* per-level kernel,
+//! [`algrec_incr::PassProgram`] — the only counting / DRed
+//! implementation in the workspace:
 //!
 //! * [`StratifiedView`] — for stratified programs (under any semantics
 //!   that coincides with the stratified one on that class: stratified,
 //!   well-founded, valid, valid-extended, and naive/semi-naive on
-//!   negation-free programs). Strata are maintained bottom-up; a stratum
-//!   untouched by the accumulated delta is skipped outright. Within a
-//!   stratum the strategy is per-shape:
+//!   negation-free programs). A stratum is a kernel level whose negation
+//!   oracle is the level's own total ([`Oracle::Own`]): negated
+//!   predicates live strictly below, so they are final before the
+//!   stratum runs. Strata are replayed bottom-up over one shared total;
+//!   a stratum untouched by the accumulated delta is skipped outright.
+//!   Within a stratum the kernel picks the strategy per shape:
 //!   - **counting** for non-recursive strata: every derived fact carries
 //!     its number of distinct derivations ([`SupportCounts`]); a delta
 //!     enumerates exactly the derivations that died and were born, and a
@@ -18,51 +24,49 @@
 //!   - **DRed** (delete–rederive) for recursive strata: over-delete the
 //!     consequences of the deletions against the *old* state, re-derive
 //!     survivors against the reduced state, then propagate insertions
-//!     with the delta-driven [`semi_naive_from`] continuation. A
-//!     pure-insertion delta takes the continuation directly.
+//!     with the delta-driven semi-naive continuation.
 //!
 //! * [`AlternatingView`] — the default for non-stratified programs
 //!   under the well-founded / valid / valid-extended semantics. It wraps
-//!   [`algrec_incr::IncrementalModel`], which maintains the alternating
-//!   fixpoint itself: each alternation pass keeps support counts (or a
-//!   DRed state when the pass is positively recursive), a pass untouched
-//!   by the delta is skipped, and a pass whose negation-oracle churn is
-//!   too large falls back to cold recomputation of that level only. For
+//!   [`algrec_incr::IncrementalModel`], which drives the kernel over
+//!   every alternation pass with the previous pass's result as the
+//!   frozen oracle: a pass untouched by the delta is skipped, and a pass
+//!   whose negation-oracle churn is too large falls back to cold
+//!   recomputation of that level only (strata never fall back). For
 //!   the valid-extended semantics the refinement by stable completions
 //!   ([`refine_wfs`]) is re-run over the maintained well-founded model.
 //!
-//! * [`RecomputeView`] — for everything else (the inflationary
+//! * [`RecomputeView`] — for everything else: the inflationary
 //!   semantics, which does not split, and the three-valued semantics
-//!   when pinned to `recompute` or when `ALGREC_INCR_BASELINE` disables
-//!   the incremental path). The program is cut into condensation levels
-//!   of its predicate dependency graph; a delta recomputes only the
-//!   levels reachable from the changed predicates, reusing the cached
+//!   when pinned to `recompute` (the differential reference; nothing
+//!   else selects it). The program is cut into condensation levels of
+//!   its predicate dependency graph; a delta recomputes only the levels
+//!   reachable from the changed predicates, reusing the cached
 //!   two-valued results of unaffected lower levels as extra database
 //!   facts. If an affected level comes out three-valued, the remaining
 //!   levels are evaluated jointly (the split is only sound below a
 //!   two-valued boundary).
 //!
 //! Negation is handled on both delta directions by *flipped rules*: for
-//! every negative body literal `not q(t̄)` the maintainer pre-plans a
+//! every negative body literal `not q(t̄)` the kernel pre-plans a
 //! variant of the rule with that literal made positive, so the
 //! derivations killed by insertions into `q` (and born from deletions
 //! from `q`) can be enumerated delta-first like any other join.
 
-use algrec_datalog::ast::{Literal, Program, Rule};
-use algrec_datalog::engine::{
-    apply_rule, enumerate_bindings, eval_expr, plan_body, Bindings, BodyPlan, Compiled, FactSource,
-};
+use algrec_datalog::ast::{Program, Rule};
+use algrec_datalog::engine::Compiled;
 use algrec_datalog::error::EvalError;
-use algrec_datalog::fixpoint::{semi_naive, semi_naive_from};
 use algrec_datalog::inflationary::inflationary;
-use algrec_datalog::interp::{tuple_args, Fact, Interp, ThreeValued};
+use algrec_datalog::interp::{Fact, Interp, ThreeValued};
 use algrec_datalog::stable::{refine_wfs, valid_extended};
 use algrec_datalog::stratify::{strata_programs, DepGraph};
 use algrec_datalog::wellfounded::alternating_fixpoint;
 use algrec_datalog::Semantics;
-use algrec_incr::IncrementalModel;
+use algrec_incr::{
+    delta_interps, diff_count, restrict, IncrementalModel, LevelDelta, Oracle, PassProgram,
+};
 use algrec_value::budget::Meter;
-use algrec_value::{Database, DatabaseDelta, SupportCounts, Value};
+use algrec_value::{Database, DatabaseDelta, SupportCounts};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What one maintenance pass did to a view.
@@ -75,102 +79,20 @@ pub struct MaintainReport {
     pub skipped: usize,
 }
 
-/// Split a database delta into inserted / removed fact interpretations.
-pub fn delta_interps(delta: &DatabaseDelta) -> (Interp, Interp) {
-    let mut ins = Interp::new();
-    let mut del = Interp::new();
-    for (name, rd) in delta.iter() {
-        for v in rd.added() {
-            ins.insert(name, tuple_args(v));
-        }
-        for v in rd.removed() {
-            del.insert(name, tuple_args(v));
-        }
-    }
-    (ins, del)
-}
-
-/// Facts of `src` whose predicate is in `preds`.
-fn restrict(src: &Interp, preds: &BTreeSet<String>) -> Interp {
-    let mut out = Interp::new();
-    for (p, args) in src.iter() {
-        if preds.contains(p) {
-            out.insert(p, args.clone());
-        }
-    }
-    out
-}
-
-/// Evaluate the head of `rule` under complete body bindings.
-fn head_fact(rule: &Rule, b: &Bindings) -> Result<Fact, EvalError> {
-    let args: Vec<Value> = rule
-        .head
-        .args
-        .iter()
-        .map(|e| eval_expr(e, b))
-        .collect::<Result<_, _>>()?;
-    Ok((rule.head.pred.clone(), args))
-}
-
-/// One stratum of a stratified view, with everything pre-compiled for
-/// delta-driven maintenance.
-struct Stratum {
-    compiled: Compiled,
-    head_preds: BTreeSet<String>,
-    body_preds: BTreeSet<String>,
-    neg_preds: BTreeSet<String>,
-    recursive: bool,
+/// What the stratum driver keeps per stratum beside the shared total.
+struct StratumState {
+    kernel: PassProgram,
+    /// Every predicate a rule body mentions, positively or negated: the
+    /// changes routed into the stratum (and the test for skipping it).
+    routed: BTreeSet<String>,
     /// Derivation counts per head fact; `Some` exactly for counting
     /// (non-recursive) strata.
     support: Option<SupportCounts<Fact>>,
-    /// `(rule index, body index, flipped rule, its plan)` for every
-    /// negative body literal.
-    flipped: Vec<(usize, usize, Rule, BodyPlan)>,
-}
-
-fn build_stratum(program: &Program) -> Result<Stratum, EvalError> {
-    let compiled = Compiled::compile(program)?;
-    let mut head_preds = BTreeSet::new();
-    let mut body_preds = BTreeSet::new();
-    let mut neg_preds = BTreeSet::new();
-    for rule in &program.rules {
-        head_preds.insert(rule.head.pred.clone());
-        for p in rule.positive_preds() {
-            body_preds.insert(p.to_string());
-        }
-        for p in rule.negative_preds() {
-            body_preds.insert(p.to_string());
-            neg_preds.insert(p.to_string());
-        }
-    }
-    // Conservative recursion test: any head fed back into any body of the
-    // same stratum (covers mutual recursion and same-level chains).
-    let recursive = head_preds.iter().any(|h| body_preds.contains(h));
-    let mut flipped = Vec::new();
-    for (ri, rule) in program.rules.iter().enumerate() {
-        for (bi, lit) in rule.body.iter().enumerate() {
-            if let Literal::Neg(atom) = lit {
-                let mut fr = rule.clone();
-                fr.body[bi] = Literal::Pos(atom.clone());
-                let plan = plan_body(&fr)?;
-                flipped.push((ri, bi, fr, plan));
-            }
-        }
-    }
-    Ok(Stratum {
-        compiled,
-        head_preds,
-        body_preds,
-        neg_preds,
-        recursive,
-        support: (!recursive).then(SupportCounts::new),
-        flipped,
-    })
 }
 
 /// An incrementally maintained materialized view of a stratified program.
 pub struct StratifiedView {
-    strata: Vec<Stratum>,
+    strata: Vec<StratumState>,
     /// The materialized model: database facts plus every stratum's heads
     /// (exactly the `certain` interpretation a cold stratified evaluation
     /// produces).
@@ -185,41 +107,19 @@ impl StratifiedView {
         let mut total = Interp::from_database(db);
         let mut strata = Vec::new();
         for sp in strata_programs(program)? {
-            let mut st = build_stratum(&sp)?;
-            let frozen = total.clone();
-            let neg = |p: &str, a: &[Value]| !frozen.holds(p, a);
-            if st.recursive {
-                let (next, _) = semi_naive(&st.compiled, &total, &neg, meter)?;
-                total = next;
-            } else {
-                // Single pass, counting every derivation: non-recursive
-                // stratum bodies never mention the stratum's own heads.
-                let support = st.support.as_mut().expect("counting stratum");
-                meter.phase_start("counting-init");
-                meter.tick_iteration()?;
-                for (rule, plan) in st.compiled.rules.iter().zip(&st.compiled.plans) {
-                    enumerate_bindings(
-                        rule,
-                        plan,
-                        &FactSource::full(&total),
-                        &neg,
-                        meter,
-                        &mut |b, meter| {
-                            meter.add_facts(1)?;
-                            support.inc(head_fact(rule, b)?);
-                            Ok(())
-                        },
-                    )?;
-                }
-                meter.phase_end();
-                let facts: Vec<Fact> = support.iter().map(|(f, _)| f.clone()).collect();
-                for (p, args) in facts {
-                    total.insert(&p, args);
-                }
-            }
-            strata.push(st);
+            let kernel = PassProgram::new(&sp)?;
+            let support = kernel.cold_into(&mut total, None, meter)?;
+            let routed = kernel.body_preds() | kernel.neg_preds();
+            strata.push(StratumState {
+                kernel,
+                routed,
+                support,
+            });
         }
-        let idb = strata.iter().flat_map(|s| s.head_preds.clone()).collect();
+        let idb = strata
+            .iter()
+            .flat_map(|s| s.kernel.head_preds().clone())
+            .collect();
         meter.record_materialized(total.total());
         Ok(StratifiedView { strata, total, idb })
     }
@@ -243,397 +143,42 @@ impl StratifiedView {
         delta: &DatabaseDelta,
         meter: &mut Meter,
     ) -> Result<MaintainReport, EvalError> {
-        let (edb_ins, edb_del) = delta_interps(delta);
+        let (mut ins, mut del) = delta_interps(delta);
         let old_total = self.total.clone();
-        let mut total = std::mem::take(&mut self.total);
-        for (p, args) in edb_del.iter() {
-            total.remove(p, args);
+        for (p, args) in del.iter() {
+            self.total.remove(p, args);
         }
-        for (p, args) in edb_ins.iter() {
-            total.insert(p, args.clone());
+        for (p, args) in ins.iter() {
+            self.total.insert(p, args.clone());
         }
-        let mut ins = edb_ins;
-        let mut del = edb_del;
         let mut report = MaintainReport::default();
-        let result: Result<(), EvalError> = (|| {
-            for st in &mut self.strata {
-                let touched = st
-                    .body_preds
-                    .iter()
-                    .any(|p| ins.count(p) > 0 || del.count(p) > 0);
-                if !touched {
-                    report.skipped += 1;
-                    continue;
-                }
-                let (s_ins, s_del) = if st.recursive {
-                    maintain_dred(st, &old_total, &mut total, &ins, &del, meter)?
-                } else {
-                    maintain_counting(st, &old_total, &mut total, &ins, &del, meter)?
-                };
-                report.changed += s_ins.total() + s_del.total();
-                ins.absorb(&s_ins);
-                del.absorb(&s_del);
+        for st in &mut self.strata {
+            let st_ins = restrict(&ins, &st.routed);
+            let st_del = restrict(&del, &st.routed);
+            if st_ins.total() + st_del.total() == 0 {
+                report.skipped += 1;
+                continue;
             }
-            Ok(())
-        })();
-        self.total = total;
-        result?;
+            let heads = st.kernel.replay(
+                &mut self.total,
+                st.support.as_mut(),
+                &old_total,
+                LevelDelta {
+                    ins: &st_ins,
+                    del: &st_del,
+                    oc_ins: &restrict(&ins, st.kernel.neg_preds()),
+                    oc_del: &restrict(&del, st.kernel.neg_preds()),
+                },
+                Oracle::Own,
+                meter,
+            )?;
+            report.changed += heads.ins.total() + heads.del.total();
+            ins.absorb(&heads.ins);
+            del.absorb(&heads.del);
+        }
         meter.record_materialized(self.total.total());
         Ok(report)
     }
-}
-
-/// Counting maintenance of one non-recursive stratum. `total` holds the
-/// *new* state of everything below the stratum and the *old* state of its
-/// heads; on return the heads are new too.
-fn maintain_counting(
-    st: &mut Stratum,
-    old_total: &Interp,
-    total: &mut Interp,
-    ins: &Interp,
-    del: &Interp,
-    meter: &mut Meter,
-) -> Result<(Interp, Interp), EvalError> {
-    meter.phase_start("counting");
-    meter.tick_iteration()?;
-    // Net derivation events per head fact: (died, born).
-    let mut events: BTreeMap<Fact, (usize, usize)> = BTreeMap::new();
-    let mut seen_dead: BTreeSet<(usize, Bindings)> = BTreeSet::new();
-    let mut seen_born: BTreeSet<(usize, Bindings)> = BTreeSet::new();
-
-    // Dead derivations, enumerated against the old state: those that used
-    // a removed fact positively, and those whose negative literal was
-    // falsified by an insertion (flipped rules). The shared dedup set
-    // makes the per-position passes count each derivation once.
-    {
-        let old_neg = |p: &str, a: &[Value]| !old_total.holds(p, a);
-        for (ri, (rule, plan)) in st.compiled.rules.iter().zip(&st.compiled.plans).enumerate() {
-            for (pos, lit) in rule.body.iter().enumerate() {
-                let Literal::Pos(atom) = lit else { continue };
-                if del.count(&atom.pred) == 0 {
-                    continue;
-                }
-                enumerate_bindings(
-                    rule,
-                    plan,
-                    &FactSource {
-                        full: old_total,
-                        delta: Some((pos, del)),
-                    },
-                    &old_neg,
-                    meter,
-                    &mut |b, meter| {
-                        if seen_dead.insert((ri, b.clone())) {
-                            meter.add_facts(1)?;
-                            events.entry(head_fact(rule, b)?).or_default().0 += 1;
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-        }
-        for (ri, pos, frule, fplan) in &st.flipped {
-            let Literal::Pos(atom) = &frule.body[*pos] else {
-                unreachable!("flipped literal is positive")
-            };
-            if ins.count(&atom.pred) == 0 {
-                continue;
-            }
-            enumerate_bindings(
-                frule,
-                fplan,
-                &FactSource {
-                    full: old_total,
-                    delta: Some((*pos, ins)),
-                },
-                &old_neg,
-                meter,
-                &mut |b, meter| {
-                    if seen_dead.insert((*ri, b.clone())) {
-                        meter.add_facts(1)?;
-                        events.entry(head_fact(frule, b)?).or_default().0 += 1;
-                    }
-                    Ok(())
-                },
-            )?;
-        }
-    }
-
-    // Born derivations, against the new state (symmetric).
-    {
-        let tot: &Interp = &*total;
-        let new_neg = |p: &str, a: &[Value]| !tot.holds(p, a);
-        for (ri, (rule, plan)) in st.compiled.rules.iter().zip(&st.compiled.plans).enumerate() {
-            for (pos, lit) in rule.body.iter().enumerate() {
-                let Literal::Pos(atom) = lit else { continue };
-                if ins.count(&atom.pred) == 0 {
-                    continue;
-                }
-                enumerate_bindings(
-                    rule,
-                    plan,
-                    &FactSource {
-                        full: tot,
-                        delta: Some((pos, ins)),
-                    },
-                    &new_neg,
-                    meter,
-                    &mut |b, meter| {
-                        if seen_born.insert((ri, b.clone())) {
-                            meter.add_facts(1)?;
-                            events.entry(head_fact(rule, b)?).or_default().1 += 1;
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-        }
-        for (ri, pos, frule, fplan) in &st.flipped {
-            let Literal::Pos(atom) = &frule.body[*pos] else {
-                unreachable!("flipped literal is positive")
-            };
-            if del.count(&atom.pred) == 0 {
-                continue;
-            }
-            enumerate_bindings(
-                frule,
-                fplan,
-                &FactSource {
-                    full: tot,
-                    delta: Some((*pos, del)),
-                },
-                &new_neg,
-                meter,
-                &mut |b, meter| {
-                    if seen_born.insert((*ri, b.clone())) {
-                        meter.add_facts(1)?;
-                        events.entry(head_fact(frule, b)?).or_default().1 += 1;
-                    }
-                    Ok(())
-                },
-            )?;
-        }
-    }
-
-    let support = st.support.as_mut().expect("counting stratum");
-    let mut s_ins = Interp::new();
-    let mut s_del = Interp::new();
-    for (fact, (dead, born)) in events {
-        let before = support.count(&fact) > 0;
-        for _ in 0..dead {
-            support.dec(&fact);
-        }
-        for _ in 0..born {
-            support.inc(fact.clone());
-        }
-        let after = support.count(&fact) > 0;
-        if before && !after {
-            total.remove(&fact.0, &fact.1);
-            s_del.insert(&fact.0, fact.1.clone());
-        } else if !before && after {
-            total.insert(&fact.0, fact.1.clone());
-            s_ins.insert(&fact.0, fact.1);
-        }
-    }
-    meter.record_delta(s_ins.total() + s_del.total());
-    meter.phase_end();
-    Ok((s_ins, s_del))
-}
-
-/// DRed maintenance of one recursive stratum. Same `total` contract as
-/// [`maintain_counting`].
-fn maintain_dred(
-    st: &Stratum,
-    old_total: &Interp,
-    total: &mut Interp,
-    ins: &Interp,
-    del: &Interp,
-    meter: &mut Meter,
-) -> Result<(Interp, Interp), EvalError> {
-    let ins_rel = restrict(ins, &st.body_preds);
-    let del_rel = restrict(del, &st.body_preds);
-    let neg_ins = restrict(ins, &st.neg_preds);
-    let neg_del = restrict(del, &st.neg_preds);
-
-    // Pure-insertion fast path: nothing was deleted and no insertion can
-    // falsify a negative literal, so the old model is still a lower bound
-    // and the semi-naive continuation finishes the job.
-    if del_rel.total() == 0 && neg_ins.total() == 0 {
-        let (next, added, _) = {
-            let tot: &Interp = &*total;
-            let neg = |p: &str, a: &[Value]| !tot.holds(p, a);
-            semi_naive_from(&st.compiled, tot, &ins_rel, &neg, meter)?
-        };
-        *total = next;
-        let s_ins = restrict(&added, &st.head_preds);
-        return Ok((s_ins, Interp::new()));
-    }
-
-    meter.phase_start("dred");
-    // Phase 1: over-delete against the old state. The worklist starts
-    // from the deleted inputs plus the heads of derivations killed by
-    // insertions into negated predicates.
-    let old_neg = |p: &str, a: &[Value]| !old_total.holds(p, a);
-    let mut over = Interp::new();
-    let mut work = del_rel.clone();
-    for (_, pos, frule, fplan) in &st.flipped {
-        let Literal::Pos(atom) = &frule.body[*pos] else {
-            unreachable!("flipped literal is positive")
-        };
-        if neg_ins.count(&atom.pred) == 0 {
-            continue;
-        }
-        let mut killed = Interp::new();
-        apply_rule(
-            frule,
-            fplan,
-            &FactSource {
-                full: old_total,
-                delta: Some((*pos, &neg_ins)),
-            },
-            &old_neg,
-            meter,
-            &mut killed,
-        )?;
-        for (p, args) in killed.iter() {
-            if old_total.holds(p, args) && over.insert(p, args.clone()) {
-                work.insert(p, args.clone());
-            }
-        }
-    }
-    while work.total() > 0 {
-        meter.tick_iteration()?;
-        let mut cand = Interp::new();
-        for (rule, plan) in st.compiled.rules.iter().zip(&st.compiled.plans) {
-            for (pos, lit) in rule.body.iter().enumerate() {
-                let Literal::Pos(atom) = lit else { continue };
-                if work.count(&atom.pred) == 0 {
-                    continue;
-                }
-                apply_rule(
-                    rule,
-                    plan,
-                    &FactSource {
-                        full: old_total,
-                        delta: Some((pos, &work)),
-                    },
-                    &old_neg,
-                    meter,
-                    &mut cand,
-                )?;
-            }
-        }
-        let mut next = Interp::new();
-        for (p, args) in cand.iter() {
-            if old_total.holds(p, args) && !over.holds(p, args) {
-                next.insert(p, args.clone());
-            }
-        }
-        over.absorb(&next);
-        work = next;
-        meter.record_delta(work.total());
-    }
-    for (p, args) in over.iter() {
-        total.remove(p, args);
-    }
-
-    // Phase 2: re-derive over-deleted facts that still have support in
-    // the reduced (new) state. Negated predicates live in lower strata,
-    // so the oracle is stable across the loop. Only candidates that are
-    // genuinely rederived (over-deleted, not yet back) enter a working
-    // set, so the metered cost is the rederivation size, not the model
-    // size.
-    while over.total() > 0 {
-        meter.tick_iteration()?;
-        let mut back = Interp::new();
-        {
-            let tot: &Interp = &*total;
-            let neg = |p: &str, a: &[Value]| !tot.holds(p, a);
-            for (rule, plan) in st.compiled.rules.iter().zip(&st.compiled.plans) {
-                if over.count(&rule.head.pred) == 0 {
-                    continue;
-                }
-                enumerate_bindings(
-                    rule,
-                    plan,
-                    &FactSource::full(tot),
-                    &neg,
-                    meter,
-                    &mut |b, meter| {
-                        let (p, args) = head_fact(rule, b)?;
-                        if over.holds(&p, &args) && !tot.holds(&p, &args) && back.insert(&p, args) {
-                            meter.add_facts(1)?;
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-        }
-        if back.total() == 0 {
-            break;
-        }
-        total.absorb(&back);
-    }
-
-    // Phase 3: propagate insertions — the inserted inputs plus the heads
-    // born from deletions out of negated predicates.
-    let mut seed = ins_rel;
-    {
-        let tot: &Interp = &*total;
-        let neg = |p: &str, a: &[Value]| !tot.holds(p, a);
-        let mut born = Interp::new();
-        for (_, pos, frule, fplan) in &st.flipped {
-            let Literal::Pos(atom) = &frule.body[*pos] else {
-                unreachable!("flipped literal is positive")
-            };
-            if neg_del.count(&atom.pred) == 0 {
-                continue;
-            }
-            apply_rule(
-                frule,
-                fplan,
-                &FactSource {
-                    full: tot,
-                    delta: Some((*pos, &neg_del)),
-                },
-                &neg,
-                meter,
-                &mut born,
-            )?;
-        }
-        for (p, args) in born.iter() {
-            if !tot.holds(p, args) {
-                seed.insert(p, args.clone());
-            }
-        }
-    }
-    for (p, args) in seed.iter() {
-        total.insert(p, args.clone());
-    }
-    let (next, _, _) = {
-        let tot: &Interp = &*total;
-        let neg = |p: &str, a: &[Value]| !tot.holds(p, a);
-        semi_naive_from(&st.compiled, tot, &seed, &neg, meter)?
-    };
-    *total = next;
-    meter.phase_end();
-
-    // Net head changes, by authoritative diff against the old state.
-    let mut s_ins = Interp::new();
-    let mut s_del = Interp::new();
-    for p in &st.head_preds {
-        for args in total.facts(p) {
-            if !old_total.holds(p, args) {
-                s_ins.insert(p, args.clone());
-            }
-        }
-        for args in old_total.facts(p) {
-            if !total.holds(p, args) {
-                s_del.insert(p, args.clone());
-            }
-        }
-    }
-    Ok((s_ins, s_del))
 }
 
 /// One condensation level of a [`RecomputeView`].
@@ -646,9 +191,8 @@ struct Level {
     cached: Option<Interp>,
 }
 
-/// A view maintained by changed-level recomputation — the fallback for
-/// programs the stratified maintainer cannot take (non-stratified rules
-/// under well-founded / valid semantics, and the inflationary semantics).
+/// A view maintained by changed-level recomputation: the inflationary
+/// semantics, and the three-valued semantics when pinned `recompute`.
 pub struct RecomputeView {
     semantics: Semantics,
     levels: Vec<Level>,
@@ -967,28 +511,12 @@ impl AlternatingView {
     }
 }
 
-/// Size of the symmetric difference of two interpretations.
-fn diff_count(a: &Interp, b: &Interp) -> usize {
-    let mut n = 0;
-    for (p, args) in a.iter() {
-        if !b.holds(p, args) {
-            n += 1;
-        }
-    }
-    for (p, args) in b.iter() {
-        if !a.holds(p, args) {
-            n += 1;
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use algrec_datalog::parser::parse_program;
     use algrec_datalog::{evaluate, Semantics};
-    use algrec_value::{Budget, Relation, Trace, Truth};
+    use algrec_value::{Budget, Relation, Trace, Truth, Value};
 
     fn i(n: i64) -> Value {
         Value::int(n)
@@ -1201,17 +729,5 @@ mod tests {
             .collect();
         assert_eq!(mid, BTreeSet::from(["b", "c"]));
         assert_eq!(parts[2].rules[0].head.pred, "d");
-    }
-
-    #[test]
-    fn delta_interps_split_signed_changes() {
-        let mut d = DatabaseDelta::new();
-        d.insert("e", Value::pair(i(1), i(2)));
-        d.remove("n", i(3));
-        let (ins, del) = delta_interps(&d);
-        assert!(ins.holds("e", &[i(1), i(2)]));
-        assert!(del.holds("n", &[i(3)]));
-        assert_eq!(ins.total(), 1);
-        assert_eq!(del.total(), 1);
     }
 }

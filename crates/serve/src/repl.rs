@@ -368,15 +368,16 @@ mod tests {
         ));
         assert!(out.contains("error: unknown command `bogus`"), "{out}");
         assert!(out.contains("error:"), "{out}");
-        // The non-stratified view still registers, with the three-valued
-        // maintainer the process-wide toggle selects.
-        let want = if algrec_incr::enabled() {
-            "incremental-alternating"
-        } else {
-            "recompute-levels"
-        };
-        assert!(out.contains(&format!("registered x ({want}")), "{out}");
-        assert!(out.contains(&format!("x: datalog, valid, {want}")), "{out}");
+        // The non-stratified view still registers, on the alternating
+        // maintainer.
+        assert!(
+            out.contains("registered x (incremental-alternating"),
+            "{out}"
+        );
+        assert!(
+            out.contains("x: datalog, valid, incremental-alternating"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -14,16 +14,17 @@
 //! |--------------------------------------------|--------------------------|
 //! | stratifiable, any coinciding semantics     | [`StratifiedView`]       |
 //! | non-stratified, well-founded / valid / ext | [`AlternatingView`]      |
-//! | ditto, under `ALGREC_INCR_BASELINE`        | [`RecomputeView`] levels |
 //! | inflationary                               | [`RecomputeView`] single |
 //! | naive / semi-naive with negation           | rejected (as cold eval)  |
 //! | core algebra                               | recompute on dependency  |
 //!
-//! A registration can *pin* the three-valued strategy with
-//! [`StrategyPin`] (`incremental` or `recompute`), overriding both the
-//! stratifiable shortcut and the environment toggle — used by
-//! differential tests and scenario corpora to compare the two
-//! maintainers on the same trace.
+//! The first two rows are two drivers over one maintenance kernel
+//! (`algrec_incr::PassProgram`). A registration can *pin* the
+//! three-valued strategy with [`StrategyPin`]: `incremental` overrides
+//! the stratifiable shortcut, and `recompute` selects
+//! [`RecomputeView`] levels — the only way to get changed-level
+//! recomputation, used by differential tests and scenario corpora to
+//! compare it with the kernel on the same trace.
 //!
 //! A delta that touches a predicate a view *derives* (EDB/IDB overlap)
 //! falls back to a transparent full rebuild of that view, keeping every
@@ -220,9 +221,9 @@ pub struct ViewDef {
 /// at registration time and persisted with the view definition. `Auto`
 /// (the default) lets the planner decide: stratifiable programs take the
 /// stratified maintainer, the rest take the incremental alternating
-/// maintainer unless `ALGREC_INCR_BASELINE` re-selects changed-level
-/// recomputation. The explicit pins force one of the two three-valued
-/// maintainers regardless of the environment toggle.
+/// maintainer. The explicit pins force one of the two three-valued
+/// maintainers; `Recompute` is the only way to select changed-level
+/// recomputation.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub enum StrategyPin {
     /// Let the planner choose (the default).
@@ -534,8 +535,7 @@ fn plan_datalog(
             StrategyPin::Incremental => "incremental-alternating",
             StrategyPin::Recompute => "recompute-levels",
             StrategyPin::Auto if stratifiable => "stratified-incremental",
-            StrategyPin::Auto if algrec_incr::enabled() => "incremental-alternating",
-            StrategyPin::Auto => "recompute-levels",
+            StrategyPin::Auto => "incremental-alternating",
         }),
         Semantics::Inflationary => Ok("recompute-levels"),
     }
@@ -1468,6 +1468,64 @@ mod tests {
     }
 
     #[test]
+    fn budget_exhausted_maintenance_dirties_the_view_until_it_fits() {
+        // Twelve sources fan into hub 100 and hub 200 fans out to twelve
+        // sinks: 24 closure facts. Bridging the hubs adds 12 × 12 more,
+        // past the budget for the replay and for a cold rebuild alike;
+        // without the bridge even a cold rebuild fits again. Both kernel
+        // drivers share this error path.
+        let budget = Budget {
+            max_facts: 150,
+            ..Budget::LARGE
+        };
+        let fans: String = (1..=12)
+            .map(|k| format!("e({k}, 100). e(200, {}). ", 300 + k))
+            .collect();
+        for pin in [StrategyPin::Auto, StrategyPin::Incremental] {
+            let mut session = Session::new(budget);
+            session.load(&fans).unwrap();
+            session
+                .register_datalog_pinned("paths", TC, Semantics::Valid, pin)
+                .unwrap();
+            let dirty = |s: &Session| s.stats(Some("paths")).unwrap()[0].dirty;
+
+            let out = session.assert_fact("e(100, 200)").unwrap();
+            assert_eq!(out.views[0].status.as_str(), "error", "{pin:?}");
+            let msg = out.views[0].error.as_deref().expect("error text");
+            assert!(msg.contains("fact budget exhausted"), "{pin:?}: {msg}");
+            assert!(dirty(&session), "{pin:?}");
+
+            // A query retries the rebuild, which cannot fit either: the
+            // budget error comes back, never the half-replayed model —
+            // and the lock-free snapshot defers to that writer path.
+            assert!(matches!(
+                session.read_view().query("paths", Some("tc")),
+                Ok(None)
+            ));
+            let err = session.query("paths", Some("tc")).unwrap_err();
+            assert_eq!(err.code(), "eval", "{pin:?}");
+            assert!(err.to_string().contains("fact budget exhausted"), "{err}");
+            assert!(dirty(&session), "{pin:?}");
+
+            let out = session.retract_fact("e(100, 200)").unwrap();
+            assert_eq!(out.views[0].status, ViewStatus::Rebuilt, "{pin:?}");
+            assert!(!dirty(&session), "{pin:?}");
+            let QueryAnswer::Datalog { certain, unknown } =
+                session.query("paths", Some("tc")).unwrap()
+            else {
+                panic!("datalog answer expected")
+            };
+            assert!(unknown.is_empty());
+            assert_eq!(certain.len(), 24, "{pin:?}");
+            assert_eq!(
+                certain,
+                cold_pred_lines(&session, TC, Semantics::Valid, "tc"),
+                "{pin:?}"
+            );
+        }
+    }
+
+    #[test]
     fn nonstratified_program_uses_three_valued_strategy() {
         let mut session = Session::new(Budget::LARGE);
         session.load("move(1, 2). move(2, 3).").unwrap();
@@ -1478,15 +1536,7 @@ mod tests {
                 Semantics::Valid,
             )
             .unwrap();
-        // The default follows the process-wide toggle (flipped by the
-        // ALGREC_INCR_BASELINE CI leg), so accept either maintainer here;
-        // the pinning test below covers both labels deterministically.
-        let want = if algrec_incr::enabled() {
-            "incremental-alternating"
-        } else {
-            "recompute-levels"
-        };
-        assert_eq!(reg.strategy, want);
+        assert_eq!(reg.strategy, "incremental-alternating");
         let QueryAnswer::Datalog { certain, unknown } = session.query("game", Some("win")).unwrap()
         else {
             panic!()

@@ -9,7 +9,10 @@
 //! default for non-stratified three-valued views), and changed-level
 //! recomputation (the same views pinned `recompute`) — on the WIN/MOVE
 //! game, non-stratified and genuinely three-valued on cyclic move
-//! graphs, and the paper's §3.2 divergence gadget `S = {a} − S`.
+//! graphs, and the paper's §3.2 divergence gadget `S = {a} − S`. The
+//! first three are one kernel (`algrec_incr::PassProgram`) under its
+//! stratum and alternating drivers; the pinned-strategy property runs
+//! both drivers and the reference side by side.
 
 use algrec_datalog::parser::parse_program;
 use algrec_datalog::{evaluate, Semantics};
@@ -158,13 +161,15 @@ proptest! {
         }
     }
 
-    /// The supported-derivation maintainer against its own from-scratch
-    /// shadow: the same WIN/MOVE game registered twice, pinned
-    /// `incremental` and `recompute`, under every three-valued
-    /// semantics. After each random delta both views must equal a cold
-    /// evaluation (and hence each other) — regardless of whether the
-    /// `ALGREC_INCR_BASELINE` toggle is set for this test run, because
-    /// the pins override it.
+    /// The maintenance kernel's two drivers against their from-scratch
+    /// shadow: one program registered three times — `auto`, pinned
+    /// `incremental` (the alternating driver) and pinned `recompute`
+    /// (the reference) — under every three-valued semantics. On the
+    /// non-stratified WIN/MOVE game `auto` is the alternating driver
+    /// too; on the stratified TC + `un` program it is the stratum
+    /// driver, so both drivers of the one kernel see the same deltas.
+    /// After each random delta all three views must equal a cold
+    /// evaluation (and hence each other).
     #[test]
     fn pinned_strategies_agree_with_cold_under_every_semantics(
         semantics in prop_oneof![
@@ -172,22 +177,34 @@ proptest! {
             Just(Semantics::Valid),
             Just(Semantics::ValidExtended(3)),
         ],
+        (program, preds) in prop_oneof![
+            Just((WIN, &["win"][..])),
+            Just((UNREACH, &["tc", "un"][..])),
+        ],
         initial in prop::collection::btree_set((0..5i64, 0..5i64), 0..8),
         steps in prop::collection::vec(arb_step(5), 1..10),
     ) {
         let mut session = Session::new(Budget::SMALL);
         let facts: String = initial.iter().map(|(a, b)| format!("e({a}, {b}).\n")).collect();
         session.load(&facts).unwrap();
-        session
-            .register_datalog_pinned("inc", WIN, semantics, StrategyPin::Incremental)
-            .unwrap();
-        session
-            .register_datalog_pinned("rec", WIN, semantics, StrategyPin::Recompute)
-            .unwrap();
-        for view in ["inc", "rec"] {
-            check_view(&mut session, view, WIN, semantics, "win",
-                       &format!("at registration ({view}, {semantics:?})"))?;
+        let views = [
+            ("auto", StrategyPin::Auto),
+            ("inc", StrategyPin::Incremental),
+            ("rec", StrategyPin::Recompute),
+        ];
+        for (view, pin) in views {
+            session.register_datalog_pinned(view, program, semantics, pin).unwrap();
         }
+        let check_all = |session: &mut Session, context: &str| {
+            for (view, _) in views {
+                for pred in preds {
+                    check_view(session, view, program, semantics, pred,
+                               &format!("{context} ({view}/{pred}, {semantics:?})"))?;
+                }
+            }
+            Ok::<(), TestCaseError>(())
+        };
+        check_all(&mut session, "at registration")?;
         for (k, step) in steps.iter().enumerate() {
             let (insert, src) = fact_src(step);
             if insert {
@@ -195,10 +212,7 @@ proptest! {
             } else {
                 session.retract_fact(&src).unwrap();
             }
-            for view in ["inc", "rec"] {
-                check_view(&mut session, view, WIN, semantics, "win",
-                           &format!("after step {k} ({step:?}, {view}, {semantics:?})"))?;
-            }
+            check_all(&mut session, &format!("after step {k} ({step:?})"))?;
         }
     }
 
