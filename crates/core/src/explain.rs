@@ -17,62 +17,66 @@ use algrec_plan::{PlanArena, PlanId};
 use algrec_value::Database;
 use std::collections::HashMap;
 
+/// The size of a relation by name; `None` when there is no such
+/// relation.
+pub type RowsOf<'a> = dyn Fn(&str) -> Option<usize> + 'a;
+
 /// Intern `e` (and its whole subtree) into `arena`, memoizing by node
 /// address in `keys` so repeated lowering of a shared subtree is O(1).
 ///
 /// Labels are chosen injectively per structural shape (names, rendered
 /// selection/map functions, fixpoint variables), so two expressions
 /// receive the same [`PlanId`] iff they are structurally equal. When
-/// `db` is provided, relation leaves are annotated with their row counts
-/// (for rendering only — the evaluator lowers without a database, so
-/// cache keys never depend on data).
+/// `rows` is provided, the leaves naming a relation it knows are
+/// annotated with their row counts (for rendering only — the evaluator
+/// lowers without one, so cache keys never depend on data).
 pub(crate) fn lower_expr(
     e: &AlgExpr,
     arena: &mut PlanArena,
     keys: &mut HashMap<usize, PlanId>,
-    db: Option<&Database>,
+    rows: Option<&RowsOf<'_>>,
 ) -> PlanId {
     let ptr = e as *const AlgExpr as usize;
     if let Some(&id) = keys.get(&ptr) {
         return id;
     }
     let id = match e {
-        AlgExpr::Name(n) => match db.and_then(|db| db.get(n)) {
-            Some(rel) => arena.leaf("scan", format!("{n} ({} rows)", rel.len())),
+        AlgExpr::Name(n) => match rows.and_then(|rows| rows(n)) {
+            Some(len) => arena.leaf("scan", format!("{n} ({len} rows)")),
             None => arena.leaf("name", n.clone()),
         },
         AlgExpr::Lit(_) => arena.leaf("lit", e.to_string()),
         AlgExpr::Union(a, b) => {
-            let ca = lower_expr(a, arena, keys, db);
-            let cb = lower_expr(b, arena, keys, db);
+            let ca = lower_expr(a, arena, keys, rows);
+            let cb = lower_expr(b, arena, keys, rows);
             arena.node("union", "", vec![ca, cb])
         }
         AlgExpr::Diff(a, b) => {
-            let ca = lower_expr(a, arena, keys, db);
-            let cb = lower_expr(b, arena, keys, db);
+            let ca = lower_expr(a, arena, keys, rows);
+            let cb = lower_expr(b, arena, keys, rows);
             arena.node("diff", "", vec![ca, cb])
         }
         AlgExpr::Product(a, b) => {
-            let ca = lower_expr(a, arena, keys, db);
-            let cb = lower_expr(b, arena, keys, db);
+            let ca = lower_expr(a, arena, keys, rows);
+            let cb = lower_expr(b, arena, keys, rows);
             arena.node("product", "", vec![ca, cb])
         }
         AlgExpr::Select(a, t) => {
-            let ca = lower_expr(a, arena, keys, db);
+            let ca = lower_expr(a, arena, keys, rows);
             arena.node("select", t.to_string(), vec![ca])
         }
         AlgExpr::Map(a, f) => {
-            let ca = lower_expr(a, arena, keys, db);
+            let ca = lower_expr(a, arena, keys, rows);
             arena.node("map", f.to_string(), vec![ca])
         }
         AlgExpr::Ifp { var, body } => {
-            let cb = lower_expr(body, arena, keys, db);
+            let cb = lower_expr(body, arena, keys, rows);
             arena.node("fix", var.clone(), vec![cb])
         }
         AlgExpr::Apply(name, args) => {
             let children = args
                 .iter()
-                .map(|a| lower_expr(a, arena, keys, db))
+                .map(|a| lower_expr(a, arena, keys, rows))
                 .collect();
             arena.node("apply", name.clone(), children)
         }
@@ -86,18 +90,23 @@ pub(crate) fn lower_expr(
 /// across definitions (hash-consed) are cross-referenced instead of
 /// duplicated.
 pub fn explain_program(program: &AlgProgram, db: &Database) -> String {
+    explain_with_rows(program, &|name| db.get(name).map(|rel| rel.len()))
+}
+
+/// [`explain_program`] against row counts the caller already holds.
+pub fn explain_with_rows(program: &AlgProgram, rows: &RowsOf<'_>) -> String {
     let mut arena = PlanArena::new();
     let mut keys = HashMap::new();
     let mut roots = Vec::with_capacity(program.defs.len() + 1);
     for def in &program.defs {
         roots.push((
             format!("def {}", def.name),
-            lower_expr(&def.body, &mut arena, &mut keys, Some(db)),
+            lower_expr(&def.body, &mut arena, &mut keys, Some(rows)),
         ));
     }
     roots.push((
         "query".to_string(),
-        lower_expr(&program.query, &mut arena, &mut keys, Some(db)),
+        lower_expr(&program.query, &mut arena, &mut keys, Some(rows)),
     ));
     arena.render(&roots)
 }

@@ -1662,8 +1662,16 @@ mod tests {
     /// ambient toggle afterwards (the suite may run under
     /// `ALGREC_PLAN_BASELINE=1`).
     fn with_plan<R>(f: impl FnOnce() -> R) -> R {
+        with_toggle(true, f)
+    }
+
+    /// The toggle is process-global and the tests of this module run in
+    /// parallel: whoever sets it holds this lock until it is restored.
+    fn with_toggle<R>(on: bool, f: impl FnOnce() -> R) -> R {
+        static TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _held = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         let prev = algrec_plan::enabled();
-        algrec_plan::set_enabled(true);
+        algrec_plan::set_enabled(on);
         let r = f();
         algrec_plan::set_enabled(prev);
         r
@@ -1861,12 +1869,11 @@ mod tests {
 
     #[test]
     fn disabled_toggle_falls_back() {
-        let prev = algrec_plan::enabled();
-        algrec_plan::set_enabled(false);
-        let compiled = tc_program();
-        let mut m = Budget::SMALL.meter();
-        assert!(try_semi_naive(&compiled, &chain(3), &NegOracle::False, &mut m).is_none());
-        algrec_plan::set_enabled(prev);
+        with_toggle(false, || {
+            let compiled = tc_program();
+            let mut m = Budget::SMALL.meter();
+            assert!(try_semi_naive(&compiled, &chain(3), &NegOracle::False, &mut m).is_none());
+        });
     }
 
     #[test]

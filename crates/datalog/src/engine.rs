@@ -16,10 +16,17 @@
 //! become indices into a per-rule frame (`Vec<Option<Value>>`), equality
 //! orientation and first-argument probe eligibility are decided once at
 //! plan time, and positive literals with a computable leading argument
-//! probe the interpretation's hashed first-argument index instead of
-//! scanning every fact. The binding-visible API ([`Bindings`],
-//! [`enumerate_bindings`]) is unchanged: grounding reconstructs the named
-//! map from the frame at each emitted match.
+//! look their first argument up (hash index or ordered prefix range, see
+//! [`Interp`]) instead of scanning every fact. The binding-visible API
+//! ([`Bindings`], [`enumerate_bindings`]) is unchanged: grounding
+//! reconstructs the named map from the frame at each emitted match.
+//!
+//! A rule is planned more than once ([`RulePlans`]): statically, and
+//! with each positive literal preferred as the leading one. A firing
+//! whose source carries a delta runs whichever of its two candidate
+//! plans visits fewer rows at that firing's sizes — a small delta at a
+//! non-leading literal starts from the delta, a cold round keeps the
+//! static plan — so the choice needs no setting and cannot be stale.
 
 use crate::ast::{CmpOp, Expr, Func, Literal, Rule};
 use crate::error::EvalError;
@@ -212,6 +219,15 @@ fn compile_expr(e: &Expr, vars: &mut Vec<String>) -> SlotExpr {
 /// it to slot form as it is scheduled (so orientation and probe decisions
 /// see exactly the bindings available at that point of execution).
 pub fn plan_body(rule: &Rule) -> Result<BodyPlan, EvalError> {
+    plan_body_leading(rule, None)
+}
+
+/// [`plan_body`] with one literal preferred: every sweep tries `lead`
+/// before the others, so it runs first when it can (a positive literal
+/// whose patterns need no bindings) and otherwise as soon as the planner
+/// has bound what it needs — the same greedy order, never a second
+/// notion of executability.
+fn plan_body_leading(rule: &Rule, lead: Option<usize>) -> Result<BodyPlan, EvalError> {
     let n = rule.body.len();
     let mut scheduled = vec![false; n];
     let mut bound: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
@@ -221,8 +237,7 @@ pub fn plan_body(rule: &Rule) -> Result<BodyPlan, EvalError> {
 
     while order.len() < n {
         let mut progressed = false;
-        #[allow(clippy::needless_range_loop)] // `i` indexes two arrays in lockstep
-        for i in 0..n {
+        for i in lead.into_iter().chain(0..n) {
             if scheduled[i] {
                 continue;
             }
@@ -416,21 +431,120 @@ impl<'a> FactSource<'a> {
     }
 }
 
+impl BodyPlan {
+    /// The positive literals in execution order against `source`, each
+    /// as (is its first column bound when reached, its relation's rows).
+    fn positives<'a>(
+        &'a self,
+        source: &'a FactSource<'_>,
+    ) -> impl Iterator<Item = (bool, usize)> + 'a {
+        self.order.iter().filter_map(|&idx| match &self.body[idx] {
+            SlotLit::Pos {
+                pred, probe_first, ..
+            } => Some((*probe_first, source.interp_for(idx).count(pred))),
+            _ => None,
+        })
+    }
+
+    /// Rows the leading positive literal feeds into the rest of the body:
+    /// its relation's size when it is scanned, one bucket when a constant
+    /// first argument lets it probe.
+    fn lead_rows(&self, source: &FactSource<'_>) -> usize {
+        let lead = self.positives(source).next();
+        lead.map_or(1, |(probes, rows)| if probes { 1 } else { rows })
+    }
+
+    /// Rows this plan visits against `source`, from sizes alone: the
+    /// leading literal's rows, then per later positive literal one probe
+    /// per leading row when its first column is bound, or a full scan of
+    /// its relation per leading row when it is not (only first columns
+    /// are indexed). Coarse on purpose — it only has to rank two orders
+    /// of the same body.
+    fn visited_rows(&self, source: &FactSource<'_>) -> usize {
+        let lead = self.lead_rows(source);
+        self.positives(source)
+            .skip(1)
+            .fold(lead, |visited, (probes, rows)| {
+                visited.saturating_add(if probes {
+                    lead
+                } else {
+                    lead.saturating_mul(rows)
+                })
+            })
+    }
+}
+
+/// The plans of one rule: the static plan every full firing uses, and
+/// beside it one *delta-first* plan per positive body position — the
+/// same body ordered with that literal preferred, so a firing whose
+/// delta sits at a non-leading literal can start from the delta instead
+/// of scanning the static plan's leading relation.
+///
+/// Which of the two a delta firing runs is decided per firing by
+/// [`RulePlans::for_source`] from the delta and relation sizes of that
+/// firing. There is no switch: a large delta (a cold round) keeps the
+/// static plan, a small one (a maintained write) starts from the delta.
+#[derive(Clone, Debug)]
+pub struct RulePlans {
+    fixed: BodyPlan,
+    /// By body index; `None` where the literal is not positive or its
+    /// delta-first plan is the static plan.
+    delta_first: Vec<Option<BodyPlan>>,
+}
+
+impl RulePlans {
+    /// Plan `rule` statically and delta-first at every positive literal.
+    pub fn new(rule: &Rule) -> Result<Self, EvalError> {
+        let fixed = plan_body(rule)?;
+        let delta_first = rule
+            .body
+            .iter()
+            .enumerate()
+            .map(|(at, lit)| match lit {
+                Literal::Pos(_) => Ok(Some(plan_body_leading(rule, Some(at))?)
+                    .filter(|plan| plan.order != fixed.order)),
+                _ => Ok(None),
+            })
+            .collect::<Result<_, EvalError>>()?;
+        Ok(RulePlans { fixed, delta_first })
+    }
+
+    /// The static plan.
+    pub fn fixed(&self) -> &BodyPlan {
+        &self.fixed
+    }
+
+    /// The plan a firing against `source` runs: the static plan, unless
+    /// the source carries a delta whose delta-first plan visits fewer
+    /// rows (`BodyPlan::visited_rows`) at this firing's sizes.
+    pub fn for_source(&self, source: &FactSource<'_>) -> &BodyPlan {
+        let delta_first = source
+            .delta
+            .and_then(|(at, _)| self.delta_first.get(at)?.as_ref());
+        match delta_first {
+            Some(plan) if plan.visited_rows(source) < self.fixed.visited_rows(source) => plan,
+            _ => &self.fixed,
+        }
+    }
+}
+
 /// Apply one rule: enumerate all satisfying bindings and emit head facts
 /// into `out`. `neg` decides negative literals: `neg(pred, args)` returns
 /// `true` iff `¬pred(args)` is *satisfied*. Returns the number of facts
 /// that were new.
 pub fn apply_rule(
     rule: &Rule,
-    plan: &BodyPlan,
+    plans: &RulePlans,
     source: &FactSource<'_>,
     neg: &(dyn Fn(&str, &[Value]) -> bool + Sync),
     meter: &mut Meter,
     out: &mut Interp,
 ) -> Result<usize, EvalError> {
     let mut added = 0usize;
+    let plan = plans.for_source(source);
     let mut frame: Vec<Option<Value>> = vec![None; plan.vars.len()];
-    apply_rec(plan, 0, source, neg, meter, &mut frame, &mut |f, meter| {
+    let firing = Firing::new(plan, source, neg);
+    apply_rec(&firing, 0, meter, &mut frame, &mut |f, meter| {
         let args: Vec<Value> = plan
             .head
             .iter()
@@ -454,16 +568,16 @@ pub fn apply_rule(
 /// reconstructed from the frame per match; grounding is not on the
 /// fact-derivation fast path.
 pub fn enumerate_bindings(
-    rule: &Rule,
-    plan: &BodyPlan,
+    plans: &RulePlans,
     source: &FactSource<'_>,
     neg: &(dyn Fn(&str, &[Value]) -> bool + Sync),
     meter: &mut Meter,
     emit: &mut dyn FnMut(&Bindings, &mut Meter) -> Result<(), EvalError>,
 ) -> Result<(), EvalError> {
-    let _ = rule;
+    let plan = plans.for_source(source);
     let mut frame: Vec<Option<Value>> = vec![None; plan.vars.len()];
-    apply_rec(plan, 0, source, neg, meter, &mut frame, &mut |f, meter| {
+    let firing = Firing::new(plan, source, neg);
+    apply_rec(&firing, 0, meter, &mut frame, &mut |f, meter| {
         let bindings: Bindings = plan
             .vars
             .iter()
@@ -477,15 +591,50 @@ pub fn enumerate_bindings(
 /// Callback invoked on every complete frame a rule body derives.
 type EmitFn<'a> = dyn FnMut(&[Option<Value>], &mut Meter) -> Result<(), EvalError> + 'a;
 
+/// What one firing holds still while the body is matched.
+struct Firing<'a> {
+    plan: &'a BodyPlan,
+    source: &'a FactSource<'a>,
+    neg: &'a (dyn Fn(&str, &[Value]) -> bool + Sync),
+    /// [`BodyPlan::lead_rows`] of this firing: how many times, at least,
+    /// each later literal is reached.
+    lead_rows: usize,
+}
+
+impl<'a> Firing<'a> {
+    fn new(
+        plan: &'a BodyPlan,
+        source: &'a FactSource<'a>,
+        neg: &'a (dyn Fn(&str, &[Value]) -> bool + Sync),
+    ) -> Self {
+        Firing {
+            plan,
+            source,
+            neg,
+            lead_rows: plan.lead_rows(source),
+        }
+    }
+
+    /// Is a hash index over `rows` facts worth building for this firing?
+    /// Building clones, interns and hashes every row; without it each
+    /// probe walks the ordered fact set instead, a few comparisons more
+    /// than the hash lookup. A probe saves less than a row costs, so
+    /// only a firing that probes at least once per row builds (a cold
+    /// round); one that probes a handful of times (a maintained write)
+    /// never does.
+    fn pays_for_index(&self, rows: usize) -> bool {
+        rows > 0 && self.lead_rows >= rows
+    }
+}
+
 fn apply_rec(
-    plan: &BodyPlan,
+    firing: &Firing<'_>,
     step: usize,
-    source: &FactSource<'_>,
-    neg: &(dyn Fn(&str, &[Value]) -> bool + Sync),
     meter: &mut Meter,
     frame: &mut [Option<Value>],
     emit: &mut EmitFn<'_>,
 ) -> Result<(), EvalError> {
+    let plan = firing.plan;
     if step == plan.order.len() {
         return emit(frame, meter);
     }
@@ -496,41 +645,41 @@ fn apply_rec(
             args,
             probe_first,
         } => {
-            let facts = source.interp_for(idx);
-            // First-argument index: if the leading argument is computable
-            // here (decided at plan time), probe the hash index on the
-            // matching key instead of scanning. A failing evaluation
-            // (dynamic type error) falls back to the full scan, which
-            // raises the same error lazily per candidate — and raises
-            // nothing at all when there are no candidates, matching the
-            // unindexed semantics. Probe order equals scan order: index
-            // buckets preserve the sorted fact order.
+            let facts = firing.source.interp_for(idx);
+            // First-argument probe: if the leading argument is computable
+            // here (decided at plan time), look the key up instead of
+            // scanning — in the interpretation's hash index when one is
+            // cached or this firing pays for building it, otherwise by a
+            // prefix range over the ordered fact set. A failing
+            // evaluation (dynamic type error) falls back to the full
+            // scan, which raises the same error lazily per candidate —
+            // and raises nothing at all when there are no candidates,
+            // matching the unindexed semantics. Probe order equals scan
+            // order either way: index buckets and the prefix range both
+            // preserve the sorted fact order.
             let first_key = if *probe_first {
                 eval_slot(&args[0], frame).ok()
             } else {
                 None
             };
-            let index = first_key.as_ref().map(|_| {
-                if meter.is_traced() && !facts.has_first_index(pred) {
-                    let ix = facts.first_index(pred);
-                    meter.record_index_build(ix.key_count());
-                    ix
-                } else {
-                    facts.first_index(pred)
-                }
+            let index = first_key.as_ref().and_then(|_| {
+                facts.cached_first_index(pred).or_else(|| {
+                    firing.pays_for_index(facts.count(pred)).then(|| {
+                        let ix = facts.first_index(pred);
+                        meter.record_index_build(ix.key_count());
+                        ix
+                    })
+                })
             });
             let iter: Box<dyn Iterator<Item = &Vec<Value>>> = match (&first_key, &index) {
-                (Some(key), Some(ix)) => {
-                    if meter.is_traced() {
-                        let mut it = ix.probe(key).peekable();
-                        meter.record_index_probe(it.peek().is_some());
-                        Box::new(it)
-                    } else {
-                        Box::new(ix.probe(key))
-                    }
-                }
-                _ => Box::new(facts.facts(pred)),
+                (Some(key), Some(ix)) => Box::new(ix.probe(key)),
+                (Some(key), None) => Box::new(facts.facts_with_first(pred, key)),
+                (None, _) => Box::new(facts.facts(pred)),
             };
+            let mut iter = iter.peekable();
+            if first_key.is_some() {
+                meter.record_index_probe(iter.peek().is_some());
+            }
             let mut trail: Vec<usize> = Vec::new();
             for fact in iter {
                 if fact.len() != args.len() {
@@ -544,7 +693,7 @@ fn apply_rec(
                     }
                 }
                 if ok {
-                    apply_rec(plan, step + 1, source, neg, meter, frame, emit)?;
+                    apply_rec(firing, step + 1, meter, frame, emit)?;
                 }
                 undo(frame, &mut trail, 0);
             }
@@ -555,8 +704,8 @@ fn apply_rec(
                 .iter()
                 .map(|e| eval_slot(e, frame))
                 .collect::<Result<_, _>>()?;
-            if neg(pred, &args) {
-                apply_rec(plan, step + 1, source, neg, meter, frame, emit)?;
+            if (firing.neg)(pred, &args) {
+                apply_rec(firing, step + 1, meter, frame, emit)?;
             }
             Ok(())
         }
@@ -565,7 +714,7 @@ fn apply_rec(
             meter.check_value_size(v.size())?;
             let mut trail: Vec<usize> = Vec::new();
             if match_slot(pat, &v, frame, &mut trail)? {
-                apply_rec(plan, step + 1, source, neg, meter, frame, emit)?;
+                apply_rec(firing, step + 1, meter, frame, emit)?;
             }
             undo(frame, &mut trail, 0);
             Ok(())
@@ -574,7 +723,7 @@ fn apply_rec(
             let a = eval_slot(l, frame)?;
             let b = eval_slot(r, frame)?;
             if op.eval(&a, &b) {
-                apply_rec(plan, step + 1, source, neg, meter, frame, emit)?;
+                apply_rec(firing, step + 1, meter, frame, emit)?;
             }
             Ok(())
         }
@@ -587,8 +736,8 @@ fn apply_rec(
 pub struct Compiled {
     /// The source rules.
     pub rules: Vec<Rule>,
-    /// One plan per rule.
-    pub plans: Vec<BodyPlan>,
+    /// Each rule's plans, parallel to `rules`.
+    pub plans: Vec<RulePlans>,
 }
 
 impl Compiled {
@@ -597,7 +746,7 @@ impl Compiled {
         let plans = program
             .rules
             .iter()
-            .map(plan_body)
+            .map(RulePlans::new)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Compiled {
             rules: program.rules.clone(),
@@ -752,7 +901,7 @@ mod tests {
                 Literal::Pos(Atom::new("e", [v("Y"), v("Z")])),
             ],
         );
-        let plan = plan_body(&rule).unwrap();
+        let plan = RulePlans::new(&rule).unwrap();
         let mut facts = Interp::new();
         facts.insert("e", vec![i(1), i(2)]);
         facts.insert("e", vec![i(2), i(3)]);
@@ -792,7 +941,7 @@ mod tests {
         let mut meter = Budget::SMALL.meter();
         apply_rule(
             &rule,
-            &plan,
+            &RulePlans::new(&rule).unwrap(),
             &FactSource::full(&facts),
             &|_, _| false,
             &mut meter,
@@ -815,7 +964,7 @@ mod tests {
                 Literal::Neg(Atom::new("p", [v("X")])),
             ],
         );
-        let plan = plan_body(&rule).unwrap();
+        let plan = RulePlans::new(&rule).unwrap();
         let mut facts = Interp::new();
         facts.insert("e", vec![i(1)]);
         facts.insert("e", vec![i(2)]);
@@ -849,7 +998,7 @@ mod tests {
                 ),
             ],
         );
-        let plan = plan_body(&rule).unwrap();
+        let plan = RulePlans::new(&rule).unwrap();
         let mut facts = Interp::new();
         for n in 1..=4 {
             facts.insert("n", vec![i(n)]);
@@ -880,7 +1029,7 @@ mod tests {
                 Literal::Pos(Atom::new("e", [v("Y"), v("Z")])),
             ],
         );
-        let plan = plan_body(&rule).unwrap();
+        let plan = RulePlans::new(&rule).unwrap();
         let mut full = Interp::new();
         full.insert("path", vec![i(1), i(2)]);
         full.insert("path", vec![i(5), i(6)]);
@@ -906,6 +1055,148 @@ mod tests {
         assert!(!out.holds("path", &[i(5), i(7)])); // not rederived from old
     }
 
+    /// The `acl_authz` delegation rule: the static plan scans `delegate`
+    /// and probes `allow` on its first column; started from `allow` it
+    /// must scan all of `delegate` per delta fact (`V` is `delegate`'s
+    /// second column, and only first columns are indexed).
+    fn delegation_rule() -> Rule {
+        Rule::new(
+            Atom::new("allow", [v("U"), v("R")]),
+            [
+                Literal::Pos(Atom::new("delegate", [v("U"), v("V")])),
+                Literal::Pos(Atom::new("allow", [v("V"), v("R")])),
+                Literal::Neg(Atom::new("deny", [v("U"), v("R")])),
+            ],
+        )
+    }
+
+    #[test]
+    fn delta_first_plan_is_chosen_by_size_at_the_firing() {
+        let rule = delegation_rule();
+        let plans = RulePlans::new(&rule).unwrap();
+        let mut full = Interp::new();
+        for k in 0..60 {
+            full.insert("delegate", vec![i(k + 1), i(k)]);
+            full.insert("allow", vec![i(k), i(k % 3)]);
+        }
+        let order_for = |delta: &Interp| {
+            let source = FactSource {
+                full: &full,
+                delta: Some((1, delta)),
+            };
+            plans.for_source(&source).order.clone()
+        };
+        // A one-fact delta (a maintained write) starts from the delta.
+        let mut one = Interp::new();
+        one.insert("allow", vec![i(7), i(1)]);
+        assert_eq!(order_for(&one), vec![1, 0, 2]);
+        // A cold round's delta keeps the static plan: delta-first would
+        // scan `delegate` sixty times over.
+        let mut round = Interp::new();
+        for k in 0..60 {
+            round.insert("allow", vec![i(k), i(k % 3)]);
+        }
+        assert_eq!(order_for(&round), vec![0, 1, 2]);
+        // So does a full firing, and a delta at the literal that already
+        // leads has no second plan to take.
+        assert_eq!(
+            plans.for_source(&FactSource::full(&full)).order,
+            vec![0, 1, 2]
+        );
+        let source = FactSource {
+            full: &full,
+            delta: Some((0, &one)),
+        };
+        assert_eq!(plans.for_source(&source).order, vec![0, 1, 2]);
+
+        // Whichever plan runs, the firing derives the same facts.
+        let fire = |delta: &Interp| {
+            let mut out = Interp::new();
+            let mut meter = Budget::SMALL.meter();
+            let source = FactSource {
+                full: &full,
+                delta: Some((1, delta)),
+            };
+            apply_rule(&rule, &plans, &source, &|_, _| true, &mut meter, &mut out).unwrap();
+            out
+        };
+        let mut by_fact = Interp::new();
+        for (p, args) in round.iter() {
+            let mut single = Interp::new();
+            single.insert(p, args.clone());
+            by_fact.absorb(&fire(&single));
+        }
+        assert_eq!(by_fact, fire(&round));
+        assert_eq!(by_fact.count("allow"), 60);
+    }
+
+    #[test]
+    fn a_leading_literal_that_cannot_lead_runs_when_it_can() {
+        // q(Y) :- e(X), p(succ(X), Y).   Preferring `p` cannot bind X for
+        // its function application: the planner still schedules `e`
+        // first, and `p` right after — the plan it had anyway.
+        let rule = Rule::new(
+            Atom::new("q", [v("Y")]),
+            [
+                Literal::Pos(Atom::new("e", [v("X")])),
+                Literal::Pos(Atom::new(
+                    "p",
+                    [Expr::App(Func::Succ, vec![v("X")]), v("Y")],
+                )),
+            ],
+        );
+        assert_eq!(plan_body_leading(&rule, Some(1)).unwrap().order, vec![0, 1]);
+        assert_eq!(
+            plan_body_leading(&rule, Some(1)).unwrap(),
+            plan_body(&rule).unwrap()
+        );
+    }
+
+    #[test]
+    fn small_firings_probe_the_ordered_set_and_large_ones_build() {
+        // path(X,Z) :- e(X,Y), e(Y,Z).  The second literal probes `e`.
+        let rule = Rule::new(
+            Atom::new("path", [v("X"), v("Z")]),
+            [
+                Literal::Pos(Atom::new("e", [v("X"), v("Y")])),
+                Literal::Pos(Atom::new("e", [v("Y"), v("Z")])),
+            ],
+        );
+        let plans = RulePlans::new(&rule).unwrap();
+        let mut full = Interp::new();
+        for k in 0..200 {
+            full.insert("e", vec![i(k), i(k + 1)]);
+        }
+        let mut delta = Interp::new();
+        delta.insert("e", vec![i(10), i(11)]);
+        let fire = |source: &FactSource<'_>| {
+            let trace = algrec_value::Trace::collect();
+            let mut meter = Budget::SMALL.meter_traced(trace.clone());
+            let mut out = Interp::new();
+            apply_rule(&rule, &plans, source, &|_, _| false, &mut meter, &mut out).unwrap();
+            (out, trace.stats().unwrap())
+        };
+        // One delta fact, one probe: no index is built for it.
+        let (out, stats) = fire(&FactSource {
+            full: &full,
+            delta: Some((0, &delta)),
+        });
+        assert!(out.holds("path", &[i(10), i(12)]));
+        assert_eq!((stats.index_builds, stats.index_probes), (0, 1));
+        assert!(full.cached_first_index("e").is_none());
+        // A full firing probes once per fact: it builds, once.
+        let (out, stats) = fire(&FactSource::full(&full));
+        assert_eq!(out.count("path"), 199);
+        assert_eq!((stats.index_builds, stats.index_probes), (1, 200));
+        // And once cached, even a one-fact firing uses it.
+        let (_, stats) = fire(&FactSource {
+            full: &full,
+            delta: Some((0, &delta)),
+        });
+        assert_eq!(stats.index_builds, 0);
+        assert!(full.cached_first_index("e").is_some());
+    }
+
     #[test]
     fn compile_whole_program() {
         let p = Program::from_rules([Rule::new(
@@ -926,14 +1217,13 @@ mod tests {
                 Literal::Cmp(CmpOp::Lt, v("X"), v("Y")),
             ],
         );
-        let plan = plan_body(&rule).unwrap();
+        let plan = RulePlans::new(&rule).unwrap();
         let mut facts = Interp::new();
         facts.insert("e", vec![i(1), i(2)]);
         facts.insert("e", vec![i(3), i(2)]);
         let mut meter = Budget::SMALL.meter();
         let mut seen = Vec::new();
         enumerate_bindings(
-            &rule,
             &plan,
             &FactSource::full(&facts),
             &|_, _| false,
@@ -962,7 +1252,7 @@ mod tests {
                 Literal::Pos(Atom::new("p", [Expr::App(Func::Succ, vec![v("X")])])),
             ],
         );
-        let plan = plan_body(&rule).unwrap();
+        let plan = RulePlans::new(&rule).unwrap();
         let mut facts = Interp::new();
         facts.insert("e", vec![Value::str("a")]);
         let mut out = Interp::new();
@@ -996,7 +1286,7 @@ mod tests {
             Atom::new("q", [v("X")]),
             [Literal::Pos(Atom::new("e", [v("X")]))],
         );
-        let plan = plan_body(&rule).unwrap();
+        let plan = RulePlans::new(&rule).unwrap();
         let mut facts = Interp::new();
         for n in 0..10 {
             facts.insert("e", vec![i(n)]);

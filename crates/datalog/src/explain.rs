@@ -17,25 +17,40 @@
 use crate::ast::{Expr, Literal, Program, Rule};
 use crate::engine::plan_body;
 use crate::error::EvalError;
-use crate::interp::Interp;
 use algrec_plan::{Catalog, FirstCol, JoinLit, PlanArena, PlanId};
-use algrec_value::{Database, EvalStats};
+use algrec_value::relation::first_column;
+use algrec_value::{Database, EvalStats, Relation, Value};
 use std::collections::{BTreeSet, HashSet};
+
+/// The statistics the cost model keeps of one relation, read off the
+/// relation itself: its row count and its number of distinct first
+/// columns.
+pub fn relation_stats(rel: &Relation) -> (usize, usize) {
+    let first: HashSet<&Value> = rel.iter().filter_map(first_column).collect();
+    (rel.len(), first.len())
+}
+
+/// Build a [`Catalog`] from `(relation, rows, distinct first columns)`
+/// rows. Empty relations are left out, so they cost what an unknown
+/// relation costs.
+pub fn catalog_from<'a>(stats: impl IntoIterator<Item = (&'a str, usize, usize)>) -> Catalog {
+    let mut catalog = Catalog::new();
+    for (pred, rows, first_keys) in stats {
+        if rows > 0 {
+            catalog.set(pred, rows, first_keys);
+        }
+    }
+    catalog
+}
 
 /// Build a [`Catalog`] from the extensional database: per-relation row
 /// counts and distinct-first-column counts, the statistics the cost
 /// model runs on.
 pub fn catalog_of(db: &Database) -> Catalog {
-    let interp = Interp::from_database(db);
-    let mut catalog = Catalog::new();
-    let preds: Vec<String> = interp.preds().map(str::to_string).collect();
-    for pred in &preds {
-        let rows = interp.count(pred);
-        let first: HashSet<&algrec_value::Value> =
-            interp.facts(pred).filter_map(|f| f.first()).collect();
-        catalog.set(pred, rows, first.len());
-    }
-    catalog
+    catalog_from(db.iter().map(|(name, rel)| {
+        let (rows, first_keys) = relation_stats(rel);
+        (name, rows, first_keys)
+    }))
 }
 
 /// A literal abstracted for ordering, with display info retained.
@@ -192,6 +207,13 @@ pub fn explain_program(
     if let Some(stats) = stats {
         catalog.observe(stats);
     }
+    explain_with_catalog(program, &catalog)
+}
+
+/// [`explain_program`] against statistics the caller already holds (the
+/// serving layer keeps them current per changed relation instead of
+/// re-reading the database).
+pub fn explain_with_catalog(program: &Program, catalog: &Catalog) -> Result<String, EvalError> {
     let idb = program.idb_preds();
     let mut arena = PlanArena::new();
     let mut roots = Vec::with_capacity(program.rules.len());
@@ -201,7 +223,7 @@ pub fn explain_program(
         plan_body(rule)?;
         let root = match explain_lits(rule) {
             Some((lits, vars)) => {
-                plan_compiled_rule(rule, &lits, vars.len(), &catalog, &idb, &mut arena)
+                plan_compiled_rule(rule, &lits, vars.len(), catalog, &idb, &mut arena)
             }
             None => plan_interpreted_rule(rule, &mut arena)?,
         };
@@ -222,6 +244,36 @@ mod tests {
             pairs.push((Value::int(k), Value::int(k + 1)));
         }
         Database::new().with("edge", Relation::from_pairs(pairs))
+    }
+
+    #[test]
+    fn catalog_counts_what_the_interpretation_would_hold() {
+        // Binary, unary, zero-arity and empty relations: the statistics
+        // read off the relations are those of the loaded interpretation.
+        let i = Value::int;
+        let db = edges_db()
+            .with("u", Relation::from_values([i(7), i(8)]))
+            .with("flag", Relation::from_values([Value::Tuple(vec![])]))
+            .with("none", Relation::new())
+            .with(
+                "fan",
+                Relation::from_pairs([(i(1), i(2)), (i(1), i(3)), (i(2), i(3))]),
+            );
+        let interp = crate::interp::Interp::from_database(&db);
+        let catalog = catalog_of(&db);
+        for (name, rel) in db.iter() {
+            let (rows, first_keys) = relation_stats(rel);
+            assert_eq!(rows, interp.count(name), "{name}");
+            let distinct: HashSet<&Value> = interp.facts(name).filter_map(|f| f.first()).collect();
+            assert_eq!(first_keys, distinct.len(), "{name}");
+            if rows > 0 {
+                assert_eq!(catalog.card(name), rows as f64, "{name}");
+            }
+        }
+        assert_eq!(relation_stats(db.get("fan").unwrap()), (3, 2));
+        assert_eq!(relation_stats(db.get("flag").unwrap()), (1, 0));
+        // An empty relation costs what an unknown one does.
+        assert_eq!(catalog.card("none"), catalog.card("never-heard-of"));
     }
 
     #[test]

@@ -25,14 +25,23 @@ pub type Fact = (String, Vec<Value>);
 /// instead of a deep copy of every fact. A clone that is subsequently
 /// mutated pays the deep copy then, for the mutated predicate only.
 ///
-/// Alongside the canonical fact sets, the interpretation lazily caches a
-/// [`ColumnIndex`] over each predicate's first argument (interned keys),
-/// built on first probe by [`Interp::first_index`] and invalidated by
-/// mutation. Like the cache on [`Relation`], it is derived state: ignored
-/// by `Clone`-equality semantics, `PartialEq`, `Debug` and `Display`.
-/// The cache lives behind a `Mutex` (not a `RefCell`) so a shared
-/// `&Interp` can be probed from parallel fixpoint workers; the lock is
-/// held only for the cache lookup/insert, never across a probe.
+/// A bound first argument is looked up two ways. The ordered fact set
+/// itself answers it by prefix range ([`Interp::facts_with_first`],
+/// O(log n + answers)) and, being the facts, survives every mutation.
+/// Alongside it the interpretation caches a hash [`ColumnIndex`] over
+/// each predicate's first argument (interned keys), built by
+/// [`Interp::first_index`] and dropped when the predicate is mutated;
+/// building one clones every row, so the matcher asks for it only from a
+/// firing that probes at least once per row (`engine`'s
+/// `Firing::pays_for_index`) and otherwise uses whatever
+/// [`Interp::cached_first_index`] finds or the prefix range. A cold
+/// round therefore probes by hash as it always did, and a single-fact
+/// write to a maintained view builds no index at all. Like the cache on
+/// [`Relation`], the index is derived state: ignored by `Clone`-equality
+/// semantics, `PartialEq`, `Debug` and `Display`. The cache lives behind
+/// a `Mutex` (not a `RefCell`) so a shared `&Interp` can be probed from
+/// parallel fixpoint workers; the lock is held only for the cache
+/// lookup/insert, never across a probe.
 #[derive(Default)]
 pub struct Interp {
     preds: BTreeMap<String, Arc<BTreeSet<Vec<Value>>>>,
@@ -154,9 +163,9 @@ impl Interp {
 
     /// The facts of `pred` whose first argument equals `first` — a prefix
     /// range over the ordered fact set, so matching a bound first column
-    /// costs O(log n + answers) instead of a full scan. This is the
-    /// engine's (deliberately simple) index; experiment E8 measures its
-    /// effect together with semi-naive evaluation.
+    /// costs O(log n + answers) instead of a full scan. Needs no derived
+    /// state, so it is the probe of a freshly mutated predicate; it
+    /// yields the same facts in the same order as the hash index.
     pub fn facts_with_first<'a>(
         &'a self,
         pred: &str,
@@ -168,13 +177,17 @@ impl Interp {
         })
     }
 
-    /// Is a first-argument index already cached for this predicate?
-    /// (Telemetry uses this to distinguish index builds from cache hits.)
-    pub fn has_first_index(&self, pred: &str) -> bool {
+    /// The first-argument index of this predicate if one is cached —
+    /// never builds. A predicate mutated since its last
+    /// [`Interp::first_index`] has none; the matcher then probes by
+    /// [`Interp::facts_with_first`] unless the firing is large enough to
+    /// pay for a build.
+    pub fn cached_first_index(&self, pred: &str) -> Option<Arc<ColumnIndex<Vec<Value>>>> {
         self.first_index
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .contains_key(pred)
+            .get(pred)
+            .cloned()
     }
 
     /// Exclusive access to the index cache (we hold `&mut self`, so the
@@ -220,6 +233,21 @@ impl Interp {
     /// Predicates with at least one fact.
     pub fn preds(&self) -> impl Iterator<Item = &str> {
         self.preds.keys().map(String::as_str)
+    }
+
+    /// One predicate's fact set behind its copy-on-write handle (see
+    /// [`Interp::fact_sets`]); `None` when the predicate has no facts.
+    pub fn fact_set(&self, pred: &str) -> Option<&Arc<BTreeSet<Vec<Value>>>> {
+        self.preds.get(pred)
+    }
+
+    /// Every predicate's fact set behind its copy-on-write handle. A
+    /// holder of a clone of the handle can tell an untouched predicate
+    /// from a mutated one by pointer: mutating a shared set un-shares it
+    /// first, so the same pointer means the same facts for as long as
+    /// the clone is held.
+    pub fn fact_sets(&self) -> impl Iterator<Item = (&str, &Arc<BTreeSet<Vec<Value>>>)> {
+        self.preds.iter().map(|(p, set)| (p.as_str(), set))
     }
 
     /// Merge all facts of `other` into `self`; returns the number of new
@@ -435,10 +463,10 @@ mod tests {
         m.insert("p", vec![i(1), i(2)]);
         m.insert("p", vec![i(3), i(4)]);
         let _ = m.first_index("p");
-        assert!(m.has_first_index("p"));
+        assert!(m.cached_first_index("p").is_some());
         assert!(m.remove("p", &[i(1), i(2)]));
         assert!(!m.remove("p", &[i(1), i(2)]));
-        assert!(!m.has_first_index("p"), "index invalidated");
+        assert!(m.cached_first_index("p").is_none(), "index invalidated");
         assert!(!m.holds("p", &[i(1), i(2)]));
         assert!(m.holds("p", &[i(3), i(4)]));
         assert!(m.remove("p", &[i(3), i(4)]));

@@ -74,7 +74,6 @@ pub fn ground(
         let certain = &tv.certain;
         let possible = &tv.possible;
         enumerate_bindings(
-            rule,
             plan,
             &FactSource::full(possible),
             &|p, args| !certain.holds(p, args),

@@ -22,6 +22,20 @@
 //! pre-planned *flipped* rules. An oracle insertion kills derivations
 //! (its `not q` just failed); an oracle deletion births them.
 //!
+//! **What a replay touches.** Everything a replay enumerates is a firing
+//! with a delta, and a firing with a delta starts from the delta when
+//! that visits fewer rows than the rule's static plan
+//! ([`RulePlans::for_source`]; the sizes are read at the firing, nothing
+//! is configured). DRed's re-derivation phase is such a firing too: each
+//! rule has a pre-planned *guarded* variant `h(t̄) :- h(t̄), body` whose
+//! first literal reads the over-deleted heads still missing, so the
+//! phase binds the head first and probes only what joins to it — it no
+//! longer enumerates the rule over the whole total to find the handful
+//! of heads that still have support. What stays proportional to a
+//! relation is a literal reached with only a non-first column bound
+//! (`tc(X, Y)` with `Y` known): only first columns can be probed, so it
+//! is scanned.
+//!
 //! [`PassProgram::cold_into`] and [`PassProgram::replay`] are that
 //! kernel; they emit only the telemetry every driver shares. Two drivers
 //! sit on top: `algrec_serve::maintain::StratifiedView` walks strata
@@ -32,7 +46,7 @@
 
 use algrec_datalog::ast::{Literal, Program, Rule};
 use algrec_datalog::engine::{
-    apply_rule, enumerate_bindings, eval_expr, plan_body, Bindings, BodyPlan, Compiled, FactSource,
+    apply_rule, enumerate_bindings, eval_expr, Bindings, Compiled, FactSource, RulePlans,
 };
 use algrec_datalog::error::EvalError;
 use algrec_datalog::fixpoint::{semi_naive_from_oracle, semi_naive_oracle, NegOracle};
@@ -165,9 +179,27 @@ pub struct PassProgram {
     /// Any head fed back into a positive body position — the level then
     /// needs DRed instead of single-pass counting.
     recursive: bool,
-    /// `(rule index, body index, flipped rule, its plan)` for every
+    /// `(rule index, body index, flipped rule, its plans)` for every
     /// negative body literal.
-    flipped: Vec<(usize, usize, Rule, BodyPlan)>,
+    flipped: Vec<(usize, usize, Rule, RulePlans)>,
+    /// Per rule, the *guarded* variant DRed re-derives with:
+    /// `h(t̄) :- h(t̄), body`, the extra literal at [`GUARD`] read from
+    /// the over-deleted heads still missing. Fired with the guard as the
+    /// delta literal, the head's variables are bound before the body is
+    /// probed, so re-derivation costs what the missing heads touch. A
+    /// head the planner cannot match first (a function application)
+    /// leaves the guard where the planner puts it — a filter after the
+    /// body, and still the same firing.
+    guarded: Vec<(Rule, RulePlans)>,
+}
+
+/// Body index of the guard literal in a guarded rule.
+const GUARD: usize = 0;
+
+#[cfg(test)]
+thread_local! {
+    /// Bindings DRed's re-derivation phase enumerated on this thread.
+    static REDERIVE_BINDINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Evaluate the head of `rule` under complete body bindings.
@@ -215,11 +247,25 @@ impl PassProgram {
                 if let Literal::Neg(atom) = lit {
                     let mut fr = rule.clone();
                     fr.body[bi] = Literal::Pos(atom.clone());
-                    let plan = plan_body(&fr)?;
-                    flipped.push((ri, bi, fr, plan));
+                    let plans = RulePlans::new(&fr)?;
+                    flipped.push((ri, bi, fr, plans));
                 }
             }
         }
+        let guarded = if recursive {
+            program
+                .rules
+                .iter()
+                .map(|rule| {
+                    let mut gr = rule.clone();
+                    gr.body.insert(GUARD, Literal::Pos(rule.head.clone()));
+                    let plans = RulePlans::new(&gr)?;
+                    Ok((gr, plans))
+                })
+                .collect::<Result<_, EvalError>>()?
+        } else {
+            Vec::new()
+        };
         Ok(PassProgram {
             compiled,
             head_preds,
@@ -227,6 +273,7 @@ impl PassProgram {
             neg_preds,
             recursive,
             flipped,
+            guarded,
         })
     }
 
@@ -285,7 +332,6 @@ impl PassProgram {
             meter.tick_iteration()?;
             for (rule, plan) in self.compiled.rules.iter().zip(&self.compiled.plans) {
                 enumerate_bindings(
-                    rule,
                     plan,
                     &FactSource::full(base),
                     &neg,
@@ -478,7 +524,7 @@ impl PassProgram {
         let mut seen: BTreeSet<(usize, Bindings)> = BTreeSet::new();
         let mut through = |ri: usize,
                            rule: &Rule,
-                           plan: &BodyPlan,
+                           plan: &RulePlans,
                            at: usize,
                            delta: &Interp,
                            meter: &mut Meter| {
@@ -486,7 +532,7 @@ impl PassProgram {
                 full,
                 delta: Some((at, delta)),
             };
-            enumerate_bindings(rule, plan, &source, &neg, meter, &mut |b, meter| {
+            enumerate_bindings(plan, &source, &neg, meter, &mut |b, meter| {
                 if seen.insert((ri, b.clone())) {
                     meter.add_facts(1)?;
                     tally(head_fact(rule, b)?);
@@ -660,11 +706,14 @@ impl PassProgram {
                 total.remove(p, args);
             }
 
-            // Phase 2: re-derive over-deleted facts that still have
-            // support in the reduced state under the *new* oracle. Only
-            // candidates that are genuinely rederived (over-deleted, not
-            // yet back) enter a working set, so the metered cost is the
-            // rederivation size, not the model size.
+            // Phase 2: re-derive the over-deleted facts that still have
+            // support in the reduced state under the *new* oracle, by the
+            // guarded rules: each round fires every rule from the heads
+            // still missing, so both the work and the metered cost are
+            // the re-derivation's size, not the model's. The phase ends
+            // on the round that brings nothing back, also when nothing
+            // is missing any more: `iterations` is a reported count.
+            let mut missing = over.clone();
             while over.total() > 0 {
                 meter.tick_iteration()?;
                 let mut back = Interp::new();
@@ -672,33 +721,32 @@ impl PassProgram {
                     let tot: &Interp = total;
                     let new_oracle = oracle.after(tot);
                     let neg = |p: &str, a: &[Value]| !new_oracle.holds(p, a);
-                    for (rule, plan) in rules() {
-                        if over.count(&rule.head.pred) == 0 {
+                    for (rule, plans) in &self.guarded {
+                        if missing.count(&rule.head.pred) == 0 {
                             continue;
                         }
-                        enumerate_bindings(
-                            rule,
-                            plan,
-                            &FactSource::full(tot),
-                            &neg,
-                            meter,
-                            &mut |b, meter| {
-                                let (p, args) = head_fact(rule, b)?;
-                                if over.holds(&p, &args)
-                                    && !tot.holds(&p, &args)
-                                    && back.insert(&p, args)
-                                {
-                                    meter.add_facts(1)?;
-                                }
-                                Ok(())
-                            },
-                        )?;
+                        let source = FactSource {
+                            full: tot,
+                            delta: Some((GUARD, &missing)),
+                        };
+                        enumerate_bindings(plans, &source, &neg, meter, &mut |b, meter| {
+                            #[cfg(test)]
+                            REDERIVE_BINDINGS.with(|n| n.set(n.get() + 1));
+                            let (p, args) = head_fact(rule, b)?;
+                            if back.insert(&p, args) {
+                                meter.add_facts(1)?;
+                            }
+                            Ok(())
+                        })?;
                     }
                 }
                 if back.total() == 0 {
                     break;
                 }
                 total.absorb(&back);
+                for (p, args) in back.iter() {
+                    missing.remove(p, args);
+                }
             }
         }
 
@@ -814,6 +862,159 @@ mod tests {
         let support = state.support.as_ref().unwrap();
         assert_eq!(support.count(&("win".into(), vec![i(1)])), 2);
         assert_eq!(support.count(&("win".into(), vec![i(2)])), 1);
+    }
+
+    /// `k` disjoint five-node communities, each a ring with chords, so
+    /// every closure fact inside a community has several derivations.
+    fn communities(k: i64) -> algrec_value::Database {
+        let mut pairs = Vec::new();
+        for c in 0..k {
+            for n in 0..5 {
+                pairs.push((i(10 * c + n), i(10 * c + (n + 1) % 5)));
+                pairs.push((i(10 * c + n), i(10 * c + (n + 2) % 5)));
+            }
+        }
+        algrec_value::Database::new().with("e", algrec_value::Relation::from_pairs(pairs))
+    }
+
+    /// One effective single-edge delta through a traced maintenance call;
+    /// returns `(re-derivation bindings, index builds)` of that call.
+    fn write_edge(
+        model: &mut crate::IncrementalModel,
+        db: &mut algrec_value::Database,
+        insert: bool,
+        edge: (i64, i64),
+    ) -> (usize, usize) {
+        let mut delta = algrec_value::DatabaseDelta::new();
+        let member = Value::pair(i(edge.0), i(edge.1));
+        if insert {
+            delta.insert("e", member);
+        } else {
+            delta.remove("e", member);
+        }
+        let effective = delta.apply(db);
+        assert_eq!(effective.len(), 1);
+        let trace = algrec_value::Trace::collect();
+        let mut meter = Budget::LARGE.meter_traced(trace.clone());
+        REDERIVE_BINDINGS.with(|n| n.set(0));
+        model.maintain(&effective, &mut meter).unwrap();
+        let bindings = REDERIVE_BINDINGS.with(std::cell::Cell::get);
+        (bindings, trace.stats().unwrap().index_builds)
+    }
+
+    #[test]
+    fn a_retraction_rederives_what_it_touched_not_what_the_view_holds() {
+        let program =
+            parse_program("tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).").unwrap();
+        let run = |k: i64| {
+            let mut db = communities(k);
+            let mut meter = Budget::LARGE.meter();
+            let mut model = crate::IncrementalModel::new(&program, &db, &mut meter).unwrap();
+            assert_eq!(model.model().certain.count("tc"), 25 * k as usize);
+            // A first write, then the measured ones: the same retraction
+            // and its re-assertion inside community 0.
+            write_edge(&mut model, &mut db, false, (3, 4));
+            let retract = write_edge(&mut model, &mut db, false, (0, 1));
+            let cold = algrec_datalog::evaluate(
+                &program,
+                &db,
+                algrec_datalog::Semantics::Valid,
+                Budget::LARGE,
+            )
+            .unwrap();
+            assert_eq!(model.model(), &cold.model);
+            let assert = write_edge(&mut model, &mut db, true, (0, 1));
+            (retract, assert)
+        };
+        let ((small, small_builds), (_, small_assert_builds)) = run(8);
+        let ((large, large_builds), (_, large_assert_builds)) = run(32);
+        // The over-deleted heads all lie in community 0, and re-deriving
+        // them binds only what joins to them.
+        assert!(small > 0, "the retraction over-deletes and re-derives");
+        assert_eq!(small, large, "re-derivation grew with the view");
+        // Past the first write nothing probes often enough to build an
+        // index, whatever the view's size.
+        assert_eq!(
+            [
+                small_builds,
+                small_assert_builds,
+                large_builds,
+                large_assert_builds
+            ],
+            [0; 4]
+        );
+    }
+
+    #[test]
+    fn guarded_rederivation_handles_every_head_shape() {
+        // Recursive heads with a repeated variable, a constant, a tuple
+        // pattern, a function application (the guard cannot bind `D`: it
+        // runs as a filter after the body) and no arguments at all.
+        let program = parse_program(
+            "same(X, X) :- n(X).\n\
+             same(Y, Y) :- same(X, X), e(X, Y).\n\
+             mark(X, 0) :- n(X).\n\
+             mark(Y, 0) :- mark(X, 0), e(X, Y).\n\
+             pair([X, Y]) :- e(X, Y).\n\
+             pair([X, Z]) :- pair([X, Y]), e(Y, Z).\n\
+             hop(X, 0) :- n(X).\n\
+             hop(Y, succ(D)) :- hop(X, D), e(X, Y), D < 3.\n\
+             live() :- n(X).\n\
+             live() :- live(), e(X, X).",
+        )
+        .unwrap();
+        let pass = PassProgram::new(&program).unwrap();
+        assert!(pass.recursive());
+        // The function-application head's guard runs last, every other
+        // guard first.
+        let guard_step = |rule: usize| {
+            let (_, plans) = &pass.guarded[rule];
+            plans.fixed().order.iter().position(|&at| at == GUARD)
+        };
+        assert_eq!(guard_step(7), Some(3), "hop(Y, succ(D))");
+        for rule in [1, 3, 5, 9] {
+            assert_eq!(guard_step(rule), Some(0), "rule {rule}");
+        }
+
+        let mut db = algrec_value::Database::new()
+            .with(
+                "e",
+                algrec_value::Relation::from_pairs([
+                    (i(0), i(1)),
+                    (i(1), i(2)),
+                    (i(2), i(0)),
+                    (i(2), i(3)),
+                    (i(3), i(3)),
+                ]),
+            )
+            .with("n", algrec_value::Relation::from_values([i(0), i(3)]));
+        let mut meter = Budget::LARGE.meter();
+        let mut model = crate::IncrementalModel::new(&program, &db, &mut meter).unwrap();
+        for (insert, name, member) in [
+            (false, "e", Value::pair(i(2), i(0))),
+            (false, "n", i(3)),
+            (true, "e", Value::pair(i(2), i(0))),
+            (false, "n", i(0)),
+            (true, "n", i(2)),
+            (false, "e", Value::pair(i(3), i(3))),
+        ] {
+            let mut delta = algrec_value::DatabaseDelta::new();
+            if insert {
+                delta.insert(name, member);
+            } else {
+                delta.remove(name, member);
+            }
+            let effective = delta.apply(&mut db);
+            model.maintain(&effective, &mut meter).unwrap();
+            let cold = algrec_datalog::evaluate(
+                &program,
+                &db,
+                algrec_datalog::Semantics::Valid,
+                Budget::LARGE,
+            )
+            .unwrap();
+            assert_eq!(model.model(), &cold.model, "after {name} {insert}");
+        }
     }
 
     #[test]

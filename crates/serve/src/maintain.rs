@@ -23,8 +23,10 @@
 //!     transition;
 //!   - **DRed** (delete–rederive) for recursive strata: over-delete the
 //!     consequences of the deletions against the *old* state, re-derive
-//!     survivors against the reduced state, then propagate insertions
-//!     with the delta-driven semi-naive continuation.
+//!     survivors against the reduced state — from the over-deleted heads
+//!     back into the rule bodies, not by re-enumerating the rules — then
+//!     propagate insertions with the delta-driven semi-naive
+//!     continuation.
 //!
 //! * [`AlternatingView`] — the default for non-stratified programs
 //!   under the well-founded / valid / valid-extended semantics. It wraps
@@ -52,6 +54,13 @@
 //! variant of the rule with that literal made positive, so the
 //! derivations killed by insertions into `q` (and born from deletions
 //! from `q`) can be enumerated delta-first like any other join.
+//!
+//! A stratified write costs what its delta touches: the driver below
+//! does nothing per view fact (the `old_total` it hands the kernel is a
+//! copy-on-write clone — one reference bump per predicate, one copy of
+//! each predicate the write then mutates), and the kernel's firings
+//! start from the delta and build no index for it (see
+//! `algrec_incr::pass`).
 
 use algrec_datalog::ast::{Program, Rule};
 use algrec_datalog::engine::Compiled;

@@ -33,7 +33,7 @@ use crate::protocol::{handle_line, shutting_down_reply, transport_error, Handled
 use crate::session::Session;
 use crate::shared::SharedSession;
 use algrec_value::Trace;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -142,6 +142,25 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
+/// Send one reply: the line and its newline leave in a single
+/// (vectored) write on a socket with `TCP_NODELAY` set, so no part of a
+/// reply sits in the kernel waiting for the peer's delayed ACK of the
+/// part before it — and the line is not copied to append the newline.
+fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    let line = line.as_bytes();
+    let mut sent = 0;
+    while sent <= line.len() {
+        let rest = [IoSlice::new(&line[sent..]), IoSlice::new(b"\n")];
+        match stream.write_vectored(&rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Is this the error a timed-out socket read surfaces? (Unix reports
 /// `WouldBlock`, Windows `TimedOut`.)
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -159,8 +178,9 @@ fn client_loop(
     // the first read and the loop re-checks the stop flag each wake.
     stream.set_read_timeout(Some(DRAIN_TIMEOUT))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_nodelay(true)?;
     let mut reader = LineReader::new(BufReader::new(stream.try_clone()?));
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     loop {
         let read = match reader.next_line(MAX_LINE_BYTES) {
             Ok(read) => read,
@@ -201,9 +221,7 @@ fn client_loop(
         if matches!(reply, Handled::Shutdown(_)) {
             stop.store(true, Ordering::SeqCst);
         }
-        writer.write_all(reply.line().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        send_line(&mut writer, reply.line())?;
         if matches!(reply, Handled::Shutdown(_)) {
             // Unblock the accept loop with a throwaway connection.
             let _ = TcpStream::connect(addr);
@@ -221,8 +239,9 @@ fn client_loop(
 fn drain_stream(stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(DRAIN_TIMEOUT))?;
     stream.set_write_timeout(Some(DRAIN_TIMEOUT))?;
+    stream.set_nodelay(true)?;
     let mut reader = LineReader::new(BufReader::new(stream.try_clone()?));
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     loop {
         let reply = match reader.next_line(MAX_LINE_BYTES) {
             Ok(ReadLine::Eof) => break,
@@ -240,9 +259,7 @@ fn drain_stream(stream: TcpStream) -> std::io::Result<()> {
             Err(e) if is_timeout(&e) => break,
             Err(e) => return Err(e),
         };
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        send_line(&mut writer, &reply)?;
     }
     Ok(())
 }
@@ -309,6 +326,7 @@ pub fn serve_traced(listener: TcpListener, session: Session, trace: Trace) -> st
 mod tests {
     use super::*;
     use algrec_value::Budget;
+    use std::io::BufWriter;
 
     fn send_lines(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
         let stream = TcpStream::connect(addr).unwrap();
@@ -357,6 +375,43 @@ mod tests {
         assert!(replies[4].contains("tc(1, 4)."), "{}", replies[4]);
         assert!(replies[5].contains(r#""bye":true"#), "{}", replies[5]);
 
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn mid_sized_reply_does_not_wait_out_a_delayed_ack() {
+        // A reply between the old 8 KiB write buffer and one loopback
+        // segment used to leave as two writes on a socket without
+        // TCP_NODELAY: the newline sat behind the client's delayed ACK
+        // for a steady ~43 ms. The client sets no socket option, as a
+        // plain line-protocol caller would not.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server =
+            std::thread::spawn(move || serve(listener, Session::new(Budget::LARGE)).unwrap());
+
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut incoming = BufReader::new(stream).lines();
+        let mut ask = |line: &str| {
+            writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+            incoming.next().unwrap().unwrap()
+        };
+        let facts: String = (0..1000)
+            .map(|k| format!("e({k}, {}). ", k + 1000))
+            .collect();
+        ask(&format!(r#"{{"id": 1, "op": "load", "facts": "{facts}"}}"#));
+        ask(r#"{"id": 2, "op": "register", "view": "v", "program": "p(X, Y) :- e(X, Y)."}"#);
+        let mut times = Vec::new();
+        for _ in 0..5 {
+            let started = std::time::Instant::now();
+            let reply = ask(r#"{"id": 3, "op": "query", "view": "v", "pred": "p"}"#);
+            times.push(started.elapsed());
+            assert!((12_000..40_000).contains(&reply.len()), "{}", reply.len());
+        }
+        times.sort();
+        assert!(times[2] < Duration::from_millis(20), "{times:?}");
+        ask(r#"{"id": 4, "op": "shutdown"}"#);
         server.join().unwrap();
     }
 

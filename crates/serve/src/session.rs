@@ -34,13 +34,18 @@
 use crate::maintain::{AlternatingView, MaintainReport, RecomputeView, StratifiedView};
 use algrec_core::{eval_valid_traced, AlgProgram, EvalOptions, ValidAlgebraResult};
 use algrec_datalog::ast::Program;
+use algrec_datalog::explain::{catalog_from, explain_with_catalog};
 use algrec_datalog::facts::{fact_value, parse_fact, parse_facts};
-use algrec_datalog::interp::Fact;
+use algrec_datalog::interp::{Fact, Interp};
 use algrec_datalog::stratify::strata_programs;
 use algrec_datalog::Semantics;
-use algrec_value::{Budget, Database, DatabaseDelta, EvalStats, Relation, Trace, Value};
+use algrec_value::relation::first_column;
+use algrec_value::{
+    Budget, Database, DatabaseDelta, EvalStats, Relation, SupportCounts, Trace, Value,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Errors the session reports to either front end. Each variant carries
 /// a stable machine-readable code ([`ServeError::code`]) used by the
@@ -300,15 +305,24 @@ enum Maintainer {
 
 enum ViewKind {
     Datalog {
-        program: Program,
+        program: Arc<Program>,
         semantics: Semantics,
         maintainer: Maintainer,
     },
     Algebra {
-        program: AlgProgram,
+        program: Arc<AlgProgram>,
         deps: BTreeSet<String>,
         result: ValidAlgebraResult,
     },
+}
+
+impl ViewKind {
+    fn program(&self) -> ViewProgram {
+        match self {
+            ViewKind::Datalog { program, .. } => ViewProgram::Datalog(Arc::clone(program)),
+            ViewKind::Algebra { program, .. } => ViewProgram::Algebra(Arc::clone(program)),
+        }
+    }
 }
 
 struct ViewEntry {
@@ -328,6 +342,15 @@ struct ViewEntry {
     strata_skipped: usize,
     rebuilds: usize,
     dirty: Option<String>,
+    /// The view's query plan against the database statistics it was last
+    /// published with; replaced when those move.
+    plan: Arc<Plan>,
+    /// Rendered lines per predicate, each beside the fact set it was
+    /// rendered from — what lets a publish re-render only what entered.
+    rendered: Rendered,
+    /// The published form of the current state; `None` once maintenance
+    /// or a rebuild has moved the state past it.
+    snapshot: Option<Arc<ViewSnapshot>>,
 }
 
 /// What happened to one view during a delta.
@@ -444,15 +467,71 @@ pub struct ViewStats {
     pub cumulative: OpStats,
 }
 
-/// Render the plan of one view's program against `db` — the single code
-/// path behind both [`Session::explain`] and the pre-rendered plans in a
-/// [`ReadView`], so snapshot and live answers are byte-identical.
-fn explain_entry(kind: &ViewKind, db: &Database) -> Result<String, ServeError> {
-    match kind {
-        ViewKind::Datalog { program, .. } => {
-            Ok(algrec_datalog::explain_program(program, db, None)?)
+/// What `explain` and `db` read of the database: every relation in name
+/// order with its row count, and beside it its number of distinct first
+/// columns. A few words per relation, so a snapshot carries it whole.
+#[derive(Default)]
+struct DataStats {
+    rows: Vec<(String, usize)>,
+    /// Parallel to `rows`.
+    first_keys: Vec<usize>,
+}
+
+impl DataStats {
+    fn rows_of(&self, name: &str) -> Option<usize> {
+        let at = self.rows.binary_search_by(|(n, _)| n.as_str().cmp(name));
+        at.ok().map(|i| self.rows[i].1)
+    }
+}
+
+/// A registered program, shared between the session and its snapshots.
+enum ViewProgram {
+    Datalog(Arc<Program>),
+    Algebra(Arc<AlgProgram>),
+}
+
+/// Render the plan of one view's program against the database
+/// statistics — the single code path behind [`Session::explain`] and
+/// [`ReadView::explain`], so snapshot and live answers are
+/// byte-identical.
+fn render_plan(program: &ViewProgram, data: &DataStats) -> Result<String, ServeError> {
+    match program {
+        ViewProgram::Datalog(program) => {
+            let stats = data.rows.iter().zip(&data.first_keys);
+            let catalog =
+                catalog_from(stats.map(|((name, rows), keys)| (name.as_str(), *rows, *keys)));
+            Ok(explain_with_catalog(program, &catalog)?)
         }
-        ViewKind::Algebra { program, .. } => Ok(algrec_core::explain_program(program, db)),
+        ViewProgram::Algebra(program) => {
+            Ok(algrec_core::explain::explain_with_rows(program, &|name| {
+                data.rows_of(name)
+            }))
+        }
+    }
+}
+
+/// One view's query plan at one state of the database, rendered the
+/// first time somebody asks and kept for as long as the database
+/// statistics stay what they were — not on every publish.
+struct Plan {
+    program: ViewProgram,
+    data: Arc<DataStats>,
+    text: OnceLock<Result<String, ServeError>>,
+}
+
+impl Plan {
+    fn new(program: ViewProgram, data: Arc<DataStats>) -> Self {
+        Plan {
+            program,
+            data,
+            text: OnceLock::new(),
+        }
+    }
+
+    fn text(&self) -> Result<String, ServeError> {
+        self.text
+            .get_or_init(|| render_plan(&self.program, &self.data))
+            .clone()
     }
 }
 
@@ -544,6 +623,14 @@ fn plan_datalog(
 /// The session: one extensional database, many maintained views.
 pub struct Session {
     db: Database,
+    /// Per relation, how many members carry each first column — kept
+    /// current from every effective delta, so the distinct-first-column
+    /// statistic the plan cost model wants never needs a pass over a
+    /// relation.
+    first_keys: BTreeMap<String, SupportCounts<Value>>,
+    /// The database statistics as of the last change, shared with every
+    /// snapshot published since.
+    data: Arc<DataStats>,
     views: BTreeMap<String, ViewEntry>,
     budget: Budget,
     durability: Option<Box<dyn Durability + Send>>,
@@ -554,10 +641,23 @@ impl Session {
     pub fn new(budget: Budget) -> Self {
         Session {
             db: Database::new(),
+            first_keys: BTreeMap::new(),
+            data: Arc::default(),
             views: BTreeMap::new(),
             budget,
             durability: None,
         }
+    }
+
+    /// Re-read the per-relation statistics: row counts off the database,
+    /// distinct first columns off the maintained multiplicities.
+    fn refresh_data(&mut self) {
+        let rows = self.db_summary();
+        let first_keys = rows
+            .iter()
+            .map(|(name, _)| self.first_keys.get(name).map_or(0, SupportCounts::len))
+            .collect();
+        self.data = Arc::new(DataStats { rows, first_keys });
     }
 
     /// The current database (for summaries).
@@ -578,6 +678,7 @@ impl Session {
     pub fn ensure_relation(&mut self, name: &str) {
         if !self.db.contains(name) {
             self.db.set(name, Relation::new());
+            self.refresh_data();
         }
     }
 
@@ -594,7 +695,15 @@ impl Session {
             self.views.is_empty(),
             "restore_database is a recovery entry point: register views after, not before"
         );
+        self.first_keys.clear();
+        for (name, rel) in db.iter() {
+            let keys = self.first_keys.entry(name.to_string()).or_default();
+            for key in rel.iter().filter_map(first_column) {
+                keys.inc(key.clone());
+            }
+        }
         self.db = db;
+        self.refresh_data();
     }
 
     /// Attach a durability hook; every subsequently committed change is
@@ -696,6 +805,16 @@ impl Session {
         let effective = delta.apply(&mut self.db);
         let mut views = Vec::new();
         if !effective.is_empty() {
+            for (name, change) in effective.iter() {
+                let keys = self.first_keys.entry(name.to_string()).or_default();
+                for key in change.added().iter().filter_map(first_column) {
+                    keys.inc(key.clone());
+                }
+                for key in change.removed().iter().filter_map(first_column) {
+                    keys.dec(key);
+                }
+            }
+            self.refresh_data();
             let changed_preds: BTreeSet<String> =
                 effective.iter().map(|(p, _)| p.to_string()).collect();
             let db = &self.db;
@@ -735,7 +854,7 @@ impl Session {
         pin: StrategyPin,
     ) -> Result<RegisterOutcome, ServeError> {
         self.check_name(name)?;
-        let program = algrec_datalog::parser::parse_program(src)?;
+        let program = Arc::new(algrec_datalog::parser::parse_program(src)?);
         let strategy = plan_datalog(&program, semantics, pin)?;
         let (maintainer, stats) = traced(self.budget, |meter| {
             Ok::<_, ServeError>(match strategy {
@@ -750,27 +869,14 @@ impl Session {
                 }
             })
         })?;
-        self.views.insert(
-            name.to_string(),
-            ViewEntry {
-                kind: ViewKind::Datalog {
-                    program,
-                    semantics,
-                    maintainer,
-                },
-                source: src.to_string(),
-                semantics_label: crate::protocol::semantics_name(semantics),
-                strategy,
-                pin,
-                registration: stats,
-                last: None,
-                cumulative: OpStats::default(),
-                deltas_applied: 0,
-                strata_skipped: 0,
-                rebuilds: 0,
-                dirty: None,
-            },
-        );
+        let kind = ViewKind::Datalog {
+            program,
+            semantics,
+            maintainer,
+        };
+        let label = crate::protocol::semantics_name(semantics);
+        let entry = ViewEntry::new(kind, src, label, strategy, pin, stats, &self.data);
+        self.views.insert(name.to_string(), entry);
         self.durably(&DurableEvent::RegisterDatalog {
             name,
             program: src,
@@ -788,8 +894,10 @@ impl Session {
         src: &str,
     ) -> Result<RegisterOutcome, ServeError> {
         self.check_name(name)?;
-        let program = algrec_core::parser::parse_program(src)
-            .map_err(|e| ServeError::Parse(e.to_string()))?;
+        let program = Arc::new(
+            algrec_core::parser::parse_program(src)
+                .map_err(|e| ServeError::Parse(e.to_string()))?,
+        );
         let deps = program.external_names();
         let trace = Trace::collect();
         let result = eval_valid_traced(
@@ -800,27 +908,21 @@ impl Session {
             trace.clone(),
         )?;
         let stats = trace.stats().map(OpStats::from).unwrap_or_default();
-        self.views.insert(
-            name.to_string(),
-            ViewEntry {
-                kind: ViewKind::Algebra {
-                    program,
-                    deps,
-                    result,
-                },
-                source: src.to_string(),
-                semantics_label: "valid".to_string(),
-                strategy: "algebra-recompute",
-                pin: StrategyPin::Auto,
-                registration: stats,
-                last: None,
-                cumulative: OpStats::default(),
-                deltas_applied: 0,
-                strata_skipped: 0,
-                rebuilds: 0,
-                dirty: None,
-            },
+        let kind = ViewKind::Algebra {
+            program,
+            deps,
+            result,
+        };
+        let entry = ViewEntry::new(
+            kind,
+            src,
+            "valid".to_string(),
+            "algebra-recompute",
+            StrategyPin::Auto,
+            stats,
+            &self.data,
         );
+        self.views.insert(name.to_string(), entry);
         self.durably(&DurableEvent::RegisterAlgebra { name, program: src })?;
         Ok(RegisterOutcome {
             strategy: "algebra-recompute",
@@ -948,7 +1050,7 @@ impl Session {
             .views
             .get(name)
             .ok_or_else(|| ServeError::UnknownView(name.to_string()))?;
-        explain_entry(&entry.kind, &self.db)
+        render_plan(&entry.kind.program(), &self.data)
     }
 
     fn check_name(&self, name: &str) -> Result<(), ServeError> {
@@ -964,62 +1066,54 @@ impl Session {
     }
 
     /// Capture an immutable, pre-rendered snapshot of everything the
-    /// read-only protocol operations (`query`/`stats`/`views`/`db`) can
-    /// answer. The serving layer publishes one of these per committed
-    /// write (see `crate::shared::SharedSession`); readers then resolve
-    /// against it lock-free. Answers are rendered with exactly the same
-    /// code paths as the live methods, so a snapshot reply is
-    /// byte-identical to asking the session directly — asserted by the
-    /// `read_view_matches_live_session` test. Dirty views are *not*
-    /// rendered (a query would transparently rebuild, which is writer
-    /// work); [`ReadView::query`] reports them as needing the writer.
-    pub fn read_view(&self) -> ReadView {
+    /// read-only protocol operations (`query`/`explain`/`stats`/`views`/
+    /// `db`) can answer. The serving layer publishes one of these per
+    /// committed write (see `crate::shared::SharedSession`); readers then
+    /// resolve against it lock-free, and nothing is rendered at read
+    /// time except a plan the first time it is asked for.
+    ///
+    /// A publish costs what the write changed, not what the views hold.
+    /// The session keeps, per view and predicate, the rendered lines
+    /// beside the fact set they were rendered from (`Rendered`): an
+    /// interpretation's fact sets are copy-on-write handles, so a
+    /// predicate whose handle is the one held is untouched and its lines
+    /// are shared as they are; a touched predicate is merge-walked
+    /// against the held set and only the facts that entered are
+    /// formatted, every other line being shared with the previous epoch.
+    /// A view no maintenance has moved since the last publish is shared
+    /// whole. That state lives here, in the session, not in the last
+    /// published snapshot — a caller that drops every snapshot pays the
+    /// same. Plans are not rendered here at all: a snapshot carries the
+    /// program and the database statistics (`Plan`).
+    ///
+    /// Lines are formatted by the same code as the live methods, so a
+    /// snapshot reply is byte-identical to asking the session directly —
+    /// asserted by the `read_view_matches_live_session` test. Dirty
+    /// views are *not* rendered (a query would transparently rebuild,
+    /// which is writer work); [`ReadView::query`] reports them as
+    /// needing the writer.
+    pub fn read_view(&mut self) -> ReadView {
         let mut views = BTreeMap::new();
-        let mut plans = BTreeMap::new();
-        for (name, entry) in &self.views {
-            plans.insert(name.clone(), explain_entry(&entry.kind, &self.db));
-            let snap = match (&entry.dirty, &entry.kind) {
-                (Some(_), _) => ViewSnapshot::Dirty,
-                (None, ViewKind::Datalog { maintainer, .. }) => match maintainer {
-                    Maintainer::Stratified(v) => {
-                        let mut certain: BTreeMap<String, Vec<String>> = BTreeMap::new();
-                        for (p, args) in v.total().iter() {
-                            certain
-                                .entry(p.to_string())
-                                .or_default()
-                                .push(format!("{}.", format_fact(p, args)));
-                        }
-                        ViewSnapshot::Datalog {
-                            certain,
-                            unknown: BTreeMap::new(),
-                            idb: v.idb_preds().clone(),
-                        }
-                    }
-                    Maintainer::Incremental(v) => {
-                        snapshot_three_valued(v.model(), v.idb_preds().clone())
-                    }
-                    Maintainer::Recompute(v) => {
-                        snapshot_three_valued(v.model(), v.idb_preds().clone())
-                    }
-                },
-                (None, ViewKind::Algebra { result, .. }) => ViewSnapshot::Algebra {
-                    query: result.query.to_string(),
-                    well_defined: result.is_well_defined(),
-                    constants: result
-                        .constants
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_string()))
-                        .collect(),
-                },
+        for (name, entry) in &mut self.views {
+            if !Arc::ptr_eq(&entry.plan.data, &self.data) {
+                entry.plan = Arc::new(Plan::new(entry.kind.program(), Arc::clone(&self.data)));
+            }
+            let state = match &entry.snapshot {
+                Some(state) => Arc::clone(state),
+                None => {
+                    let state = Arc::new(entry.render());
+                    entry.snapshot = Some(Arc::clone(&state));
+                    state
+                }
             };
-            views.insert(name.clone(), snap);
+            let plan = Arc::clone(&entry.plan);
+            views.insert(name.clone(), PublishedView { state, plan });
         }
         ReadView {
-            db_rows: self.db_summary(),
+            data: Arc::clone(&self.data),
             view_rows: self.view_names(),
             stats_rows: self.stats(None).expect("stats(None) cannot fail"),
             views,
-            plans,
         }
     }
 
@@ -1032,6 +1126,7 @@ impl Session {
         let budget = self.budget;
         let entry = self.views.get_mut(name).expect("checked");
         let (_, stats) = traced(budget, |meter| entry.rebuild(db, meter))?;
+        entry.snapshot = None;
         entry.rebuilds += 1;
         entry.cumulative.accumulate(&stats);
         entry.last = Some(stats);
@@ -1041,6 +1136,70 @@ impl Session {
 }
 
 impl ViewEntry {
+    fn new(
+        kind: ViewKind,
+        source: &str,
+        semantics_label: String,
+        strategy: &'static str,
+        pin: StrategyPin,
+        registration: OpStats,
+        data: &Arc<DataStats>,
+    ) -> Self {
+        let plan = Arc::new(Plan::new(kind.program(), Arc::clone(data)));
+        ViewEntry {
+            kind,
+            source: source.to_string(),
+            semantics_label,
+            strategy,
+            pin,
+            registration,
+            last: None,
+            cumulative: OpStats::default(),
+            deltas_applied: 0,
+            strata_skipped: 0,
+            rebuilds: 0,
+            dirty: None,
+            plan,
+            rendered: Rendered::default(),
+            snapshot: None,
+        }
+    }
+
+    /// The published form of the current state.
+    fn render(&mut self) -> ViewSnapshot {
+        match (&self.dirty, &self.kind) {
+            (Some(_), _) => ViewSnapshot::Dirty,
+            (None, ViewKind::Datalog { maintainer, .. }) => {
+                let (certain, possible, idb) = match maintainer {
+                    Maintainer::Stratified(v) => (v.total(), None, v.idb_preds()),
+                    Maintainer::Incremental(v) => {
+                        let model = v.model();
+                        (&model.certain, Some(&model.possible), v.idb_preds())
+                    }
+                    Maintainer::Recompute(v) => {
+                        let model = v.model();
+                        (&model.certain, Some(&model.possible), v.idb_preds())
+                    }
+                };
+                let (certain, unknown) = self.rendered.update(certain, possible);
+                ViewSnapshot::Datalog {
+                    certain,
+                    unknown,
+                    idb: idb.clone(),
+                }
+            }
+            (None, ViewKind::Algebra { result, .. }) => ViewSnapshot::Algebra {
+                query: result.query.to_string(),
+                well_defined: result.is_well_defined(),
+                constants: result
+                    .constants
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.to_string()))
+                    .collect(),
+            },
+        }
+    }
+
     /// Rebuild the materialization from scratch on the current database.
     fn rebuild(
         &mut self,
@@ -1068,15 +1227,14 @@ impl ViewEntry {
             ViewKind::Algebra {
                 program, result, ..
             } => {
-                // The algebra evaluator meters through its own trace; the
-                // caller's meter is unused but kept for a uniform shape.
-                let _ = meter;
+                // The algebra evaluator builds its own meter: hand it
+                // the caller's budget and trace.
                 *result = eval_valid_traced(
                     program,
                     db,
-                    Budget::LARGE,
+                    *meter.budget(),
                     EvalOptions::default(),
-                    Trace::Null,
+                    meter.trace().clone(),
                 )?;
             }
         }
@@ -1214,49 +1372,157 @@ impl ViewEntry {
                 report.error = Some(msg);
             }
         }
+        // Only a skipped (algebra) view is where it was: even a delta no
+        // rule mentions lands in a datalog view's maintained total.
+        if report.status != ViewStatus::Skipped {
+            self.snapshot = None;
+        }
         report
     }
 }
 
-/// One view's pre-rendered state inside a [`ReadView`].
-/// Pre-render a three-valued model into a [`ViewSnapshot::Datalog`],
-/// the shared snapshot path of the recompute and incremental
-/// maintainers.
-fn snapshot_three_valued(
-    model: &algrec_datalog::interp::ThreeValued,
-    idb: BTreeSet<String>,
-) -> ViewSnapshot {
-    let mut certain: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (p, args) in model.certain.iter() {
-        certain
-            .entry(p.to_string())
-            .or_default()
-            .push(format!("{}.", format_fact(p, args)));
+/// One predicate's fact set, as an interpretation shares it.
+type FactSet = Arc<BTreeSet<Vec<Value>>>;
+
+/// One predicate's rendered lines in fact order, shared line by line
+/// between the session, its snapshots and successive epochs.
+type Lines = Arc<Vec<Arc<str>>>;
+
+/// The rendered lines of one view, each predicate's beside what they
+/// were rendered from. Holding a clone of a fact-set handle is what
+/// makes pointer equality mean "untouched": a mutation un-shares the
+/// set first, so the maintainer can never change a set this cache still
+/// points at.
+#[derive(Default)]
+struct Rendered {
+    /// `pred(args).` lines of the certain facts.
+    certain: BTreeMap<String, (FactSet, Lines)>,
+    /// `pred(args)` lines of the undefined facts (possible, not certain).
+    unknown: BTreeMap<String, UnknownLines>,
+}
+
+/// The undefined facts of one predicate and their lines, keyed by the
+/// two sets they are the difference of.
+struct UnknownLines {
+    possible: FactSet,
+    certain: Option<FactSet>,
+    facts: Vec<Vec<Value>>,
+    lines: Lines,
+}
+
+/// Render `facts` (ascending), sharing the line of every fact that is
+/// also in `old` (ascending, aligned with `old_lines`): a merge walk
+/// that formats only what entered. Hands back `old_lines` itself when
+/// nothing entered or left.
+fn merge_lines<'a>(
+    pred: &str,
+    period: bool,
+    old: impl Iterator<Item = &'a Vec<Value>>,
+    old_lines: &Lines,
+    facts: impl Iterator<Item = &'a Vec<Value>>,
+) -> Lines {
+    let mut old = old.zip(old_lines.iter()).peekable();
+    let mut lines = Vec::with_capacity(old_lines.len());
+    let mut same = true;
+    for fact in facts {
+        while old.next_if(|(was, _)| *was < fact).is_some() {
+            same = false;
+        }
+        match old.next_if(|(was, _)| *was == fact) {
+            Some((_, line)) => lines.push(Arc::clone(line)),
+            None => {
+                same = false;
+                let mut line = format_fact(pred, fact);
+                if period {
+                    line.push('.');
+                }
+                lines.push(Arc::from(line));
+            }
+        }
     }
-    let mut unknown: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (p, args) in model.unknown_facts() {
-        unknown
-            .entry(p.clone())
-            .or_default()
-            .push(format_fact(&p, &args));
-    }
-    ViewSnapshot::Datalog {
-        certain,
-        unknown,
-        idb,
+    if same && old.next().is_none() {
+        Arc::clone(old_lines)
+    } else {
+        Arc::new(lines)
     }
 }
 
+impl Rendered {
+    /// Bring the lines up to `certain` (and, for a three-valued model,
+    /// `possible`), returning them per predicate. Certain lines carry
+    /// the trailing period, unknown lines do not — matching
+    /// [`Session::query`] exactly.
+    fn update(
+        &mut self,
+        certain: &Interp,
+        possible: Option<&Interp>,
+    ) -> (BTreeMap<String, Lines>, BTreeMap<String, Lines>) {
+        let none = Lines::default();
+        let mut was = std::mem::take(&mut self.certain);
+        let mut certain_lines = BTreeMap::new();
+        for (pred, set) in certain.fact_sets() {
+            let lines = match was.remove(pred) {
+                Some((old, lines)) if Arc::ptr_eq(&old, set) => lines,
+                Some((old, lines)) => merge_lines(pred, true, old.iter(), &lines, set.iter()),
+                None => merge_lines(pred, true, [].iter(), &none, set.iter()),
+            };
+            certain_lines.insert(pred.to_string(), Arc::clone(&lines));
+            self.certain
+                .insert(pred.to_string(), (Arc::clone(set), lines));
+        }
+
+        let mut was = std::mem::take(&mut self.unknown);
+        let mut unknown_lines = BTreeMap::new();
+        let sets = possible.into_iter().flat_map(Interp::fact_sets);
+        for (pred, set) in sets {
+            let sure = certain.fact_set(pred);
+            if sure.is_some_and(|sure| Arc::ptr_eq(sure, set)) {
+                continue; // two-valued on this predicate
+            }
+            let same_ptr = |a: Option<&FactSet>, b: Option<&FactSet>| match (a, b) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            };
+            let entry = match was.remove(pred) {
+                Some(u) if Arc::ptr_eq(&u.possible, set) && same_ptr(u.certain.as_ref(), sure) => u,
+                old => {
+                    let facts: Vec<Vec<Value>> = set
+                        .iter()
+                        .filter(|fact| !sure.is_some_and(|sure| sure.contains(*fact)))
+                        .cloned()
+                        .collect();
+                    let lines = match &old {
+                        Some(u) => merge_lines(pred, false, u.facts.iter(), &u.lines, facts.iter()),
+                        None => merge_lines(pred, false, [].iter(), &none, facts.iter()),
+                    };
+                    UnknownLines {
+                        possible: Arc::clone(set),
+                        certain: sure.cloned(),
+                        facts,
+                        lines,
+                    }
+                }
+            };
+            if !entry.facts.is_empty() {
+                unknown_lines.insert(pred.to_string(), Arc::clone(&entry.lines));
+            }
+            self.unknown.insert(pred.to_string(), entry);
+        }
+        (certain_lines, unknown_lines)
+    }
+}
+
+/// One view's pre-rendered state inside a [`ReadView`].
 enum ViewSnapshot {
     /// The last maintenance failed; a query must go through the writer,
     /// which transparently rebuilds.
     Dirty,
-    /// A datalog view: per-predicate rendered fact lines (certain lines
-    /// carry the trailing period, unknown lines do not — matching
-    /// [`Session::query`] exactly) plus the derived-predicate set.
+    /// A datalog view: per-predicate rendered fact lines plus the
+    /// derived-predicate set.
     Datalog {
-        certain: BTreeMap<String, Vec<String>>,
-        unknown: BTreeMap<String, Vec<String>>,
+        certain: BTreeMap<String, Lines>,
+        unknown: BTreeMap<String, Lines>,
         idb: BTreeSet<String>,
     },
     /// An algebra view, fully rendered.
@@ -1267,19 +1533,22 @@ enum ViewSnapshot {
     },
 }
 
+/// What a [`ReadView`] holds of one view, both shared with the session.
+struct PublishedView {
+    state: Arc<ViewSnapshot>,
+    plan: Arc<Plan>,
+}
+
 /// An immutable point-in-time snapshot of a session's readable state,
 /// captured by [`Session::read_view`] and published epoch-versioned by
 /// the concurrent serving layer. Resolving a read against it touches no
 /// lock and no session state, so readers never block writers or each
 /// other.
 pub struct ReadView {
-    db_rows: Vec<(String, usize)>,
+    data: Arc<DataStats>,
     view_rows: Vec<(String, &'static str, String, &'static str)>,
     stats_rows: Vec<ViewStats>,
-    views: BTreeMap<String, ViewSnapshot>,
-    /// Per-view query plans, pre-rendered at snapshot time by the same
-    /// code path as [`Session::explain`].
-    plans: BTreeMap<String, Result<String, ServeError>>,
+    views: BTreeMap<String, PublishedView>,
 }
 
 impl ReadView {
@@ -1288,33 +1557,41 @@ impl ReadView {
     /// to the writer (whose query path transparently rebuilds), and
     /// `Err` is the same error the live session would return.
     pub fn query(&self, name: &str, pred: Option<&str>) -> Result<Option<QueryAnswer>, ServeError> {
-        let snap = self
+        let view = self
             .views
             .get(name)
             .ok_or_else(|| ServeError::UnknownView(name.to_string()))?;
-        match snap {
+        match &*view.state {
             ViewSnapshot::Dirty => Ok(None),
             ViewSnapshot::Datalog {
                 certain,
                 unknown,
                 idb,
             } => {
-                let empty = Vec::new();
-                let lines_of = |map: &BTreeMap<String, Vec<String>>, p: &str| -> Vec<String> {
-                    map.get(p).unwrap_or(&empty).clone()
-                };
+                // The answer owns its lines; size it once.
+                fn owned<'a>(parts: impl Iterator<Item = &'a Lines> + Clone) -> Vec<String> {
+                    let mut out = Vec::with_capacity(parts.clone().map(|l| l.len()).sum());
+                    for lines in parts {
+                        out.extend(lines.iter().map(|line| line.to_string()));
+                    }
+                    out
+                }
                 let (c, u) = match pred {
-                    Some(p) => (lines_of(certain, p), lines_of(unknown, p)),
+                    Some(p) => (
+                        owned(certain.get(p).into_iter()),
+                        owned(unknown.get(p).into_iter()),
+                    ),
                     None => (
                         // Certain facts list in IDB order; unknown facts
                         // in predicate-sorted order restricted to IDB —
                         // both exactly as the live query renders them.
-                        idb.iter().flat_map(|p| lines_of(certain, p)).collect(),
-                        unknown
-                            .iter()
-                            .filter(|(p, _)| idb.contains(*p))
-                            .flat_map(|(_, lines)| lines.clone())
-                            .collect(),
+                        owned(idb.iter().filter_map(|p| certain.get(p))),
+                        owned(
+                            unknown
+                                .iter()
+                                .filter(|(p, _)| idb.contains(*p))
+                                .map(|(_, lines)| lines),
+                        ),
                     ),
                 };
                 Ok(Some(QueryAnswer::Datalog {
@@ -1355,16 +1632,17 @@ impl ReadView {
 
     /// `(relation, members)` rows, as [`Session::db_summary`].
     pub fn db_summary(&self) -> &[(String, usize)] {
-        &self.db_rows
+        &self.data.rows
     }
 
-    /// The pre-rendered query plan of a view, as [`Session::explain`]
-    /// would answer at the snapshot's database state.
+    /// The query plan of a view as [`Session::explain`] would answer at
+    /// the snapshot's database state, rendered on first request.
     pub fn explain(&self, name: &str) -> Result<String, ServeError> {
-        self.plans
+        self.views
             .get(name)
-            .cloned()
-            .unwrap_or_else(|| Err(ServeError::UnknownView(name.to_string())))
+            .ok_or_else(|| ServeError::UnknownView(name.to_string()))?
+            .plan
+            .text()
     }
 }
 
@@ -1771,69 +2049,256 @@ mod tests {
         assert_eq!(catalog[1].semantics, Some(Semantics::ValidExtended(4)));
     }
 
-    #[test]
-    fn read_view_matches_live_session() {
-        let mut session = Session::new(Budget::LARGE);
-        session
-            .load("e(1, 2). e(2, 3). move(1, 2). move(2, 3). move(7, 7).")
-            .unwrap();
-        session
-            .register_datalog("paths", TC, Semantics::Valid)
-            .unwrap();
-        session
-            .register_datalog(
-                "game",
-                "win(X) :- move(X, Y), not win(Y).",
-                Semantics::Valid,
-            )
-            .unwrap();
-        session.register_algebra("alg", "query e;").unwrap();
-        let view = session.read_view();
+    const WIN: &str = "win(X) :- move(X, Y), not win(Y).";
+
+    /// Everything a snapshot can answer equals what the live session
+    /// answers, byte for byte. A dirty view is the exception both sides
+    /// agree on: the snapshot defers it to the writer.
+    fn assert_snapshot_matches_live(session: &mut Session, view: &ReadView, context: &str) {
         assert_eq!(view.db_summary(), session.db_summary().as_slice());
         assert_eq!(view.view_names(), session.view_names().as_slice());
         assert_eq!(view.stats(None).unwrap(), session.stats(None).unwrap());
-        assert_eq!(
-            view.stats(Some("game")).unwrap(),
-            session.stats(Some("game")).unwrap()
-        );
-        // Every query shape — stratified (with and without an explicit
-        // predicate, including an EDB one), three-valued with unknowns,
-        // algebra — answers byte-identically from the snapshot.
-        for (name, pred) in [
-            ("paths", None),
-            ("paths", Some("tc")),
-            ("paths", Some("e")),
-            ("paths", Some("absent")),
-            ("game", None),
-            ("game", Some("win")),
-            ("alg", None),
-        ] {
+        let names: Vec<String> = session.views.keys().cloned().collect();
+        for name in &names {
             assert_eq!(
-                view.query(name, pred).unwrap().unwrap(),
-                session.query(name, pred).unwrap(),
-                "{name} / {pred:?}"
+                view.stats(Some(name)).unwrap(),
+                session.stats(Some(name)).unwrap()
             );
-        }
-        // Plans are pre-rendered into the snapshot by the same code path.
-        for name in ["paths", "game", "alg"] {
             assert_eq!(
-                view.explain(name).unwrap(),
-                session.explain(name).unwrap(),
-                "{name}"
+                view.explain(name),
+                session.explain(name),
+                "{context}: {name}"
             );
+            let preds = [None, Some("tc"), Some("e"), Some("win"), Some("absent")];
+            for pred in preds {
+                if session.views[name].dirty.is_some() {
+                    assert_eq!(view.query(name, pred), Ok(None), "{context}: {name}");
+                } else {
+                    assert_eq!(
+                        view.query(name, pred).unwrap().unwrap(),
+                        session.query(name, pred).unwrap(),
+                        "{context}: {name} / {pred:?}"
+                    );
+                }
+            }
         }
-        assert!(matches!(
-            view.query("missing", None),
-            Err(ServeError::UnknownView(_))
-        ));
-        assert!(matches!(
-            view.stats(Some("missing")),
-            Err(ServeError::UnknownView(_))
-        ));
-        assert!(matches!(
-            view.explain("missing"),
-            Err(ServeError::UnknownView(_))
-        ));
+        for missing in ["missing", ""] {
+            assert!(matches!(
+                view.query(missing, None),
+                Err(ServeError::UnknownView(_))
+            ));
+            assert!(matches!(
+                view.stats(Some(missing)),
+                Err(ServeError::UnknownView(_))
+            ));
+            assert!(matches!(
+                view.explain(missing),
+                Err(ServeError::UnknownView(_))
+            ));
+        }
+    }
+
+    /// What one epoch shares with the one before it: an unmoved view is
+    /// shared whole, a predicate the write did not touch keeps its very
+    /// lines vector, and a touched predicate keeps the line of every
+    /// fact that stayed. `fresh` names views (re-)registered in between,
+    /// which start from nothing.
+    fn assert_epochs_share(prev: &ReadView, now: &ReadView, fresh: &[&str], context: &str) {
+        for (name, after) in &now.views {
+            let Some(before) = prev.views.get(name) else {
+                continue;
+            };
+            if fresh.contains(&name.as_str()) {
+                continue;
+            }
+            let (before, after) = match (&*before.state, &*after.state) {
+                (
+                    ViewSnapshot::Datalog {
+                        certain: c0,
+                        unknown: u0,
+                        ..
+                    },
+                    ViewSnapshot::Datalog {
+                        certain: c1,
+                        unknown: u1,
+                        ..
+                    },
+                ) => ([c0, u0], [c1, u1]),
+                _ => continue,
+            };
+            for (was, is) in before.into_iter().zip(after) {
+                for (pred, lines) in is {
+                    let Some(old) = was.get(pred) else { continue };
+                    if old == lines {
+                        assert!(
+                            Arc::ptr_eq(old, lines),
+                            "{context}: {name}/{pred} re-rendered"
+                        );
+                        continue;
+                    }
+                    for line in lines.iter() {
+                        if let Some(kept) = old.iter().find(|l| l == &line) {
+                            assert!(Arc::ptr_eq(kept, line), "{context}: {name}: {line}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_view_matches_live_session() {
+        // Three maintainers and an algebra view under one budget: the
+        // twelve-source / twelve-sink fans of the budget test sit beside
+        // a small random graph, so bridging the hubs (`e(100, 200)`)
+        // overruns the budget of `paths` — replay and rebuild alike —
+        // until the bridge is retracted again.
+        let budget = Budget {
+            max_facts: 150,
+            ..Budget::LARGE
+        };
+        let fans: String = (1..=12)
+            .map(|k| format!("e({}, 100). e(200, {}). ", 10 + k, 30 + k))
+            .collect();
+        for seed in 1..=6u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut draw = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let mut session = Session::new(budget);
+            session
+                .load(&format!(
+                    "{fans} e(1, 2). e(2, 3). move(1, 2). move(2, 3). move(0, 0)."
+                ))
+                .unwrap();
+            session
+                .register_datalog("paths", TC, Semantics::Valid)
+                .unwrap();
+            session
+                .register_datalog("game", WIN, Semantics::Valid)
+                .unwrap();
+            session
+                .register_datalog_pinned("ref", WIN, Semantics::Valid, StrategyPin::Recompute)
+                .unwrap();
+            session.register_algebra("alg", "query e;").unwrap();
+            let strategies: Vec<&str> = session.view_names().iter().map(|v| v.3).collect();
+            assert_eq!(
+                strategies,
+                [
+                    "algebra-recompute",
+                    "incremental-alternating",
+                    "stratified-incremental",
+                    "recompute-levels"
+                ]
+            );
+
+            // The scripted events land at random places in a random
+            // stream of single-fact writes.
+            let mut script = vec!["random"; 24];
+            let events = [
+                "noop",
+                "bomb",
+                "query-dirty",
+                "defuse",
+                "idb",
+                "unidb",
+                "reregister",
+                "noise",
+            ];
+            let mut at = 0;
+            for event in events {
+                at += 1 + draw(3) as usize;
+                script.insert(at, event);
+            }
+
+            let mut prev = session.read_view();
+            assert_snapshot_matches_live(&mut session, &prev, "at registration");
+            let mut seen_unknown = false;
+            let mut seen_dirty = false;
+            for (step, event) in script.into_iter().enumerate() {
+                let context = format!("seed {seed} step {step} ({event})");
+                let mut fresh: &[&str] = &[];
+                match event {
+                    "random" => {
+                        let (rel, n) = if draw(2) == 0 { ("e", 5) } else { ("move", 4) };
+                        let fact = format!("{rel}({}, {})", draw(n), draw(n));
+                        if draw(3) == 0 {
+                            session.retract_fact(&fact).unwrap();
+                        } else {
+                            session.assert_fact(&fact).unwrap();
+                        }
+                    }
+                    "noop" => {
+                        let out = session.assert_fact("e(11, 100)").unwrap();
+                        assert_eq!(out.applied, 0);
+                    }
+                    "bomb" => {
+                        let out = session.assert_fact("e(100, 200)").unwrap();
+                        let paths = out.views.iter().find(|v| v.view == "paths").unwrap();
+                        assert_eq!(paths.status, ViewStatus::Error, "{context}");
+                    }
+                    "query-dirty" => {
+                        // Only the writer retries a dirty view; the bridge
+                        // is still in, so the rebuild cannot fit either.
+                        assert!(session.views["paths"].dirty.is_some(), "{context}");
+                        assert!(session.query("paths", None).is_err());
+                    }
+                    "defuse" => {
+                        let out = session.retract_fact("e(100, 200)").unwrap();
+                        let paths = out.views.iter().find(|v| v.view == "paths").unwrap();
+                        assert_eq!(paths.status, ViewStatus::Rebuilt, "{context}");
+                    }
+                    "idb" | "unidb" => {
+                        let out = if event == "idb" {
+                            session.assert_fact("tc(7, 7)").unwrap()
+                        } else {
+                            session.retract_fact("tc(7, 7)").unwrap()
+                        };
+                        let paths = out.views.iter().find(|v| v.view == "paths").unwrap();
+                        assert_ne!(paths.status, ViewStatus::Maintained, "{context}");
+                    }
+                    "reregister" => {
+                        session.unregister("game").unwrap();
+                        session
+                            .register_datalog("game", WIN, Semantics::Valid)
+                            .unwrap();
+                        fresh = &["game"];
+                    }
+                    "noise" => {
+                        session.assert_fact("noise(1)").unwrap();
+                    }
+                    other => unreachable!("{other}"),
+                }
+                // The reuse state is the session's: publishing twice
+                // shares everything, and dropping the previous epoch
+                // before publishing the next changes nothing.
+                let now = if step % 2 == 0 {
+                    session.read_view()
+                } else {
+                    let now = session.read_view();
+                    let again = session.read_view();
+                    for (name, view) in &now.views {
+                        assert!(Arc::ptr_eq(&view.state, &again.views[name].state));
+                        assert!(Arc::ptr_eq(&view.plan, &again.views[name].plan));
+                    }
+                    drop(now);
+                    again
+                };
+                assert_snapshot_matches_live(&mut session, &now, &context);
+                assert_epochs_share(&prev, &now, fresh, &context);
+                seen_dirty |= matches!(&*now.views["paths"].state, ViewSnapshot::Dirty);
+                for name in ["game", "ref"] {
+                    if let ViewSnapshot::Datalog { unknown, .. } = &*now.views[name].state {
+                        seen_unknown |= !unknown.is_empty();
+                    }
+                }
+                prev = now;
+            }
+            assert!(seen_unknown && seen_dirty, "seed {seed}");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl SharedSession {
 
     /// Like [`SharedSession::new`], with a trace handle that receives
     /// operational events (currently lock-poisoning incidents).
-    pub fn with_trace(session: Session, trace: Trace) -> Self {
+    pub fn with_trace(mut session: Session, trace: Trace) -> Self {
         let view = Swap::new(session.read_view());
         SharedSession {
             writer: Mutex::new(session),

@@ -32,6 +32,22 @@ const WIN: &str = "win(X) :- e(X, Y), not win(Y).";
 const GADGET: &str = "s(X) :- n(X), not s(X).\n\
                       calm(X) :- n(X), not s(X), not e(X, X).";
 
+/// Recursive heads of every shape the guarded re-derivation has to run
+/// backwards: a repeated variable, a constant, a tuple pattern, a
+/// function application (`hop`: the guard cannot bind `D` from
+/// `succ(D)`, so it runs as a filter after the body) and no arguments
+/// at all.
+const SHAPES: &str = "same(X, X) :- n(X).\n\
+                      same(Y, Y) :- same(X, X), e(X, Y).\n\
+                      mark(X, 0) :- n(X).\n\
+                      mark(Y, 0) :- mark(X, 0), e(X, Y).\n\
+                      pair([X, Y]) :- e(X, Y).\n\
+                      pair([X, Z]) :- pair([X, Y]), e(Y, Z).\n\
+                      hop(X, 0) :- n(X).\n\
+                      hop(Y, succ(D)) :- hop(X, D), e(X, Y), D < 3.\n\
+                      live() :- n(X).\n\
+                      live() :- live(), e(X, X).";
+
 /// One random EDB step: insert or retract an `e` edge, or toggle an `n`
 /// node (only meaningful for the unreach program; harmless otherwise).
 #[derive(Clone, Debug)]
@@ -216,6 +232,54 @@ proptest! {
         }
     }
 
+    /// The kernel's re-derivation over every head shape ([`SHAPES`]),
+    /// under the stratum driver (`auto`), the alternating driver (pinned
+    /// `incremental`) and the reference (pinned `recompute`): node
+    /// toggles over-delete whole derivation trees, edge churn inside
+    /// cycles leaves alternative support to re-derive from.
+    #[test]
+    fn every_head_shape_is_rederived_like_cold(
+        initial in prop::collection::btree_set((0..5i64, 0..5i64), 0..9),
+        nodes in prop::collection::btree_set(0..5i64, 0..4),
+        steps in prop::collection::vec(arb_step(5), 1..12),
+    ) {
+        let mut session = Session::new(Budget::SMALL);
+        let mut facts: String = initial.iter().map(|(a, b)| format!("e({a}, {b}).\n")).collect();
+        facts.extend(nodes.iter().map(|a| format!("n({a}).\n")));
+        session.load(&facts).unwrap();
+        let views = [
+            ("auto", StrategyPin::Auto, "stratified-incremental"),
+            ("inc", StrategyPin::Incremental, "incremental-alternating"),
+            ("rec", StrategyPin::Recompute, "recompute-levels"),
+        ];
+        for (view, pin, strategy) in views {
+            let reg = session.register_datalog_pinned(view, SHAPES, Semantics::Valid, pin).unwrap();
+            prop_assert_eq!(reg.strategy, strategy);
+        }
+        let check_all = |session: &mut Session, context: &str| {
+            for (view, ..) in views {
+                for pred in ["same", "mark", "pair", "hop", "live"] {
+                    check_view(session, view, SHAPES, Semantics::Valid, pred,
+                               &format!("{context} ({view}/{pred})"))?;
+                }
+            }
+            Ok::<(), TestCaseError>(())
+        };
+        check_all(&mut session, "at registration")?;
+        for (k, step) in steps.iter().enumerate() {
+            let (insert, src) = fact_src(step);
+            let out = if insert {
+                session.assert_fact(&src).unwrap()
+            } else {
+                session.retract_fact(&src).unwrap()
+            };
+            for report in &out.views {
+                prop_assert_eq!(&report.status, &ViewStatus::Maintained, "{:?}", report);
+            }
+            check_all(&mut session, &format!("after step {k} ({step:?})"))?;
+        }
+    }
+
     /// The §3.2 divergence gadget `S = {a} − S` (as `s(X) :- n(X), not
     /// s(X).`) with a second negation layer reading the contested
     /// facts, maintained under node/edge churn with both strategy
@@ -392,6 +456,49 @@ fn pinned_registration_on_empty_edb_then_first_delta() {
             };
             assert!(certain.is_empty(), "{semantics:?}/{pin:?}: {certain:?}");
             assert!(unknown.is_empty(), "{semantics:?}/{pin:?}: {unknown:?}");
+        }
+    }
+}
+
+/// Plans move work, never counts: registering the `acl_authz` scenario
+/// program (its delegation rule is the shape a delta-first plan would
+/// hurt in a cold round — `delegate` scanned once per delta fact) costs
+/// exactly the derivations and iterations it did before firings chose
+/// between two plans — on the committed EDB and on thirty delegation
+/// chains with a cycle each, under both of the scenario's pins.
+#[test]
+fn acl_authz_registration_counts_are_plan_independent() {
+    let program = include_str!("../../../scenarios/acl_authz/program.dl");
+    let committed = include_str!("../../../scenarios/acl_authz/edb.dl").to_string();
+    let mut chains = String::from("resource(r0). resource(r1). resource(r2).\n");
+    for t in 0..30 {
+        chains += &format!("grant(u{t}_0, r{}). flagged(u{t}_2).\n", t % 3);
+        for k in 0..5 {
+            chains += &format!("delegate(u{t}_{}, u{t}_{k}).\n", k + 1);
+        }
+        chains += &format!("delegate(u{t}_3, u{t}_5). revoked(u{t}_4, r{}).\n", t % 3);
+    }
+    for (edb, expected) in [
+        (committed, [("acl", 24, 14), ("acl_ref", 24, 14)]),
+        (chains, [("acl", 870, 20), ("acl_ref", 1740, 40)]),
+    ] {
+        let mut session = Session::new(Budget::LARGE);
+        session.load(&edb).unwrap();
+        for (view, facts_inserted, iterations) in expected {
+            let pin = if view == "acl" {
+                StrategyPin::Incremental
+            } else {
+                StrategyPin::Recompute
+            };
+            let reg = session
+                .register_datalog_pinned(view, program, Semantics::Valid, pin)
+                .unwrap();
+            assert_eq!(
+                (reg.stats.facts_inserted, reg.stats.iterations),
+                (facts_inserted, iterations),
+                "{view} over {} facts",
+                edb.matches('.').count()
+            );
         }
     }
 }

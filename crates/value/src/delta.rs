@@ -166,17 +166,24 @@ impl fmt::Display for DatabaseDelta {
 /// it. [`SupportCounts::inc`] and [`SupportCounts::dec`] report the
 /// 0 → 1 and 1 → 0 transitions, which are exactly the moments the fact
 /// appears in / disappears from the materialized view.
-#[derive(Clone, PartialEq, Eq, Default, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SupportCounts<K: Ord> {
     counts: BTreeMap<K, usize>,
+}
+
+// Not derived: an empty table needs no default key.
+impl<K: Ord> Default for SupportCounts<K> {
+    fn default() -> Self {
+        SupportCounts {
+            counts: BTreeMap::new(),
+        }
+    }
 }
 
 impl<K: Ord> SupportCounts<K> {
     /// An empty support table.
     pub fn new() -> Self {
-        SupportCounts {
-            counts: BTreeMap::new(),
-        }
+        SupportCounts::default()
     }
 
     /// Add one support for `key`; returns `true` on the 0 → 1 transition

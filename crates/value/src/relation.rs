@@ -29,7 +29,10 @@ pub struct Relation {
     id_run: OnceLock<Arc<Run>>,
 }
 
-fn first_column(v: &Value) -> Option<&Value> {
+/// The first column of a relation member under the product convention:
+/// a tuple's first component, a non-tuple member itself; the empty tuple
+/// has none.
+pub fn first_column(v: &Value) -> Option<&Value> {
     match v {
         Value::Tuple(items) => items.first(),
         other => Some(other),
