@@ -51,8 +51,6 @@ fn golden_table() -> Table {
             snapshots: 1,
             snapshot_bytes: 256,
             recovery_replayed: 2,
-            run_flushes: 4,
-            run_compactions: 1,
             snapshot_maps: 1,
             mapped_bytes: 512,
         },
@@ -84,8 +82,7 @@ fn table_json_matches_golden() {
         "\"support_incs\":9,\"support_decs\":4},",
         "\"store\":{\"wal_records\":3,\"wal_bytes\":96,\"wal_fsyncs\":3,",
         "\"snapshots\":1,\"snapshot_bytes\":256,\"recovery_replayed\":2,",
-        "\"run_flushes\":4,\"run_compactions\":1,\"snapshot_maps\":1,",
-        "\"mapped_bytes\":512},",
+        "\"snapshot_maps\":1,\"mapped_bytes\":512},",
         "\"phases\":[",
         "{\"name\":\"semi-naive\",\"iterations\":3,\"wall_ms\":2.000,\"deltas\":[4,2,0]},",
         "{\"name\":\"certain\",\"iterations\":1,\"wall_ms\":1.000,\"deltas\":[0]}",

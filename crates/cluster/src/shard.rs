@@ -34,7 +34,7 @@ use algrec_serve::{
 };
 use algrec_store::codec::{frame_record, next_record, HEADER_LEN};
 use algrec_store::recover::restore_snapshot;
-use algrec_store::snapshot::{decode_any_snapshot, encode_snapshot, SnapshotState};
+use algrec_store::snapshot::{decode_any_snapshot, SnapshotState};
 use algrec_store::{read_from, SyncPolicy, Wal, WalRecord};
 use algrec_value::{Budget, Database, DatabaseDelta, Trace, Value};
 use std::io::Write;
@@ -226,8 +226,8 @@ impl ShardSet {
 /// The on-disk path of the primary's checkpoint in `dir`.
 ///
 /// A checkpoint is a point-in-time image of the combined session
-/// (`frame_record(next_seq) ∥ snapshot image`, columnar when the
-/// columnar toggle is on) written every `snapshot_every` commits.
+/// (`frame_record(next_seq) ∥ columnar snapshot image`) written every
+/// `snapshot_every` commits.
 /// Unlike the single-node store it **never truncates the shard logs** —
 /// replicas resume from byte offsets into them — it only lets the next
 /// [`open_primary_opts`] skip replaying the commit prefix the image
@@ -239,13 +239,8 @@ pub fn checkpoint_path(dir: &Path) -> PathBuf {
 }
 
 fn write_checkpoint(dir: &Path, next_seq: u64, state: &SnapshotState) -> Result<(), String> {
-    let image = if algrec_column::enabled() {
-        algrec_store::colsnap::encode_column_snapshot(state)
-    } else {
-        encode_snapshot(state)
-    };
     let mut out = frame_record(&next_seq.to_le_bytes());
-    out.extend_from_slice(&image);
+    out.extend_from_slice(&algrec_store::colsnap::encode_column_snapshot(state));
     let final_path = checkpoint_path(dir);
     let tmp_path = final_path.with_extension("ck.tmp");
     let io = |e: std::io::Error| format!("writing checkpoint: {e}");
@@ -510,12 +505,11 @@ pub fn open_primary(
 
 /// [`open_primary`] with a checkpoint cadence: every `snapshot_every`
 /// commits the durability hook writes a [`checkpoint_path`] image of
-/// the combined session (columnar runs under the columnar toggle), and
-/// recovery restores from the newest valid checkpoint, replaying only
-/// the commits past its sequence floor. The shard logs are **never**
-/// truncated by checkpointing — replicas keep resuming from their byte
-/// offsets — and a checkpoint that fails validation is ignored in favor
-/// of full log replay.
+/// the combined session, and recovery restores from the newest valid
+/// checkpoint, replaying only the commits past its sequence floor. The
+/// shard logs are **never** truncated by checkpointing — replicas keep
+/// resuming from their byte offsets — and a checkpoint that fails
+/// validation is ignored in favor of full log replay.
 pub fn open_primary_opts(
     dir: &Path,
     n: usize,
@@ -791,6 +785,7 @@ mod tests {
         // A corrupt checkpoint is ignored wholesale: full replay, same
         // state, logs untouched.
         let ck = checkpoint_path(&dir);
+        let (seq, state) = load_checkpoint(&dir).unwrap();
         let mut bytes = std::fs::read(&ck).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
@@ -799,6 +794,18 @@ mod tests {
             open_primary_opts(&dir, n, Budget::LARGE, SyncPolicy::Always, Some(2)).unwrap();
         assert_eq!(report.checkpoint_seq, None, "damage must reject the file");
         assert_eq!(report.skipped_commits, 0);
+        assert_eq!(session.db(), &db);
+        assert_eq!(session.query("paths", Some("tc")).unwrap(), answer);
+
+        // A checkpoint carrying a row-codec image (what earlier binaries
+        // could write) is honoured exactly like a columnar one.
+        let mut row = frame_record(&seq.to_le_bytes());
+        row.extend_from_slice(&algrec_store::snapshot::encode_snapshot(&state));
+        std::fs::write(&ck, &row).unwrap();
+        let (mut session, report, _) =
+            open_primary_opts(&dir, n, Budget::LARGE, SyncPolicy::Always, Some(2)).unwrap();
+        assert_eq!(report.checkpoint_seq, Some(seq));
+        assert!(report.skipped_commits >= 11, "{report:?}");
         assert_eq!(session.db(), &db);
         assert_eq!(session.query("paths", Some("tc")).unwrap(), answer);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -53,7 +53,8 @@ impl std::error::Error for FileError {}
 pub struct RunMeta {
     /// Rows in the run.
     pub rows: usize,
-    /// Is it a tombstone run?
+    /// The segment's tombstone flag: its rows are deletions. A format
+    /// bit; snapshots and checkpoints hold live rows only and write 0.
     pub tombstone: bool,
     /// The caller-defined tag.
     pub tag: u32,

@@ -1,70 +1,29 @@
-//! LSM-flavored columnar relation storage.
+//! Sorted columnar runs and their durable, CRC-footed file format.
 //!
-//! A relation is represented as a stack of **sorted immutable runs** of
-//! fixed- or variable-arity `u32` rows (interned value ids, dictionary
-//! indices — the crate is agnostic about what the integers mean). A
-//! delta is a new run; deletion is a **tombstone run**; merging runs is
-//! **compaction**. Point membership is a binary search per layer, bulk
-//! set operations (union, difference) are linear merges or galloping
-//! walks over already-sorted keys — no hashing, no per-row allocation,
-//! no deep value comparisons.
-//!
-//! Rows of arity ≤ 2 use the packed representation the plan crate's
-//! materialization introduced: both columns, offset by one so a missing
-//! column packs as zero and a shorter prefix sorts first, in a single
-//! `u64` key. Sorting, deduplicating, merging and differencing such runs
-//! are plain integer-slice operations.
+//! A [`Run`] is a sorted, deduplicated, immutable set of fixed- or
+//! variable-arity `u32` rows (dictionary indices — the crate is agnostic
+//! about what the integers mean); a [`RunBuilder`] accumulates rows in
+//! any order and sorts once. Rows of arity ≤ 2 use a packed
+//! representation: both columns, offset by one so a missing column packs
+//! as zero and a shorter prefix sorts first, in a single `u64` key.
 //!
 //! [`file`] gives runs a durable form: a self-delimiting segment with a
 //! CRC-32 footer per run, so a reader can *validate* a stored run
 //! (checksum walk) without materializing a single row — the cheap
-//! integrity gate the store's columnar snapshots are built on.
+//! integrity gate the store's columnar snapshots and the cluster's shard
+//! checkpoints are built on.
 //!
-//! The crate is std-only and dependency-free; it sits below
-//! `algrec-value` in the workspace so every layer (engine, store,
-//! serving fleet) can share one run representation.
+//! That file format is the crate's whole job: DESIGN.md §18 records why
+//! runs are not what the executor, the algebra's set difference or the
+//! write path use.
 //!
-//! # Toggle
-//!
-//! [`enabled`] mirrors the plan crate's convention: columnar storage is
-//! the default, `ALGREC_COLUMN_BASELINE=1` (any non-empty value other
-//! than `"0"`) switches every integration point back to the set-backed
-//! baseline. [`set_enabled`] overrides the environment at runtime (used
-//! by the differential tests to run both paths in one process).
+//! The crate is std-only and dependency-free.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod file;
-pub mod lsm;
 pub mod run;
 
 pub use file::{pad_to_page, read_run, validate_run, write_run, FileError, RunMeta, PAGE};
-pub use lsm::{Compaction, Layer, PushOutcome, RunStack};
 pub use run::{Run, RunBuilder};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-fn toggle() -> &'static AtomicBool {
-    static TOGGLE: OnceLock<AtomicBool> = OnceLock::new();
-    TOGGLE.get_or_init(|| {
-        let baseline = std::env::var_os("ALGREC_COLUMN_BASELINE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        AtomicBool::new(!baseline)
-    })
-}
-
-/// Is the columnar run representation enabled? Defaults to `true`;
-/// the `ALGREC_COLUMN_BASELINE` environment variable (non-empty, not
-/// `"0"`) flips the default to `false`. [`set_enabled`] overrides both.
-pub fn enabled() -> bool {
-    toggle().load(Ordering::Relaxed)
-}
-
-/// Override the columnar toggle for this process (tests and ablation
-/// benchmarks run both representations side by side).
-pub fn set_enabled(on: bool) {
-    toggle().store(on, Ordering::Relaxed);
-}

@@ -6,7 +6,7 @@
 //! * **Packed** — every row has arity ≤ 2 and every id fits `u32::MAX -
 //!   1`; a row becomes one `u64` key, `(a+1) << 32 | (b+1)` with a
 //!   missing column packing as `0`. Key order coincides with row order,
-//!   so sort/merge/difference are integer-slice operations.
+//!   so sorting and deduplicating are integer-slice operations.
 //! * **Rows** — arbitrary (possibly mixed) arity: one contiguous id
 //!   array plus an offsets table, compared as slices.
 //!
@@ -101,16 +101,6 @@ impl RunBuilder {
         self.rows.push(row.to_vec());
     }
 
-    /// Number of rows pushed so far (before deduplication).
-    pub fn len(&self) -> usize {
-        self.keys.as_ref().map_or(0, Vec::len) + self.rows.len()
-    }
-
-    /// Has nothing been pushed?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Sort, deduplicate and freeze into a [`Run`].
     pub fn finish(self) -> Run {
         match self.keys {
@@ -189,32 +179,6 @@ impl Run {
         }
     }
 
-    /// Does the run contain `row`? Binary search; `O(log n)` integer
-    /// comparisons.
-    pub fn contains(&self, row: &[u32]) -> bool {
-        match &self.layout {
-            Layout::Packed(keys) => match pack_row(row) {
-                Some(k) => keys.binary_search(&k).is_ok(),
-                None => false,
-            },
-            Layout::Rows { data, offsets } => {
-                let n = offsets.len() - 1;
-                let get = |i: usize| &data[offsets[i] as usize..offsets[i + 1] as usize];
-                let mut lo = 0usize;
-                let mut hi = n;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    match get(mid).cmp(row) {
-                        std::cmp::Ordering::Less => lo = mid + 1,
-                        std::cmp::Ordering::Greater => hi = mid,
-                        std::cmp::Ordering::Equal => return true,
-                    }
-                }
-                false
-            }
-        }
-    }
-
     /// Visit every row in ascending order.
     pub fn for_each(&self, mut f: impl FnMut(&[u32])) {
         let mut buf = [0u32; 2];
@@ -222,169 +186,11 @@ impl Run {
             f(self.row_at(i, &mut buf));
         }
     }
-
-    /// Visit every row whose first column equals `key`, in ascending
-    /// order, stopping early on `Err` — the run-backed first-column
-    /// probe (two binary searches delimit the bucket).
-    pub fn try_for_each_with_first<E>(
-        &self,
-        key: u32,
-        f: &mut impl FnMut(&[u32]) -> Result<(), E>,
-    ) -> Result<(), E> {
-        match &self.layout {
-            Layout::Packed(keys) => {
-                if key > PACK_MAX {
-                    return Ok(());
-                }
-                // `key + 1` fits (key ≤ PACK_MAX); the bucket's upper
-                // bound is found by high-word equality rather than a
-                // `(key + 2) << 32` limit, which would overflow for the
-                // largest packable id.
-                let hi_word = u64::from(key) + 1;
-                let lo = keys.partition_point(|&k| k < hi_word << 32);
-                let hi = lo + keys[lo..].partition_point(|&k| (k >> 32) == hi_word);
-                let mut buf = [0u32; 2];
-                for &k in &keys[lo..hi] {
-                    f(unpack_key(k, &mut buf))?;
-                }
-                Ok(())
-            }
-            Layout::Rows { data, offsets } => {
-                let n = offsets.len() - 1;
-                let first = |i: usize| {
-                    let s = offsets[i] as usize;
-                    let e = offsets[i + 1] as usize;
-                    if s == e {
-                        None
-                    } else {
-                        Some(data[s])
-                    }
-                };
-                // Binary search for the first row whose first column
-                // reaches `key` (arity-0 rows sort before everything).
-                let mut lo = 0usize;
-                let mut hi = n;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if first(mid).map_or(true, |v| v < key) {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                for i in lo..n {
-                    match first(i) {
-                        Some(v) if v == key => {
-                            f(&data[offsets[i] as usize..offsets[i + 1] as usize])?
-                        }
-                        _ => break,
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Merge runs into one (set union). Packed inputs stay packed.
-    pub fn merge(runs: &[&Run]) -> Run {
-        if runs.iter().all(|r| r.packed_keys().is_some()) {
-            let mut keys: Vec<u64> = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
-            for r in runs {
-                keys.extend_from_slice(r.packed_keys().unwrap());
-            }
-            keys.sort_unstable();
-            keys.dedup();
-            return Run {
-                layout: Layout::Packed(keys),
-            };
-        }
-        let mut b = RunBuilder::new();
-        let mut buf = [0u32; 2];
-        for r in runs {
-            for i in 0..r.len() {
-                b.push(r.row_at(i, &mut buf));
-            }
-        }
-        b.finish()
-    }
-
-    /// Set difference `self − other`. Both sides are sorted, so the
-    /// packed path gallops: each kept row costs an exponential advance
-    /// plus a short binary search in `other`'s key array.
-    pub fn difference(&self, other: &Run) -> Run {
-        if other.is_empty() {
-            return self.clone();
-        }
-        match (&self.layout, &other.layout) {
-            (Layout::Packed(a), Layout::Packed(b)) => Run {
-                layout: Layout::Packed(gallop_diff(a, b)),
-            },
-            _ => {
-                // Mixed layouts: linear merge walk over decoded rows.
-                let mut b_idx = 0usize;
-                let mut keep = RunBuilder::new();
-                let mut abuf = [0u32; 2];
-                let mut bbuf = [0u32; 2];
-                for i in 0..self.len() {
-                    let row = self.row_at(i, &mut abuf);
-                    while b_idx < other.len() && other.row_at(b_idx, &mut bbuf) < row {
-                        b_idx += 1;
-                    }
-                    if b_idx >= other.len() || other.row_at(b_idx, &mut bbuf) != row {
-                        keep.push(row);
-                    }
-                }
-                keep.finish()
-            }
-        }
-    }
-
-    /// Count the distinct first-column values across all rows (rows of
-    /// arity 0 contribute nothing). Linear: rows are sorted, so equal
-    /// first columns are adjacent.
-    pub fn distinct_first(&self) -> usize {
-        let mut count = 0usize;
-        let mut last: Option<u32> = None;
-        let mut buf = [0u32; 2];
-        for i in 0..self.len() {
-            if let Some(&f) = self.row_at(i, &mut buf).first() {
-                if last != Some(f) {
-                    count += 1;
-                    last = Some(f);
-                }
-            }
-        }
-        count
-    }
-}
-
-/// Galloping difference over sorted deduplicated key slices: `a − b`.
-fn gallop_diff(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len());
-    let mut j = 0usize;
-    for &x in a {
-        if j < b.len() && b[j] < x {
-            // Exponential advance, then binary search the overshoot.
-            let mut step = 1usize;
-            let mut base = j;
-            while base + step < b.len() && b[base + step] < x {
-                base += step;
-                step <<= 1;
-            }
-            let end = (base + step + 1).min(b.len());
-            j = base + b[base..end].partition_point(|&y| y < x);
-        }
-        if j >= b.len() || b[j] != x {
-            out.push(x);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     fn run_of(rows: &[&[u32]]) -> Run {
         Run::from_rows(rows.iter().copied())
@@ -409,63 +215,5 @@ mod tests {
             seen,
             vec![vec![1], vec![1, 2], vec![1, 2, 3], vec![5, 5, 5]]
         );
-        assert!(r.contains(&[5, 5, 5]));
-        assert!(!r.contains(&[5, 5]));
-    }
-
-    #[test]
-    fn contains_and_probe_agree_with_reference() {
-        let rows: Vec<Vec<u32>> = (0..200u32)
-            .map(|i| vec![i % 17, i.wrapping_mul(31) % 23])
-            .collect();
-        let reference: BTreeSet<Vec<u32>> = rows.iter().cloned().collect();
-        let r = Run::from_rows(rows.iter().map(|v| v.as_slice()));
-        assert_eq!(r.len(), reference.len());
-        for probe in 0..20u32 {
-            let mut got: Vec<Vec<u32>> = Vec::new();
-            r.try_for_each_with_first::<()>(probe, &mut |row| {
-                got.push(row.to_vec());
-                Ok(())
-            })
-            .unwrap();
-            let want: Vec<Vec<u32>> = reference
-                .iter()
-                .filter(|row| row.first() == Some(&probe))
-                .cloned()
-                .collect();
-            assert_eq!(got, want, "probe {probe}");
-        }
-        for row in &reference {
-            assert!(r.contains(row));
-        }
-        assert!(!r.contains(&[99, 99]));
-    }
-
-    #[test]
-    fn merge_and_difference_match_set_semantics() {
-        let a: BTreeSet<Vec<u32>> = (0..300u32).map(|i| vec![i / 3, i % 7]).collect();
-        let b: BTreeSet<Vec<u32>> = (0..300u32).map(|i| vec![i / 5, i % 4]).collect();
-        let ra = Run::from_rows(a.iter().map(|v| v.as_slice()));
-        let rb = Run::from_rows(b.iter().map(|v| v.as_slice()));
-        let merged = Run::merge(&[&ra, &rb]);
-        let union: BTreeSet<Vec<u32>> = a.union(&b).cloned().collect();
-        assert_eq!(merged.len(), union.len());
-        let diff = ra.difference(&rb);
-        let set_diff: BTreeSet<Vec<u32>> = a.difference(&b).cloned().collect();
-        assert_eq!(diff.len(), set_diff.len());
-        let mut got = BTreeSet::new();
-        diff.for_each(|row| {
-            got.insert(row.to_vec());
-        });
-        assert_eq!(got, set_diff);
-        // Difference against empty and of empty.
-        assert_eq!(ra.difference(&Run::default()), ra);
-        assert!(Run::default().difference(&ra).is_empty());
-    }
-
-    #[test]
-    fn distinct_first_counts_buckets() {
-        let r = run_of(&[&[1, 1], &[1, 2], &[2, 1], &[7], &[]]);
-        assert_eq!(r.distinct_first(), 3);
     }
 }

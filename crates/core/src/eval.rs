@@ -72,11 +72,6 @@ pub struct EvalOptions {
     /// pointer-distinct copies [`AlgProgram::substitute`] produces —
     /// share one cache entry (cross-rule common-subexpression sharing).
     pub plan: bool,
-    /// Compute large set differences (the `Diff` operator, the
-    /// alternating fixpoint's certain/possible split) in id space over
-    /// sorted columnar runs ([`algrec_value::colops`]) instead of
-    /// value-comparison walks.
-    pub column: bool,
 }
 
 impl EvalOptions {
@@ -86,7 +81,6 @@ impl EvalOptions {
         index: true,
         delta: true,
         plan: true,
-        column: true,
     };
 
     /// Every optimization off — the seed evaluator's behavior, kept as
@@ -96,7 +90,6 @@ impl EvalOptions {
         index: false,
         delta: false,
         plan: false,
-        column: false,
     };
 }
 
@@ -107,15 +100,12 @@ impl Default for EvalOptions {
     /// test suite down the unoptimized path without code changes. The
     /// narrower `ALGREC_PLAN_BASELINE` toggle (read through
     /// [`algrec_plan::enabled`]) switches off only the plan-keyed caches,
-    /// and `ALGREC_COLUMN_BASELINE` (read through
-    /// [`algrec_column::enabled`]) only the columnar run representation,
     /// leaving the other optimizations on.
     fn default() -> Self {
         match std::env::var_os("ALGREC_EVAL_BASELINE") {
             Some(v) if !v.is_empty() => EvalOptions::BASELINE,
             _ => EvalOptions {
                 plan: algrec_plan::enabled(),
-                column: algrec_column::enabled(),
                 ..EvalOptions::OPTIMIZED
             },
         }
@@ -475,11 +465,7 @@ impl<'a> Evaluator<'a> {
                 if r.is_empty() {
                     return Ok(l);
                 }
-                Ok(Arc::new(if self.opts.column {
-                    algrec_value::colops::diff_sets(&l, &r)
-                } else {
-                    l.difference(&r).cloned().collect()
-                }))
+                Ok(Arc::new(l.difference(&r).cloned().collect()))
             }
             AlgExpr::Product(a, b) => {
                 let l = self.eval(a, pos, neg, positive, meter)?;
@@ -601,15 +587,12 @@ impl<'a> Evaluator<'a> {
         loop {
             meter.tick_iteration()?;
             self.locals.push((vsym, acc.clone()));
-            let column = self.opts.column;
             let step = if first || !use_delta {
                 self.eval(body, pos, neg, positive, meter).map(|s| {
-                    if !use_delta {
-                        (*s).clone()
-                    } else if column {
-                        algrec_value::colops::diff_sets(&s, &acc)
-                    } else {
+                    if use_delta {
                         s.difference(&acc).cloned().collect()
+                    } else {
+                        (*s).clone()
                     }
                 })
             } else {
@@ -693,11 +676,7 @@ impl<'a> Evaluator<'a> {
                 // `delta_ok`), so new facts come only from `a`.
                 let l = self.eval_delta(a, pos, neg, deltas, positive, meter)?;
                 let r = self.eval(b, pos, neg, !positive, meter)?;
-                Ok(if self.opts.column {
-                    algrec_value::colops::diff_sets(&l, &r)
-                } else {
-                    l.difference(&r).cloned().collect()
-                })
+                Ok(l.difference(&r).cloned().collect())
             }
             AlgExpr::Product(a, b) => {
                 let da = self.eval_delta(a, pos, neg, deltas, positive, meter)?;

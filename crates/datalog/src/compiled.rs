@@ -42,10 +42,9 @@ use crate::engine::Compiled;
 use crate::error::EvalError;
 use crate::fixpoint::{FixpointStats, NegOracle, PAR_MIN_FACTS};
 use crate::interp::Interp;
-use algrec_column::{Run, RunBuilder, RunStack};
 use algrec_value::budget::Meter;
 use algrec_value::{Value, Vid};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
@@ -228,150 +227,57 @@ impl Table {
     }
 }
 
-/// Run `f` over `row`'s raw interned ids without heap traffic for the
-/// common arities (stack buffer up to 8 columns).
-#[inline]
-fn with_raw<R>(row: &[Vid], f: impl FnOnce(&[u32]) -> R) -> R {
-    if row.len() <= 8 {
-        let mut buf = [0u32; 8];
-        for (d, v) in buf.iter_mut().zip(row) {
-            *d = v.index();
-        }
-        f(&buf[..row.len()])
-    } else {
-        let raw: Vec<u32> = row.iter().map(|v| v.index()).collect();
-        f(&raw)
-    }
-}
-
-/// One relation in id space. Two backends behind one interface:
-///
-/// * [`Rel::Hash`] — the original open-addressed dedup table plus a
-///   first-column hash index (buckets of row indices).
-/// * [`Rel::Runs`] — the columnar LSM representation: every accepted row
-///   lands in an insertion-ordered [`Chunk`] (scans, materialization)
-///   and in an unsealed mem [`Table`]; [`Rel::seal`] flushes the mem
-///   rows as a new sorted [`Run`] layer on a [`RunStack`] (a round's
-///   delta *is* a run), which compacts by merging once enough layers
-///   pile up. Membership is a binary search per layer, first-column
-///   probes are two binary searches delimiting a sorted bucket.
-///
-/// The backend is chosen per machine from [`algrec_column::enabled`].
-/// Both maintain exactly the same row *set*, so every meter charge and
-/// statistic (all set-cardinality-based) is backend-independent.
-#[derive(Clone)]
-enum Rel {
-    Hash {
-        table: Table,
-        first: FxMap<Vid, Vec<u32>>,
-    },
-    Runs {
-        chunk: Chunk,
-        stack: RunStack,
-        mem: Table,
-    },
+/// One relation in id space: dedup/scan table plus first-column index.
+/// The index is a chain per key threaded through `next` (`heads[k]` is
+/// the newest row whose first column is `k`, `next[i]` the one before
+/// row `i`), so building it allocates nothing per key: a machine is
+/// rebuilt for every phase of the alternating fixpoint, and a relation
+/// like MOVE has almost as many keys as rows.
+#[derive(Default, Clone)]
+struct Rel {
+    table: Table,
+    heads: FxMap<Vid, u32>,
+    next: Vec<u32>,
 }
 
 impl Rel {
-    fn new(columnar: bool) -> Rel {
-        if columnar {
-            Rel::Runs {
-                chunk: Chunk::default(),
-                stack: RunStack::new(),
-                mem: Table::default(),
-            }
-        } else {
-            Rel::Hash {
-                table: Table::default(),
-                first: FxMap::default(),
-            }
-        }
-    }
+    /// End of a first-column chain.
+    const END: u32 = u32::MAX;
 
-    /// Insert `row`; `true` iff new (to sealed layers *and* mem).
+    /// Insert `row`, maintaining the first-column index; `true` iff new.
     fn insert(&mut self, row: &[Vid]) -> bool {
-        match self {
-            Rel::Hash { table, first } => {
-                if !table.insert(row) {
-                    return false;
-                }
-                if let Some(&k) = row.first() {
-                    first.entry(k).or_default().push((table.len() - 1) as u32);
-                }
-                true
-            }
-            Rel::Runs { chunk, stack, mem } => {
-                if with_raw(row, |raw| stack.contains(raw).is_some()) {
-                    return false;
-                }
-                if !mem.insert(row) {
-                    return false;
-                }
-                chunk.push(row);
-                true
-            }
+        if !self.table.insert(row) {
+            return false;
         }
+        let idx = (self.table.len() - 1) as u32;
+        let prev = match row.first() {
+            Some(&k) => self.heads.insert(k, idx).unwrap_or(Self::END),
+            None => Self::END,
+        };
+        self.next.push(prev);
+        true
     }
 
-    /// All accepted rows, in insertion order (both backends — the run
-    /// layers are a parallel *sorted* view, not the row store).
+    /// All accepted rows, in insertion order.
     #[inline]
     fn chunk(&self) -> &Chunk {
-        match self {
-            Rel::Hash { table, .. } => &table.chunk,
-            Rel::Runs { chunk, .. } => chunk,
-        }
+        &self.table.chunk
     }
 
     #[inline]
     fn len(&self) -> usize {
-        self.chunk().len()
+        self.table.len()
     }
 
     #[inline]
     fn contains(&self, row: &[Vid]) -> bool {
-        match self {
-            Rel::Hash { table, .. } => table.contains(row),
-            Rel::Runs { stack, mem, .. } => {
-                with_raw(row, |raw| stack.contains(raw)).unwrap_or(false) || mem.contains(row)
-            }
-        }
-    }
-
-    /// Flush the mem table as a new sorted run layer (columnar backend;
-    /// no-op for hash). Called after the base interning and after every
-    /// `split_new`, so during rule firing the mem table is always empty
-    /// and probes read sorted layers only.
-    fn seal(&mut self) {
-        if let Rel::Runs { stack, mem, .. } = self {
-            if mem.len() == 0 {
-                return;
-            }
-            let mut b = RunBuilder::new();
-            for row in mem.chunk.iter() {
-                with_raw(row, |raw| b.push(raw));
-            }
-            stack.push(b.finish(), false);
-            *mem = Table::default();
-        }
+        self.table.contains(row)
     }
 
     /// Distinct first-column values (the catalog's per-relation key
-    /// statistic). Hash reads its index size; runs count over the row
-    /// store — called once per compiled level, not per probe.
+    /// statistic): the size of the first-column index.
     fn distinct_first(&self) -> usize {
-        match self {
-            Rel::Hash { first, .. } => first.len(),
-            Rel::Runs { chunk, .. } => {
-                let mut seen: HashSet<u32, FxBuild> = HashSet::default();
-                for row in chunk.iter() {
-                    if let Some(v) = row.first() {
-                        seen.insert(v.index());
-                    }
-                }
-                seen.len()
-            }
-        }
+        self.heads.len()
     }
 }
 
@@ -382,9 +288,9 @@ struct IdDb {
 }
 
 impl IdDb {
-    fn new(npreds: usize, columnar: bool) -> Self {
+    fn new(npreds: usize) -> Self {
         IdDb {
-            rels: (0..npreds).map(|_| Rel::new(columnar)).collect(),
+            rels: vec![Rel::default(); npreds],
         }
     }
 }
@@ -491,22 +397,8 @@ enum SrcLit {
     Neg { pred: usize, args: Vec<CArg> },
 }
 
-/// A frozen interpretation's rows for one negated predicate, in the
-/// machine's chosen representation: hash table or one sorted run.
-enum FrozenSet {
-    Hash(Table),
-    Run(Run),
-}
-
-impl FrozenSet {
-    #[inline]
-    fn contains(&self, row: &[Vid]) -> bool {
-        match self {
-            FrozenSet::Hash(t) => t.contains(row),
-            FrozenSet::Run(r) => with_raw(row, |raw| r.contains(raw)),
-        }
-    }
-}
+/// A frozen interpretation's rows for one negated predicate.
+type FrozenSet = Table;
 
 /// Negation oracle, lowered to id space where possible.
 enum NegDb<'a> {
@@ -584,31 +476,6 @@ fn match_cols(cols: &[CCol], row: &[Vid], frame: &mut [Vid]) -> bool {
     true
 }
 
-/// [`match_cols`] over a run layer's raw id row — `Vid`s are rebuilt
-/// only for binds, never for checks.
-#[inline]
-fn match_cols_raw(cols: &[CCol], row: &[u32], frame: &mut [Vid]) -> bool {
-    if row.len() != cols.len() {
-        return false;
-    }
-    for (c, &r) in cols.iter().zip(row.iter()) {
-        match *c {
-            CCol::Bind(s) => frame[s] = Vid::from_raw(r),
-            CCol::Check(s) => {
-                if frame[s].index() != r {
-                    return false;
-                }
-            }
-            CCol::Const(k) => {
-                if k.index() != r {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 /// Shared read-only context for one firing.
 struct FireCtx<'a> {
     total: &'a IdDb,
@@ -643,30 +510,12 @@ fn fire_ops<S: FnMut(&[Vid]) -> Result<(), EvalError>>(
             let rel = &ctx.total.rels[p.pred];
             if let Some(key_src) = p.probe {
                 let key = arg_vid(key_src, frame);
-                match rel {
-                    Rel::Hash { table, first } => {
-                        if let Some(bucket) = first.get(&key) {
-                            for &ri in bucket {
-                                if match_cols(&p.cols, table.chunk.row(ri as usize), frame) {
-                                    fire_ops(ctx, ops, k + 1, frame, scratch, sink)?;
-                                }
-                            }
-                        }
+                let mut ri = rel.heads.get(&key).copied().unwrap_or(Rel::END);
+                while ri != Rel::END {
+                    if match_cols(&p.cols, rel.chunk().row(ri as usize), frame) {
+                        fire_ops(ctx, ops, k + 1, frame, scratch, sink)?;
                     }
-                    Rel::Runs { stack, mem, .. } => {
-                        // Layers are disjoint (insert dedups against the
-                        // whole stack), so each matching row fires once.
-                        debug_assert_eq!(mem.len(), 0, "probe against an unsealed mem table");
-                        for layer in stack.layers() {
-                            layer.run.try_for_each_with_first(key.index(), &mut |raw| {
-                                if match_cols_raw(&p.cols, raw, frame) {
-                                    fire_ops(ctx, ops, k + 1, frame, scratch, sink)
-                                } else {
-                                    Ok(())
-                                }
-                            })?;
-                        }
-                    }
+                    ri = rel.next[ri as usize];
                 }
             } else {
                 let chunk = rel.chunk();
@@ -949,11 +798,8 @@ impl<'a> Machine<'a> {
         }
         let npreds = table.names.len();
 
-        // Intern the base for every mentioned predicate. The backend —
-        // hash tables or columnar run stacks — is sampled once per
-        // machine, so a mid-evaluation toggle flip cannot mix them.
-        let columnar = algrec_column::enabled();
-        let mut total = IdDb::new(npreds, columnar);
+        // Intern the base for every mentioned predicate.
+        let mut total = IdDb::new(npreds);
         let mut row: Vec<Vid> = Vec::new();
         for (p, name) in table.names.clone().iter().enumerate() {
             for fact in base.facts(name) {
@@ -966,9 +812,6 @@ impl<'a> Machine<'a> {
                 }
                 total.rels[p].insert(&row);
             }
-        }
-        for rel in &mut total.rels {
-            rel.seal();
         }
         let init: Vec<usize> = total.rels.iter().map(Rel::len).collect();
 
@@ -997,23 +840,13 @@ impl<'a> Machine<'a> {
                         if !is_neg {
                             continue;
                         }
-                        sets[p] = Some(if columnar {
-                            let mut b = RunBuilder::new();
-                            for fact in frozen.facts(&table.names[p]) {
-                                row.clear();
-                                row.extend(fact.iter().map(Vid::of));
-                                with_raw(&row, |raw| b.push(raw));
-                            }
-                            FrozenSet::Run(b.finish())
-                        } else {
-                            let mut set = Table::default();
-                            for fact in frozen.facts(&table.names[p]) {
-                                row.clear();
-                                row.extend(fact.iter().map(Vid::of));
-                                set.insert(&row);
-                            }
-                            FrozenSet::Hash(set)
-                        });
+                        let mut set = Table::default();
+                        for fact in frozen.facts(&table.names[p]) {
+                            row.clear();
+                            row.extend(fact.iter().map(Vid::of));
+                            set.insert(&row);
+                        }
+                        sets[p] = Some(set);
                     }
                     NegDb::Sets(sets)
                 }
@@ -1137,10 +970,6 @@ impl<'a> Machine<'a> {
                 }
                 added += 1;
             }
-            // Columnar backend: the round's new rows become one sealed
-            // sorted run (the delta *is* a run), so the next round's
-            // probes never see an unsealed mem table.
-            self.total.rels[p].seal();
         }
         (delta, added)
     }

@@ -1,8 +1,12 @@
 //! Columnar snapshots: relations persisted as sorted immutable run
 //! segments over a shared value dictionary.
 //!
-//! A columnar snapshot ([`FileKind::ColumnSnapshot`]) replaces the
-//! row-encoded database image with three regions:
+//! This is the one image [`crate::snapshot::write_snapshot`] and the
+//! cluster's checkpoints write; the row codec in [`crate::snapshot`]
+//! stays as the reader for stores written before it and as the
+//! reference the tests below compare against. A columnar snapshot
+//! ([`FileKind::ColumnSnapshot`]) replaces the row-encoded database
+//! image with three regions:
 //!
 //! 1. a **shape frame** — run count and pad length, so a validator
 //!    knows the file's geometry without decoding anything else;
@@ -32,10 +36,8 @@ use crate::codec::{
     FileKind, Reader,
 };
 use crate::snapshot::{decode_view, encode_view, SnapshotState};
-use algrec_column::{
-    pad_to_page, read_run, validate_run, write_run, Run, RunBuilder, RunStack, PAGE,
-};
-use algrec_value::{DatabaseDelta, Relation, Trace, TraceEvent, Value, Vid};
+use algrec_column::{pad_to_page, read_run, validate_run, write_run, Run, RunBuilder, PAGE};
+use algrec_value::{Relation, Value};
 use std::collections::BTreeMap;
 
 /// The member shape a run's rows encode: a scalar member is one
@@ -324,70 +326,6 @@ pub fn decode_column_snapshot(bytes: &[u8]) -> Result<SnapshotState, CodecError>
     Ok(SnapshotState { db, views })
 }
 
-// ---------------------------------------------------------------------
-// The live delta ledger: committed deltas as LSM runs.
-// ---------------------------------------------------------------------
-
-/// The columnar mirror of the write-ahead log: every committed delta
-/// becomes a data run (inserts) and/or a tombstone run (removals) on a
-/// per-relation [`RunStack`], compacting under the LSM threshold. Rows
-/// are interned member ids ([`Vid`]), so the ledger is a pure index —
-/// it never re-encodes values — and flush/compaction activity surfaces
-/// as [`TraceEvent::RunFlush`] / [`TraceEvent::RunCompaction`].
-#[derive(Default)]
-pub struct RunBook {
-    stacks: BTreeMap<String, RunStack>,
-}
-
-impl RunBook {
-    /// An empty ledger.
-    pub fn new() -> RunBook {
-        RunBook::default()
-    }
-
-    /// Mirror one committed delta: a data run per relation with inserts,
-    /// a tombstone run per relation with removals.
-    pub fn record(&mut self, delta: &DatabaseDelta, trace: &Trace) {
-        for (name, rd) in delta.iter() {
-            for (members, tombstone) in [(rd.added(), false), (rd.removed(), true)] {
-                if members.is_empty() {
-                    continue;
-                }
-                let mut b = RunBuilder::new();
-                for v in members {
-                    b.push(&[Vid::of(v).index()]);
-                }
-                let stack = self.stacks.entry(name.to_string()).or_default();
-                let outcome = stack.push(b.finish(), tombstone);
-                if outcome.flushed_rows > 0 {
-                    trace.emit(TraceEvent::RunFlush(outcome.flushed_rows));
-                }
-                if let Some(c) = outcome.compacted {
-                    trace.emit(TraceEvent::RunCompaction(c.runs, c.rows));
-                }
-            }
-        }
-    }
-
-    /// Is `member` of `rel` live according to the ledger alone?
-    /// `None` when no run since the last [`reset`](Self::reset)
-    /// mentions it (the snapshot below the ledger decides).
-    pub fn contains(&self, rel: &str, member: &Value) -> Option<bool> {
-        let vid = Vid::lookup(member)?;
-        self.stacks.get(rel)?.contains(&[vid.index()])
-    }
-
-    /// Drop every layer: a snapshot has absorbed the ledger.
-    pub fn reset(&mut self) {
-        self.stacks.clear();
-    }
-
-    /// Layers currently live across all relations.
-    pub fn layers(&self) -> usize {
-        self.stacks.values().map(|s| s.layers().len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,34 +447,5 @@ mod tests {
         next_record(&image, &mut pos).unwrap();
         assert_eq!((pos + pad) % PAGE, 0, "runs start on a page boundary");
         assert_eq!(decode_column_snapshot(&image).unwrap(), state);
-    }
-
-    #[test]
-    fn run_book_mirrors_deltas_and_emits_telemetry() {
-        let trace = Trace::collect();
-        let mut book = RunBook::new();
-        let mut delta = DatabaseDelta::new();
-        for i in 0..10i64 {
-            delta.insert("e", Value::int(i));
-        }
-        delta.remove("e", Value::int(99));
-        book.record(&delta, &trace);
-        assert_eq!(book.contains("e", &Value::int(3)), Some(true));
-        assert_eq!(book.contains("e", &Value::int(99)), Some(false));
-        assert_eq!(book.contains("e", &Value::int(1234)), None);
-        assert_eq!(book.layers(), 2, "one data run, one tombstone run");
-
-        // Push enough deltas to cross the LSM threshold.
-        for round in 0..10i64 {
-            let mut d = DatabaseDelta::new();
-            d.insert("e", Value::int(100 + round));
-            book.record(&d, &trace);
-        }
-        let stats = trace.stats().unwrap();
-        assert!(stats.store.run_flushes >= 11, "{:?}", stats.store);
-        assert!(stats.store.run_compactions >= 1, "{:?}", stats.store);
-        book.reset();
-        assert_eq!(book.layers(), 0);
-        assert_eq!(book.contains("e", &Value::int(3)), None);
     }
 }

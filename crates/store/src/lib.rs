@@ -27,7 +27,7 @@ pub mod recover;
 pub mod snapshot;
 pub mod wal;
 
-pub use colsnap::{ColumnSnapshotMeta, RunBook};
+pub use colsnap::ColumnSnapshotMeta;
 pub use recover::{recover, verify_against_cold, RecoveryReport};
 pub use wal::{read_frames, read_from, LogFile, SyncPolicy, Wal, WalFrame, WalRecord, WalSegment};
 
@@ -115,18 +115,10 @@ pub struct DurableStore {
     options: StoreOptions,
     since_snapshot: usize,
     trace: Trace,
-    /// The columnar mirror of the log: committed deltas as LSM runs
-    /// (only fed while the columnar toggle is on).
-    book: RunBook,
 }
 
 impl Durability for DurableStore {
     fn record(&mut self, event: &DurableEvent<'_>) -> Result<(), String> {
-        if algrec_column::enabled() {
-            if let DurableEvent::Delta(delta) = event {
-                self.book.record(delta, &self.trace);
-            }
-        }
         let record = match event {
             DurableEvent::Delta(delta) => WalRecord::Delta((*delta).clone()),
             DurableEvent::RegisterDatalog {
@@ -179,14 +171,11 @@ impl Durability for DurableStore {
         let prev = self.gen;
         self.gen = gen;
         self.since_snapshot = 0;
-        self.book.reset();
-        // Columnar retention keeps one previous generation pair: if the
-        // new snapshot's run files later fail their CRC walk, recovery
-        // falls back to the previous snapshot and replays its log —
-        // nothing committed depends on the broken file. The row codec
-        // keeps its original single-generation retention.
-        let keep = if algrec_column::enabled() { prev } else { gen };
-        compact(&self.dir, keep).map_err(|e| format!("compacting before {keep}: {e}"))?;
+        // Retention keeps one previous generation pair: if the new
+        // snapshot later fails its CRC walk, recovery falls back to the
+        // previous snapshot and replays its log — nothing committed
+        // depends on the broken file.
+        compact(&self.dir, prev).map_err(|e| format!("compacting before {prev}: {e}"))?;
         Ok(())
     }
 }
@@ -229,7 +218,6 @@ pub fn open(
         // store recovered from a long log compacts promptly.
         since_snapshot: report.replayed,
         trace,
-        book: RunBook::new(),
     }));
     Ok((session, report))
 }

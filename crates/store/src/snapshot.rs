@@ -3,17 +3,24 @@
 //!
 //! A snapshot holds the full extensional database **and** the view
 //! catalog (every registered view's name, kind, program, semantics and
-//! strategy pin),
-//! encoded as a single checksummed record so it is either wholly valid
-//! or wholly rejected — there is no "half a snapshot". Writing is
+//! strategy pin), checksummed so it is either wholly valid or wholly
+//! rejected — there is no "half a snapshot". Writing is
 //! atomic: serialize to `snapshot-<gen>.snap.tmp`, fsync, rename over
 //! the final name, fsync the directory. A crash at any point leaves
 //! either the previous generation or the new one, never a mix.
 //!
+//! Two image formats share the file name. [`write_snapshot`] always
+//! emits the columnar one ([`crate::colsnap`]); the row codec here
+//! ([`encode_snapshot`] / [`decode_snapshot`], one checksummed record)
+//! is what earlier binaries wrote, so it stays as the reader for their
+//! stores and as the reference the columnar codec is tested against.
+//! [`decode_any_snapshot`] dispatches on the header's file kind.
+//!
 //! Generations pair each snapshot with the log of everything after it:
 //! `snapshot-<gen>.snap` + `wal-<gen>.log`. After a snapshot at
-//! generation N succeeds, every older generation's files are deleted
-//! ([`compact`]) — the snapshot has made them redundant.
+//! generation N succeeds, every generation older than N − 1 is deleted
+//! ([`compact`]); the previous pair is what recovery falls back to when
+//! the newest snapshot fails validation.
 
 use crate::codec::{
     check_header, decode_database, encode_database, frame_record, next_record, write_header,
@@ -91,7 +98,7 @@ pub(crate) fn decode_view(r: &mut Reader<'_>) -> Result<ViewDef, CodecError> {
     }
 }
 
-/// Serialize a complete snapshot file image.
+/// Serialize a complete row-codec snapshot file image.
 pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
     let mut payload = Vec::new();
     encode_database(&state.db, &mut payload);
@@ -191,21 +198,16 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
 }
 
 /// Write snapshot `gen` atomically: temp file, fsync, rename, dir fsync.
-/// Returns the snapshot size in bytes. The image is columnar
-/// ([`crate::colsnap`]) when the columnar toggle is on, row-encoded
-/// otherwise; readers dispatch on the header's file kind, so stores
-/// written under either setting reopen under the other.
+/// Returns the snapshot size in bytes. The image is always columnar
+/// ([`crate::colsnap`]); readers dispatch on the header's file kind, so
+/// row-encoded snapshots written by earlier binaries still reopen.
 pub fn write_snapshot(
     dir: &Path,
     gen: u64,
     state: &SnapshotState,
     trace: &Trace,
 ) -> std::io::Result<usize> {
-    let image = if algrec_column::enabled() {
-        crate::colsnap::encode_column_snapshot(state)
-    } else {
-        encode_snapshot(state)
-    };
+    let image = crate::colsnap::encode_column_snapshot(state);
     let final_path = snapshot_path(dir, gen);
     let tmp_path = final_path.with_extension("snap.tmp");
     {

@@ -15,7 +15,7 @@
 
 use algrec_datalog::Semantics;
 use algrec_serve::{QueryAnswer, Session};
-use algrec_store::snapshot::wal_path;
+use algrec_store::snapshot::{encode_snapshot, snapshot_path, wal_path, SnapshotState};
 use algrec_store::{open, LogFile, StoreOptions, SyncPolicy, Wal, WalRecord};
 use algrec_value::{Budget, Database, DatabaseDelta, Trace, Value};
 use proptest::prelude::*;
@@ -235,14 +235,12 @@ proptest! {
             db = session.db().clone();
             answers = all_answers(&mut session);
         }
-        // Retention stays bounded after all that churn: one generation
-        // pair under the row codec, two under columnar storage (the
-        // previous generation is the CRC-failure fallback target).
-        let keep = if algrec_column::enabled() { 2 } else { 1 };
+        // Retention stays bounded after all that churn: two generation
+        // pairs (the previous one is the CRC-failure fallback target).
         let snaps = algrec_store::snapshot::snapshot_generations(&dir.0).unwrap();
         let wals = algrec_store::snapshot::wal_generations(&dir.0).unwrap();
-        prop_assert!(snaps.len() <= keep, "snapshots not compacted: {snaps:?}");
-        prop_assert!(!wals.is_empty() && wals.len() <= keep, "{wals:?}");
+        prop_assert!(snaps.len() <= 2, "snapshots not compacted: {snaps:?}");
+        prop_assert!(!wals.is_empty() && wals.len() <= 2, "{wals:?}");
     }
 }
 
@@ -394,15 +392,84 @@ fn version_bumped_log_refuses_to_open() {
     );
 }
 
+/// The reader that stays: a store whose newest snapshot is a *row-codec*
+/// image (what earlier binaries wrote) reopens to exactly the committed
+/// state — snapshot plus a WAL tail that registers a view — and the
+/// next snapshot it writes is columnar.
+#[test]
+fn row_codec_snapshot_reopens_and_is_superseded_by_a_columnar_one() {
+    let dir = TestDir::new("rowsnap");
+    let gen = 3;
+
+    // The snapshotted prefix, then the tail logged after it.
+    let mut expected = Session::new(Budget::SMALL);
+    for k in 0..6 {
+        expected.assert_fact(&format!("e({k}, {})", k + 1)).unwrap();
+    }
+    let image = encode_snapshot(&SnapshotState {
+        db: expected.db().clone(),
+        views: Vec::new(),
+    });
+    assert!(!algrec_store::colsnap::is_column_snapshot(&image));
+    std::fs::write(snapshot_path(&dir.0, gen), &image).unwrap();
+
+    let mut tail_delta = DatabaseDelta::new();
+    tail_delta.insert("e", Value::pair(Value::int(6), Value::int(7)));
+    tail_delta.remove("e", Value::pair(Value::int(0), Value::int(1)));
+    let tail = [
+        WalRecord::RegisterDatalog {
+            name: "paths".into(),
+            semantics: "stratified".into(),
+            program: TC.into(),
+            strategy: "auto".into(),
+        },
+        WalRecord::Delta(tail_delta),
+    ];
+    let file = std::fs::File::create(wal_path(&dir.0, gen)).unwrap();
+    let mut wal = Wal::create(Box::new(file), SyncPolicy::Always, Trace::default()).unwrap();
+    for record in &tail {
+        wal.append(record).unwrap();
+    }
+    drop(wal);
+
+    replay_reference(&mut expected, &tail);
+    let want_db = expected.db().clone();
+    let want_answers = all_answers(&mut expected);
+    assert_eq!(want_answers.len(), 1, "the tail's view is registered");
+
+    // Two replayed records count toward the schedule: one more write
+    // triggers the next snapshot.
+    let options = StoreOptions {
+        sync: SyncPolicy::Always,
+        snapshot_every: Some(3),
+    };
+    let (mut session, report) = open(&dir.0, Budget::SMALL, options, Trace::default()).unwrap();
+    assert_eq!(report.snapshot_gen, Some(gen));
+    assert_eq!(report.replayed, tail.len());
+    assert_eq!(report.snapshot_fallbacks, 0);
+    assert_state(&mut session, &want_db, &want_answers);
+
+    session.assert_fact("e(7, 8)").unwrap();
+    let db = session.db().clone();
+    let answers = all_answers(&mut session);
+    drop(session);
+    let snaps = algrec_store::snapshot::snapshot_generations(&dir.0).unwrap();
+    assert_eq!(snaps, [gen + 1, gen], "new generation beside the row one");
+    let newest = std::fs::read(snapshot_path(&dir.0, gen + 1)).unwrap();
+    assert!(algrec_store::colsnap::is_column_snapshot(&newest));
+
+    let (mut reopened, report) = open(&dir.0, Budget::SMALL, options, Trace::default()).unwrap();
+    assert_eq!(report.snapshot_gen, Some(gen + 1));
+    assert_eq!(report.replayed, 0);
+    assert_state(&mut reopened, &db, &answers);
+}
+
 /// Columnar snapshots: a bit flip anywhere in the newest snapshot's run
 /// region fails the CRC validation walk, and recovery falls back to the
 /// previous generation plus its write-ahead log — restoring exactly the
 /// committed state, with nothing replayed from the broken file.
 #[test]
 fn corrupt_columnar_run_region_falls_back_to_wal_replay() {
-    if !algrec_column::enabled() {
-        return; // row-codec retention keeps a single generation: no fallback pair
-    }
     let options = StoreOptions {
         sync: SyncPolicy::Always,
         snapshot_every: Some(2),
@@ -471,9 +538,6 @@ fn corrupt_columnar_run_region_falls_back_to_wal_replay() {
 /// snapshots would be unrecoverable — so the corruption surfaces.
 #[test]
 fn corrupt_columnar_snapshot_without_fallback_log_refuses_to_open() {
-    if !algrec_column::enabled() {
-        return;
-    }
     let options = StoreOptions {
         sync: SyncPolicy::Always,
         snapshot_every: Some(2),

@@ -101,14 +101,6 @@ impl Vid {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// Rebuild a `Vid` from a raw id previously obtained via
-    /// [`index`](Self::index). The caller is responsible for only
-    /// feeding back ids it got from this process's interner (e.g. ids
-    /// stored in a columnar run); resolving a fabricated id panics.
-    pub fn from_raw(id: u32) -> Vid {
-        Vid(id)
-    }
 }
 
 impl Symbol {

@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 
 pub mod budget;
-pub mod colops;
 pub mod delta;
 pub mod index;
 pub mod intern;

@@ -8,7 +8,6 @@
 
 use crate::index::ColumnIndex;
 use crate::value::Value;
-use algrec_column::Run;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -26,7 +25,6 @@ use std::sync::{Arc, OnceLock};
 pub struct Relation {
     tuples: BTreeSet<Value>,
     first_index: OnceLock<Arc<ColumnIndex<Value>>>,
-    id_run: OnceLock<Arc<Run>>,
 }
 
 /// The first column of a relation member under the product convention:
@@ -50,7 +48,6 @@ impl Relation {
         Relation {
             tuples: values.into_iter().collect(),
             first_index: OnceLock::new(),
-            id_run: OnceLock::new(),
         }
     }
 
@@ -60,7 +57,6 @@ impl Relation {
         Relation {
             tuples: pairs.into_iter().map(|(a, b)| Value::pair(a, b)).collect(),
             first_index: OnceLock::new(),
-            id_run: OnceLock::new(),
         }
     }
 
@@ -70,7 +66,6 @@ impl Relation {
         let fresh = self.tuples.insert(v);
         if fresh {
             self.first_index.take();
-            self.id_run.take();
         }
         fresh
     }
@@ -81,7 +76,6 @@ impl Relation {
         let had = self.tuples.remove(v);
         if had {
             self.first_index.take();
-            self.id_run.take();
         }
         had
     }
@@ -101,19 +95,6 @@ impl Relation {
                     true,
                 ))
             })
-            .clone()
-    }
-
-    /// The members as one sorted run of interned value ids — the
-    /// columnar view of this relation. Built on first use (interning
-    /// every member once), cached until the relation is mutated, and
-    /// shared by clones; like the first-column index it is derived
-    /// state, invisible to equality and formatting. Consumers: the
-    /// id-space difference ([`crate::colops`]) and the store's run-book
-    /// when it seeds columnar snapshots from a live database.
-    pub fn id_run(&self) -> Arc<Run> {
-        self.id_run
-            .get_or_init(|| Arc::new(crate::colops::run_of(self.tuples.iter())))
             .clone()
     }
 
@@ -180,7 +161,6 @@ impl From<BTreeSet<Value>> for Relation {
         Relation {
             tuples,
             first_index: OnceLock::new(),
-            id_run: OnceLock::new(),
         }
     }
 }
@@ -194,14 +174,9 @@ impl Clone for Relation {
         if let Some(idx) = self.first_index.get() {
             let _ = first_index.set(idx.clone());
         }
-        let id_run = OnceLock::new();
-        if let Some(run) = self.id_run.get() {
-            let _ = id_run.set(run.clone());
-        }
         Relation {
             tuples: self.tuples.clone(),
             first_index,
-            id_run,
         }
     }
 }

@@ -68,11 +68,6 @@ pub enum TraceEvent {
     /// Crash recovery replayed this many write-ahead-log records through
     /// the live session. Emitted once per recovery.
     RecoveryReplay(usize),
-    /// A columnar delta was flushed as a new sorted run; the payload is
-    /// the number of rows in the run.
-    RunFlush(usize),
-    /// A run stack compacted: `(runs_folded, surviving_rows)`.
-    RunCompaction(usize, usize),
     /// A columnar snapshot's run sections were validated (CRC walk, no
     /// row decode) for mapping into a session; the payload is the number
     /// of bytes covered by the walk.
@@ -151,11 +146,6 @@ pub struct StoreStats {
     pub snapshot_bytes: usize,
     /// Write-ahead-log records replayed by crash recovery.
     pub recovery_replayed: usize,
-    /// Columnar runs flushed (one per delta batch under the run-backed
-    /// store representation).
-    pub run_flushes: usize,
-    /// Run-stack compactions performed.
-    pub run_compactions: usize,
     /// Columnar snapshots validated by the decode-free CRC walk.
     pub snapshot_maps: usize,
     /// Bytes covered by those validation walks.
@@ -265,8 +255,7 @@ impl EvalStats {
              \"support_incs\":{},\"support_decs\":{}}},\
              \"store\":{{\"wal_records\":{},\"wal_bytes\":{},\"wal_fsyncs\":{},\
              \"snapshots\":{},\"snapshot_bytes\":{},\"recovery_replayed\":{},\
-             \"run_flushes\":{},\"run_compactions\":{},\"snapshot_maps\":{},\
-             \"mapped_bytes\":{}}},\
+             \"snapshot_maps\":{},\"mapped_bytes\":{}}},\
              \"phases\":[{}]}}",
             self.iterations,
             self.facts_inserted,
@@ -288,8 +277,6 @@ impl EvalStats {
             self.store.snapshots,
             self.store.snapshot_bytes,
             self.store.recovery_replayed,
-            self.store.run_flushes,
-            self.store.run_compactions,
             self.store.snapshot_maps,
             self.store.mapped_bytes,
             phases.join(",")
@@ -328,8 +315,6 @@ impl EvalStats {
         self.store.snapshots += other.store.snapshots;
         self.store.snapshot_bytes += other.store.snapshot_bytes;
         self.store.recovery_replayed += other.store.recovery_replayed;
-        self.store.run_flushes += other.store.run_flushes;
-        self.store.run_compactions += other.store.run_compactions;
         self.store.snapshot_maps += other.store.snapshot_maps;
         self.store.mapped_bytes += other.store.mapped_bytes;
         self.incr.levels_replayed += other.incr.levels_replayed;
@@ -368,15 +353,11 @@ impl fmt::Display for EvalStats {
                 self.store.snapshot_bytes,
                 self.store.recovery_replayed
             )?;
-            if self.store.run_flushes + self.store.run_compactions + self.store.snapshot_maps > 0 {
+            if self.store.snapshot_maps > 0 {
                 writeln!(
                     f,
-                    "column: {} run flush(es), {} compaction(s), \
-                     {} snapshot map(s) ({} bytes validated)",
-                    self.store.run_flushes,
-                    self.store.run_compactions,
-                    self.store.snapshot_maps,
-                    self.store.mapped_bytes
+                    "column: {} snapshot map(s) ({} bytes validated)",
+                    self.store.snapshot_maps, self.store.mapped_bytes
                 )?;
             }
         }
@@ -506,8 +487,6 @@ impl TraceSink for CollectSink {
                 self.stats.store.snapshot_bytes += bytes;
             }
             TraceEvent::RecoveryReplay(n) => self.stats.store.recovery_replayed += n,
-            TraceEvent::RunFlush(_rows) => self.stats.store.run_flushes += 1,
-            TraceEvent::RunCompaction(_runs, _rows) => self.stats.store.run_compactions += 1,
             TraceEvent::SnapshotMap(bytes) => {
                 self.stats.store.snapshot_maps += 1;
                 self.stats.store.mapped_bytes += bytes;
@@ -596,12 +575,6 @@ impl TraceSink for LogSink {
             }
             TraceEvent::RecoveryReplay(n) => {
                 let _ = writeln!(self.out, "% trace: {pad}recovery replayed {n} record(s)");
-            }
-            TraceEvent::RunCompaction(runs, rows) => {
-                let _ = writeln!(
-                    self.out,
-                    "% trace: {pad}run compaction ({runs} run(s) -> {rows} row(s))"
-                );
             }
             TraceEvent::SnapshotMap(bytes) => {
                 let _ = writeln!(
@@ -742,9 +715,6 @@ mod tests {
         sink.event(&TraceEvent::WalSync);
         sink.event(&TraceEvent::SnapshotWrite(128));
         sink.event(&TraceEvent::RecoveryReplay(3));
-        sink.event(&TraceEvent::RunFlush(17));
-        sink.event(&TraceEvent::RunFlush(4));
-        sink.event(&TraceEvent::RunCompaction(8, 19));
         sink.event(&TraceEvent::SnapshotMap(256));
         let s = sink.into_stats();
         assert_eq!(s.store.wal_records, 2);
@@ -753,8 +723,6 @@ mod tests {
         assert_eq!(s.store.snapshots, 1);
         assert_eq!(s.store.snapshot_bytes, 128);
         assert_eq!(s.store.recovery_replayed, 3);
-        assert_eq!(s.store.run_flushes, 2);
-        assert_eq!(s.store.run_compactions, 1);
         assert_eq!(s.store.snapshot_maps, 1);
         assert_eq!(s.store.mapped_bytes, 256);
         let j = s.to_json();
@@ -762,14 +730,13 @@ mod tests {
             j.contains(
                 "\"store\":{\"wal_records\":2,\"wal_bytes\":64,\"wal_fsyncs\":1,\
                  \"snapshots\":1,\"snapshot_bytes\":128,\"recovery_replayed\":3,\
-                 \"run_flushes\":2,\"run_compactions\":1,\"snapshot_maps\":1,\
-                 \"mapped_bytes\":256}"
+                 \"snapshot_maps\":1,\"mapped_bytes\":256}"
             ),
             "{j}"
         );
         let text = s.to_string();
         assert!(text.contains("2 WAL record(s)"), "{text}");
-        assert!(text.contains("2 run flush(es)"), "{text}");
+        assert!(text.contains("1 snapshot map(s)"), "{text}");
         // Sessions that never touch the store keep the summary clean.
         assert!(!EvalStats::default().to_string().contains("WAL"));
     }

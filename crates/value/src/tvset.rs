@@ -96,10 +96,9 @@ impl TvSet {
         self.lower == self.upper
     }
 
-    /// The members with `Unknown` status (`upper \ lower`). Large sets
-    /// take the columnar id-space difference ([`crate::colops`]).
+    /// The members with `Unknown` status (`upper \ lower`).
     pub fn unknown_members(&self) -> BTreeSet<Value> {
-        crate::colops::diff_sets(&self.upper, &self.lower)
+        self.upper.difference(&self.lower).cloned().collect()
     }
 
     /// Collapse to an ordinary set if exact.

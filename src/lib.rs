@@ -10,11 +10,9 @@
 //!
 //! * [`value`] — complex-object values, relations, three-valued truth and
 //!   three-valued sets;
-//! * [`column`] — LSM-flavored columnar relation storage: sorted
-//!   immutable runs of interned-id rows, tombstone layers, compaction,
-//!   and the CRC-footered run file format the store's mmap-style
-//!   snapshots are built on (`ALGREC_COLUMN_BASELINE=1` keeps the
-//!   set/hash-backed baseline);
+//! * [`column`] — sorted immutable runs of `u32` rows and the
+//!   CRC-footered run file format the store's validate-before-decode
+//!   snapshots and the fleet's checkpoints are written in;
 //! * [`adt`] — algebraic specifications with negation, valid
 //!   interpretations, initial valid models (Section 2);
 //! * [`datalog`] — deduction under minimal-model / stratified /

@@ -349,7 +349,6 @@ proptest! {
             EvalOptions { interning: false, ..EvalOptions::OPTIMIZED },
             EvalOptions { index: false, ..EvalOptions::OPTIMIZED },
             EvalOptions { delta: false, ..EvalOptions::OPTIMIZED },
-            EvalOptions { column: false, ..EvalOptions::OPTIMIZED },
         ] {
             let out = eval_valid_with(&alg, &db, Budget::SMALL, opts).unwrap();
             prop_assert_eq!(&out.query, &reference.query);
