@@ -115,6 +115,40 @@ impl CmpOp {
             CmpOp::Ge => ">=",
         }
     }
+
+    /// The complementary operator: `not (a op b)` holds exactly when
+    /// `a op.negated() b` does (the order on values is total).
+    pub fn negated(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Ne,
+            CmpOp::Ne => CmpOp::Eq,
+            CmpOp::Lt => CmpOp::Ge,
+            CmpOp::Ge => CmpOp::Lt,
+            CmpOp::Le => CmpOp::Gt,
+            CmpOp::Gt => CmpOp::Le,
+        }
+    }
+}
+
+/// One disjunct of a selection test in disjunctive normal form: a
+/// conjunction of comparisons.
+pub type Conjunction = Vec<(CmpOp, FuncExpr, FuncExpr)>;
+
+fn cross(a: Vec<Conjunction>, b: Vec<Conjunction>) -> Vec<Conjunction> {
+    let mut out = Vec::new();
+    for x in &a {
+        for y in &b {
+            let mut c = x.clone();
+            c.extend(y.iter().cloned());
+            out.push(c);
+        }
+    }
+    out
+}
+
+fn union(mut a: Vec<Conjunction>, b: Vec<Conjunction>) -> Vec<Conjunction> {
+    a.extend(b);
+    a
 }
 
 /// An element-level expression: a function of the current element `x`
@@ -206,6 +240,32 @@ impl FuncExpr {
             other => Err(TypeError(format!(
                 "selection test produced non-boolean {other}"
             ))),
+        }
+    }
+
+    /// This selection test in disjunctive normal form over comparisons,
+    /// negations pushed onto the operators: the test holds iff some
+    /// conjunction holds. `Err` is the first subterm that is not a
+    /// boolean combination of comparisons and boolean literals. Both
+    /// algebra-to-deduction translations turn each conjunction into one
+    /// rule.
+    pub fn dnf(&self) -> Result<Vec<Conjunction>, &FuncExpr> {
+        self.dnf_at(true)
+    }
+
+    fn dnf_at(&self, positive: bool) -> Result<Vec<Conjunction>, &FuncExpr> {
+        match self {
+            FuncExpr::Lit(Value::Bool(b)) => Ok(if *b == positive { vec![vec![]] } else { vec![] }),
+            FuncExpr::Cmp(op, l, r) => {
+                let op = if positive { *op } else { op.negated() };
+                Ok(vec![vec![(op, (**l).clone(), (**r).clone())]])
+            }
+            FuncExpr::And(l, r) if positive => Ok(cross(l.dnf_at(true)?, r.dnf_at(true)?)),
+            FuncExpr::And(l, r) => Ok(union(l.dnf_at(false)?, r.dnf_at(false)?)),
+            FuncExpr::Or(l, r) if positive => Ok(union(l.dnf_at(true)?, r.dnf_at(true)?)),
+            FuncExpr::Or(l, r) => Ok(cross(l.dnf_at(false)?, r.dnf_at(false)?)),
+            FuncExpr::Not(e) => e.dnf_at(!positive),
+            other => Err(other),
         }
     }
 }
@@ -556,6 +616,41 @@ mod tests {
         )
         .test(&i(1))
         .is_err());
+    }
+
+    #[test]
+    fn dnf_pushes_negation_onto_comparisons() {
+        let cmp = |op, i| {
+            FuncExpr::Cmp(
+                op,
+                Box::new(FuncExpr::proj(i)),
+                Box::new(FuncExpr::Lit(Value::int(1))),
+            )
+        };
+        // not (x.0 = 1 and (x.1 < 1 or false)) = x.0 != 1 or x.1 >= 1
+        let test = FuncExpr::Not(Box::new(FuncExpr::And(
+            Box::new(cmp(CmpOp::Eq, 0)),
+            Box::new(FuncExpr::Or(
+                Box::new(cmp(CmpOp::Lt, 1)),
+                Box::new(FuncExpr::Lit(Value::Bool(false))),
+            )),
+        )));
+        let dnf = test.dnf().unwrap();
+        assert_eq!(dnf.len(), 2);
+        assert_eq!(dnf[0][0].0, CmpOp::Ne);
+        assert_eq!(dnf[1][0].0, CmpOp::Ge);
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            assert_eq!(op.negated().negated(), op);
+            assert_ne!(op.eval(&i(1), &i(2)), op.negated().eval(&i(1), &i(2)));
+        }
+        assert_eq!(FuncExpr::Elem.dnf(), Err(&FuncExpr::Elem));
     }
 
     #[test]

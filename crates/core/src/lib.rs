@@ -64,7 +64,7 @@ pub use analysis::{classify, LanguageClass};
 pub use error::CoreError;
 pub use eval::{eval_exact, eval_exact_traced, eval_exact_with, EvalOptions, SetEnv, SetRef};
 pub use explain::explain_program;
-pub use expr::{AlgExpr, CmpOp, FuncExpr, FuncOp};
+pub use expr::{AlgExpr, CmpOp, Conjunction, FuncExpr, FuncOp};
 pub use opt::{simplify, simplify_program};
 pub use program::{AlgProgram, OpDef};
 pub use valid_eval::{eval_valid, eval_valid_traced, eval_valid_with, ValidAlgebraResult};

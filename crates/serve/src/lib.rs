@@ -3,7 +3,9 @@
 //!
 //! A [`session::Session`] owns an extensional database and a set of named
 //! **materialized views** — datalog programs under any supported
-//! semantics, or core-algebra programs. Facts asserted and retracted
+//! semantics, or core-algebra programs, which the [`algebra`] planner
+//! runs as their Theorem 6.2 translation when they are in its class.
+//! Facts asserted and retracted
 //! against the database are propagated to every view *incrementally*
 //! by one maintenance kernel (`algrec-incr`): counting for non-recursive
 //! levels, DRed (delete–rederive) over the semi-naive engine for
@@ -31,6 +33,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod algebra;
 pub mod json;
 pub mod maintain;
 pub mod protocol;

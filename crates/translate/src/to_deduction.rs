@@ -26,7 +26,7 @@
 //! columns) are adapted by generated bridge rules.
 
 use crate::error::TranslateError;
-use algrec_core::expr::{AlgExpr, CmpOp as ACmp, FuncExpr, FuncOp};
+use algrec_core::expr::{AlgExpr, CmpOp as ACmp, Conjunction, FuncExpr, FuncOp};
 use algrec_core::program::AlgProgram;
 use algrec_datalog::ast::{
     Atom, CmpOp as DCmp, Expr as DExpr, Func as DFunc, Literal, Program, Rule,
@@ -152,17 +152,6 @@ fn fexpr_to_dexpr(f: &FuncExpr, v: &str) -> Result<DExpr, TranslateError> {
     }
 }
 
-fn flip(op: ACmp) -> ACmp {
-    match op {
-        ACmp::Eq => ACmp::Ne,
-        ACmp::Ne => ACmp::Eq,
-        ACmp::Lt => ACmp::Ge,
-        ACmp::Ge => ACmp::Lt,
-        ACmp::Le => ACmp::Gt,
-        ACmp::Gt => ACmp::Le,
-    }
-}
-
 fn acmp_to_dcmp(op: ACmp) -> DCmp {
     match op {
         ACmp::Eq => DCmp::Eq,
@@ -174,45 +163,13 @@ fn acmp_to_dcmp(op: ACmp) -> DCmp {
     }
 }
 
-type Conj = Vec<(ACmp, FuncExpr, FuncExpr)>;
-
-/// Put a boolean selection test into disjunctive normal form over
-/// comparison atoms (negations pushed onto the comparison operators).
-fn dnf(test: &FuncExpr, positive: bool) -> Result<Vec<Conj>, TranslateError> {
-    match test {
-        FuncExpr::Lit(algrec_value::Value::Bool(b)) => {
-            Ok(if *b == positive { vec![vec![]] } else { vec![] })
-        }
-        FuncExpr::Cmp(op, l, r) => {
-            let op = if positive { *op } else { flip(*op) };
-            Ok(vec![vec![(op, (**l).clone(), (**r).clone())]])
-        }
-        FuncExpr::And(l, r) if positive => cross(dnf(l, true)?, dnf(r, true)?),
-        FuncExpr::And(l, r) => Ok(union(dnf(l, false)?, dnf(r, false)?)),
-        FuncExpr::Or(l, r) if positive => Ok(union(dnf(l, true)?, dnf(r, true)?)),
-        FuncExpr::Or(l, r) => cross(dnf(l, false)?, dnf(r, false)?),
-        FuncExpr::Not(e) => dnf(e, !positive),
-        other => Err(TranslateError::Unsupported(format!(
+/// A selection test in disjunctive normal form (one rule per disjunct).
+fn dnf(test: &FuncExpr) -> Result<Vec<Conjunction>, TranslateError> {
+    test.dnf().map_err(|other| {
+        TranslateError::Unsupported(format!(
             "selection test `{other}` is not a boolean combination of comparisons"
-        ))),
-    }
-}
-
-fn cross(a: Vec<Conj>, b: Vec<Conj>) -> Result<Vec<Conj>, TranslateError> {
-    let mut out = Vec::new();
-    for x in &a {
-        for y in &b {
-            let mut c = x.clone();
-            c.extend(y.iter().cloned());
-            out.push(c);
-        }
-    }
-    Ok(out)
-}
-
-fn union(mut a: Vec<Conj>, b: Vec<Conj>) -> Vec<Conj> {
-    a.extend(b);
-    a
+        ))
+    })
 }
 
 /// Translate an expression; `bindings` maps algebra names (recursive
@@ -285,7 +242,7 @@ fn translate(
         AlgExpr::Select(a, test) => {
             let pa = translate(a, ctx, bindings)?;
             let pred = ctx.fresh("sel");
-            for conj in dnf(test, true)? {
+            for conj in dnf(test)? {
                 let mut body = vec![Literal::Pos(Atom::new(pa.clone(), [DExpr::var("V")]))];
                 for (op, l, r) in &conj {
                     body.push(Literal::Cmp(
@@ -491,7 +448,7 @@ fn translate_staged_expr(
         AlgExpr::Select(a, test) => {
             let pa = translate_staged_expr(a, var, acc, stg, ctx, bindings)?;
             let pred = ctx.fresh("ssl");
-            for conj in dnf(test, true)? {
+            for conj in dnf(test)? {
                 let mut body = vec![Literal::Pos(Atom::new(
                     pa.clone(),
                     [DExpr::var("I"), DExpr::var("V")],

@@ -27,7 +27,10 @@
 //! * deduction programs use the Datalog syntax of `algrec_datalog::parser`;
 //! * facts files are Datalog fact lists (`edge(1, 2).`), loaded as the
 //!   extensional database;
-//! * algebra programs use the syntax of `algrec_core::parser`;
+//! * algebra programs use the syntax of `algrec_core::parser`; `alg`
+//!   runs a program in the planner's class as its Theorem 6.2
+//!   translation on the deduction engine (`algrec_serve::algebra`), any
+//!   other on `algrec_core`, printing the same answer either way;
 //! * specifications use the OBJ-style syntax of `algrec_adt::parser`;
 //! * semantics: `naive`, `semi-naive`, `stratified`, `inflationary`,
 //!   `well-founded`, `valid` (default), `valid-extended[:N]` (N caps the
@@ -335,17 +338,12 @@ fn cmd_alg(a: &Args) -> Result<(), String> {
         algrec::core::parser::parse_program(&read(program_path)?).map_err(|e| e.to_string())?;
     let db = load_db(rest.first().map(String::as_str))?;
     if a.explain {
-        println!("{}", algrec::core::explain_program(&program, &db));
+        let plan = algrec::serve::algebra::explain(&program, &db).map_err(|e| e.to_string())?;
+        println!("{plan}");
         return Ok(());
     }
-    let out = eval_valid_traced(
-        &program,
-        &db,
-        Budget::LARGE,
-        EvalOptions::default(),
-        trace_of(a),
-    )
-    .map_err(|e| e.to_string())?;
+    let out = algrec::serve::algebra::eval_valid(&program, &db, Budget::LARGE, trace_of(a))
+        .map_err(|e| e.to_string())?;
     println!("{}", out.query);
     if !out.is_well_defined() {
         eprintln!("% result is three-valued (members marked `?` are undefined)");

@@ -86,6 +86,40 @@ fn alg_command() {
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "{0, 2, 4, 6}");
 }
 
+/// `alg` prints what `algrec_core::eval_valid` answers, whether the
+/// program runs as its translation (WIN, with a drawn position) or stays
+/// on the algebra evaluator (a recursive constant under two nested
+/// differences).
+#[test]
+fn alg_output_equals_the_library_in_and_out_of_class() {
+    let facts = "move(1, 2).\nmove(2, 3).\nmove(4, 4).\na(1).\na(2).\nb(2).\nb(3).\n";
+    let facts_path = write_tmp("lib_facts.dl", facts);
+    let mut db = algrec::value::Database::new();
+    algrec::datalog::load_facts(&mut db, facts).unwrap();
+    for (name, src, in_class) in [
+        (
+            "lib_win.alg",
+            "def win = map(move - (map(move, x.0) * win), x.0); query win;",
+            true,
+        ),
+        ("lib_nested.alg", "def s = a - (b - s); query s;", false),
+    ] {
+        let program = algrec::core::parser::parse_program(src).unwrap();
+        assert_eq!(
+            algrec::serve::algebra::plan(&program, &db).is_some(),
+            in_class
+        );
+        let library =
+            algrec::core::eval_valid(&program, &db, algrec::value::Budget::LARGE).unwrap();
+        let out = algrec(&["alg", &write_tmp(name, src), &facts_path]);
+        assert!(out.status.success());
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            format!("{}\n", library.query)
+        );
+    }
+}
+
 #[test]
 fn alg_three_valued_marks_unknowns() {
     let program = write_tmp("undef.alg", "def s = {'a'} - s; query s;");
