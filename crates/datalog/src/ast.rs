@@ -461,6 +461,18 @@ impl Program {
             .any(|r| r.body.iter().any(Literal::is_negative))
     }
 
+    /// Is the program *semipositive*: does every negated predicate stay
+    /// extensional? A fact written as a rule makes its predicate a head
+    /// like any other. On such a program a negated literal reads the
+    /// fixed database at every stage, so the inflationary fixpoint is the
+    /// least fixpoint of a monotone operator — the stratified model.
+    pub fn is_semipositive(&self) -> bool {
+        let idb = self.idb_preds();
+        self.rules
+            .iter()
+            .all(|r| r.negative_preds().is_disjoint(&idb))
+    }
+
     /// Rules whose head is `pred`.
     pub fn rules_for<'a>(&'a self, pred: &'a str) -> impl Iterator<Item = &'a Rule> + 'a {
         self.rules.iter().filter(move |r| r.head.pred == pred)
@@ -585,6 +597,21 @@ mod tests {
         assert_eq!(p.edb_preds().into_iter().collect::<Vec<_>>(), vec!["edge"]);
         assert!(!p.has_negation());
         assert_eq!(p.rules_for("tc").count(), 2);
+    }
+
+    #[test]
+    fn semipositive_means_only_database_predicates_are_negated() {
+        let parse = |src: &str| crate::parser::parse_program(src).unwrap();
+        // No negation at all.
+        assert!(tc_program().is_semipositive());
+        // Only a database predicate negated.
+        assert!(parse("lone(X) :- n(X), not e(X, X).").is_semipositive());
+        // A derived predicate negated: its own head (Example 4's shape),
+        // or another rule's.
+        assert!(!parse("s(X) :- n(X), not s(X).").is_semipositive());
+        assert!(!parse("tc(X, Y) :- e(X, Y).\nun(X) :- n(X), not tc(X, X).").is_semipositive());
+        // A fact written as a rule makes its predicate a head.
+        assert!(!parse("r(a).\nq(X) :- n(X), not r(X).").is_semipositive());
     }
 
     #[test]

@@ -26,7 +26,10 @@ use std::collections::BTreeSet;
 /// What one incremental maintenance call did to the model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintainOutcome {
-    /// Facts that changed across the certain and possible sets.
+    /// Facts that changed across the certain and possible sets: the
+    /// symmetric difference of each, summed, over the whole model. Base
+    /// (EDB) facts count too, and a two-valued change counts once in each
+    /// set.
     pub changed: usize,
     /// Alternation levels (passes) skipped because the delta could not
     /// reach them.

@@ -9,13 +9,14 @@
 //! against the database are propagated to every view *incrementally*
 //! by one maintenance kernel (`algrec-incr`): counting for non-recursive
 //! levels, DRed (delete–rederive) over the semi-naive engine for
-//! recursive ones. Stratified programs drive it stratum by stratum;
-//! non-stratified programs under the three-valued semantics drive it
-//! over every pass of the alternating fixpoint itself. Changed-level
-//! recomputation serves the inflationary semantics and is otherwise the
-//! differential reference, selected only by a per-view `recompute` pin
-//! (see [`maintain`] and `DESIGN.md` §19 for the strategy decision
-//! table).
+//! recursive ones. Stratified programs drive it stratum by stratum, and
+//! so do inflationary views of semipositive programs, on which the two
+//! semantics coincide; non-stratified programs under the three-valued
+//! semantics drive it over every pass of the alternating fixpoint
+//! itself. Changed-level recomputation serves the other inflationary
+//! programs and is otherwise the differential reference, selected only
+//! by a per-view `recompute` pin (see [`maintain`] and `DESIGN.md` §10
+//! for the strategy decision table).
 //!
 //! The session is exposed two ways: an interactive REPL
 //! ([`repl::run_repl`], the `algrec repl` subcommand) and a

@@ -9,9 +9,10 @@
 //!
 //! * [`StratifiedView`] — for stratified programs (under any semantics
 //!   that coincides with the stratified one on that class: stratified,
-//!   well-founded, valid, valid-extended, and naive/semi-naive on
-//!   negation-free programs). A stratum is a kernel level whose negation
-//!   oracle is the level's own total ([`Oracle::Own`]): negated
+//!   well-founded, valid, valid-extended, naive/semi-naive on
+//!   negation-free programs, and inflationary on semipositive programs,
+//!   which negate only database predicates). A stratum is a kernel level
+//!   whose negation oracle is the level's own total ([`Oracle::Own`]): negated
 //!   predicates live strictly below, so they are final before the
 //!   stratum runs. Strata are replayed bottom-up over one shared total;
 //!   a stratum untouched by the accumulated delta is skipped outright.
@@ -39,10 +40,11 @@
 //!   ([`refine_wfs`]) is re-run over the maintained well-founded model.
 //!
 //! * [`RecomputeView`] — for everything else: the inflationary
-//!   semantics, which does not split, and the three-valued semantics
-//!   when pinned to `recompute` (the differential reference; nothing
-//!   else selects it). The program is cut into condensation levels of
-//!   its predicate dependency graph; a delta recomputes only the levels
+//!   semantics on a program that negates a derived predicate (Example
+//!   4's `q(X) :- r(X), not q(X)`), whose stages do not split, and the
+//!   three-valued semantics when pinned to `recompute` (the differential
+//!   reference; nothing else selects it). The program is cut into
+//!   condensation levels of its predicate dependency graph; a delta recomputes only the levels
 //!   reachable from the changed predicates, reusing the cached
 //!   two-valued results of unaffected lower levels as extra database
 //!   facts. If an affected level comes out three-valued, the remaining
@@ -81,7 +83,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// What one maintenance pass did to a view.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct MaintainReport {
-    /// Number of view (IDB) facts that changed.
+    /// How many facts the pass changed. The drivers count different
+    /// things: [`StratifiedView`] counts derived (IDB) facts that entered
+    /// or left the view; [`AlternatingView`] and [`RecomputeView`] count
+    /// the symmetric difference of the model's `certain` set plus that of
+    /// its `possible` set, over the whole model — database facts
+    /// included, so a two-valued change counts once in each set.
     pub changed: usize,
     /// Strata (or recompute levels) skipped because the delta could not
     /// reach them.
@@ -201,7 +208,8 @@ struct Level {
 }
 
 /// A view maintained by changed-level recomputation: the inflationary
-/// semantics, and the three-valued semantics when pinned `recompute`.
+/// semantics on a program that is not semipositive, and the three-valued
+/// semantics when pinned `recompute`.
 pub struct RecomputeView {
     semantics: Semantics,
     levels: Vec<Level>,
