@@ -1,39 +1,21 @@
-//! Print every experiment table (E1–E11) and write the machine-readable
-//! report. Each experiment asserts its claimed equivalences, so a clean
-//! run is itself a reproduction check.
+//! Print the experiment ledger (E1–E8). Each experiment asserts the
+//! paper's claimed equivalences, so a clean run is itself a
+//! reproduction check.
 //!
 //! Usage:
 //!   cargo run -p algrec-bench --bin tables --release            # full sweep
 //!   cargo run -p algrec-bench --bin tables --release -- --quick # small sweep
-//!   cargo run -p algrec-bench --bin tables --release -- --json out.json
-//!   cargo run -p algrec-bench --bin tables --release -- --stats # + telemetry
 //!
-//! The report (default `BENCH_6.json`) captures per-experiment headers,
-//! rows, and raw numeric timings so the perf trajectory is tracked across
-//! PRs. With `--stats`, E1/E3/E4/E9/E10/E11 repeat each evaluation once
-//! traced (separately from the timed run, which stays untraced) and embed
-//! the collected `EvalStats` under each experiment's `"stats"` key.
-//!
-//! Failure is loud: a panicking experiment is reported by name, **no**
-//! report file is written (a partial document would read as a complete
-//! one downstream), and the process exits non-zero — as it also does
-//! when the report cannot be written.
+//! Failure is loud: a panicking experiment is reported by name, the
+//! surviving tables still print, and the process exits non-zero.
 
 use algrec_bench::experiments as e;
-use algrec_bench::table::{report_json, Table};
+use algrec_bench::table::Table;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let stats = args.iter().any(|a| a == "--stats");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_6.json".to_string());
+    let quick = std::env::args().any(|a| a == "--quick");
 
     let (small, medium): (Vec<i64>, Vec<i64>) = if quick {
         (vec![8, 16], vec![8, 12])
@@ -41,68 +23,45 @@ fn main() -> ExitCode {
         (vec![16, 32, 64, 128], vec![8, 16, 24, 32])
     };
 
-    println!("algrec experiment suite — every table verifies a claim of");
+    println!("algrec experiment ledger — every table verifies a claim of");
     println!("Beeri & Milo, \"On the Power of Algebras with Recursion\", SIGMOD 1993");
     println!();
 
-    let mut tables: Vec<Table> = Vec::new();
     let mut failures: Vec<&'static str> = Vec::new();
     // Run every experiment even after a failure (the survivors still
-    // print), but a single panic poisons the run: no report, exit 1.
+    // print), but a single panic fails the run.
     let mut run =
         |id: &'static str, f: &mut dyn FnMut() -> Table| match catch_unwind(AssertUnwindSafe(f)) {
-            Ok(t) => {
-                println!("{t}");
-                tables.push(t);
-            }
+            Ok(t) => println!("{t}"),
             Err(_) => {
                 eprintln!("experiment {id} PANICKED (see message above)");
                 failures.push(id);
             }
         };
 
-    run("E1", &mut || e::e1(&small, stats));
+    run("E1", &mut || e::e1(&small));
     // E2's naive translation re-materializes the product sub-predicate at
     // every inflationary stage (a measured cost of the verbatim Prop 5.1
     // construction), so its sweep stays smaller.
     let e2_sizes: Vec<i64> = if quick { vec![8, 16] } else { vec![16, 32, 48] };
     run("E2", &mut || e::e2(&e2_sizes));
-    run("E3", &mut || e::e3(&medium, stats));
-    run("E4", &mut || e::e4(&medium, stats));
+    run("E3", &mut || e::e3(&medium));
+    run("E4", &mut || e::e4(&medium));
     run("E5", &mut || e::e5());
     run("E6", &mut || {
         e::e6(if quick { 12 } else { 24 }, &[0.0, 0.1, 0.3, 0.5, 1.0])
     });
     run("E7", &mut || e::e7());
     run("E8", &mut || e::e8(&small));
-    run("E9", &mut || {
-        e::e9(
-            *small.last().expect("non-empty sweep"),
-            *medium.last().expect("non-empty sweep"),
-            stats,
-        )
-    });
-    run("E10", &mut || e::e10(quick, stats));
-    run("E11", &mut || {
-        e::e11(&small, *medium.last().expect("non-empty sweep"), stats)
-    });
 
     if !failures.is_empty() {
         eprintln!(
-            "{} experiment(s) failed: {} — no report written",
+            "{} experiment(s) failed: {}",
             failures.len(),
             failures.join(", ")
         );
         return ExitCode::FAILURE;
     }
-
-    let refs: Vec<&Table> = tables.iter().collect();
-    let report = report_json(&refs);
-    if let Err(err) = std::fs::write(&json_path, report) {
-        eprintln!("failed to write {json_path}: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {json_path}");
     println!("all experiment assertions held.");
     ExitCode::SUCCESS
 }

@@ -1,68 +1,44 @@
-//! The experiment suite E1–E11 (see DESIGN.md §7).
+//! The experiment ledger E1–E8 (see DESIGN.md §7).
 //!
 //! The paper has no tables or figures; each experiment here *is* one of
-//! its claims, instrumented. Every runner both measures and **verifies**:
-//! an equivalence experiment panics if the claimed equivalence fails on
-//! any instance, so `cargo run -p algrec-bench --bin tables` doubles as a
-//! reproduction check. EXPERIMENTS.md records the outputs.
+//! its claims, made executable. Every runner **verifies**: an
+//! equivalence experiment panics if the claimed equivalence fails on any
+//! instance, so `cargo run -p algrec-bench --bin tables` is a
+//! reproduction check. The rows record sizes, answer sizes and
+//! iteration/stage counts — deterministic figures, never wall times
+//! (speed is measured by `benchmark/`). EXPERIMENTS.md records the
+//! outputs.
 
-use crate::table::{fmt_dur, Table};
+use crate::table::Table;
 use crate::workloads as w;
 use algrec_core::analysis::prop34_check;
-use algrec_core::{eval_exact, eval_exact_traced, EvalOptions};
-use algrec_datalog::{evaluate, evaluate_traced, stable_models_of, EvalError, Semantics};
+use algrec_core::eval_exact;
+use algrec_datalog::{evaluate, stable_models_of, EvalError, Semantics};
 use algrec_translate::{
     algebra_to_datalog, check_roundtrip, edb_arities, inflationary_to_valid, measured_stages,
     TranslationMode,
 };
-use algrec_value::{Budget, Database, Trace, Value};
-use std::time::Instant;
+use algrec_value::{Budget, Database, Value};
 
 fn budget() -> Budget {
     Budget::LARGE
 }
 
-/// Re-run a traced evaluation and pull the collected stats out. The timed
-/// measurements above each call stay untraced (Null sink) so telemetry
-/// never skews the reported numbers.
-fn collect<T>(run: impl FnOnce(Trace) -> T) -> algrec_value::EvalStats {
-    let trace = Trace::collect();
-    let _ = run(trace.clone());
-    trace.stats().expect("collecting trace has stats")
-}
-
 /// E1 — Theorem 4.3: stratified safe deduction ≡ positive IFP-algebra.
-/// Transitive closure + complement on random graphs. With `stats`, each
-/// run is repeated once traced and its [`algrec_value::EvalStats`] lands
-/// in the report.
-pub fn e1(sizes: &[i64], stats: bool) -> Table {
+/// Transitive closure + complement on random graphs.
+pub fn e1(sizes: &[i64]) -> Table {
     let mut t = Table::new(
         "E1",
         "Thm 4.3: stratified deduction ≡ positive IFP-algebra (TC + complement)",
-        &[
-            "n",
-            "edges",
-            "tc",
-            "un",
-            "t_deduction",
-            "t_algebra",
-            "agree",
-        ],
+        &["n", "edges", "tc", "un", "rounds", "agree"],
     );
     for &n in sizes {
         let db = w::with_nodes(
             w::random_graph("edge", n, (2 * n) as usize, false, 11 + n as u64),
             n,
         );
-        let ded = w::unreach_datalog();
-        let t0 = Instant::now();
-        let d_out = evaluate(&ded, &db, Semantics::Stratified, budget()).unwrap();
-        let t_d = t0.elapsed();
-
-        let alg = w::unreach_algebra();
-        let t1 = Instant::now();
-        let a_out = eval_exact(&alg, &db, budget()).unwrap();
-        let t_a = t1.elapsed();
+        let d_out = evaluate(&w::unreach_datalog(), &db, Semantics::Stratified, budget()).unwrap();
+        let a_out = eval_exact(&w::unreach_algebra(), &db, budget()).unwrap();
 
         let expected: std::collections::BTreeSet<Value> = d_out
             .model
@@ -72,29 +48,12 @@ pub fn e1(sizes: &[i64], stats: bool) -> Table {
             .collect();
         let agree = a_out == expected;
         assert!(agree, "E1 equivalence failed at n={n}");
-        if stats {
-            t.stat(
-                format!("deduction_n{n}"),
-                collect(|tr| {
-                    evaluate_traced(&ded, &db, Semantics::Stratified, budget(), tr).unwrap()
-                }),
-            );
-            t.stat(
-                format!("algebra_n{n}"),
-                collect(|tr| {
-                    eval_exact_traced(&alg, &db, budget(), EvalOptions::default(), tr).unwrap()
-                }),
-            );
-        }
-        t.metric(format!("t_deduction_n{n}_s"), t_d.as_secs_f64());
-        t.metric(format!("t_algebra_n{n}_s"), t_a.as_secs_f64());
         t.row(vec![
             n.to_string(),
             db.get("edge").unwrap().len().to_string(),
             d_out.model.certain.count("tc").to_string(),
             a_out.len().to_string(),
-            fmt_dur(t_d),
-            fmt_dur(t_a),
+            d_out.rounds.to_string(),
             "yes".into(),
         ]);
     }
@@ -108,19 +67,15 @@ pub fn e2(sizes: &[i64]) -> Table {
     let mut t = Table::new(
         "E2",
         "Prop 5.1: naive algebra→deduction, inflationary target (divergence on nested diff)",
-        &["query", "n", "t_algebra", "t_deduction", "naive agrees"],
+        &["query", "n", "answer", "naive agrees"],
     );
     // TC (positive) across sizes: must agree.
     for &n in sizes {
         let db = w::random_graph("edge", n, (2 * n) as usize, false, 23 + n as u64);
         let alg = w::tc_algebra();
-        let t0 = Instant::now();
         let expect = eval_exact(&alg, &db, budget()).unwrap();
-        let t_a = t0.elapsed();
         let tr = algebra_to_datalog(&alg, &edb_arities(&db), TranslationMode::Naive).unwrap();
-        let t1 = Instant::now();
         let out = evaluate(&tr.program, &db, Semantics::Inflationary, budget()).unwrap();
-        let t_d = t1.elapsed();
         let got: std::collections::BTreeSet<Value> = out
             .model
             .certain
@@ -132,8 +87,7 @@ pub fn e2(sizes: &[i64]) -> Table {
         t.row(vec![
             "ifp-tc".into(),
             n.to_string(),
-            fmt_dur(t_a),
-            fmt_dur(t_d),
+            expect.len().to_string(),
             "yes".into(),
         ]);
     }
@@ -154,8 +108,7 @@ pub fn e2(sizes: &[i64]) -> Table {
         t.row(vec![
             "ifp({a}-x)".into(),
             "-".into(),
-            "-".into(),
-            "-".into(),
+            expect.len().to_string(),
             "yes".into(),
         ]);
     }
@@ -194,8 +147,7 @@ pub fn e2(sizes: &[i64]) -> Table {
         t.row(vec![
             "ifp(a-(a-x))".into(),
             "-".into(),
-            "-".into(),
-            "-".into(),
+            expect.len().to_string(),
             "NO (staged: yes)".into(),
         ]);
     }
@@ -203,38 +155,32 @@ pub fn e2(sizes: &[i64]) -> Table {
 }
 
 /// E3 — Prop 5.2: the stage simulation makes inflationary results
-/// valid-computable, at a measurable cost. The step-index blow-up is
-/// reported as *measured* iteration counts: the source program's
-/// inflationary rounds next to the first-appearance stages the staged
-/// program actually used (they must line up — the simulation derives each
-/// fact at exactly its source round).
-pub fn e3(sizes: &[i64], stats: bool) -> Table {
+/// valid-computable. The step-index encoding is reported as *measured*
+/// counts: the source program's inflationary rounds next to the
+/// first-appearance stages the staged program actually used (they must
+/// line up — the simulation derives each fact at exactly its source
+/// round).
+pub fn e3(sizes: &[i64]) -> Table {
     let mut t = Table::new(
         "E3",
-        "Prop 5.2: inflationary → valid stage simulation (overhead of the encoding)",
+        "Prop 5.2: inflationary → valid stage simulation (stages used by the encoding)",
         &[
             "n",
             "stage_bound",
             "rounds_infl",
             "stages_used",
-            "t_inflationary",
-            "t_staged_valid",
-            "overhead",
+            "win",
             "agree",
         ],
     );
     for &n in sizes {
         let db = w::winmove_graph(n, 0.0, 5 + n as u64);
         let p = w::win_datalog();
-        let t0 = Instant::now();
         let infl = evaluate(&p, &db, Semantics::Inflationary, budget()).unwrap();
-        let t_i = t0.elapsed();
 
         let stages = n + 2;
         let staged = inflationary_to_valid(&p, stages);
-        let t1 = Instant::now();
         let valid = evaluate(&staged, &db, Semantics::Valid, budget()).unwrap();
-        let t_s = t1.elapsed();
 
         let a: std::collections::BTreeSet<_> = infl.model.certain.facts("win").cloned().collect();
         let b: std::collections::BTreeSet<_> = valid.model.certain.facts("win").cloned().collect();
@@ -249,31 +195,12 @@ pub fn e3(sizes: &[i64], stats: bool) -> Table {
             infl.rounds as i64 - 1,
             "E3 stage/round mismatch at n={n}"
         );
-        if stats {
-            t.stat(
-                format!("inflationary_n{n}"),
-                collect(|tr| {
-                    evaluate_traced(&p, &db, Semantics::Inflationary, budget(), tr).unwrap()
-                }),
-            );
-            t.stat(
-                format!("staged_valid_n{n}"),
-                collect(|tr| {
-                    evaluate_traced(&staged, &db, Semantics::Valid, budget(), tr).unwrap()
-                }),
-            );
-        }
-        t.metric(format!("rounds_inflationary_n{n}"), infl.rounds as f64);
-        t.metric(format!("stages_used_n{n}"), stages_used as f64);
-        let overhead = t_s.as_secs_f64() / t_i.as_secs_f64().max(1e-9);
         t.row(vec![
             n.to_string(),
             stages.to_string(),
             infl.rounds.to_string(),
             stages_used.to_string(),
-            fmt_dur(t_i),
-            fmt_dur(t_s),
-            format!("{overhead:.1}x"),
+            a.len().to_string(),
             "yes".into(),
         ]);
     }
@@ -282,19 +209,11 @@ pub fn e3(sizes: &[i64], stats: bool) -> Table {
 
 /// E4 — Prop 6.1 / Thm 6.2: safe deduction → algebra=, three-valued
 /// round-trip agreement on the paper's workloads.
-pub fn e4(sizes: &[i64], stats: bool) -> Table {
+pub fn e4(sizes: &[i64]) -> Table {
     let mut t = Table::new(
         "E4",
         "Thm 6.2: deduction ≡ algebra= under the valid semantics (3-valued round trips)",
-        &[
-            "workload",
-            "n",
-            "certain",
-            "unknown",
-            "t_deduction",
-            "t_algebra=",
-            "agree",
-        ],
+        &["workload", "n", "certain", "unknown", "agree"],
     );
     for &n in sizes {
         for (name, db, program, pred) in [
@@ -317,31 +236,13 @@ pub fn e4(sizes: &[i64], stats: bool) -> Table {
                 "un",
             ),
         ] {
-            let t0 = Instant::now();
-            let dl = evaluate(&program, &db, Semantics::Valid, budget()).unwrap();
-            let t_d = t0.elapsed();
-            let t1 = Instant::now();
             let rt = check_roundtrip(&program, pred, &db, budget()).unwrap();
-            let t_a = t1.elapsed();
             assert!(rt.agree(), "E4 {name} failed at n={n}");
-            let _ = dl;
-            if stats {
-                t.stat(
-                    format!("deduction_{name}_n{n}"),
-                    collect(|tr| {
-                        evaluate_traced(&program, &db, Semantics::Valid, budget(), tr).unwrap()
-                    }),
-                );
-            }
-            t.metric(format!("t_deduction_{name}_n{n}_s"), t_d.as_secs_f64());
-            t.metric(format!("t_algebra_{name}_n{n}_s"), t_a.as_secs_f64());
             t.row(vec![
                 name.into(),
                 n.to_string(),
                 rt.datalog_certain.len().to_string(),
                 rt.datalog_unknown.len().to_string(),
-                fmt_dur(t_d),
-                fmt_dur(t_a),
                 "yes".into(),
             ]);
         }
@@ -453,12 +354,10 @@ pub fn e7() -> Table {
     let mut t = Table::new(
         "E7",
         "Specifications: valid interpretation of SET(nat); Prop 2.3(2) decision procedure",
-        &["case", "window", "total?", "unknown_eqs", "time"],
+        &["case", "window", "total?", "unknown_eqs"],
     );
     for depth in [1usize, 2, 3] {
-        let t0 = Instant::now();
         let vi = ValidInterpretation::compute(&specs::set_spec(), depth, budget()).unwrap();
-        let el = t0.elapsed();
         let window: usize = vi.universe().values().map(Vec::len).sum();
         assert!(vi.is_total(), "E7: SET(nat) must be well-defined");
         t.row(vec![
@@ -466,21 +365,17 @@ pub fn e7() -> Table {
             window.to_string(),
             vi.is_total().to_string(),
             vi.unknown_count().to_string(),
-            fmt_dur(el),
         ]);
     }
     // Example 2 is the ill-defined reference point.
     {
-        let t0 = Instant::now();
         let vi = ValidInterpretation::compute(&specs::example2_spec(), 1, budget()).unwrap();
-        let el = t0.elapsed();
         assert!(!vi.is_total());
         t.row(vec![
             "Example 2 (a/b/c)".into(),
             "3".into(),
             "false".into(),
             vi.unknown_count().to_string(),
-            fmt_dur(el),
         ]);
     }
     // Random constants-only specs: how often does an initial valid model
@@ -488,7 +383,6 @@ pub fn e7() -> Table {
     let mut rng = StdRng::seed_from_u64(99);
     let trials = 40;
     let mut with_initial = 0usize;
-    let t0 = Instant::now();
     for _ in 0..trials {
         let mut sig = Signature::new();
         sig.add_sort("s");
@@ -518,18 +412,18 @@ pub fn e7() -> Table {
             with_initial += 1;
         }
     }
-    let el = t0.elapsed();
     t.row(vec![
         format!("random 4-const specs ({trials} trials)"),
         "4".into(),
         format!("{with_initial}/{trials} have initial"),
         "-".into(),
-        fmt_dur(el),
     ]);
     t
 }
 
-/// E8 — engine ablation: naive vs semi-naive least fixpoints.
+/// E8 — engine ablation: naive vs semi-naive least fixpoints reach the
+/// same model; the facts each engine inserts on the way count the work
+/// semi-naive evaluation avoids.
 pub fn e8(sizes: &[i64]) -> Table {
     use algrec_datalog::engine::Compiled;
     use algrec_datalog::fixpoint::{naive, semi_naive};
@@ -543,9 +437,9 @@ pub fn e8(sizes: &[i64]) -> Table {
             "edges",
             "tc",
             "rounds",
-            "t_naive",
-            "t_semi_naive",
-            "speedup",
+            "facts_naive",
+            "facts_semi_naive",
+            "agree",
         ],
     );
     for &n in sizes {
@@ -554,497 +448,25 @@ pub fn e8(sizes: &[i64]) -> Table {
         let base = Interp::from_database(&db);
 
         let mut m1 = budget().meter();
-        let t0 = Instant::now();
         let (out_n, stats_n) = naive(&compiled, &base, &|_, _| false, &mut m1).unwrap();
-        let t_n = t0.elapsed();
-
         let mut m2 = budget().meter();
-        let t1 = Instant::now();
         let (out_s, _) = semi_naive(&compiled, &base, &|_, _| false, &mut m2).unwrap();
-        let t_s = t1.elapsed();
 
         assert_eq!(out_n, out_s, "E8: engines must agree at n={n}");
-        let speedup = t_n.as_secs_f64() / t_s.as_secs_f64().max(1e-9);
+        assert!(
+            m2.facts() <= m1.facts(),
+            "E8: semi-naive inserted more facts than naive at n={n}"
+        );
         t.row(vec![
             n.to_string(),
             db.get("edge").unwrap().len().to_string(),
             out_s.count("tc").to_string(),
             stats_n.rounds.to_string(),
-            fmt_dur(t_n),
-            fmt_dur(t_s),
-            format!("{speedup:.1}x"),
-        ]);
-    }
-    t
-}
-
-/// E9 — data-layer ablation: the interning / index / delta toggles of the
-/// algebra evaluator, on the E1-shaped exact workload (TC + complement,
-/// positive IFP-algebra) and the E4-shaped valid workload (the same query
-/// as translated `algebra=`, alternating fixpoint). `baseline` is the
-/// seed evaluator's strategy (all toggles off); every configuration must
-/// agree with it exactly.
-pub fn e9(n_exact: i64, n_valid: i64, stats: bool) -> Table {
-    use algrec_core::eval_exact_with;
-    use algrec_core::valid_eval::{eval_valid_traced, eval_valid_with};
-    use algrec_translate::datalog_to_algebra;
-
-    let combos: [(&str, EvalOptions); 5] = [
-        ("all-on", EvalOptions::OPTIMIZED),
-        (
-            "no-interning",
-            EvalOptions {
-                interning: false,
-                ..EvalOptions::OPTIMIZED
-            },
-        ),
-        (
-            "no-index",
-            EvalOptions {
-                index: false,
-                ..EvalOptions::OPTIMIZED
-            },
-        ),
-        (
-            "no-delta",
-            EvalOptions {
-                delta: false,
-                ..EvalOptions::OPTIMIZED
-            },
-        ),
-        ("baseline", EvalOptions::BASELINE),
-    ];
-
-    let mut t = Table::new(
-        "E9",
-        "Ablation: interning / index / delta toggles on the algebra evaluators",
-        &["workload", "n", "options", "time", "vs baseline", "agree"],
-    );
-
-    // E1-shaped: exact evaluation of the positive IFP-algebra query.
-    {
-        let n = n_exact;
-        let db = w::with_nodes(
-            w::random_graph("edge", n, (2 * n) as usize, false, 11 + n as u64),
-            n,
-        );
-        let alg = w::unreach_algebra();
-        let reference = eval_exact_with(&alg, &db, budget(), EvalOptions::BASELINE).unwrap();
-        let mut baseline_s = f64::NAN;
-        let mut timed = Vec::new();
-        for (name, opts) in combos {
-            let t0 = Instant::now();
-            let out = eval_exact_with(&alg, &db, budget(), opts).unwrap();
-            let el = t0.elapsed();
-            assert_eq!(out, reference, "E9 exact {name} disagrees at n={n}");
-            if name == "baseline" {
-                baseline_s = el.as_secs_f64();
-            }
-            timed.push((name, el));
-        }
-        if stats {
-            for (name, opts) in [
-                ("all-on", EvalOptions::OPTIMIZED),
-                ("baseline", EvalOptions::BASELINE),
-            ] {
-                t.stat(
-                    format!("exact_{name}_n{n}"),
-                    collect(|tr| eval_exact_traced(&alg, &db, budget(), opts, tr).unwrap()),
-                );
-            }
-        }
-        for (name, el) in timed {
-            let speedup = baseline_s / el.as_secs_f64().max(1e-9);
-            t.metric(format!("t_exact_{name}_n{n}_s"), el.as_secs_f64());
-            t.row(vec![
-                "tc+complement (exact)".into(),
-                n.to_string(),
-                name.into(),
-                fmt_dur(el),
-                format!("{speedup:.1}x"),
-                "yes".into(),
-            ]);
-        }
-    }
-
-    // E4-shaped: the translated algebra= program under the valid
-    // (alternating fixpoint) semantics.
-    {
-        let n = n_valid;
-        let db = w::with_nodes(w::random_graph("edge", n, (2 * n) as usize, false, 9), n);
-        let program = w::unreach_datalog();
-        let alg = datalog_to_algebra(&program, "un", &edb_arities(&db)).unwrap();
-        let reference = eval_valid_with(&alg, &db, budget(), EvalOptions::BASELINE).unwrap();
-        let mut baseline_s = f64::NAN;
-        let mut timed = Vec::new();
-        for (name, opts) in combos {
-            let t0 = Instant::now();
-            let out = eval_valid_with(&alg, &db, budget(), opts).unwrap();
-            let el = t0.elapsed();
-            assert_eq!(
-                out.query, reference.query,
-                "E9 valid {name} disagrees at n={n}"
-            );
-            if name == "baseline" {
-                baseline_s = el.as_secs_f64();
-            }
-            timed.push((name, el));
-        }
-        if stats {
-            for (name, opts) in [
-                ("all-on", EvalOptions::OPTIMIZED),
-                ("baseline", EvalOptions::BASELINE),
-            ] {
-                t.stat(
-                    format!("valid_{name}_n{n}"),
-                    collect(|tr| eval_valid_traced(&alg, &db, budget(), opts, tr).unwrap()),
-                );
-            }
-        }
-        for (name, el) in timed {
-            let speedup = baseline_s / el.as_secs_f64().max(1e-9);
-            t.metric(format!("t_valid_{name}_n{n}_s"), el.as_secs_f64());
-            t.row(vec![
-                "tc+complement (algebra=, valid)".into(),
-                n.to_string(),
-                name.into(),
-                fmt_dur(el),
-                format!("{speedup:.1}x"),
-                "yes".into(),
-            ]);
-        }
-    }
-
-    t
-}
-
-/// E10 — the concurrency subsystem, measured. Two parts:
-///
-/// * **Fixpoint fan-out** — semi-naive TC and the alternating-fixpoint
-///   WIN game on dense random graphs (past the engine's 256-fact
-///   parallel threshold) across worker counts {1, 2, 4, 8}, asserting at
-///   every width that the model and round count are identical to the
-///   sequential engine (the determinism proptest pins the full trace).
-/// * **Snapshot serving** — `k` reader threads answering a materialized
-///   TC view from the epoch-versioned [`algrec_serve::SharedSession`]
-///   read view vs. the single-threaded server re-rendering every answer
-///   live through the session. The acceptance claim is asserted here:
-///   the snapshot path at 4 readers must clear **2×** the
-///   single-threaded live throughput.
-///
-/// The thread override is process-global; E10 leaves the engine in
-/// sequential mode (`threads = 1`) on return.
-pub fn e10(quick: bool, stats: bool) -> Table {
-    use algrec_sched::set_threads;
-    use algrec_serve::{QueryAnswer, Session, SharedSession};
-
-    let mut t = Table::new(
-        "E10",
-        "Concurrency: parallel fixpoint scaling and snapshot-isolated serving",
-        &["part", "workload", "threads", "time", "throughput", "agree"],
-    );
-
-    // Part 1 — fixpoint fan-out.
-    let fix_edges = if quick { 300 } else { 600 };
-    let runs = [
-        (
-            "tc",
-            w::tc_datalog(),
-            Semantics::SemiNaive,
-            w::random_graph("edge", 48, fix_edges, false, 17),
-        ),
-        (
-            "win",
-            w::win_datalog(),
-            Semantics::Valid,
-            w::random_graph("move", 48, fix_edges, false, 23),
-        ),
-    ];
-    for (label, program, semantics, db) in &runs {
-        set_threads(1);
-        let baseline = evaluate(program, db, *semantics, budget()).unwrap();
-        for k in [1usize, 2, 4, 8] {
-            set_threads(k);
-            let t0 = Instant::now();
-            let out = evaluate(program, db, *semantics, budget()).unwrap();
-            let el = t0.elapsed();
-            assert_eq!(
-                out.model, baseline.model,
-                "E10 {label}: output diverged at {k} threads"
-            );
-            assert_eq!(
-                out.rounds, baseline.rounds,
-                "E10 {label}: rounds diverged at {k} threads"
-            );
-            t.metric(format!("t_fix_{label}_t{k}_s"), el.as_secs_f64());
-            t.row(vec![
-                "fixpoint".into(),
-                (*label).into(),
-                k.to_string(),
-                fmt_dur(el),
-                "—".into(),
-                "yes".into(),
-            ]);
-        }
-        if stats {
-            // Sequential vs. widest fan-out: the deterministic counters
-            // (iterations, facts, deltas) land in the report for both so
-            // a consumer can diff them — they must match.
-            for k in [1usize, 4] {
-                set_threads(k);
-                t.stat(
-                    format!("fix_{label}_t{k}"),
-                    collect(|tr| evaluate_traced(program, db, *semantics, budget(), tr).unwrap()),
-                );
-            }
-        }
-    }
-    set_threads(1);
-
-    // Part 2 — snapshot serving vs. the single-threaded live server.
-    let serve_edges = if quick { 200 } else { 500 };
-    let facts = {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut edges: std::collections::BTreeSet<(i64, i64)> = std::collections::BTreeSet::new();
-        let mut guard = 0usize;
-        while edges.len() < serve_edges && guard < serve_edges * 50 {
-            guard += 1;
-            let a = rng.random_range(0..48i64);
-            let b = rng.random_range(0..48i64);
-            if a != b {
-                edges.insert((a, b));
-            }
-        }
-        edges
-            .iter()
-            .map(|(a, b)| format!("e({a}, {b})."))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    let mut session = Session::new(budget());
-    session.load(&facts).unwrap();
-    session
-        .register_datalog(
-            "paths",
-            "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).",
-            Semantics::Stratified,
-        )
-        .unwrap();
-    let QueryAnswer::Datalog {
-        certain: reference, ..
-    } = session.query("paths", Some("tc")).unwrap()
-    else {
-        unreachable!("paths is a datalog view")
-    };
-
-    let queries = if quick { 50 } else { 150 };
-    // The single-threaded live server: every query re-renders the view
-    // under the session (this is what serialized behind the write lock
-    // before the snapshot path existed).
-    let t0 = Instant::now();
-    for _ in 0..queries {
-        let QueryAnswer::Datalog { certain, .. } = session.query("paths", Some("tc")).unwrap()
-        else {
-            unreachable!("paths is a datalog view")
-        };
-        assert_eq!(certain.len(), reference.len());
-    }
-    let live_el = t0.elapsed();
-    let live_qps = queries as f64 / live_el.as_secs_f64().max(1e-9);
-    t.metric("qps_live_t1", live_qps);
-    t.row(vec![
-        "serving".into(),
-        "live (session lock)".into(),
-        "1".into(),
-        fmt_dur(live_el),
-        format!("{live_qps:.0}/s"),
-        "yes".into(),
-    ]);
-
-    // The snapshot path: k readers resolving the epoch-versioned view.
-    let shared = SharedSession::new(session);
-    let mut snapshot_qps_t4 = f64::NAN;
-    for k in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..k {
-                let shared = &shared;
-                let reference = &reference;
-                scope.spawn(move || {
-                    for _ in 0..queries {
-                        let view = shared.read();
-                        let Ok(Some(QueryAnswer::Datalog { certain, .. })) =
-                            view.value.query("paths", Some("tc"))
-                        else {
-                            panic!("snapshot query failed")
-                        };
-                        assert_eq!(certain.len(), reference.len());
-                    }
-                });
-            }
-        });
-        let el = t0.elapsed();
-        let qps = (k * queries) as f64 / el.as_secs_f64().max(1e-9);
-        if k == 4 {
-            snapshot_qps_t4 = qps;
-        }
-        t.metric(format!("qps_snapshot_t{k}"), qps);
-        t.row(vec![
-            "serving".into(),
-            "snapshot (epoch view)".into(),
-            k.to_string(),
-            fmt_dur(el),
-            format!("{qps:.0}/s"),
+            m1.facts().to_string(),
+            m2.facts().to_string(),
             "yes".into(),
         ]);
     }
-    // Outside the timed loops: the snapshot answer is the live answer.
-    let view = shared.read();
-    let Ok(Some(QueryAnswer::Datalog { certain: snap, .. })) =
-        view.value.query("paths", Some("tc"))
-    else {
-        panic!("snapshot query failed")
-    };
-    assert_eq!(snap, reference, "E10: snapshot answer differs from live");
-
-    let ratio = snapshot_qps_t4 / live_qps;
-    assert!(
-        ratio >= 2.0,
-        "E10: snapshot serving at 4 readers must be ≥2× the single-threaded \
-         live server (got {ratio:.2}x)"
-    );
-    t.metric("speedup_snapshot_t4_vs_live", ratio);
-
-    t
-}
-
-/// E11 — the plan compiler, measured. Interpreted vs compiled fixpoints
-/// on the two hot paths the optimization targets:
-///
-/// * **E1-shaped** — the stratified TC + complement query
-///   (`unreach_datalog`) on random graphs up to n = 128: the semi-naive
-///   inner loop runs slot-compiled with first-column index probes
-///   instead of interpreting substitutions per match.
-/// * **E4-shaped** — the WIN game under the valid (alternating fixpoint)
-///   semantics, acyclic and cyclic: every well-founded pass re-enters the
-///   compiled executor with a complement oracle.
-///
-/// Both paths run the *same* engine entry points; only the
-/// `algrec_plan` toggle differs (exactly what `ALGREC_PLAN_BASELINE`
-/// flips). Every pair must produce identical models, and the full sweep
-/// asserts the acceptance claim: ≥5× on the E1-shaped loop at n = 128.
-/// The toggle is process-global; E11 restores it on return.
-pub fn e11(sizes: &[i64], n_valid: i64, stats: bool) -> Table {
-    use algrec_plan::{enabled, set_enabled};
-
-    let mut t = Table::new(
-        "E11",
-        "Plan compiler: interpreted vs slot-compiled fixpoints (cost-ordered joins, index probes)",
-        &[
-            "workload",
-            "n",
-            "t_interpreted",
-            "t_compiled",
-            "speedup",
-            "agree",
-        ],
-    );
-    let was_enabled = enabled();
-
-    // E1-shaped: stratified TC + complement.
-    for &n in sizes {
-        let db = w::with_nodes(
-            w::random_graph("edge", n, (2 * n) as usize, false, 11 + n as u64),
-            n,
-        );
-        let ded = w::unreach_datalog();
-        set_enabled(false);
-        let t0 = Instant::now();
-        let interp = evaluate(&ded, &db, Semantics::Stratified, budget()).unwrap();
-        let t_i = t0.elapsed();
-        set_enabled(true);
-        let t1 = Instant::now();
-        let comp = evaluate(&ded, &db, Semantics::Stratified, budget()).unwrap();
-        let t_c = t1.elapsed();
-        assert_eq!(
-            interp.model, comp.model,
-            "E11: compiled model diverged at n={n}"
-        );
-        assert_eq!(
-            interp.rounds, comp.rounds,
-            "E11: compiled rounds diverged at n={n}"
-        );
-        let speedup = t_i.as_secs_f64() / t_c.as_secs_f64().max(1e-9);
-        if n >= 128 {
-            // The acceptance claim, asserted where it is measured.
-            assert!(
-                speedup >= 5.0,
-                "E11: compiled path must be ≥5x on the E1 hot loop at n={n} \
-                 (got {speedup:.2}x)"
-            );
-        }
-        if stats {
-            // Traced runs always take the interpreted path (telemetry
-            // parity), so one trace per size describes both columns.
-            t.stat(
-                format!("tc_complement_n{n}"),
-                collect(|tr| {
-                    evaluate_traced(&ded, &db, Semantics::Stratified, budget(), tr).unwrap()
-                }),
-            );
-        }
-        t.metric(format!("t_interpreted_tc_n{n}_s"), t_i.as_secs_f64());
-        t.metric(format!("t_compiled_tc_n{n}_s"), t_c.as_secs_f64());
-        t.metric(format!("speedup_tc_n{n}"), speedup);
-        t.row(vec![
-            "tc+complement (stratified)".into(),
-            n.to_string(),
-            fmt_dur(t_i),
-            fmt_dur(t_c),
-            format!("{speedup:.1}x"),
-            "yes".into(),
-        ]);
-    }
-
-    // E4-shaped: WIN under the valid semantics.
-    for (label, frac) in [("win/acyclic", 0.0), ("win/cyclic", 0.3)] {
-        let n = n_valid;
-        let db = w::winmove_graph(n, frac, 7);
-        let p = w::win_datalog();
-        set_enabled(false);
-        let t0 = Instant::now();
-        let interp = evaluate(&p, &db, Semantics::Valid, budget()).unwrap();
-        let t_i = t0.elapsed();
-        set_enabled(true);
-        let t1 = Instant::now();
-        let comp = evaluate(&p, &db, Semantics::Valid, budget()).unwrap();
-        let t_c = t1.elapsed();
-        assert_eq!(
-            interp.model, comp.model,
-            "E11: compiled model diverged on {label} at n={n}"
-        );
-        let speedup = t_i.as_secs_f64() / t_c.as_secs_f64().max(1e-9);
-        t.metric(
-            format!("t_interpreted_{label}_n{n}_s").replace('/', "_"),
-            t_i.as_secs_f64(),
-        );
-        t.metric(
-            format!("t_compiled_{label}_n{n}_s").replace('/', "_"),
-            t_c.as_secs_f64(),
-        );
-        t.row(vec![
-            format!("{label} (valid)"),
-            n.to_string(),
-            fmt_dur(t_i),
-            fmt_dur(t_c),
-            format!("{speedup:.1}x"),
-            "yes".into(),
-        ]);
-    }
-
-    set_enabled(was_enabled);
     t
 }
 
@@ -1056,35 +478,27 @@ mod tests {
 
     #[test]
     fn e1_runs() {
-        let t = e1(&[8], true);
+        let t = e1(&[8]);
         assert_eq!(t.rows.len(), 1);
-        assert_eq!(t.stats.len(), 2); // deduction + algebra telemetry
-        assert!(t.stats.iter().all(|(_, s)| s.facts_materialized > 0));
     }
 
     #[test]
     fn e2_runs() {
         let t = e2(&[8]);
         assert_eq!(t.rows.len(), 3);
-        assert!(t.rows[2][4].contains("NO"));
+        assert!(t.rows[2][3].contains("NO"));
     }
 
     #[test]
     fn e3_runs() {
-        let t = e3(&[8], true);
+        let t = e3(&[8]);
         assert_eq!(t.rows.len(), 1);
-        // inflationary + staged-valid telemetry; the staged simulation pays
-        // for the step-index encoding in iterations — the measured blow-up
-        // E3 exists to report.
-        assert_eq!(t.stats.len(), 2);
-        assert!(t.stats[1].1.iterations >= t.stats[0].1.iterations);
     }
 
     #[test]
     fn e4_runs() {
-        let t = e4(&[6], true);
+        let t = e4(&[6]);
         assert_eq!(t.rows.len(), 3);
-        assert_eq!(t.stats.len(), 3); // one valid-deduction run per workload
     }
 
     #[test]
@@ -1109,54 +523,5 @@ mod tests {
     fn e8_runs() {
         let t = e8(&[10]);
         assert_eq!(t.rows.len(), 1);
-    }
-
-    #[test]
-    fn e10_runs() {
-        let t = e10(true, true);
-        // Fixpoint: 2 workloads × 4 widths; serving: 1 live + 4 snapshot.
-        assert_eq!(t.rows.len(), 13);
-        assert!(t.rows.iter().all(|r| r[5] == "yes"));
-        // {tc, win} × {1, 4} threads; sequential and fanned-out runs
-        // must record identical deterministic counters.
-        assert_eq!(t.stats.len(), 4);
-        for pair in t.stats.chunks(2) {
-            assert_eq!(pair[0].1.facts_inserted, pair[1].1.facts_inserted);
-            assert_eq!(pair[0].1.deltas, pair[1].1.deltas);
-        }
-    }
-
-    #[test]
-    fn e11_runs() {
-        let before = algrec_plan::enabled();
-        let t = e11(&[10], 8, true);
-        // 1 TC size + {acyclic, cyclic} WIN.
-        assert_eq!(t.rows.len(), 3);
-        assert!(t.rows.iter().all(|r| r[5] == "yes"));
-        assert_eq!(t.stats.len(), 1);
-        // Interpreted/compiled timings plus the speedup for the TC sweep,
-        // then two timings per WIN variant.
-        assert_eq!(t.metrics.len(), 7);
-        // The toggle is restored to whatever the process started with.
-        assert_eq!(algrec_plan::enabled(), before);
-    }
-
-    #[test]
-    fn e9_runs() {
-        let t = e9(8, 6, true);
-        assert_eq!(t.rows.len(), 10); // 5 configurations × 2 workloads
-        assert!(t.rows.iter().all(|r| r[5] == "yes"));
-        assert_eq!(t.metrics.len(), 10);
-        // {exact,valid} × {all-on,baseline}; optimized and baseline must
-        // materialize the same result.
-        assert_eq!(t.stats.len(), 4);
-        assert_eq!(
-            t.stats[0].1.facts_materialized,
-            t.stats[1].1.facts_materialized
-        );
-        assert_eq!(
-            t.stats[2].1.facts_materialized,
-            t.stats[3].1.facts_materialized
-        );
     }
 }

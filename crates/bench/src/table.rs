@@ -1,11 +1,10 @@
-//! Minimal aligned-text tables for the experiment reports.
+//! Minimal aligned-text tables for the experiment ledger.
 
-use algrec_value::EvalStats;
 use std::fmt;
 
 /// A rendered experiment table.
 pub struct Table {
-    /// Experiment id (E1…E9).
+    /// Experiment id (E1…E8).
     pub id: &'static str,
     /// Human-readable claim under test.
     pub title: String,
@@ -13,14 +12,6 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Rows (already formatted).
     pub rows: Vec<Vec<String>>,
-    /// Numeric side-channel metrics (name → value), e.g. raw timings in
-    /// seconds, for the machine-readable report.
-    pub metrics: Vec<(String, f64)>,
-    /// Evaluation telemetry per labelled run (see
-    /// [`algrec_value::stats`]), collected by untimed traced re-runs so
-    /// the timing columns stay untraced. Serialized under `"stats"` in
-    /// the machine-readable report.
-    pub stats: Vec<(String, EvalStats)>,
 }
 
 impl Table {
@@ -31,8 +22,6 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            metrics: Vec::new(),
-            stats: Vec::new(),
         }
     }
 
@@ -40,83 +29,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "ragged table row");
         self.rows.push(cells);
-    }
-
-    /// Record a numeric metric for the machine-readable report.
-    pub fn metric(&mut self, name: impl Into<String>, value: f64) {
-        self.metrics.push((name.into(), value));
-    }
-
-    /// Record evaluation telemetry for a labelled run.
-    pub fn stat(&mut self, label: impl Into<String>, stats: EvalStats) {
-        self.stats.push((label.into(), stats));
-    }
-
-    /// The table as a JSON object (headers, formatted rows, numeric
-    /// metrics, and per-run evaluation stats).
-    pub fn to_json(&self) -> String {
-        let headers: Vec<String> = self.headers.iter().map(|h| json_str(h)).collect();
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let cells: Vec<String> = row.iter().map(|c| json_str(c)).collect();
-                format!("[{}]", cells.join(","))
-            })
-            .collect();
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|(name, value)| format!("{}:{}", json_str(name), json_num(*value)))
-            .collect();
-        let stats: Vec<String> = self
-            .stats
-            .iter()
-            .map(|(label, s)| format!("{}:{}", json_str(label), s.to_json()))
-            .collect();
-        format!(
-            "{{\"id\":{},\"title\":{},\"headers\":[{}],\"rows\":[{}],\"metrics\":{{{}}},\"stats\":{{{}}}}}",
-            json_str(self.id),
-            json_str(&self.title),
-            headers.join(","),
-            rows.join(","),
-            metrics.join(","),
-            stats.join(",")
-        )
-    }
-}
-
-/// Serialize a full experiment report (all tables) as a JSON document.
-pub fn report_json(tables: &[&Table]) -> String {
-    let entries: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
-    format!("{{\"experiments\":[{}]}}", entries.join(","))
-}
-
-/// Escape and quote a string for JSON.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float as a JSON number (JSON has no NaN/Inf; clamp to null).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 
@@ -149,18 +61,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Format a `Duration` in adaptive units.
-pub fn fmt_dur(d: std::time::Duration) -> String {
-    let us = d.as_micros();
-    if us < 1_000 {
-        format!("{us}us")
-    } else if us < 1_000_000 {
-        format!("{:.2}ms", us as f64 / 1_000.0)
-    } else {
-        format!("{:.2}s", us as f64 / 1_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,28 +81,5 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("E0", "smoke", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let mut t = Table::new("E0", "smoke \"quoted\"", &["n", "agree"]);
-        t.row(vec!["1".into(), "yes".into()]);
-        t.metric("t_smoke_s", 0.5);
-        let json = t.to_json();
-        assert!(json.contains("\"id\":\"E0\""));
-        assert!(json.contains("smoke \\\"quoted\\\""));
-        assert!(json.contains("[\"1\",\"yes\"]"));
-        assert!(json.contains("\"t_smoke_s\":0.5"));
-        let report = report_json(&[&t]);
-        assert!(report.starts_with("{\"experiments\":["));
-        assert!(report.ends_with("]}"));
-    }
-
-    #[test]
-    fn duration_formatting() {
-        use std::time::Duration;
-        assert_eq!(fmt_dur(Duration::from_micros(12)), "12us");
-        assert_eq!(fmt_dur(Duration::from_micros(1500)), "1.50ms");
-        assert_eq!(fmt_dur(Duration::from_millis(2500)), "2.50s");
     }
 }

@@ -3,8 +3,9 @@
 //! The paper has no evaluation section, so the workloads are synthesized
 //! from its own running examples: graphs for transitive closure
 //! (Theorem 4.3), MOVE graphs with a controllable cycle fraction for the
-//! WIN game (Sections 3.2 and 6), and the even-set generator (Examples
-//! 1/3). Generators are deterministic in their seed.
+//! WIN game (Sections 3.2 and 6), and the IFP-algebra queries behind
+//! Prop 5.1 (Example 4 and a nested difference). Generators are
+//! deterministic in their seed.
 
 use algrec_core::parser::parse_program as parse_alg;
 use algrec_core::AlgProgram;
@@ -26,16 +27,6 @@ fn pairs_to_db(name: &str, pairs: impl IntoIterator<Item = (i64, i64)>) -> Datab
     )
 }
 
-/// A simple chain `0 → 1 → … → n`.
-pub fn chain(name: &str, n: i64) -> Database {
-    pairs_to_db(name, (0..n).map(|k| (k, k + 1)))
-}
-
-/// A single cycle over `n` nodes.
-pub fn cycle(name: &str, n: i64) -> Database {
-    pairs_to_db(name, (0..n).map(|k| (k, (k + 1) % n)))
-}
-
 /// A random graph with `m` edges over `n` nodes (no self-loops unless
 /// `loops`).
 pub fn random_graph(name: &str, n: i64, m: usize, loops: bool, seed: u64) -> Database {
@@ -49,21 +40,6 @@ pub fn random_graph(name: &str, n: i64, m: usize, loops: bool, seed: u64) -> Dat
         if loops || a != b {
             edges.insert((a, b));
         }
-    }
-    pairs_to_db(name, edges)
-}
-
-/// A random DAG (edges go from lower to higher node ids): games over it
-/// are fully decided.
-pub fn random_dag(name: &str, n: i64, m: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges: BTreeSet<(i64, i64)> = BTreeSet::new();
-    let mut guard = 0usize;
-    while edges.len() < m && guard < m * 50 {
-        guard += 1;
-        let a = rng.random_range(0..n - 1);
-        let b = rng.random_range(a + 1..n);
-        edges.insert((a, b));
     }
     pairs_to_db(name, edges)
 }
@@ -124,15 +100,6 @@ pub fn win_datalog() -> Program {
     parse_dl("win(X) :- move(X, Y), not win(Y).").unwrap()
 }
 
-/// Same-generation (nonlinear recursion).
-pub fn sg_datalog() -> Program {
-    parse_dl(
-        "sg(X, X) :- person(X).\n\
-         sg(X, Y) :- parent(XP, X), parent(YP, Y), sg(XP, YP).",
-    )
-    .unwrap()
-}
-
 /// Transitive closure as a positive IFP-algebra query.
 pub fn tc_algebra() -> AlgProgram {
     parse_alg("query ifp(t, edge union map(select(t * edge, x.1 = x.2), [x.0, x.3]));").unwrap()
@@ -144,19 +111,6 @@ pub fn unreach_algebra() -> AlgProgram {
         "def tc = ifp(t, edge union map(select(t * edge, x.1 = x.2), [x.0, x.3]));
          query (node * node) - tc;",
     )
-    .unwrap()
-}
-
-/// WIN as a recursive algebra= constant (Example 3).
-pub fn win_algebra() -> AlgProgram {
-    parse_alg("def win = map(move - (map(move, x.0) * win), x.0); query win;").unwrap()
-}
-
-/// The windowed even-set generator (Example 3).
-pub fn even_algebra(bound: i64) -> AlgProgram {
-    parse_alg(&format!(
-        "def se = {{0}} union map(select(se, x < {bound}), add(x, 2)); query se;"
-    ))
     .unwrap()
 }
 
@@ -182,21 +136,6 @@ mod tests {
         assert_eq!(a, b);
         let c = random_graph("e", 10, 15, false, 43);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn chain_and_cycle_shapes() {
-        assert_eq!(chain("e", 5).get("e").unwrap().len(), 5);
-        assert_eq!(cycle("e", 5).get("e").unwrap().len(), 5);
-    }
-
-    #[test]
-    fn dag_has_no_back_edges() {
-        let db = random_dag("e", 12, 20, 7);
-        for v in db.get("e").unwrap().iter() {
-            let t = v.as_tuple().unwrap();
-            assert!(t[0].as_int().unwrap() < t[1].as_int().unwrap());
-        }
     }
 
     #[test]
@@ -226,11 +165,8 @@ mod tests {
             tc_datalog(),
             unreach_datalog(),
             win_datalog(),
-            sg_datalog(),
             tc_algebra(),
             unreach_algebra(),
-            win_algebra(),
-            even_algebra(10),
             example4_algebra(),
             nested_diff_algebra(),
         );
@@ -238,7 +174,7 @@ mod tests {
 
     #[test]
     fn with_nodes_adds_relation() {
-        let db = with_nodes(chain("edge", 3), 4);
+        let db = with_nodes(random_graph("edge", 4, 3, false, 1), 4);
         assert_eq!(db.get("node").unwrap().len(), 4);
     }
 }

@@ -34,21 +34,18 @@
 //!   (monotonic-prefix consistency).
 //!
 //! [`server`] wraps each role in a line-protocol TCP loop (`algrec
-//! cluster serve|join|route`), and [`bench`] measures read-throughput
-//! scaling across replica counts (`BENCH_8.json`, experiment E13).
+//! cluster serve|join|route`).
 //!
 //! [`shard_of_fact`]: algrec_datalog::fixpoint::shard_of_fact
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod repl;
 pub mod router;
 pub mod server;
 pub mod shard;
 
-pub use bench::{run_bench, BenchOptions};
 pub use repl::{Replica, ReplicaCore, ReplicaState};
 pub use router::{serve_router, RouterConfig};
 pub use server::{serve_primary, serve_replica};

@@ -1,8 +1,9 @@
 //! An in-process fleet, end to end over real TCP: a sharded primary,
-//! two replicas, and a router — exercising replication catch-up,
+//! replicas, and a router — exercising replication catch-up,
 //! epoch-gated reads, write rejection, router consistency, replica
-//! failover, and a late-joining replica converging byte-identically
-//! (modulo epoch tags) with the primary.
+//! failover, a late-joining replica converging byte-identically
+//! (modulo epoch tags) with the primary, and a recorded scenario
+//! replayed through the router against its recording.
 //!
 //! No process-global knobs are touched here, so this file may grow more
 //! tests; the single-test discipline only applies to knob-mutating
@@ -12,7 +13,10 @@ use algrec_cluster::{
     open_primary, serve_primary, serve_replica, serve_router, Replica, RouterConfig,
 };
 use algrec_datalog::Semantics;
-use algrec_scenario::strip_epoch;
+use algrec_scenario::replay::setup_session;
+use algrec_scenario::{
+    diff_modulo_epoch, load_scenario, replay, strip_epoch, ReplayOptions, TcpConnector,
+};
 use algrec_serve::{Session, SharedSession};
 use algrec_store::SyncPolicy;
 use algrec_value::Budget;
@@ -73,20 +77,28 @@ struct Fleet {
 /// Stand up a primary (2 shards, seeded with a graph and a view) plus
 /// `n` replicas, all caught up.
 fn fleet(tag: &str, n: usize) -> Fleet {
+    fleet_seeded(tag, n, |session| {
+        session
+            .load("e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 1). e(2, 5).")
+            .unwrap();
+        session
+            .register_datalog(
+                "closure",
+                "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).",
+                Semantics::SemiNaive,
+            )
+            .unwrap();
+    })
+}
+
+/// Stand up a primary (2 shards) seeded through its durability hook by
+/// `seed`, so the seed replicates, plus `n` replicas, all caught up.
+fn fleet_seeded(tag: &str, n: usize, seed: impl FnOnce(&mut Session)) -> Fleet {
     let dir = std::env::temp_dir().join(format!("algrec-fleet-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (mut session, _, shards) =
         open_primary(&dir, 2, Budget::LARGE, SyncPolicy::Always).unwrap();
-    session
-        .load("e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 1). e(2, 5).")
-        .unwrap();
-    session
-        .register_datalog(
-            "closure",
-            "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).",
-            Semantics::SemiNaive,
-        )
-        .unwrap();
+    seed(&mut session);
     let shared = Arc::new(SharedSession::new(session));
     let (listener, primary_addr) = listen();
     let mut threads = Vec::new();
@@ -276,4 +288,40 @@ fn router_survives_a_dead_replica_and_late_joiners_converge() {
     drop(replica);
     thread.join().unwrap();
     fleet.teardown(&[0]);
+}
+
+/// A recorded scenario replayed through the router — writes forwarded to
+/// the primary, reads served by the replica under the router's epoch
+/// pin — answers exactly like its recording, modulo epoch tags.
+#[test]
+fn scenario_replays_through_the_router_like_its_recording() {
+    let scenario = load_scenario(&PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/social_reachability"
+    )))
+    .unwrap();
+    let expected = scenario.expected.clone().expect("recorded scenario");
+    let fleet = fleet_seeded("scenario", 1, |session| {
+        setup_session(session, &scenario).unwrap()
+    });
+    let (listener, router_addr) = listen();
+    let config = RouterConfig {
+        primary: fleet.primary_addr.clone(),
+        replicas: fleet.replica_addrs.clone(),
+    };
+    let router_thread = std::thread::spawn(move || serve_router(listener, config));
+
+    let connector = TcpConnector::new(router_addr.parse().unwrap());
+    let options = ReplayOptions {
+        concurrency: 4,
+        scale: 1,
+    };
+    let outcome = replay(&scenario, &connector, options).unwrap();
+    if let Some(d) = diff_modulo_epoch(&scenario.trace, &expected, &outcome.replies) {
+        panic!("replay through the router diverged from the recording:\n{d}");
+    }
+
+    shutdown(&router_addr);
+    router_thread.join().unwrap();
+    fleet.teardown(&[]);
 }

@@ -45,7 +45,7 @@ pub fn enabled() -> bool {
 }
 
 /// Override the compiled-path toggle at runtime (used by differential
-/// tests and the E11 benchmark to time both paths in one process).
+/// tests to run both paths in one process).
 pub fn set_enabled(on: bool) {
     toggle().store(on, Ordering::Relaxed);
 }

@@ -7,8 +7,8 @@
 //! adjustable concurrency and read scale-factor, diffing replies
 //! against the recording modulo epoch tags. Scenarios are selected with
 //! a small [`filter`] expression DSL (`name ~ "authz" & tag != slow`),
-//! and `algrec scenario run` ([`runner`]) emits a per-scenario
-//! throughput/latency/recovery [`report`] (`BENCH_7.json`).
+//! and `algrec scenario run` ([`runner`]) reports, per scenario, whether
+//! every concurrency leg and the durable recovery leg matched.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -16,7 +16,6 @@
 pub mod corpus;
 pub mod filter;
 pub mod replay;
-pub mod report;
 pub mod runner;
 
 pub use corpus::{load_corpus, load_scenario, CorpusError, Scenario, ViewSpec};
@@ -25,5 +24,6 @@ pub use replay::{
     diff_modulo_epoch, replay, strip_epoch, Connector, Divergence, InProcessConnector,
     ReplayOptions, ReplayOutcome, TcpConnector, Transport,
 };
-pub use report::{report_json, LegReport, RecoveryLeg, ScenarioReport};
-pub use runner::{all_matched, list, record, run, select, RunOptions};
+pub use runner::{
+    all_matched, list, record, run, select, LegReport, RecoveryLeg, RunOptions, ScenarioReport,
+};

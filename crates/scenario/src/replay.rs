@@ -27,7 +27,7 @@
 //! The **scale-factor** multiplies the read load: each read request is
 //! issued `scale` times (all copies must agree modulo epoch — asserted
 //! — and the first reply stands for the request in the diff). Writes
-//! are never multiplied, so scaling changes throughput, not state.
+//! are never multiplied, so scaling changes the read load, not state.
 
 use crate::corpus::Scenario;
 use algrec_serve::protocol::handle_line;
@@ -37,11 +37,10 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// One worker's share of a read block: `(trace index, reply, per-request
-/// latencies in microseconds)` for every request it claimed.
-type BlockSlice = Vec<(usize, String, Vec<u64>)>;
+/// One worker's share of a read block: `(trace index, reply)` for every
+/// request it claimed.
+type BlockSlice = Vec<(usize, String)>;
 
 /// Operations the protocol answers from a read snapshot. Mirrors the
 /// protocol's read-path dispatch (minus `shutdown`, which a trace may
@@ -229,7 +228,7 @@ impl Connector for TcpConnector {
 pub struct ReplayOptions {
     /// Worker connections for read blocks (writes always serialize).
     pub concurrency: usize,
-    /// Times each read request is issued (throughput scale-factor).
+    /// Times each read request is issued (read scale-factor).
     pub scale: usize,
 }
 
@@ -242,38 +241,18 @@ impl Default for ReplayOptions {
     }
 }
 
-/// What a replay measured.
+/// What a replay produced.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
     /// One reply per trace line, in trace order (first copy under
     /// scaling).
     pub replies: Vec<String>,
-    /// Wall time for the whole trace.
-    pub elapsed: Duration,
-    /// Latency of every executed request (including scaled read
-    /// copies), in microseconds, unordered.
-    pub latencies_us: Vec<u64>,
+    /// Executed requests (writes + reads × scale).
+    pub requests: usize,
     /// Read requests in the trace (distinct lines, before scaling).
     pub reads: usize,
     /// Mutating requests in the trace.
     pub writes: usize,
-}
-
-impl ReplayOutcome {
-    /// Total executed requests (writes + reads × scale).
-    pub fn requests(&self) -> usize {
-        self.latencies_us.len()
-    }
-
-    /// Requests per second over the whole replay.
-    pub fn throughput_rps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.requests() as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Load the scenario's EDB and register its views on a fresh session —
@@ -299,10 +278,6 @@ pub fn setup_session(session: &mut Session, scenario: &Scenario) -> Result<(), S
     Ok(())
 }
 
-fn micros(d: Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
-}
-
 /// Replay `scenario`'s trace through `connect` under the block
 /// discipline documented at module level. The session behind the
 /// connector must already be set up ([`setup_session`]).
@@ -323,14 +298,12 @@ pub fn replay(
         .collect::<Result<_, _>>()?;
 
     let mut replies: Vec<Option<String>> = vec![None; scenario.trace.len()];
-    let mut latencies_us: Vec<u64> = Vec::new();
-    let start = Instant::now();
+    let mut requests = 0;
     let mut i = 0;
     while i < scenario.trace.len() {
         if !reads[i] {
-            let t0 = Instant::now();
             let reply = workers[0].roundtrip(&scenario.trace[i])?;
-            latencies_us.push(micros(t0.elapsed()));
+            requests += 1;
             replies[i] = Some(reply);
             i += 1;
             continue;
@@ -355,11 +328,8 @@ pub fn replay(
                                 return Ok(out);
                             }
                             let mut first: Option<String> = None;
-                            let mut lats = Vec::with_capacity(opts.scale);
                             for _ in 0..opts.scale {
-                                let t0 = Instant::now();
                                 let reply = worker.roundtrip(&trace[k])?;
-                                lats.push(micros(t0.elapsed()));
                                 match &first {
                                     None => first = Some(reply),
                                     Some(f) => {
@@ -373,7 +343,7 @@ pub fn replay(
                                     }
                                 }
                             }
-                            out.push((k, first.unwrap(), lats));
+                            out.push((k, first.unwrap()));
                         }
                     })
                 })
@@ -384,23 +354,20 @@ pub fn replay(
                 .collect()
         });
         for result in results {
-            for (k, reply, lats) in result? {
+            for (k, reply) in result? {
                 replies[k] = Some(reply);
-                latencies_us.extend(lats);
+                requests += opts.scale;
             }
         }
         i = j;
     }
-    let elapsed = start.elapsed();
-
     let writes = reads.iter().filter(|r| !**r).count();
     Ok(ReplayOutcome {
         replies: replies
             .into_iter()
             .map(|r| r.expect("every trace line replied"))
             .collect(),
-        elapsed,
-        latencies_us,
+        requests,
         reads: scenario.trace.len() - writes,
         writes,
     })
@@ -470,7 +437,7 @@ mod tests {
         let base = run(1, 1);
         assert_eq!(base.reads, 4);
         assert_eq!(base.writes, 1);
-        assert_eq!(base.requests(), 5);
+        assert_eq!(base.requests, 5);
         assert!(base.replies[2].contains("tc(1, 4)."), "{}", base.replies[2]);
         for (c, scale) in [(2, 1), (4, 1), (4, 3)] {
             let out = run(c, scale);
@@ -480,7 +447,7 @@ mod tests {
                 None,
                 "concurrency {c} scale {scale}"
             );
-            assert_eq!(out.requests(), base.writes + base.reads * scale);
+            assert_eq!(out.requests, base.writes + base.reads * scale);
         }
     }
 

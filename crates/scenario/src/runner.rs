@@ -7,8 +7,8 @@
 //!   under `--live`, or against an already-running external server —
 //!   e.g. a cluster router — under `--addr`), diffs replies against
 //!   the recording modulo epoch
-//!   tags, runs the durable recovery leg, and optionally writes the
-//!   [`crate::report`] document (`BENCH_7.json`).
+//!   tags, runs the durable recovery leg, and returns whether each leg
+//!   matched.
 //! * [`record`] replays each selected scenario once at concurrency 1
 //!   and (re)writes its `expected.ndjson`.
 
@@ -18,7 +18,6 @@ use crate::replay::{
     diff_modulo_epoch, replay, setup_session, strip_epoch, Connector, InProcessConnector,
     ReplayOptions, ReplayOutcome, TcpConnector,
 };
-use crate::report::{percentile_us, LegReport, RecoveryLeg, ScenarioReport};
 use algrec_serve::{serve, Session};
 use algrec_store::{StoreOptions, SyncPolicy};
 use algrec_value::{Budget, Trace};
@@ -26,7 +25,6 @@ use std::io::Write;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Options for [`run`].
 #[derive(Debug, Clone)]
@@ -39,8 +37,6 @@ pub struct RunOptions {
     pub concurrency: Vec<usize>,
     /// Read scale-factor applied to every leg.
     pub scale: usize,
-    /// Where to write the report document, if anywhere.
-    pub report: Option<PathBuf>,
     /// Replay over a live TCP server (spawned per scenario on an
     /// ephemeral loopback port) instead of in-process.
     pub live: bool,
@@ -66,13 +62,48 @@ impl Default for RunOptions {
             filter: None,
             concurrency: vec![1, 4],
             scale: 1,
-            report: None,
             live: false,
             addr: None,
             no_recovery: false,
             budget: Budget::LARGE,
         }
     }
+}
+
+/// One concurrency leg of one scenario.
+#[derive(Debug, Clone)]
+pub struct LegReport {
+    /// Worker connections used for read blocks.
+    pub concurrency: usize,
+    /// Did the replies match the recording (modulo epoch tags)?
+    pub matched: bool,
+}
+
+/// The durable-store leg: replay against a data directory, reopen,
+/// verify.
+#[derive(Debug, Clone)]
+pub struct RecoveryLeg {
+    /// WAL records replayed on reopen.
+    pub replayed: usize,
+    /// Trailing read requests re-issued against the recovered session.
+    pub checked: usize,
+    /// Did the recovered replies match the live ones (modulo epochs)?
+    pub matched: bool,
+}
+
+/// What [`run`] found for one scenario.
+#[derive(Debug, Clone)]
+pub struct ScenarioReport {
+    /// Scenario (directory) name.
+    pub name: String,
+    /// Read requests in the trace.
+    pub reads: usize,
+    /// Mutating requests in the trace.
+    pub writes: usize,
+    /// One row per replayed concurrency.
+    pub legs: Vec<LegReport>,
+    /// The durable recovery leg, when run.
+    pub recovery: Option<RecoveryLeg>,
 }
 
 /// Load the corpus and apply the filter.
@@ -177,7 +208,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 /// The durable leg: replay the trace against a `--data-dir`-backed
 /// session (concurrency 1 — the WAL serializes writes anyway), close
-/// it, time the reopen, and re-issue the trailing read block against
+/// it, reopen it, and re-issue the trailing read block against
 /// the recovered session. Recovery passes when every re-issued reply
 /// matches the live one modulo epoch tags. Debug builds additionally
 /// verify the recovered views bit-identical to a cold evaluation inside
@@ -199,15 +230,11 @@ fn recovery_leg_in(dir: &Path, scenario: &Scenario, budget: Budget) -> Result<Re
         .map_err(|e| format!("{}: {e}", dir.display()))?;
     setup_session(&mut session, scenario)?;
     let connector = InProcessConnector::new(session);
-    let t0 = Instant::now();
     let live = replay(scenario, &connector, ReplayOptions::default())?;
-    let elapsed_s = t0.elapsed().as_secs_f64();
     drop(connector);
 
-    let t0 = Instant::now();
     let (recovered, report) = algrec_store::open(dir, budget, options, Trace::Null)
         .map_err(|e| format!("{}: reopening: {e}", dir.display()))?;
-    let recovery_s = t0.elapsed().as_secs_f64();
 
     let tail = trailing_reads(scenario);
     let connector = InProcessConnector::new(recovered);
@@ -220,28 +247,10 @@ fn recovery_leg_in(dir: &Path, scenario: &Scenario, budget: Budget) -> Result<Re
         }
     }
     Ok(RecoveryLeg {
-        elapsed_s,
-        recovery_s,
         replayed: report.replayed,
         checked: tail.len(),
         matched,
     })
-}
-
-fn leg_report(opts: ReplayOptions, outcome: &ReplayOutcome, matched: bool) -> LegReport {
-    let mut sorted = outcome.latencies_us.clone();
-    sorted.sort_unstable();
-    LegReport {
-        concurrency: opts.concurrency,
-        scale: opts.scale,
-        requests: outcome.requests(),
-        elapsed_s: outcome.elapsed.as_secs_f64(),
-        throughput_rps: outcome.throughput_rps(),
-        latency_p50_us: percentile_us(&sorted, 50),
-        latency_p95_us: percentile_us(&sorted, 95),
-        latency_max_us: percentile_us(&sorted, 100),
-        matched,
-    }
 }
 
 /// Replay every selected scenario. Returns the per-scenario reports;
@@ -300,22 +309,19 @@ pub fn run(out: &mut dyn Write, opts: &RunOptions) -> Result<Vec<ScenarioReport>
             if let Some(d) = &divergence {
                 writeln!(out, "  c={concurrency}: DIVERGED\n{d}").map_err(|e| e.to_string())?;
             }
-            let leg = leg_report(replay_opts, &outcome, divergence.is_none());
+            let matched = divergence.is_none();
             writeln!(
                 out,
-                "  c={concurrency} x{}: {} req in {:.3} s — {:.0} req/s, \
-                 p50 {} us, p95 {} us, max {} us{}",
+                "  c={concurrency} x{}: {} req{}",
                 opts.scale,
-                leg.requests,
-                leg.elapsed_s,
-                leg.throughput_rps,
-                leg.latency_p50_us,
-                leg.latency_p95_us,
-                leg.latency_max_us,
-                if leg.matched { "" } else { " [MISMATCH]" },
+                outcome.requests,
+                if matched { "" } else { " [MISMATCH]" },
             )
             .map_err(|e| e.to_string())?;
-            legs.push(leg);
+            legs.push(LegReport {
+                concurrency,
+                matched,
+            });
         }
         let recovery = if opts.no_recovery || opts.addr.is_some() {
             None
@@ -323,8 +329,7 @@ pub fn run(out: &mut dyn Write, opts: &RunOptions) -> Result<Vec<ScenarioReport>
             let r = recovery_leg(scenario, opts.budget)?;
             writeln!(
                 out,
-                "  recovery: {:.3} s reopen, {} record(s) replayed, {}/{} tail read(s) match{}",
-                r.recovery_s,
+                "  recovery: {} record(s) replayed, {}/{} tail read(s) match{}",
                 r.replayed,
                 if r.matched { r.checked } else { 0 },
                 r.checked,
@@ -335,24 +340,11 @@ pub fn run(out: &mut dyn Write, opts: &RunOptions) -> Result<Vec<ScenarioReport>
         };
         reports.push(ScenarioReport {
             name: scenario.name.clone(),
-            title: scenario.title.clone(),
-            tags: scenario.tags.clone(),
-            semantics: scenario.semantics_facet(),
-            requests: scenario.trace.len(),
             reads,
             writes,
             legs,
             recovery,
         });
-    }
-    if let Some(path) = &opts.report {
-        let corpus_name = opts.corpus.to_string_lossy();
-        std::fs::write(
-            path,
-            crate::report::report_json(&corpus_name, &reports) + "\n",
-        )
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-        writeln!(out, "report written to {}", path.display()).map_err(|e| e.to_string())?;
     }
     Ok(reports)
 }

@@ -7,7 +7,7 @@
 //! next job instead of idling behind a static partition. Results travel
 //! back over a channel tagged with their job index and are re-sorted
 //! into submission order, which is what lets callers (the semi-naive
-//! round fan-out, the E10 harness) stay deterministic regardless of
+//! round fan-out) stay deterministic regardless of
 //! which worker ran which job in which interleaving.
 //!
 //! With one worker or one job, `run` degrades to a plain in-place loop —

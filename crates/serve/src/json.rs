@@ -1,10 +1,9 @@
 //! A minimal JSON value, parser and writer for the line protocol.
 //!
 //! The workspace deliberately carries no serde (the build environment is
-//! offline), so the NDJSON protocol hand-rolls its JSON exactly like
-//! `algrec_value::stats::EvalStats::to_json` does. The subset implemented
-//! is complete for the protocol's needs: objects, arrays, strings with
-//! escapes, integers, floats, booleans and null.
+//! offline), so the NDJSON protocol hand-rolls its JSON. The subset
+//! implemented is complete for the protocol's needs: objects, arrays,
+//! strings with escapes, integers, floats, booleans and null.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -172,8 +172,7 @@ pub struct IncrStats {
 
 /// Aggregated telemetry for one evaluation.
 ///
-/// Produced by [`CollectSink`]; serialized into `BENCH_N.json` by the
-/// bench crate and summarized by the CLI's `--trace`.
+/// Produced by [`CollectSink`] and summarized by the CLI's `--trace`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Per-phase counters, in order of first appearance. Repeated phases
@@ -208,81 +207,7 @@ pub struct EvalStats {
     pub incr: IncrStats,
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_usize_array(xs: &[usize]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
 impl EvalStats {
-    /// Serialize as a JSON object (hand-rolled; the workspace carries no
-    /// serde). The shape is pinned by the bench crate's golden-schema
-    /// test.
-    pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|(name, p)| {
-                format!(
-                    "{{\"name\":{},\"iterations\":{},\"wall_ms\":{:.3},\"deltas\":{}}}",
-                    json_str(name),
-                    p.iterations,
-                    p.wall_nanos as f64 / 1e6,
-                    json_usize_array(&p.deltas)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"iterations\":{},\"facts_inserted\":{},\"facts_materialized\":{},\
-             \"deltas\":{},\"index\":{{\"builds\":{},\"probes\":{},\"hits\":{}}},\
-             \"interned\":{{\"values\":{},\"symbols\":{}}},\
-             \"incr\":{{\"levels_replayed\":{},\"levels_skipped\":{},\"fallbacks\":{},\
-             \"support_incs\":{},\"support_decs\":{}}},\
-             \"store\":{{\"wal_records\":{},\"wal_bytes\":{},\"wal_fsyncs\":{},\
-             \"snapshots\":{},\"snapshot_bytes\":{},\"recovery_replayed\":{},\
-             \"snapshot_maps\":{},\"mapped_bytes\":{}}},\
-             \"phases\":[{}]}}",
-            self.iterations,
-            self.facts_inserted,
-            self.facts_materialized,
-            json_usize_array(&self.deltas),
-            self.index_builds,
-            self.index_probes,
-            self.index_hits,
-            self.interned_values,
-            self.interned_symbols,
-            self.incr.levels_replayed,
-            self.incr.levels_skipped,
-            self.incr.fallbacks,
-            self.incr.support_incs,
-            self.incr.support_decs,
-            self.store.wal_records,
-            self.store.wal_bytes,
-            self.store.wal_fsyncs,
-            self.store.snapshots,
-            self.store.snapshot_bytes,
-            self.store.recovery_replayed,
-            self.store.snapshot_maps,
-            self.store.mapped_bytes,
-            phases.join(",")
-        )
-    }
-
     /// Fold another evaluation's statistics into this one — the
     /// reduction step for per-worker stats coming back from a parallel
     /// fixpoint round. Counters add, delta sequences concatenate, phases
@@ -708,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn store_events_aggregate_and_serialize() {
+    fn store_events_aggregate_and_summarize() {
         let mut sink = CollectSink::default();
         sink.event(&TraceEvent::WalAppend(40));
         sink.event(&TraceEvent::WalAppend(24));
@@ -725,15 +650,6 @@ mod tests {
         assert_eq!(s.store.recovery_replayed, 3);
         assert_eq!(s.store.snapshot_maps, 1);
         assert_eq!(s.store.mapped_bytes, 256);
-        let j = s.to_json();
-        assert!(
-            j.contains(
-                "\"store\":{\"wal_records\":2,\"wal_bytes\":64,\"wal_fsyncs\":1,\
-                 \"snapshots\":1,\"snapshot_bytes\":128,\"recovery_replayed\":3,\
-                 \"snapshot_maps\":1,\"mapped_bytes\":256}"
-            ),
-            "{j}"
-        );
         let text = s.to_string();
         assert!(text.contains("2 WAL record(s)"), "{text}");
         assert!(text.contains("1 snapshot map(s)"), "{text}");
@@ -761,30 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn json_shape() {
-        let mut sink = CollectSink::default();
-        sink.event(&TraceEvent::PhaseStart("lfp"));
-        sink.event(&TraceEvent::Iteration);
-        sink.event(&TraceEvent::Delta(2));
-        sink.event(&TraceEvent::PhaseEnd("lfp", 1_000_000));
-        let j = sink.stats().to_json();
-        for key in [
-            "\"iterations\":1",
-            "\"facts_inserted\":0",
-            "\"facts_materialized\":0",
-            "\"deltas\":[2]",
-            "\"index\":{\"builds\":0,\"probes\":0,\"hits\":0}",
-            "\"interned\":{\"values\":0,\"symbols\":0}",
-            "\"incr\":{\"levels_replayed\":0,\"levels_skipped\":0,\"fallbacks\":0,\
-             \"support_incs\":0,\"support_decs\":0}",
-            "\"phases\":[{\"name\":\"lfp\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-    }
-
-    #[test]
-    fn incr_events_aggregate_and_serialize() {
+    fn incr_events_aggregate_and_summarize() {
         let mut sink = CollectSink::default();
         sink.event(&TraceEvent::LevelReplayed(0));
         sink.event(&TraceEvent::LevelReplayed(1));
@@ -798,14 +691,6 @@ mod tests {
         assert_eq!(s.incr.fallbacks, 1);
         assert_eq!(s.incr.support_incs, 6);
         assert_eq!(s.incr.support_decs, 3);
-        let j = s.to_json();
-        assert!(
-            j.contains(
-                "\"incr\":{\"levels_replayed\":2,\"levels_skipped\":1,\"fallbacks\":1,\
-                 \"support_incs\":6,\"support_decs\":3}"
-            ),
-            "{j}"
-        );
         let text = s.to_string();
         assert!(text.contains("2 level(s) replayed"), "{text}");
         assert!(text.contains("1 fallback(s)"), "{text}");

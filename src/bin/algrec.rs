@@ -9,13 +9,10 @@
 //! algrec repl   [facts.dl] [--data-dir DIR] [--sync P] [--snapshot-every N]
 //! algrec serve  [facts.dl] [--addr HOST:PORT] [--data-dir DIR] [--sync P] [--snapshot-every N]
 //! algrec scenario <list|run|record> [--corpus DIR] [-f EXPR] [--concurrency LIST]
-//!                                   [--scale N] [--report PATH] [--live] [--addr HOST:PORT]
-//!                                   [--no-recovery]
+//!                                   [--scale N] [--live] [--addr HOST:PORT] [--no-recovery]
 //! algrec cluster serve [facts.dl] --data-dir DIR [--shards N] [--addr HOST:PORT] [--sync P]
 //! algrec cluster join  --primary HOST:PORT [--addr HOST:PORT]
 //! algrec cluster route --primary HOST:PORT [--replica HOST:PORT]… [--addr HOST:PORT]
-//! algrec cluster bench [scenario] [--corpus DIR] [--replicas LIST] [--shards N]
-//!                      [--concurrency LIST] [--scale N] [--report PATH]
 //! ```
 //!
 //! Every command also accepts `--threads N`, bounding the worker pool
@@ -59,22 +56,20 @@
 //!   `1,4`) and diffs replies against the recording modulo epoch tags,
 //!   `record` (re)writes the recordings. `-f`/`--filter` selects
 //!   scenarios with the filter DSL (`name ~ authz & tag != slow`, see
-//!   DESIGN.md §16); `--scale N` issues every read N times; `--report
-//!   PATH` writes the `BENCH_7.json` document; `--live` replays over a
-//!   throwaway TCP server instead of in-process; `--addr` replays
-//!   against an already-running external server (e.g. a cluster
-//!   router, which must be pre-seeded — recovery is skipped);
-//!   `--no-recovery` skips the durable recovery leg.
+//!   DESIGN.md §16); `--scale N` issues every read N times; `--live`
+//!   replays over a throwaway TCP server instead of in-process;
+//!   `--addr` replays against an already-running external server (e.g.
+//!   a cluster router, which must be pre-seeded — recovery is skipped);
+//!   `--no-recovery` skips the durable recovery leg; the command exits
+//!   non-zero when any reply diverges from the recording.
 //! * `cluster` runs the serving fleet (see `algrec_cluster` and
 //!   DESIGN.md §17): `serve` a sharded durable primary (`--shards`
 //!   hash-partitioned write-ahead logs under `--data-dir`, replication
 //!   feed on the same port), `join` a replica subscribed to
 //!   `--primary` (epoch-gated consistent reads, writes rejected),
-//!   `route` the consistent-read front end over `--primary` plus each
-//!   `--replica`, and `bench` the E13 read-throughput scaling
-//!   experiment (`--replicas` is the list of replica *counts* to
-//!   measure; `--report` writes `BENCH_8.json`). All three servers
-//!   print `% ROLE listening on ADDR` once bound.
+//!   and `route` the consistent-read front end over `--primary` plus
+//!   each `--replica`. All three servers print `% ROLE listening on
+//!   ADDR` once bound.
 
 use algrec::prelude::*;
 use algrec::serve::parse_semantics;
@@ -114,13 +109,11 @@ struct Args {
     filter: Option<String>,
     concurrency: Option<Vec<usize>>,
     scale: Option<usize>,
-    report: Option<String>,
     live: bool,
     no_recovery: bool,
     shards: usize,
     primary: Option<String>,
     replica_addrs: Vec<String>,
-    replica_counts: Option<Vec<usize>>,
 }
 
 fn parse_args(raw: &[String]) -> Result<Args, String> {
@@ -140,13 +133,11 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         filter: None,
         concurrency: None,
         scale: None,
-        report: None,
         live: false,
         no_recovery: false,
         shards: 2,
         primary: None,
         replica_addrs: Vec::new(),
-        replica_counts: None,
     };
     let mut it = raw.iter();
     while let Some(a) = it.next() {
@@ -235,11 +226,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             "--replica" => args
                 .replica_addrs
                 .push(it.next().ok_or("--replica needs a value")?.clone()),
-            "--replicas" => {
-                let list = it.next().ok_or("--replicas needs a value")?;
-                args.replica_counts = Some(parse_usize_list(list, "--replicas")?);
-            }
-            "--report" => args.report = Some(it.next().ok_or("--report needs a value")?.clone()),
             "--live" => args.live = true,
             "--no-recovery" => args.no_recovery = true,
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
@@ -506,7 +492,6 @@ fn cmd_scenario(a: &Args) -> Result<(), String> {
                 filter,
                 concurrency: a.concurrency.clone().unwrap_or_else(|| vec![1, 4]),
                 scale: a.scale.unwrap_or(1),
-                report: a.report.as_ref().map(std::path::PathBuf::from),
                 live: a.live,
                 addr: a.addr.clone(),
                 no_recovery: a.no_recovery,
@@ -534,12 +519,11 @@ fn bind_announced(a: &Args, role: &str) -> Result<std::net::TcpListener, String>
 }
 
 /// The serving fleet: `serve` a sharded durable primary, `join` a
-/// replica to it, `route` consistent reads over the fleet, `bench` the
-/// E13 read-throughput scaling experiment.
+/// replica to it, `route` consistent reads over the fleet.
 fn cmd_cluster(a: &Args) -> Result<(), String> {
     use std::sync::Arc;
     let [sub, rest @ ..] = a.positional.as_slice() else {
-        return Err("usage: algrec cluster <serve|join|route|bench> \
+        return Err("usage: algrec cluster <serve|join|route> \
              [--data-dir DIR] [--shards N] [--primary ADDR] [--replica ADDR]… "
             .into());
     };
@@ -607,22 +591,6 @@ fn cmd_cluster(a: &Args) -> Result<(), String> {
             let listener = bind_announced(a, "router")?;
             algrec::cluster::serve_router(listener, config);
             Ok(())
-        }
-        "bench" => {
-            let defaults = algrec::cluster::BenchOptions::default();
-            let opts = algrec::cluster::BenchOptions {
-                corpus: std::path::PathBuf::from(&a.corpus),
-                scenario: rest.first().cloned().unwrap_or(defaults.scenario),
-                replicas: a.replica_counts.clone().unwrap_or(defaults.replicas),
-                concurrency: a
-                    .concurrency
-                    .as_ref()
-                    .map_or(defaults.concurrency, |v| *v.last().unwrap()),
-                scale: a.scale.unwrap_or(defaults.scale),
-                shards: a.shards,
-                report: a.report.as_ref().map(std::path::PathBuf::from),
-            };
-            algrec::cluster::run_bench(&mut std::io::stdout().lock(), &opts)
         }
         other => Err(format!("unknown cluster subcommand `{other}`")),
     }

@@ -37,7 +37,7 @@
 //! * [`cluster`] — the serving fleet: hash-sharded per-shard WALs on
 //!   the primary, WAL-shipping replicas with epoch-gated consistent
 //!   reads, and the epoch-vector-pinning router (`algrec cluster
-//!   serve|join|route|bench`).
+//!   serve|join|route`).
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-claim-by-claim verification record.

@@ -355,6 +355,39 @@ proptest! {
             prop_assert_eq!(&out.constants, &reference.constants);
         }
     }
+
+    /// Transitive closure plus its complement (Theorem 4.3's shape)
+    /// under every optimization combination, both as the positive
+    /// IFP-algebra query (exact) and as the translated algebra= program
+    /// (valid): each combination computes exactly what the seed slow
+    /// path computes.
+    #[test]
+    fn every_option_combination_agrees_on_tc_complement(edges in arb_edges(7, 16)) {
+        let db = graph_db(&edges);
+        let exact = algrec::core::parser::parse_program(
+            "def tc = ifp(t, edge union map(select(t * edge, x.1 = x.2), [x.0, x.3]));
+             query (n * n) - tc;",
+        ).unwrap();
+        let program = parse_dl(
+            "tc(X, Y) :- edge(X, Y).\n\
+             tc(X, Z) :- tc(X, Y), edge(Y, Z).\n\
+             un(X, Y) :- n(X), n(Y), not tc(X, Y).",
+        ).unwrap();
+        let valid = datalog_to_algebra(&program, "un", &edb_arities(&db)).unwrap();
+        let exact_ref = eval_exact_with(&exact, &db, Budget::LARGE, EvalOptions::BASELINE).unwrap();
+        let valid_ref = eval_valid_with(&valid, &db, Budget::LARGE, EvalOptions::BASELINE).unwrap();
+        for opts in [
+            EvalOptions::OPTIMIZED,
+            EvalOptions { interning: false, ..EvalOptions::OPTIMIZED },
+            EvalOptions { index: false, ..EvalOptions::OPTIMIZED },
+            EvalOptions { delta: false, ..EvalOptions::OPTIMIZED },
+        ] {
+            let out = eval_exact_with(&exact, &db, Budget::LARGE, opts).unwrap();
+            prop_assert_eq!(&out, &exact_ref, "exact diverged under {:?}", opts);
+            let out = eval_valid_with(&valid, &db, Budget::LARGE, opts).unwrap();
+            prop_assert_eq!(&out.query, &valid_ref.query, "valid diverged under {:?}", opts);
+        }
+    }
 }
 
 // Named replays of cases `cross_engine.proptest-regressions` records
