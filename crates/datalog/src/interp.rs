@@ -8,12 +8,16 @@
 
 use crate::ast::Atom;
 use algrec_value::{ColumnIndex, Database, Relation, Truth, Value};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// A ground fact: predicate name plus argument values.
 pub type Fact = (String, Vec<Value>);
+
+/// One predicate's fact set behind its copy-on-write handle.
+pub type FactSet = Arc<BTreeSet<Vec<Value>>>;
 
 /// A two-valued interpretation: for each predicate, the set of argument
 /// vectors that hold.
@@ -44,7 +48,7 @@ pub type Fact = (String, Vec<Value>);
 /// lookup/insert, never across a probe.
 #[derive(Default)]
 pub struct Interp {
-    preds: BTreeMap<String, Arc<BTreeSet<Vec<Value>>>>,
+    preds: BTreeMap<String, FactSet>,
     first_index: Mutex<HashMap<String, Arc<ColumnIndex<Vec<Value>>>>>,
 }
 
@@ -237,7 +241,7 @@ impl Interp {
 
     /// One predicate's fact set behind its copy-on-write handle (see
     /// [`Interp::fact_sets`]); `None` when the predicate has no facts.
-    pub fn fact_set(&self, pred: &str) -> Option<&Arc<BTreeSet<Vec<Value>>>> {
+    pub fn fact_set(&self, pred: &str) -> Option<&FactSet> {
         self.preds.get(pred)
     }
 
@@ -246,8 +250,20 @@ impl Interp {
     /// from a mutated one by pointer: mutating a shared set un-shares it
     /// first, so the same pointer means the same facts for as long as
     /// the clone is held.
-    pub fn fact_sets(&self) -> impl Iterator<Item = (&str, &Arc<BTreeSet<Vec<Value>>>)> {
+    pub fn fact_sets(&self) -> impl Iterator<Item = (&str, &FactSet)> {
         self.preds.iter().map(|(p, set)| (p.as_str(), set))
+    }
+
+    /// The facts in exactly one of `self` and `other`, tagged `true` when
+    /// they are `self`'s: [`set_diff`] per predicate.
+    pub fn diff<'a>(
+        &'a self,
+        other: &'a Interp,
+    ) -> impl Iterator<Item = (&'a str, bool, &'a Vec<Value>)> {
+        let preds: BTreeSet<&str> = self.preds().chain(other.preds()).collect();
+        preds.into_iter().flat_map(move |p| {
+            set_diff(self.fact_set(p), other.fact_set(p)).map(move |(mine, f)| (p, mine, f))
+        })
     }
 
     /// Merge all facts of `other` into `self`; returns the number of new
@@ -284,13 +300,7 @@ impl Interp {
 
     /// Is `self` a subset of `other` (pointwise)?
     pub fn is_subset(&self, other: &Interp) -> bool {
-        self.preds.iter().all(|(pred, facts)| {
-            other
-                .preds
-                .get(pred)
-                .is_some_and(|o| Arc::ptr_eq(facts, o) || facts.is_subset(o))
-                || facts.is_empty()
-        })
+        self.diff(other).all(|(_, mine, _)| !mine)
     }
 
     /// Iterate every fact.
@@ -329,6 +339,35 @@ impl fmt::Display for Interp {
         }
         Ok(())
     }
+}
+
+/// The facts in exactly one of two fact sets (absent = empty), in order,
+/// tagged `true` when they are `a`'s (`a ∖ b`): an ordered merge costing
+/// O(|a| + |b|) comparisons, and none for pointer-equal handles.
+pub fn set_diff<'a>(
+    a: Option<&'a FactSet>,
+    b: Option<&'a FactSet>,
+) -> impl Iterator<Item = (bool, &'a Vec<Value>)> {
+    let shared = matches!((a, b), (Some(a), Some(b)) if Arc::ptr_eq(a, b));
+    let walk = |s: Option<&'a FactSet>| s.filter(|_| !shared).into_iter().flat_map(|s| s.iter());
+    let (mut a, mut b) = (walk(a).peekable(), walk(b).peekable());
+    std::iter::from_fn(move || loop {
+        let ord = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(x), Some(y)) => {
+                #[cfg(test)]
+                tests::DIFF_COMPARISONS.with(|n| n.set(n.get() + 1));
+                x.cmp(y)
+            }
+        };
+        match ord {
+            Ordering::Less => return a.next().map(|f| (true, f)),
+            Ordering::Greater => return b.next().map(|f| (false, f)),
+            Ordering::Equal => (a.next(), b.next()),
+        };
+    })
 }
 
 /// Convert a relation member into a fact argument vector: tuples spread
@@ -440,6 +479,13 @@ impl fmt::Display for ThreeValued {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    thread_local! {
+        /// Fact comparisons [`set_diff`] made on this thread.
+        pub(super) static DIFF_COMPARISONS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn i(n: i64) -> Value {
         Value::int(n)
@@ -589,6 +635,93 @@ mod tests {
         assert_eq!(a, b);
         let c = a.clone();
         assert_eq!(c.first_index("p").probe(&i(1)).count(), 1);
+    }
+
+    /// The per-fact lookup count the walk replaces: the size of the
+    /// symmetric difference of two interpretations.
+    fn lookup_diff(a: &Interp, b: &Interp) -> usize {
+        a.iter().filter(|(p, f)| !b.holds(p, f)).count()
+            + b.iter().filter(|(p, f)| !a.holds(p, f)).count()
+    }
+
+    proptest! {
+        /// The walk agrees with per-fact lookups on random pairs: `b` is
+        /// either built afresh (no shared handle) or a clone of `a` with a
+        /// few edits (the edited predicates un-shared, the rest shared),
+        /// and predicates present on one side only or on neither occur.
+        #[test]
+        fn diff_agrees_with_lookups(
+            facts in prop::collection::vec((0..3usize, 0..4i64, 0..4i64), 0..12),
+            edits in prop::collection::vec((any::<bool>(), 0..3usize, 0..4i64, 0..4i64), 0..6),
+            fresh in any::<bool>(),
+        ) {
+            const PREDS: [&str; 3] = ["p", "q", "r"];
+            let mut a = Interp::new();
+            for &(p, x, y) in &facts {
+                a.insert(PREDS[p], vec![i(x), i(y)]);
+            }
+            let mut b = if fresh {
+                let mut b = Interp::new();
+                for (p, f) in a.iter() {
+                    b.insert(p, f.clone());
+                }
+                b
+            } else {
+                a.clone()
+            };
+            for &(ins, p, x, y) in &edits {
+                if ins {
+                    b.insert(PREDS[p], vec![i(x), i(y)]);
+                } else {
+                    b.remove(PREDS[p], &[i(x), i(y)]);
+                }
+            }
+            prop_assert_eq!(a.diff(&b).count(), lookup_diff(&a, &b));
+            for (p, mine, f) in a.diff(&b) {
+                prop_assert_eq!(mine, a.holds(p, f));
+                prop_assert_eq!(!mine, b.holds(p, f));
+            }
+            for p in PREDS {
+                let minus: Vec<&Vec<Value>> = set_diff(a.fact_set(p), b.fact_set(p))
+                    .filter_map(|(mine, f)| mine.then_some(f))
+                    .collect();
+                let lookups: Vec<&Vec<Value>> = a.facts(p).filter(|f| !b.holds(p, f)).collect();
+                prop_assert_eq!(minus, lookups);
+            }
+        }
+    }
+
+    #[test]
+    fn diff_of_empty_interpretations() {
+        let (mut a, empty) = (Interp::new(), Interp::new());
+        assert_eq!(a.diff(&empty).count(), 0);
+        a.insert("p", vec![i(1)]);
+        let only: Vec<_> = a.diff(&empty).collect();
+        assert_eq!(only, vec![("p", true, &vec![i(1)])]);
+        let only: Vec<_> = empty.diff(&a).collect();
+        assert_eq!(only, vec![("p", false, &vec![i(1)])]);
+    }
+
+    #[test]
+    fn a_pointer_shared_predicate_costs_no_comparison() {
+        let mut a = Interp::new();
+        a.insert_all("big", (0..10_000).map(|n| vec![i(n)]).collect());
+        a.insert("small", vec![i(1)]);
+        let mut b = a.clone();
+        b.insert("small", vec![i(2)]);
+        DIFF_COMPARISONS.with(|n| n.set(0));
+        assert_eq!(a.diff(&b).count(), 1);
+        assert_eq!(
+            DIFF_COMPARISONS.with(std::cell::Cell::get),
+            1,
+            "only `small` is read"
+        );
+        // The same facts behind an un-shared handle are walked.
+        b.remove("big", &[i(0)]);
+        b.insert("big", vec![i(0)]);
+        DIFF_COMPARISONS.with(|n| n.set(0));
+        assert_eq!(a.diff(&b).count(), 1);
+        assert!(DIFF_COMPARISONS.with(std::cell::Cell::get) >= 10_000);
     }
 
     #[test]

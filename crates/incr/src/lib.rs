@@ -32,8 +32,8 @@
 //!
 //! Telemetry flows through [`algrec_value::TraceEvent`]'s
 //! `LevelReplayed` / `LevelSkipped` / `LevelFallback` / `SupportAdjust`
-//! events into `EvalStats` (the `incr` object of the stats JSON); only
-//! the alternating driver emits them.
+//! events into `EvalStats::incr` (the `incr:` line of its text
+//! summary); only the alternating driver emits them.
 //!
 //! There is no process-wide switch: the serving layer selects a
 //! maintainer per view, and its persisted `StrategyPin::Recompute` is
@@ -46,7 +46,7 @@
 pub mod model;
 pub mod pass;
 
-pub use model::{delta_interps, diff_count, IncrementalModel, MaintainOutcome};
+pub use model::{delta_interps, IncrementalModel, MaintainOutcome};
 pub use pass::{
     restrict, HeadDelta, LevelDelta, Oracle, PassAction, PassDelta, PassProgram, PassState,
 };

@@ -67,22 +67,6 @@ pub fn delta_interps(delta: &DatabaseDelta) -> (Interp, Interp) {
     (ins, del)
 }
 
-/// Size of the symmetric difference of two interpretations.
-pub fn diff_count(a: &Interp, b: &Interp) -> usize {
-    let mut n = 0;
-    for (p, args) in a.iter() {
-        if !b.holds(p, args) {
-            n += 1;
-        }
-    }
-    for (p, args) in b.iter() {
-        if !a.holds(p, args) {
-            n += 1;
-        }
-    }
-    n
-}
-
 impl IncrementalModel {
     /// Materialize the model from scratch, storing every alternation
     /// round's pass states (the registration-time cold baseline; the
@@ -269,8 +253,8 @@ impl IncrementalModel {
             possible: last.possible.total().clone(),
         };
         meter.record_materialized(self.model.certain.total());
-        let changed = diff_count(&before.certain, &self.model.certain)
-            + diff_count(&before.possible, &self.model.possible);
+        let changed = before.certain.diff(&self.model.certain).count()
+            + before.possible.diff(&self.model.possible).count();
         Ok(MaintainOutcome { changed, skipped })
     }
 }

@@ -422,17 +422,9 @@ impl PassProgram {
             // derives. Recompute the level against the new oracle.
             meter.record_level_fallback(level);
             let fresh = self.cold(base_new, new_oracle, meter)?;
-            let mut ins = Interp::new();
-            let mut del = Interp::new();
-            for (p, args) in fresh.total.iter() {
-                if !state.total.holds(p, args) {
-                    ins.insert(p, args.clone());
-                }
-            }
-            for (p, args) in state.total.iter() {
-                if !fresh.total.holds(p, args) {
-                    del.insert(p, args.clone());
-                }
+            let (mut ins, mut del) = (Interp::new(), Interp::new());
+            for (p, gone, args) in state.total.diff(&fresh.total) {
+                if gone { &mut del } else { &mut ins }.insert(p, args.clone());
             }
             *state = fresh;
             return Ok(PassDelta {

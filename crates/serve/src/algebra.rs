@@ -58,10 +58,10 @@
 //! depends on both `algrec-core` and `algrec-datalog`; a new edge to
 //! `algrec-translate` would change the benchmark's lock file.
 
-use crate::session::{plan_datalog, FactSet, ServeError, StrategyPin};
+use crate::session::{plan_datalog, ServeError, StrategyPin};
 use algrec_core::{AlgExpr, AlgProgram, CmpOp, FuncExpr, ValidAlgebraResult};
 use algrec_datalog::ast::{Atom, CmpOp as DCmp, Expr, Literal, Program, Rule};
-use algrec_datalog::interp::Interp;
+use algrec_datalog::interp::{FactSet, Interp};
 use algrec_datalog::{evaluate_traced, Semantics};
 use algrec_value::{Budget, Database, DatabaseDelta, Trace, TvSet, Value};
 use std::collections::{BTreeMap, BTreeSet};

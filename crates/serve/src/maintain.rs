@@ -73,9 +73,7 @@ use algrec_datalog::stable::{refine_wfs, valid_extended};
 use algrec_datalog::stratify::{strata_programs, DepGraph};
 use algrec_datalog::wellfounded::alternating_fixpoint;
 use algrec_datalog::Semantics;
-use algrec_incr::{
-    delta_interps, diff_count, restrict, IncrementalModel, LevelDelta, Oracle, PassProgram,
-};
+use algrec_incr::{delta_interps, restrict, IncrementalModel, LevelDelta, Oracle, PassProgram};
 use algrec_value::budget::Meter;
 use algrec_value::{Database, DatabaseDelta, SupportCounts};
 use std::collections::{BTreeMap, BTreeSet};
@@ -377,12 +375,9 @@ impl RecomputeView {
         }
         let before = self.model.clone();
         let skipped = self.evaluate_levels(db, &changed, meter)?;
-        let changed_facts = diff_count(&before.certain, &self.model.certain)
-            + diff_count(&before.possible, &self.model.possible);
-        Ok(MaintainReport {
-            changed: changed_facts,
-            skipped,
-        })
+        let changed = before.certain.diff(&self.model.certain).count()
+            + before.possible.diff(&self.model.possible).count();
+        Ok(MaintainReport { changed, skipped })
     }
 
     fn evaluate_levels(
@@ -518,8 +513,8 @@ impl AlternatingView {
             // model's delta is small, so diff the served model directly.
             let before = std::mem::take(&mut self.served);
             self.served = Self::refine(&self.model, self.cap, meter)?;
-            diff_count(&before.certain, &self.served.certain)
-                + diff_count(&before.possible, &self.served.possible)
+            before.certain.diff(&self.served.certain).count()
+                + before.possible.diff(&self.served.possible).count()
         } else {
             self.served = self.model.model().clone();
             outcome.changed

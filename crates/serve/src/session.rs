@@ -54,7 +54,7 @@ use algrec_core::{AlgProgram, ValidAlgebraResult};
 use algrec_datalog::ast::Program;
 use algrec_datalog::explain::{catalog_from, explain_with_catalog};
 use algrec_datalog::facts::{fact_value, parse_fact, parse_facts};
-use algrec_datalog::interp::{Fact, Interp};
+use algrec_datalog::interp::{set_diff, Fact, FactSet, Interp};
 use algrec_datalog::stratify::strata_programs;
 use algrec_datalog::Semantics;
 use algrec_value::relation::first_column;
@@ -1232,19 +1232,19 @@ impl Session {
     /// resolve against it lock-free, and nothing is rendered at read
     /// time except a plan the first time it is asked for.
     ///
-    /// A publish costs what the write changed, not what the views hold.
-    /// The session keeps, per view and predicate, the rendered lines
-    /// beside the fact set they were rendered from (`Rendered`): an
-    /// interpretation's fact sets are copy-on-write handles, so a
-    /// predicate whose handle is the one held is untouched and its lines
-    /// are shared as they are; a touched predicate is merge-walked
-    /// against the held set and only the facts that entered are
-    /// formatted, every other line being shared with the previous epoch.
-    /// A view no maintenance has moved since the last publish is shared
-    /// whole. That state lives here, in the session, not in the last
-    /// published snapshot — a caller that drops every snapshot pays the
-    /// same. Plans are not rendered here at all: a snapshot carries the
-    /// program and the database statistics (`Plan`).
+    /// A publish costs the sizes of the predicates the write touched, not what
+    /// the views hold. The session keeps, per view and predicate, the rendered
+    /// lines beside the fact set they were rendered from (`Rendered`): an
+    /// interpretation's fact sets are copy-on-write handles, so a predicate
+    /// whose handle is the one held is untouched and its lines are shared as
+    /// they are; a touched predicate is merge-walked whole against the held set
+    /// (its unknown facts found by one ordered walk) and only the facts that
+    /// entered are formatted, every other line being shared with the previous
+    /// epoch. A view no maintenance has moved since the last publish is shared
+    /// whole. That state lives here, in the session, not in the last published
+    /// snapshot — a caller that drops every snapshot pays the same. Plans are
+    /// not rendered here at all: a snapshot carries the program and the
+    /// database statistics (`Plan`).
     ///
     /// Lines are formatted by the same code as the live methods, so a
     /// snapshot reply is byte-identical to asking the session directly —
@@ -1502,9 +1502,6 @@ impl ViewEntry {
     }
 }
 
-/// One predicate's fact set, as an interpretation shares it.
-pub(crate) type FactSet = Arc<BTreeSet<Vec<Value>>>;
-
 /// One predicate's rendered lines in fact order, shared line by line
 /// between the session, its snapshots and successive epochs.
 type Lines = Arc<Vec<Arc<str>>>;
@@ -1524,6 +1521,7 @@ struct Rendered {
 
 /// The undefined facts of one predicate and their lines, keyed by the
 /// two sets they are the difference of.
+#[derive(Default)]
 struct UnknownLines {
     possible: FactSet,
     certain: Option<FactSet>,
@@ -1596,34 +1594,25 @@ impl Rendered {
         let mut unknown_lines = BTreeMap::new();
         let sets = possible.into_iter().flat_map(Interp::fact_sets);
         for (pred, set) in sets {
+            // Two-valued here: pointer-equal sets, nothing read, no lines.
             let sure = certain.fact_set(pred);
-            if sure.is_some_and(|sure| Arc::ptr_eq(sure, set)) {
-                continue; // two-valued on this predicate
-            }
-            let same_ptr = |a: Option<&FactSet>, b: Option<&FactSet>| match (a, b) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            };
-            let entry = match was.remove(pred) {
-                Some(u) if Arc::ptr_eq(&u.possible, set) && same_ptr(u.certain.as_ref(), sure) => u,
-                old => {
-                    let facts: Vec<Vec<Value>> = set
-                        .iter()
-                        .filter(|fact| !sure.is_some_and(|sure| sure.contains(*fact)))
-                        .cloned()
-                        .collect();
-                    let lines = match &old {
-                        Some(u) => merge_lines(pred, false, u.facts.iter(), &u.lines, facts.iter()),
-                        None => merge_lines(pred, false, [].iter(), &none, facts.iter()),
-                    };
-                    UnknownLines {
-                        possible: Arc::clone(set),
-                        certain: sure.cloned(),
-                        facts,
-                        lines,
-                    }
+            let held = was.remove(pred).unwrap_or_default();
+            let moved = !Arc::ptr_eq(&held.possible, set)
+                || held.certain.as_ref().map(Arc::as_ptr) != sure.map(Arc::as_ptr);
+            let entry = if moved {
+                let facts: Vec<Vec<Value>> = set_diff(Some(set), sure)
+                    .filter(|&(unknown, _)| unknown)
+                    .map(|(_, fact)| fact.clone())
+                    .collect();
+                let lines = merge_lines(pred, false, held.facts.iter(), &held.lines, facts.iter());
+                UnknownLines {
+                    possible: Arc::clone(set),
+                    certain: sure.cloned(),
+                    facts,
+                    lines,
                 }
+            } else {
+                held
             };
             if !entry.facts.is_empty() {
                 unknown_lines.insert(pred.to_string(), Arc::clone(&entry.lines));
