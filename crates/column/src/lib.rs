@@ -7,7 +7,7 @@
 //! representation: both columns, offset by one so a missing column packs
 //! as zero and a shorter prefix sorts first, in a single `u64` key.
 //!
-//! [`file`] gives runs a durable form: a self-delimiting segment with a
+//! [`file`](mod@file) gives runs a durable form: a self-delimiting segment with a
 //! CRC-32 footer per run, so a reader can *validate* a stored run
 //! (checksum walk) without materializing a single row — the cheap
 //! integrity gate the store's columnar snapshots and the cluster's shard

@@ -20,7 +20,7 @@
 //! The paper's semantics fixes *what* is computed; this module also fixes
 //! *how*, behind [`EvalOptions`] toggles so the strategies can be ablated:
 //!
-//! * **interning** — join indexes key on [`Vid`]s (hash-consed values)
+//! * **interning** — join indexes key on [`Vid`](algrec_value::Vid)s (hash-consed values)
 //!   instead of full values, and database relations expose a shared
 //!   interned first-column index;
 //! * **index** — equi-join indexes are cached across fixpoint iterations
@@ -57,7 +57,7 @@ pub type SetEnv = BTreeMap<Symbol, SetRef>;
 /// identical under every combination; only the work done differs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EvalOptions {
-    /// Key join indexes by interned value ids ([`Vid`]) and reuse the
+    /// Key join indexes by interned value ids ([`Vid`](algrec_value::Vid)) and reuse the
     /// shared first-column index of database relations.
     pub interning: bool,
     /// Cache join indexes across fixpoint iterations for loop-invariant
@@ -69,7 +69,7 @@ pub struct EvalOptions {
     /// Key the per-fixpoint value and index caches by *structural* plan
     /// ids (hash-consed in an [`algrec_plan::PlanArena`]) instead of node
     /// addresses, so structurally equal subexpressions — e.g. the
-    /// pointer-distinct copies [`AlgProgram::substitute`] produces —
+    /// pointer-distinct copies [`AlgExpr::substitute`] produces —
     /// share one cache entry (cross-rule common-subexpression sharing).
     pub plan: bool,
 }

@@ -1,7 +1,7 @@
 //! Human-readable query plans (`explain`).
 //!
 //! Renders, per rule, the join order and access paths the compiled
-//! executor ([`crate::compiled`]) would choose against a given database:
+//! executor (`compiled`) would choose against a given database:
 //! scans, first-column index probes and antijoins, with the cost model
 //! seeded from the database's cardinalities and (optionally) an observed
 //! index hit-rate from collected [`EvalStats`]. Plan nodes are interned

@@ -101,7 +101,7 @@ fn partition_facts(facts: &Interp, n: usize) -> Vec<Interp> {
 /// EDB partitioning function. All facts about one entity co-locate
 /// regardless of predicate (zero-arity facts hash their predicate name),
 /// so a shard worker's per-round work assignment is exactly the slice of
-/// the delta it owns. Like [`partition_facts`], the choice of partition
+/// the delta it owns. Like `partition_facts`, the choice of partition
 /// never affects the result — only which worker derives which candidate.
 pub fn shard_of_fact(pred: &str, args: &[Value], n: usize) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -301,7 +301,7 @@ pub fn naive(
 }
 
 /// [`naive`] with a structured negation oracle. Eligible programs run on
-/// the compiled id-space executor (see [`crate::compiled`]); everything
+/// the compiled id-space executor (see `compiled`); everything
 /// else — and every traced run — takes the interpreted path below.
 pub fn naive_oracle(
     compiled: &Compiled,
@@ -356,7 +356,7 @@ pub fn semi_naive(
 }
 
 /// [`semi_naive`] with a structured negation oracle; eligible programs
-/// run compiled (see [`crate::compiled`]).
+/// run compiled (see `compiled`).
 pub fn semi_naive_oracle(
     compiled: &Compiled,
     base: &Interp,
@@ -452,7 +452,7 @@ pub fn semi_naive_from(
 }
 
 /// [`semi_naive_from`] with a structured negation oracle; eligible
-/// programs run compiled (see [`crate::compiled`]).
+/// programs run compiled (see `compiled`).
 pub fn semi_naive_from_oracle(
     compiled: &Compiled,
     total: &Interp,

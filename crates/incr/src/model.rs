@@ -4,7 +4,7 @@
 //! [`IncrementalModel`] keeps every alternation round's `(possible,
 //! certain)` [`PassState`] pair — the same sequence
 //! `algrec_datalog::wellfounded::alternating_passes` records — and
-//! replays a base delta level by level. Each pass's [`PassDelta`] is the
+//! replays a base delta level by level. Each pass's [`PassDelta`](crate::pass::PassDelta) is the
 //! next pass's oracle delta (a pass result *is* the next pass's negation
 //! oracle), and the round-0 possible pass is seeded with the base delta
 //! itself because `certain₀` is the database. After every round the

@@ -31,7 +31,7 @@
 //! replay harness from this metadata; the trace then contains only the
 //! workload — asserts, retracts, and queries. `expected.ndjson` is
 //! written by `algrec scenario record` and diffed (modulo epoch tags,
-//! see [`crate::replay`]) by `algrec scenario run`.
+//! see [`crate::replay`](mod@crate::replay)) by `algrec scenario run`.
 
 use algrec_serve::json::{self, Json};
 use algrec_serve::parse_semantics;

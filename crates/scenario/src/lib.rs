@@ -2,7 +2,7 @@
 //!
 //! A *scenario* packages a program, an extensional database, and a
 //! recorded line-protocol trace with its expected replies into a
-//! directory ([`corpus`]). The [`replay`] harness drives the trace
+//! directory ([`corpus`]). The [`replay`](mod@replay) harness drives the trace
 //! against a fresh serving session — in-process or over live TCP — at
 //! adjustable concurrency and read scale-factor, diffing replies
 //! against the recording modulo epoch tags. Scenarios are selected with

@@ -15,10 +15,10 @@
 //!   *work* — only on the pointer swap itself) and then read the
 //!   immutable snapshot lock-free; each published snapshot carries the
 //!   epoch it was installed at.
-//! * [`threads`] — the engine-wide thread-count knob: `--threads N` /
+//! * [`threads`](mod@threads) — the engine-wide thread-count knob: `--threads N` /
 //!   `ALGREC_THREADS`, defaulting to the machine's available
 //!   parallelism.
-//! * [`shards`] — the engine-wide shard-count knob: `--shards N` /
+//! * [`shards`](mod@shards) — the engine-wide shard-count knob: `--shards N` /
 //!   `ALGREC_SHARDS`, defaulting to 1 (off). When set above 1, fixpoint
 //!   rounds partition their deltas by first-column id into exactly that
 //!   many shard-owned pieces instead of whole-fact hashes across the

@@ -32,7 +32,7 @@ impl Pool {
         }
     }
 
-    /// The pool honoring the engine-wide knob ([`crate::threads`]).
+    /// The pool honoring the engine-wide knob ([`crate::threads`](mod@crate::threads)).
     pub fn current() -> Self {
         Pool::new(crate::threads())
     }

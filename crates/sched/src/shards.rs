@@ -1,6 +1,6 @@
 //! The engine-wide shard-count knob.
 //!
-//! Where [`crate::threads`] controls *how many workers* fan a fixpoint
+//! Where [`crate::threads`](mod@crate::threads) controls *how many workers* fan a fixpoint
 //! round out, the shard count controls *how the round's delta is
 //! partitioned*: with `shards() > 1` the datalog engines split each
 //! round's delta into exactly that many partitions keyed by the

@@ -6,7 +6,7 @@
 //! strings with escapes, integers, floats, booleans and null.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Object keys are ordered (`BTreeMap`) so serialization is
 /// deterministic — the serve smoke test diffs replies against a golden
@@ -65,21 +65,34 @@ impl Json {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Write `s` as a JSON string literal. Bytes that need no escape are
+/// copied in runs; a UTF-8 continuation byte is never `"`, `\` or a
+/// control byte, so non-ASCII text passes through verbatim.
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'\n' => 'n',
+            b'\r' => 'r',
+            b'\t' => 't',
+            0..=0x1f => 'u',
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        out.push(escape);
+        if escape == 'u' {
+            let hex = |d: u8| char::from_digit(u32::from(d), 16).expect("a nibble");
+            out.push_str("00");
+            out.push(hex(b >> 4));
+            out.push(hex(b & 0xf));
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -92,12 +105,17 @@ impl fmt::Display for Json {
 }
 
 impl Json {
-    fn write_into(&self, out: &mut String) {
+    /// Append the serialized value to `out`.
+    pub(crate) fn write_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Float(x) => out.push_str(&format!("{x}")),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Float(x) => {
+                let _ = write!(out, "{x}");
+            }
             Json::Str(s) => escape_into(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -255,22 +273,48 @@ impl Parser {
                     Some('t') => out.push('\t'),
                     Some('b') => out.push('\u{8}'),
                     Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let c = self.bump().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + c.to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit `{c}`"))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
+                    Some('u') => out.push(self.unicode_escape()?),
                     other => return Err(format!("bad escape `{other:?}`")),
                 },
                 Some(c) => out.push(c),
                 None => return Err("unterminated string".to_string()),
             }
         }
+    }
+
+    /// The character of a `\uXXXX` escape whose `\u` was consumed. A
+    /// character outside the Basic Multilingual Plane arrives as a high
+    /// surrogate escape followed by a low one (RFC 8259 §7); a surrogate
+    /// on its own encodes no character and is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let code = self.hex4()?;
+        let code = match code {
+            0xd800..=0xdbff => {
+                if self.bump() != Some('\\') || self.bump() != Some('u') {
+                    return Err(format!("unpaired high surrogate at offset {at}"));
+                }
+                let low = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&low) {
+                    return Err(format!("unpaired high surrogate at offset {at}"));
+                }
+                0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+            }
+            0xdc00..=0xdfff => return Err(format!("unpaired low surrogate at offset {at}")),
+            _ => code,
+        };
+        Ok(char::from_u32(code).expect("a non-surrogate code point below U+110000"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let c = self.bump().ok_or("truncated \\u escape")?;
+            code = code * 16
+                + c.to_digit(16)
+                    .ok_or_else(|| format!("bad hex digit `{c}`"))?;
+        }
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -353,6 +397,43 @@ mod tests {
     fn rejects_malformed_input() {
         for src in ["{", "[1,", "\"x", "{\"a\"}", "tru", "1 2", "", "01a"] {
             assert!(parse(src).is_err(), "should reject {src:?}");
+        }
+    }
+
+    #[test]
+    fn escapes_every_control_byte_and_passes_non_ascii_through() {
+        assert_eq!(
+            Json::str("a\u{1}\u{8}\"\\\n\r\t\u{1f}é😀/").to_string(),
+            r#""a\u0001\u0008\"\\\n\r\t\u001fé😀/""#
+        );
+        let original: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\é😀/".chars())
+            .collect();
+        let rendered = Json::str(original.clone()).to_string();
+        assert_eq!(parse(&rendered).unwrap().as_str(), Some(original.as_str()));
+    }
+
+    #[test]
+    fn decodes_a_surrogate_pair_as_one_character() {
+        let v = parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str(), Some("😀"));
+        let v = parse(r#""a\uD83D\uDE00b\u00e9""#).unwrap();
+        assert_eq!(v.as_str(), Some("a😀bé"));
+    }
+
+    #[test]
+    fn rejects_unpaired_surrogates() {
+        for src in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\n""#,
+        ] {
+            let err = parse(src).unwrap_err();
+            assert!(err.contains("surrogate"), "{src}: {err}");
         }
     }
 

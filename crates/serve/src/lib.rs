@@ -52,7 +52,7 @@ pub use protocol::{
 pub use repl::run_repl;
 pub use server::{serve, serve_traced};
 pub use session::{
-    DeltaOutcome, Durability, DurableEvent, OpStats, QueryAnswer, ReadView, RegisterOutcome,
-    ServeError, Session, StrategyPin, ViewDef, ViewReport, ViewStats, ViewStatus,
+    Answer, AnswerLines, DeltaOutcome, Durability, DurableEvent, OpStats, QueryAnswer, ReadView,
+    RegisterOutcome, ServeError, Session, StrategyPin, ViewDef, ViewReport, ViewStats, ViewStatus,
 };
 pub use shared::{Poisoned, SharedSession};

@@ -45,11 +45,12 @@
 
 use crate::json::{self, Json};
 use crate::session::{
-    DeltaOutcome, OpStats, QueryAnswer, ReadView, ServeError, Session, StrategyPin, ViewReport,
-    ViewStats,
+    Answer, DeltaOutcome, OpStats, QueryAnswer, ReadView, ServeError, Session, StrategyPin,
+    ViewReport, ViewStats,
 };
 use crate::shared::SharedSession;
 use algrec_datalog::Semantics;
+use std::collections::BTreeMap;
 
 /// Parse a semantics name as accepted by `algrec eval --semantics` and
 /// the protocol's `register` operation. The extended valid semantics
@@ -164,35 +165,109 @@ fn view_stats_json(v: &ViewStats) -> Json {
     ])
 }
 
-fn query_json(answer: &QueryAnswer) -> Vec<(&'static str, Json)> {
+/// An algebra view's `query` payload: one string plus the constants,
+/// small enough to go through the [`Json`] tree. Datalog answers are
+/// encoded by [`datalog_reply`].
+fn query_json(
+    query: &str,
+    well_defined: bool,
+    constants: &BTreeMap<String, String>,
+) -> Vec<(&'static str, Json)> {
+    vec![
+        ("query", Json::str(query)),
+        ("well_defined", Json::Bool(well_defined)),
+        (
+            "constants",
+            Json::Obj(
+                constants
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::str(v.clone())))
+                    .collect(),
+            ),
+        ),
+    ]
+}
+
+/// A datalog view's `query` reply, encoded once into one buffer straight
+/// from the lines: `{"certain":[…],"epoch":N,"id":…,"ok":true,
+/// "unknown":[…]}`. The keys are in the order a [`Json`] object sorts
+/// them, so the bytes are those of [`ok_reply`] over arrays of the same
+/// lines.
+fn datalog_reply<'a>(
+    id: &Json,
+    epoch: u64,
+    certain: impl Iterator<Item = &'a str> + Clone,
+    unknown: impl Iterator<Item = &'a str> + Clone,
+) -> String {
+    let mut out =
+        String::with_capacity(encoded_len(certain.clone()) + encoded_len(unknown.clone()) + 64);
+    out.push_str("{\"certain\":");
+    lines_into(certain, &mut out);
+    out.push_str(",\"epoch\":");
+    Json::Int(epoch as i64).write_into(&mut out);
+    out.push_str(",\"id\":");
+    id.write_into(&mut out);
+    out.push_str(",\"ok\":true,\"unknown\":");
+    lines_into(unknown, &mut out);
+    out.push('}');
+    out
+}
+
+/// The size of [`lines_into`]'s array when no line needs an escape,
+/// which is the common case: quotes and a comma per line.
+fn encoded_len<'a>(lines: impl Iterator<Item = &'a str>) -> usize {
+    lines.map(|line| line.len() + 3).sum()
+}
+
+/// A JSON array of strings.
+fn lines_into<'a>(lines: impl Iterator<Item = &'a str>, out: &mut String) {
+    out.push('[');
+    for (i, line) in lines.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::escape_into(line, out);
+    }
+    out.push(']');
+}
+
+/// The reply to a `query` whose answer the writer computed.
+fn query_reply(id: Json, epoch: u64, answer: &QueryAnswer) -> String {
     match answer {
-        QueryAnswer::Datalog { certain, unknown } => vec![
-            (
-                "certain",
-                Json::Arr(certain.iter().map(Json::str).collect()),
-            ),
-            (
-                "unknown",
-                Json::Arr(unknown.iter().map(Json::str).collect()),
-            ),
-        ],
+        QueryAnswer::Datalog { certain, unknown } => datalog_reply(
+            &id,
+            epoch,
+            certain.iter().map(String::as_str),
+            unknown.iter().map(String::as_str),
+        ),
         QueryAnswer::Algebra {
             query,
             well_defined,
             constants,
-        } => vec![
-            ("query", Json::str(query.clone())),
-            ("well_defined", Json::Bool(*well_defined)),
-            (
-                "constants",
-                Json::Obj(
-                    constants
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            ),
-        ],
+        } => ok_reply(id, epoch, query_json(query, *well_defined, constants)),
+    }
+}
+
+/// What a successful operation answers, beside the reply envelope.
+enum Payload<'v> {
+    /// The fields of a [`Json`] object.
+    Fields(Vec<(&'static str, Json)>),
+    /// A `query` answer borrowed from a snapshot.
+    Snapshot(Answer<'v>),
+    /// A `query` answer the writer computed.
+    Owned(QueryAnswer),
+}
+
+impl Payload<'_> {
+    fn reply(self, id: Json, epoch: u64) -> String {
+        match self {
+            Payload::Fields(fields) => ok_reply(id, epoch, fields),
+            Payload::Snapshot(Answer::Datalog { certain, unknown }) => {
+                datalog_reply(&id, epoch, certain.iter(), unknown.iter())
+            }
+            Payload::Snapshot(Answer::Algebra(answer)) => query_reply(id, epoch, answer),
+            Payload::Owned(answer) => query_reply(id, epoch, &answer),
+        }
     }
 }
 
@@ -326,35 +401,28 @@ pub fn is_read_op(op: &str) -> bool {
 /// snapshot cannot serve it — a `query` against a view that was dirty
 /// when the snapshot was taken — and the caller must fall back to the
 /// writer, which rebuilds the view.
-fn dispatch_read(
-    view: &ReadView,
+fn dispatch_read<'v>(
+    view: &'v ReadView,
     op: &str,
     req: &Json,
-) -> Result<Option<Vec<(&'static str, Json)>>, ServeError> {
-    match op {
-        "ping" => Ok(Some(ping_payload(
-            req,
-            view.db_summary(),
-            view.view_names().len(),
-        ))),
+) -> Result<Option<Payload<'v>>, ServeError> {
+    let fields = match op {
+        "ping" => ping_payload(req, view.db_summary(), view.view_names().len()),
         "query" => {
             let name = str_field(req, "view")?;
             let pred = req.get("pred").and_then(Json::as_str);
-            Ok(view.query(name, pred)?.map(|answer| query_json(&answer)))
+            return Ok(view.answer(name, pred)?.map(Payload::Snapshot));
         }
-        "explain" => {
-            let plan = view.explain(str_field(req, "view")?)?;
-            Ok(Some(plan_json(&plan)))
-        }
+        "explain" => plan_json(&view.explain(str_field(req, "view")?)?),
         "stats" => {
             let name = req.get("view").and_then(Json::as_str);
             let stats = view.stats(name)?;
-            Ok(Some(vec![(
+            vec![(
                 "views",
                 Json::Arr(stats.iter().map(view_stats_json).collect()),
-            )]))
+            )]
         }
-        "views" => Ok(Some(vec![(
+        "views" => vec![(
             "views",
             Json::Arr(
                 view.view_names()
@@ -369,8 +437,8 @@ fn dispatch_read(
                     })
                     .collect(),
             ),
-        )])),
-        "db" => Ok(Some(vec![(
+        )],
+        "db" => vec![(
             "relations",
             Json::Arr(
                 view.db_summary()
@@ -383,24 +451,18 @@ fn dispatch_read(
                     })
                     .collect(),
             ),
-        )])),
-        "shutdown" => Ok(Some(vec![("bye", Json::Bool(true))])),
-        other => Err(ServeError::BadRequest(format!("unknown op `{other}`"))),
-    }
+        )],
+        "shutdown" => vec![("bye", Json::Bool(true))],
+        other => return Err(ServeError::BadRequest(format!("unknown op `{other}`"))),
+    };
+    Ok(Some(Payload::Fields(fields)))
 }
 
-fn dispatch(session: &mut Session, req: &Json) -> Result<Vec<(&'static str, Json)>, ServeError> {
+fn dispatch(session: &mut Session, req: &Json) -> Result<Payload<'static>, ServeError> {
     let op = str_field(req, "op")?;
-    match op {
-        "ping" => Ok(ping_payload(
-            req,
-            &session.db_summary(),
-            session.view_names().len(),
-        )),
-        "load" => {
-            let out = session.load(str_field(req, "facts")?)?;
-            Ok(delta_json(&out))
-        }
+    let fields = match op {
+        "ping" => ping_payload(req, &session.db_summary(), session.view_names().len()),
+        "load" => delta_json(&session.load(str_field(req, "facts")?)?),
         "register" => {
             let view = str_field(req, "view")?;
             let program = str_field(req, "program")?;
@@ -429,10 +491,10 @@ fn dispatch(session: &mut Session, req: &Json) -> Result<Vec<(&'static str, Json
                     )))
                 }
             };
-            Ok(vec![
+            vec![
                 ("strategy", Json::str(out.strategy)),
                 ("stats", stats_json(&out.stats)),
-            ])
+            ]
         }
         "assert" | "retract" => {
             let mut facts = Vec::new();
@@ -447,27 +509,23 @@ fn dispatch(session: &mut Session, req: &Json) -> Result<Vec<(&'static str, Json
             } else {
                 session.apply(&[], &facts)?
             };
-            Ok(delta_json(&out))
+            delta_json(&out)
         }
         "query" => {
             let view = str_field(req, "view")?;
             let pred = req.get("pred").and_then(Json::as_str);
-            let answer = session.query(view, pred)?;
-            Ok(query_json(&answer))
+            return Ok(Payload::Owned(session.query(view, pred)?));
         }
-        "explain" => {
-            let plan = session.explain(str_field(req, "view")?)?;
-            Ok(plan_json(&plan))
-        }
+        "explain" => plan_json(&session.explain(str_field(req, "view")?)?),
         "stats" => {
             let view = req.get("view").and_then(Json::as_str);
             let stats = session.stats(view)?;
-            Ok(vec![(
+            vec![(
                 "views",
                 Json::Arr(stats.iter().map(view_stats_json).collect()),
-            )])
+            )]
         }
-        "views" => Ok(vec![(
+        "views" => vec![(
             "views",
             Json::Arr(
                 session
@@ -483,8 +541,8 @@ fn dispatch(session: &mut Session, req: &Json) -> Result<Vec<(&'static str, Json
                     })
                     .collect(),
             ),
-        )]),
-        "db" => Ok(vec![(
+        )],
+        "db" => vec![(
             "relations",
             Json::Arr(
                 session
@@ -498,14 +556,15 @@ fn dispatch(session: &mut Session, req: &Json) -> Result<Vec<(&'static str, Json
                     })
                     .collect(),
             ),
-        )]),
+        )],
         "unregister" => {
             session.unregister(str_field(req, "view")?)?;
-            Ok(vec![("removed", Json::Bool(true))])
+            vec![("removed", Json::Bool(true))]
         }
-        "shutdown" => Ok(vec![("bye", Json::Bool(true))]),
-        other => Err(ServeError::BadRequest(format!("unknown op `{other}`"))),
-    }
+        "shutdown" => vec![("bye", Json::Bool(true))],
+        other => return Err(ServeError::BadRequest(format!("unknown op `{other}`"))),
+    };
+    Ok(Payload::Fields(fields))
 }
 
 /// Serialize one mutating request through the single-writer path,
@@ -515,7 +574,7 @@ fn dispatch(session: &mut Session, req: &Json) -> Result<Vec<(&'static str, Json
 /// available, so the connection is not torn down.
 fn write_path(shared: &SharedSession, id: Json, req: &Json) -> String {
     match shared.with_writer(|session| dispatch(session, req)) {
-        Ok((Ok(payload), epoch)) => ok_reply(id, epoch, payload),
+        Ok((Ok(payload), epoch)) => payload.reply(id, epoch),
         Ok((Err(e), epoch)) => err_reply(id, Some(epoch), e.code(), &e.to_string()),
         Err(poisoned) => err_reply(
             id,
@@ -548,7 +607,7 @@ pub fn handle_line(shared: &SharedSession, line: &str) -> Handled {
     let reply = if is_read_op(op) {
         let snap = shared.read();
         match dispatch_read(&snap.value, op, &req) {
-            Ok(Some(payload)) => ok_reply(id, snap.epoch, payload),
+            Ok(Some(payload)) => payload.reply(id, snap.epoch),
             // Dirty view: rebuild under the writer lock.
             Ok(None) => write_path(shared, id, &req),
             Err(e) => err_reply(id, Some(snap.epoch), e.code(), &e.to_string()),
@@ -822,6 +881,190 @@ mod tests {
         ] {
             assert!(line.contains(required), "missing `{required}` in {line}");
         }
+    }
+
+    /// `query_json` as it was before datalog replies were encoded from
+    /// borrowed lines: the oracle [`datalog_reply`] must match byte for
+    /// byte, and the algebra arm the current `query_json` must match.
+    fn oracle(answer: &QueryAnswer) -> Vec<(&'static str, Json)> {
+        match answer {
+            QueryAnswer::Datalog { certain, unknown } => vec![
+                (
+                    "certain",
+                    Json::Arr(certain.iter().map(Json::str).collect()),
+                ),
+                (
+                    "unknown",
+                    Json::Arr(unknown.iter().map(Json::str).collect()),
+                ),
+            ],
+            QueryAnswer::Algebra {
+                query,
+                well_defined,
+                constants,
+            } => vec![
+                ("query", Json::str(query.clone())),
+                ("well_defined", Json::Bool(*well_defined)),
+                (
+                    "constants",
+                    Json::Obj(
+                        constants
+                            .iter()
+                            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
+                            .collect(),
+                    ),
+                ),
+            ],
+        }
+    }
+
+    #[test]
+    fn streamed_query_replies_match_the_json_tree() {
+        let shared = SharedSession::new(Session::new(Budget::LARGE));
+        // A string constant needing every escape, and non-ASCII text.
+        let odd = "q\"b\\s\n\tx\u{1}é😀";
+        let load = Json::obj([
+            ("id", Json::Int(1)),
+            ("op", Json::str("load")),
+            (
+                "facts",
+                Json::str(format!(
+                    "e(1, 2). e(2, 3). s('{odd}'). s(plain). m(1, 2). m(2, 1). m(2, 3)."
+                )),
+            ),
+        ]);
+        let reply = handle_line(&shared, &load.to_string());
+        assert!(reply.line().contains(r#""applied":7"#), "{}", reply.line());
+        let register = [
+            (
+                "paths",
+                "datalog",
+                "stratified",
+                "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\nt(X) :- s(X).",
+            ),
+            (
+                "game",
+                "datalog",
+                "valid",
+                "win(X) :- m(X, Y), not win(Y).\nodd(X) :- s(X), not odd(X).",
+            ),
+            ("alg", "algebra", "valid", "query e;"),
+        ];
+        for (view, kind, semantics, program) in register {
+            let line = Json::obj([
+                ("id", Json::Int(2)),
+                ("op", Json::str("register")),
+                ("view", Json::str(view)),
+                ("kind", Json::str(kind)),
+                ("semantics", Json::str(semantics)),
+                ("program", Json::str(program)),
+            ]);
+            let reply = handle_line(&shared, &line.to_string());
+            assert!(reply.line().contains(r#""ok":true"#), "{}", reply.line());
+        }
+        let ids = [
+            Json::Null,
+            Json::Bool(false),
+            Json::Int(-7),
+            Json::Float(2.5),
+            Json::str("id \"quoted\"\n\u{1f}é"),
+            Json::Arr(vec![Json::Int(1), Json::str("two")]),
+            Json::obj([("k", Json::Arr(vec![])), ("a", Json::Null)]),
+        ];
+        let queries: [(&str, Option<&str>); 9] = [
+            ("paths", Some("tc")),
+            ("paths", Some("t")),
+            ("paths", None),
+            ("paths", Some("nope")),
+            ("game", Some("win")),
+            ("game", Some("odd")),
+            ("game", None),
+            ("game", Some("nope")),
+            ("alg", None),
+        ];
+        let mut seen_unknown = false;
+        for id in &ids {
+            for (view, pred) in queries {
+                let mut req = vec![
+                    ("id", id.clone()),
+                    ("op", Json::str("query")),
+                    ("view", Json::str(view)),
+                ];
+                if let Some(p) = pred {
+                    req.push(("pred", Json::str(p)));
+                }
+                let line = Json::obj(req).to_string();
+                let context = format!("{view} {pred:?} id {id}");
+
+                // The snapshot path.
+                let snap = shared.read();
+                let answer = snap.value.query(view, pred).unwrap().expect("clean view");
+                seen_unknown |=
+                    matches!(&answer, QueryAnswer::Datalog { unknown, .. } if !unknown.is_empty());
+                let reply = handle_line(&shared, &line);
+                assert_eq!(
+                    reply.line(),
+                    ok_reply(id.clone(), snap.epoch, oracle(&answer)),
+                    "{context}"
+                );
+
+                // The writer fallback for a view the snapshot holds dirty.
+                shared.with_writer(|s| s.mark_dirty(view)).unwrap();
+                assert!(shared.read().value.answer(view, pred).unwrap().is_none());
+                let reply = handle_line(&shared, &line);
+                let epoch = shared.epoch();
+                let (live, _) = shared.with_writer(|s| s.query(view, pred)).unwrap();
+                assert_eq!(
+                    reply.line(),
+                    ok_reply(id.clone(), epoch, oracle(&live.unwrap())),
+                    "{context}"
+                );
+            }
+        }
+        assert!(seen_unknown);
+        // The escapes themselves, spelled out.
+        let reply = handle_line(
+            &shared,
+            r#"{"id": 3, "op": "query", "view": "game", "pred": "odd"}"#,
+        );
+        assert_eq!(
+            reply.line(),
+            format!(
+                r#"{{"certain":[],"epoch":{},"id":3,"ok":true,"unknown":["odd(plain)","odd(q\"b\\s\n\tx\u0001é😀)"]}}"#,
+                shared.epoch()
+            )
+        );
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_load_as_one_character() {
+        let shared = SharedSession::new(Session::new(Budget::LARGE));
+        let reply = handle_line(
+            &shared,
+            r#"{"id": 1, "op": "load", "facts": "p('\ud83d\ude00')."}"#,
+        );
+        assert!(reply.line().contains(r#""applied":1"#), "{}", reply.line());
+        handle_line(
+            &shared,
+            r#"{"id": 2, "op": "register", "view": "v", "program": "q(X) :- p(X)."}"#,
+        );
+        let reply = handle_line(&shared, r#"{"id": 3, "op": "query", "view": "v"}"#);
+        assert_eq!(
+            reply.line(),
+            r#"{"certain":["q(😀)."],"epoch":2,"id":3,"ok":true,"unknown":[]}"#
+        );
+        // A lone surrogate encodes no character: a structured refusal.
+        let reply = handle_line(
+            &shared,
+            r#"{"id": 4, "op": "load", "facts": "p('\ud83d')."}"#,
+        );
+        assert!(
+            reply.line().contains(r#""code":"bad-request""#),
+            "{}",
+            reply.line()
+        );
+        assert!(reply.line().contains("surrogate"), "{}", reply.line());
+        assert_eq!(shared.epoch(), 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! accepted once, drained the same way, and closed — then every client
 //! thread is joined before [`serve`] returns, so no reply is cut off
 //! mid-write. Idle connections cannot wedge that join: every client
-//! read is armed with a [`DRAIN_TIMEOUT`] poll timeout from the moment
+//! read is armed with a `DRAIN_TIMEOUT` poll timeout from the moment
 //! the connection is accepted (a timeout before shutdown just re-reads;
 //! partial lines survive across polls), because a timeout armed *after*
 //! a thread has blocked in `recv` would not wake it.
@@ -233,7 +233,7 @@ fn client_loop(
 
 /// Answer every pending request line on an accepted-but-never-served
 /// connection with a structured `shutting-down` error, then close it.
-/// Each read is bounded by [`DRAIN_TIMEOUT`] so a silent peer cannot
+/// Each read is bounded by `DRAIN_TIMEOUT` so a silent peer cannot
 /// stall the server's exit. Used for connections that were still in the
 /// accept backlog when `shutdown` arrived.
 fn drain_stream(stream: TcpStream) -> std::io::Result<()> {

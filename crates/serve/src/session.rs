@@ -1502,6 +1502,17 @@ impl ViewEntry {
     }
 }
 
+#[cfg(test)]
+impl Session {
+    /// Mark a view dirty the way a failed maintenance does, so a test can
+    /// drive the writer fallback of a snapshot read.
+    pub(crate) fn mark_dirty(&mut self, name: &str) {
+        let entry = self.views.get_mut(name).expect("a registered view");
+        entry.dirty = Some("marked dirty".into());
+        entry.snapshot = None;
+    }
+}
+
 /// One predicate's rendered lines in fact order, shared line by line
 /// between the session, its snapshots and successive epochs.
 type Lines = Arc<Vec<Arc<str>>>;
@@ -1657,12 +1668,47 @@ pub struct ReadView {
     views: BTreeMap<String, PublishedView>,
 }
 
+/// A query answer borrowed from a [`ReadView`]: the snapshot's own
+/// lines, not copies of them.
+pub enum Answer<'a> {
+    /// A datalog view's lines, formatted as in [`QueryAnswer::Datalog`].
+    Datalog {
+        /// Certainly-true facts, `pred(args).` lines.
+        certain: AnswerLines<'a>,
+        /// Undefined facts, `pred(args)` lines.
+        unknown: AnswerLines<'a>,
+    },
+    /// An algebra view's pre-rendered answer.
+    Algebra(&'a QueryAnswer),
+}
+
+/// Lines of a borrowed [`Answer`], one predicate's run at a time.
+pub struct AnswerLines<'a>(Vec<&'a [Arc<str>]>);
+
+impl<'a> AnswerLines<'a> {
+    fn of(parts: impl IntoIterator<Item = &'a Lines>) -> Self {
+        AnswerLines(parts.into_iter().map(|lines| &lines[..]).collect())
+    }
+
+    /// Every line, in answer order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> + Clone + '_ {
+        self.0.iter().flat_map(|run| run.iter().map(|line| &**line))
+    }
+
+    fn owned(&self) -> Vec<String> {
+        let mut out = Vec::with_capacity(self.0.iter().map(|run| run.len()).sum());
+        out.extend(self.iter().map(str::to_string));
+        out
+    }
+}
+
 impl ReadView {
-    /// Answer a query from the snapshot: `Ok(Some(_))` is the answer,
-    /// `Ok(None)` means the view is dirty and the caller must fall back
-    /// to the writer (whose query path transparently rebuilds), and
-    /// `Err` is the same error the live session would return.
-    pub fn query(&self, name: &str, pred: Option<&str>) -> Result<Option<QueryAnswer>, ServeError> {
+    /// Answer a query from the snapshot, borrowing its lines:
+    /// `Ok(Some(_))` is the answer, `Ok(None)` means the view is dirty and
+    /// the caller must fall back to the writer (whose query path
+    /// transparently rebuilds), and `Err` is the same error the live
+    /// session would return.
+    pub fn answer(&self, name: &str, pred: Option<&str>) -> Result<Option<Answer<'_>>, ServeError> {
         let view = self
             .views
             .get(name)
@@ -1674,25 +1720,17 @@ impl ReadView {
                 unknown,
                 idb,
             } => {
-                // The answer owns its lines; size it once.
-                fn owned<'a>(parts: impl Iterator<Item = &'a Lines> + Clone) -> Vec<String> {
-                    let mut out = Vec::with_capacity(parts.clone().map(|l| l.len()).sum());
-                    for lines in parts {
-                        out.extend(lines.iter().map(|line| line.to_string()));
-                    }
-                    out
-                }
                 let (c, u) = match pred {
                     Some(p) => (
-                        owned(certain.get(p).into_iter()),
-                        owned(unknown.get(p).into_iter()),
+                        AnswerLines::of(certain.get(p)),
+                        AnswerLines::of(unknown.get(p)),
                     ),
                     None => (
                         // Certain facts list in IDB order; unknown facts
                         // in predicate-sorted order restricted to IDB —
                         // both exactly as the live query renders them.
-                        owned(idb.iter().filter_map(|p| certain.get(p))),
-                        owned(
+                        AnswerLines::of(idb.iter().filter_map(|p| certain.get(p))),
+                        AnswerLines::of(
                             unknown
                                 .iter()
                                 .filter(|(p, _)| idb.contains(*p))
@@ -1700,13 +1738,25 @@ impl ReadView {
                         ),
                     ),
                 };
-                Ok(Some(QueryAnswer::Datalog {
+                Ok(Some(Answer::Datalog {
                     certain: c,
                     unknown: u,
                 }))
             }
-            ViewSnapshot::Algebra(answer) => Ok(Some(answer.clone())),
+            ViewSnapshot::Algebra(answer) => Ok(Some(Answer::Algebra(answer))),
         }
+    }
+
+    /// [`ReadView::answer`] with the lines copied out, so the answer
+    /// outlives the snapshot.
+    pub fn query(&self, name: &str, pred: Option<&str>) -> Result<Option<QueryAnswer>, ServeError> {
+        Ok(self.answer(name, pred)?.map(|answer| match answer {
+            Answer::Datalog { certain, unknown } => QueryAnswer::Datalog {
+                certain: certain.owned(),
+                unknown: unknown.owned(),
+            },
+            Answer::Algebra(answer) => answer.clone(),
+        }))
     }
 
     /// Statistics for one view or all views — same shape and order as

@@ -2,7 +2,7 @@
 //!
 //! [`open`] turns a directory into a crash-safe home for a
 //! [`Session`]: it recovers whatever state the directory holds (newest
-//! snapshot + write-ahead-log tail, see [`recover`]) and attaches a
+//! snapshot + write-ahead-log tail, see [`recover`](mod@recover)) and attaches a
 //! [`DurableStore`] as the session's durability hook, so every change
 //! the session commits from then on is write-ahead-logged — and, every
 //! `snapshot_every` records, compacted into a fresh snapshot.
@@ -16,7 +16,7 @@
 //! crash — per [`SyncPolicy`] — is exactly what the replica holds after.
 //!
 //! Layering: [`codec`] (bytes) → [`wal`] / [`snapshot`] (files) →
-//! [`recover`] (session) → [`DurableStore`] (live hook).
+//! [`recover`](mod@recover) (session) → [`DurableStore`] (live hook).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

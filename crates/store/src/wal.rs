@@ -82,7 +82,7 @@ pub enum WalRecord {
     RegisterDatalog {
         /// View name.
         name: String,
-        /// Semantics, in [`semantics_name`] form (e.g. `"stratified"`,
+        /// Semantics, in [`semantics_name`](algrec_serve::semantics_name) form (e.g. `"stratified"`,
         /// `"valid-extended:4"`).
         semantics: String,
         /// Program source, verbatim.

@@ -227,7 +227,7 @@ impl Meter {
     }
 
     /// Re-emit a parallel worker's index telemetry into this meter's
-    /// trace — the reduction step that folds per-worker [`EvalStats`]
+    /// trace — the reduction step that folds per-worker [`EvalStats`](crate::stats::EvalStats)
     /// (collected on isolated worker traces) back into the single trace
     /// spine. Only index traffic is replayed: iterations, facts and
     /// deltas are counted *centrally* by the merging round so they stay

@@ -10,7 +10,7 @@
 //!
 //! * [`value`] — complex-object values, relations, three-valued truth and
 //!   three-valued sets;
-//! * [`column`] — sorted immutable runs of `u32` rows and the
+//! * [`column`](mod@column) — sorted immutable runs of `u32` rows and the
 //!   CRC-footered run file format the store's validate-before-decode
 //!   snapshots and the fleet's checkpoints are written in;
 //! * [`adt`] — algebraic specifications with negation, valid
