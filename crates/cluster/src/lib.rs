@@ -12,10 +12,8 @@
 //!   per-shard write-ahead logs, each part stamped with the commit's
 //!   global sequence number ([`algrec_store::WalRecord::Sequenced`]).
 //!   Recovery and replication reassemble the exact commit order from
-//!   the N independent logs. Fixpoint evaluation itself is shard-aware
-//!   through the engine-wide `algrec_sched::set_shards` knob — rounds
-//!   partition their deltas by the same first-column hash, with results
-//!   bit-identical at any shard count.
+//!   the N independent logs. The shard count is a storage setting only:
+//!   evaluation never sees it.
 //! * [`repl`] — **WAL shipping**. A replica pulls intact log frames
 //!   over the ordinary line protocol (`repl` requests against the
 //!   primary), buffers per-shard streams, drains complete commits in

@@ -5,9 +5,8 @@
 //! ([`algrec_datalog::fixpoint::shard_of_fact`]) across `N` shard logs
 //! (`shard-0.wal` … `shard-{N-1}.wal` in the data directory). The
 //! *session* stays combined — queries, view maintenance and fixpoint
-//! evaluation see the union, with `algrec_sched::set_shards` making the
-//! engine partition its fixpoint rounds along the same hash — but every
-//! committed change is durably split:
+//! evaluation see the union — but every committed change is durably
+//! split:
 //!
 //! * a delta is partitioned into per-shard sub-deltas, and each
 //!   non-empty part is appended to its owning shard's log wrapped in

@@ -1,19 +1,16 @@
-//! The cluster's core correctness claim, tested differentially: sharded
-//! evaluation is **bit-identical** to single-shard evaluation, for every
-//! supported semantics, at every shard count — and a sharded durable
-//! node answers exactly like a plain in-memory session, before and
-//! after crash recovery.
+//! The cluster's core correctness claim, tested differentially: a
+//! sharded durable node answers exactly like a plain in-memory session,
+//! before and after crash recovery.
 //!
-//! The thread and shard overrides are process-global, so this file
-//! holds exactly one `#[test]`: the binary cannot race another test
-//! mutating them.
+//! The thread override is process-global, so this file holds exactly
+//! one `#[test]`: the binary cannot race another test mutating it.
 
 use algrec_cluster::open_primary;
-use algrec_datalog::{evaluate_traced, parser::parse_program, Semantics};
-use algrec_sched::{set_shards, set_threads};
+use algrec_datalog::Semantics;
+use algrec_sched::set_threads;
 use algrec_serve::{QueryAnswer, Session};
 use algrec_store::SyncPolicy;
-use algrec_value::{Budget, Database, EvalStats, Relation, Trace, Value};
+use algrec_value::Budget;
 use std::collections::BTreeSet;
 
 /// Restore the sequential defaults even when an assertion unwinds.
@@ -22,7 +19,6 @@ struct KnobGuard;
 impl Drop for KnobGuard {
     fn drop(&mut self) {
         set_threads(1);
-        set_shards(1);
     }
 }
 
@@ -34,7 +30,7 @@ const TC_NEG: &str = "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n\
 const WIN: &str = "win(X) :- e(X, Y), not win(Y).";
 
 /// A dense deterministic digraph, large enough (> 256 facts) that every
-/// fixpoint round genuinely takes the partitioned parallel path.
+/// fixpoint round of the two-thread node takes the parallel path.
 fn dense_edges() -> Vec<(i64, i64)> {
     let mut state = 0x2545_f491_4f6c_dd1du64;
     let mut edges = BTreeSet::new();
@@ -49,66 +45,6 @@ fn dense_edges() -> Vec<(i64, i64)> {
     edges.into_iter().collect()
 }
 
-/// The deterministic subset of trace statistics (no wall-clock).
-fn deterministic_stats(stats: &EvalStats) -> (Vec<(String, usize)>, usize, Vec<usize>) {
-    (
-        stats
-            .phases
-            .iter()
-            .map(|(name, p)| (name.clone(), p.iterations))
-            .collect(),
-        stats.facts_inserted,
-        stats.deltas.clone(),
-    )
-}
-
-/// Engine-level differential: baseline at 1 thread / 1 shard against
-/// 2 threads × {1, 2, 4} shards, all six semantics.
-fn engine_differential(edges: &[(i64, i64)]) {
-    let db = Database::new().with(
-        "e",
-        Relation::from_pairs(edges.iter().map(|&(a, b)| (Value::int(a), Value::int(b)))),
-    );
-    let cases = [
-        (TC, Semantics::Naive),
-        (TC, Semantics::SemiNaive),
-        (TC_NEG, Semantics::Stratified),
-        (WIN, Semantics::Inflationary),
-        (WIN, Semantics::WellFounded),
-        (WIN, Semantics::Valid),
-    ];
-    for (src, semantics) in cases {
-        let program = parse_program(src).unwrap();
-        set_threads(1);
-        set_shards(1);
-        let base_trace = Trace::collect();
-        let baseline =
-            evaluate_traced(&program, &db, semantics, Budget::LARGE, base_trace.clone()).unwrap();
-        let base_stats = deterministic_stats(&base_trace.stats().unwrap());
-
-        for shards in [1usize, 2, 4] {
-            set_threads(2);
-            set_shards(shards);
-            let trace = Trace::collect();
-            let out =
-                evaluate_traced(&program, &db, semantics, Budget::LARGE, trace.clone()).unwrap();
-            assert_eq!(
-                out.model, baseline.model,
-                "{semantics:?}: model diverged at {shards} shards"
-            );
-            assert_eq!(
-                out.rounds, baseline.rounds,
-                "{semantics:?}: rounds diverged at {shards} shards"
-            );
-            assert_eq!(
-                deterministic_stats(&trace.stats().unwrap()),
-                base_stats,
-                "{semantics:?}: deterministic counters diverged at {shards} shards"
-            );
-        }
-    }
-}
-
 /// A query answer flattened for comparison.
 fn answer_of(session: &mut Session, view: &str) -> (Vec<String>, Vec<String>) {
     match session.query(view, None).unwrap() {
@@ -117,9 +53,9 @@ fn answer_of(session: &mut Session, view: &str) -> (Vec<String>, Vec<String>) {
     }
 }
 
-/// Node-level differential: a sharded durable primary (2 shards,
-/// sharded evaluation on) must answer exactly like a plain in-memory
-/// session run sequentially — including after a reopen.
+/// Node-level differential: a sharded durable primary (2 shards, 2
+/// threads) must answer exactly like a plain in-memory session run
+/// sequentially — including after a reopen.
 fn node_differential(edges: &[(i64, i64)]) {
     let dir = std::env::temp_dir().join(format!("algrec-shard-diff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -136,7 +72,6 @@ fn node_differential(edges: &[(i64, i64)]) {
 
     // The plain reference, fully sequential.
     set_threads(1);
-    set_shards(1);
     let mut plain = Session::new(Budget::LARGE);
     plain.load(&facts).unwrap();
     for (name, src, semantics) in views {
@@ -151,9 +86,8 @@ fn node_differential(edges: &[(i64, i64)]) {
         .map(|(n, _, _)| answer_of(&mut plain, n))
         .collect();
 
-    // The cluster node, sharded on disk and in the engine.
+    // The cluster node, sharded on disk.
     set_threads(2);
-    set_shards(2);
     let (mut node, _, _) = open_primary(&dir, 2, Budget::LARGE, SyncPolicy::Always).unwrap();
     node.load(&facts).unwrap();
     for (name, src, semantics) in views {
@@ -188,9 +122,7 @@ fn node_differential(edges: &[(i64, i64)]) {
 }
 
 #[test]
-fn sharded_evaluation_and_sharded_nodes_match_single_shard_output() {
+fn sharded_nodes_match_a_plain_session() {
     let _guard = KnobGuard;
-    let edges = dense_edges();
-    engine_differential(&edges);
-    node_differential(&edges);
+    node_differential(&dense_edges());
 }

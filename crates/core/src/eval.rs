@@ -93,25 +93,6 @@ impl EvalOptions {
     };
 }
 
-impl Default for EvalOptions {
-    /// [`EvalOptions::OPTIMIZED`], unless the `ALGREC_EVAL_BASELINE`
-    /// environment variable is set to a non-empty value, which forces
-    /// [`EvalOptions::BASELINE`]. The CI matrix uses this to run the whole
-    /// test suite down the unoptimized path without code changes. The
-    /// narrower `ALGREC_PLAN_BASELINE` toggle (read through
-    /// [`algrec_plan::enabled`]) switches off only the plan-keyed caches,
-    /// leaving the other optimizations on.
-    fn default() -> Self {
-        match std::env::var_os("ALGREC_EVAL_BASELINE") {
-            Some(v) if !v.is_empty() => EvalOptions::BASELINE,
-            _ => EvalOptions {
-                plan: algrec_plan::enabled(),
-                ..EvalOptions::OPTIMIZED
-            },
-        }
-    }
-}
-
 /// Concatenate two values as tuples (the relational product convention:
 /// non-tuples act as 1-tuples).
 pub fn tuple_concat(a: &Value, b: &Value) -> Value {
@@ -966,7 +947,7 @@ pub fn eval_exact(
     db: &Database,
     budget: Budget,
 ) -> Result<BTreeSet<Value>, CoreError> {
-    eval_exact_with(program, db, budget, EvalOptions::default())
+    eval_exact_with(program, db, budget, EvalOptions::OPTIMIZED)
 }
 
 /// [`eval_exact`] with explicit strategy options (ablation and agreement

@@ -239,12 +239,95 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     Ok(out)
 }
 
+/// How deeply expressions and values may nest, and how tall an operator
+/// chain may grow. The parser recurses once per nesting level and every
+/// consumer of the tree once per chain link, so without a bound one short
+/// line of `(`s or of `e union e union …` overflows the stack of the
+/// thread that parses or evaluates it.
+const MAX_DEPTH: usize = 256;
+
+/// The height of an expression tree: how deep its consumers recurse.
+fn alg_height(e: &AlgExpr) -> usize {
+    1 + match e {
+        AlgExpr::Name(_) | AlgExpr::Lit(_) => 0,
+        AlgExpr::Union(a, b) | AlgExpr::Diff(a, b) | AlgExpr::Product(a, b) => {
+            alg_height(a).max(alg_height(b))
+        }
+        AlgExpr::Select(a, f) | AlgExpr::Map(a, f) => alg_height(a).max(func_height(f)),
+        AlgExpr::Ifp { body, .. } => alg_height(body),
+        AlgExpr::Apply(_, args) => args.iter().map(alg_height).max().unwrap_or(0),
+    }
+}
+
+/// [`alg_height`] for element expressions.
+fn func_height(f: &FuncExpr) -> usize {
+    1 + match f {
+        FuncExpr::Elem | FuncExpr::Lit(_) => 0,
+        FuncExpr::Tuple(items) | FuncExpr::App(_, items) => {
+            items.iter().map(func_height).max().unwrap_or(0)
+        }
+        FuncExpr::Proj(a, _) | FuncExpr::Not(a) => func_height(a),
+        FuncExpr::Cmp(_, a, b) | FuncExpr::And(a, b) | FuncExpr::Or(a, b) => {
+            func_height(a).max(func_height(b))
+        }
+    }
+}
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     idx: usize,
+    /// Nested expressions and values open around the current token.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(src: &str) -> Result<Self, ParseError> {
+        Ok(Parser {
+            toks: lex(src)?,
+            idx: 0,
+            depth: 0,
+        })
+    }
+
+    /// Run `f` one nesting level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: fn(&mut Self) -> Result<T, ParseError>) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_DEPTH}"))
+    }
+
+    /// A left-associative chain `operand (op operand)*`, refusing to grow
+    /// taller than [`MAX_DEPTH`].
+    fn chain<T>(
+        &mut self,
+        op: &Tok,
+        operand: fn(&mut Self) -> Result<T, ParseError>,
+        height: fn(&T) -> usize,
+        join: fn(T, T) -> T,
+    ) -> Result<T, ParseError> {
+        let mut lhs = operand(self)?;
+        let mut h = None;
+        while self.peek() == Some(op) {
+            self.idx += 1;
+            let rhs = operand(self)?;
+            let taller = h.unwrap_or_else(|| height(&lhs)).max(height(&rhs)) + 1;
+            if taller > MAX_DEPTH {
+                return Err(self.too_deep());
+            }
+            h = Some(taller);
+            lhs = join(lhs, rhs);
+        }
+        Ok(lhs)
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.idx).map(|(_, t)| t)
     }
@@ -281,6 +364,10 @@ impl Parser {
     // ---- values (set-literal members) ----
 
     fn parse_value(&mut self) -> Result<Value, ParseError> {
+        self.nested(Self::value)
+    }
+
+    fn value(&mut self) -> Result<Value, ParseError> {
         match self.bump() {
             Some(Tok::Int(n)) => Ok(Value::Int(n)),
             Some(Tok::Str(s)) => Ok(Value::str(s)),
@@ -326,29 +413,31 @@ impl Parser {
     // ---- element-level expressions ----
 
     fn parse_fexpr(&mut self) -> Result<FuncExpr, ParseError> {
-        let mut lhs = self.parse_fand()?;
-        while self.peek() == Some(&Tok::Ident("or".into())) {
-            self.idx += 1;
-            let rhs = self.parse_fand()?;
-            lhs = FuncExpr::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.nested(Self::parse_for)
+    }
+
+    fn parse_for(&mut self) -> Result<FuncExpr, ParseError> {
+        self.chain(
+            &Tok::Ident("or".into()),
+            Self::parse_fand,
+            func_height,
+            |a, b| FuncExpr::Or(Box::new(a), Box::new(b)),
+        )
     }
 
     fn parse_fand(&mut self) -> Result<FuncExpr, ParseError> {
-        let mut lhs = self.parse_fnot()?;
-        while self.peek() == Some(&Tok::Ident("and".into())) {
-            self.idx += 1;
-            let rhs = self.parse_fnot()?;
-            lhs = FuncExpr::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(
+            &Tok::Ident("and".into()),
+            Self::parse_fnot,
+            func_height,
+            |a, b| FuncExpr::And(Box::new(a), Box::new(b)),
+        )
     }
 
     fn parse_fnot(&mut self) -> Result<FuncExpr, ParseError> {
         if self.peek() == Some(&Tok::Ident("not".into())) {
             self.idx += 1;
-            return Ok(FuncExpr::Not(Box::new(self.parse_fnot()?)));
+            return Ok(FuncExpr::Not(Box::new(self.nested(Self::parse_fnot)?)));
         }
         self.parse_fcmp()
     }
@@ -437,8 +526,14 @@ impl Parser {
             _ => return Err(self.err("expected an element expression")),
         };
         // postfix projections `.k`
+        let mut height = None;
         while self.peek() == Some(&Tok::Dot) {
             self.idx += 1;
+            let h = height.unwrap_or_else(|| func_height(&base)) + 1;
+            if h > MAX_DEPTH {
+                return Err(self.too_deep());
+            }
+            height = Some(h);
             match self.bump() {
                 Some(Tok::Int(k)) if k >= 0 => {
                     base = FuncExpr::Proj(Box::new(base), k as usize);
@@ -452,33 +547,20 @@ impl Parser {
     // ---- set-level expressions ----
 
     fn parse_expr(&mut self) -> Result<AlgExpr, ParseError> {
-        let mut lhs = self.parse_term()?;
-        while self.peek() == Some(&Tok::Ident("union".into())) {
-            self.idx += 1;
-            let rhs = self.parse_term()?;
-            lhs = AlgExpr::union(lhs, rhs);
-        }
-        Ok(lhs)
+        self.nested(Self::parse_union)
+    }
+
+    fn parse_union(&mut self) -> Result<AlgExpr, ParseError> {
+        let union = Tok::Ident("union".into());
+        self.chain(&union, Self::parse_term, alg_height, AlgExpr::union)
     }
 
     fn parse_term(&mut self) -> Result<AlgExpr, ParseError> {
-        let mut lhs = self.parse_prod()?;
-        while self.peek() == Some(&Tok::Minus) {
-            self.idx += 1;
-            let rhs = self.parse_prod()?;
-            lhs = AlgExpr::diff(lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(&Tok::Minus, Self::parse_prod, alg_height, AlgExpr::diff)
     }
 
     fn parse_prod(&mut self) -> Result<AlgExpr, ParseError> {
-        let mut lhs = self.parse_atom()?;
-        while self.peek() == Some(&Tok::Star) {
-            self.idx += 1;
-            let rhs = self.parse_atom()?;
-            lhs = AlgExpr::product(lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(&Tok::Star, Self::parse_atom, alg_height, AlgExpr::product)
     }
 
     fn parse_atom(&mut self) -> Result<AlgExpr, ParseError> {
@@ -599,19 +681,12 @@ impl Parser {
 
 /// Parse an algebra program (definitions + query).
 pub fn parse_program(src: &str) -> Result<AlgProgram, ParseError> {
-    Parser {
-        toks: lex(src)?,
-        idx: 0,
-    }
-    .parse_program()
+    Parser::new(src)?.parse_program()
 }
 
 /// Parse a single algebra expression.
 pub fn parse_expr(src: &str) -> Result<AlgExpr, ParseError> {
-    let mut p = Parser {
-        toks: lex(src)?,
-        idx: 0,
-    };
+    let mut p = Parser::new(src)?;
     let e = p.parse_expr()?;
     if p.peek().is_some() {
         return Err(p.err("trailing input after expression"));

@@ -175,7 +175,7 @@ pub fn eval_valid(
     db: &Database,
     budget: Budget,
 ) -> Result<ValidAlgebraResult, CoreError> {
-    eval_valid_with(program, db, budget, EvalOptions::default())
+    eval_valid_with(program, db, budget, EvalOptions::OPTIMIZED)
 }
 
 /// [`eval_valid`] with explicit strategy options (ablation and agreement

@@ -18,10 +18,10 @@
 //! positive or negative atom (no comparisons, equalities or function
 //! applications — those construct fresh values, which the id-space
 //! executor deliberately cannot do). The entry points additionally
-//! require the plan toggle ([`algrec_plan::enabled`]) and an *untraced*
-//! meter: traced runs keep the interpreted path so every telemetry
-//! stream (index builds/probes, per-phase counters) stays byte-identical
-//! to previous releases. Conversion also falls back if any converted
+//! require an *untraced* meter: traced runs keep the interpreted path —
+//! the reference the differential tests compare against — so every
+//! telemetry stream (index builds/probes, per-phase counters) stays
+//! byte-identical to previous releases. Conversion also falls back if any converted
 //! value exceeds the budget's value-size limit — with variable/constant
 //! heads the executor only ever recombines existing values, so once the
 //! inputs fit, no per-match size check is needed.
@@ -577,7 +577,7 @@ fn rule_compilable(rule: &Rule) -> bool {
 
 /// Shared gate for every entry point.
 fn eligible(compiled: &Compiled, meter: &Meter) -> bool {
-    algrec_plan::enabled() && !meter.is_traced() && compiled.rules.iter().all(rule_compilable)
+    !meter.is_traced() && compiled.rules.iter().all(rule_compilable)
 }
 
 /// The id-space working state shared by every run mode: the predicate
@@ -1013,9 +1013,7 @@ impl<'a> Machine<'a> {
         derived: &mut Derived,
     ) -> Result<(), EvalError> {
         let threads = algrec_sched::threads();
-        let shards = algrec_sched::shards();
-        if (threads <= 1 && shards <= 1) || delta_total(delta) < PAR_MIN_FACTS || firings.is_empty()
-        {
+        if threads <= 1 || delta_total(delta) < PAR_MIN_FACTS || firings.is_empty() {
             let ctx = FireCtx {
                 total: &self.total,
                 delta: Some(delta),
@@ -1038,30 +1036,18 @@ impl<'a> Machine<'a> {
         // Partition the delta rows across workers; which partition a row
         // lands in only balances load (all workers join against the same
         // total, and the merge below is partition-order-deterministic).
-        // Sharded evaluation instead keys each row on its first-column
-        // interned id — the cluster's EDB partitioning function — with
-        // exactly one part per shard worker, so the round's work
-        // assignment follows data ownership.
-        let nparts = if shards > 1 { shards } else { threads };
         let npreds = self.total.rels.len();
-        let mut parts: Vec<DeltaDb> = (0..nparts)
+        let mut parts: Vec<DeltaDb> = (0..threads)
             .map(|_| vec![Chunk::default(); npreds])
             .collect();
         for (p, rows) in delta.iter().enumerate() {
             for row in rows.iter() {
                 let mut h = FxHasher::default();
-                if shards > 1 {
-                    match row.first() {
-                        Some(v) => h.write_u32(v.index()),
-                        None => h.write_usize(p),
-                    }
-                } else {
-                    h.write_usize(p);
-                    for v in row.iter() {
-                        h.write_u32(v.index());
-                    }
+                h.write_usize(p);
+                for v in row.iter() {
+                    h.write_u32(v.index());
                 }
-                let w = (h.finish() % nparts as u64) as usize;
+                let w = (h.finish() % threads as u64) as usize;
                 parts[w][p].push(row);
             }
         }
@@ -1312,8 +1298,8 @@ impl<'a> Machine<'a> {
     }
 }
 
-/// Compiled naive fixpoint; `None` when the program, toggle or meter
-/// keeps the interpreted path.
+/// Compiled naive fixpoint; `None` when the program or meter keeps the
+/// interpreted path.
 pub(crate) fn try_naive(
     compiled: &Compiled,
     base: &Interp,
@@ -1399,8 +1385,8 @@ pub(crate) fn try_inflationary(
 
 /// Compiled *whole-stratification* semi-naive fixpoint: one machine, one
 /// id space, one materialization for every stratum. `None` keeps the
-/// interpreted per-stratum driver (non-datalog rules, oversized values,
-/// tracing, or the plan toggle off).
+/// interpreted per-stratum driver (non-datalog rules, oversized values
+/// or tracing).
 ///
 /// Negation is read through [`NegDb::Total`], the live complement of the
 /// machine's totals. That is exactly the stratified semantics: by
@@ -1417,7 +1403,7 @@ pub(crate) fn try_stratified(
     base: &Interp,
     meter: &mut Meter,
 ) -> Option<Result<(Interp, FixpointStats), EvalError>> {
-    if !algrec_plan::enabled() || meter.is_traced() {
+    if meter.is_traced() {
         return None;
     }
     let layers = crate::stratify::strata_programs(program).ok()?;
@@ -1463,7 +1449,11 @@ mod tests {
     }
 
     fn tc_program() -> Compiled {
-        Compiled::compile(&Program::from_rules([
+        Compiled::compile(&tc_rules()).unwrap()
+    }
+
+    fn tc_rules() -> Program {
+        Program::from_rules([
             Rule::new(
                 Atom::new("tc", [v("X"), v("Y")]),
                 [Literal::Pos(Atom::new("edge", [v("X"), v("Y")]))],
@@ -1475,8 +1465,7 @@ mod tests {
                     Literal::Pos(Atom::new("edge", [v("Y"), v("Z")])),
                 ],
             ),
-        ]))
-        .unwrap()
+        ])
     }
 
     fn chain(n: i64) -> Interp {
@@ -1487,238 +1476,205 @@ mod tests {
         base
     }
 
-    /// Run `f` with the compiled path force-enabled, restoring the
-    /// ambient toggle afterwards (the suite may run under
-    /// `ALGREC_PLAN_BASELINE=1`).
-    fn with_plan<R>(f: impl FnOnce() -> R) -> R {
-        with_toggle(true, f)
-    }
-
-    /// The toggle is process-global and the tests of this module run in
-    /// parallel: whoever sets it holds this lock until it is restored.
-    fn with_toggle<R>(on: bool, f: impl FnOnce() -> R) -> R {
-        static TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _held = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = algrec_plan::enabled();
-        algrec_plan::set_enabled(on);
-        let r = f();
-        algrec_plan::set_enabled(prev);
-        r
-    }
-
     #[test]
     fn compiled_semi_naive_matches_interpreted_exactly() {
-        with_plan(|| {
-            let compiled = tc_program();
-            let base = chain(12);
-            let mut mc = Budget::LARGE.meter();
-            let (out_c, stats_c) = try_semi_naive(&compiled, &base, &NegOracle::False, &mut mc)
-                .expect("eligible")
-                .unwrap();
-            // Interpreted reference: a traced meter forces the old path.
-            let trace = algrec_value::Trace::collect();
-            let mut mi = Budget::LARGE.meter_traced(trace);
-            let (out_i, stats_i) =
-                fixpoint::semi_naive(&compiled, &base, &|_, _| false, &mut mi).unwrap();
-            assert_eq!(out_c, out_i);
-            assert_eq!(stats_c, stats_i);
-            assert_eq!(mc.facts(), mi.facts());
-            assert_eq!(mc.iterations(), mi.iterations());
-        });
+        let compiled = tc_program();
+        let base = chain(12);
+        let mut mc = Budget::LARGE.meter();
+        let (out_c, stats_c) = try_semi_naive(&compiled, &base, &NegOracle::False, &mut mc)
+            .expect("eligible")
+            .unwrap();
+        // Interpreted reference: a traced meter forces the old path.
+        let trace = algrec_value::Trace::collect();
+        let mut mi = Budget::LARGE.meter_traced(trace);
+        let (out_i, stats_i) =
+            fixpoint::semi_naive(&compiled, &base, &|_, _| false, &mut mi).unwrap();
+        assert_eq!(out_c, out_i);
+        assert_eq!(stats_c, stats_i);
+        assert_eq!(mc.facts(), mi.facts());
+        assert_eq!(mc.iterations(), mi.iterations());
     }
 
     #[test]
     fn compiled_naive_matches_interpreted_exactly() {
-        with_plan(|| {
-            let compiled = tc_program();
-            let base = chain(6);
-            let mut mc = Budget::LARGE.meter();
-            let (out_c, stats_c) = try_naive(&compiled, &base, &NegOracle::False, &mut mc)
-                .expect("eligible")
-                .unwrap();
-            let trace = algrec_value::Trace::collect();
-            let mut mi = Budget::LARGE.meter_traced(trace);
-            let (out_i, stats_i) =
-                fixpoint::naive(&compiled, &base, &|_, _| false, &mut mi).unwrap();
-            assert_eq!(out_c, out_i);
-            assert_eq!(stats_c, stats_i);
-            assert_eq!(mc.facts(), mi.facts());
-            assert_eq!(mc.iterations(), mi.iterations());
-        });
+        let compiled = tc_program();
+        let base = chain(6);
+        let mut mc = Budget::LARGE.meter();
+        let (out_c, stats_c) = try_naive(&compiled, &base, &NegOracle::False, &mut mc)
+            .expect("eligible")
+            .unwrap();
+        let trace = algrec_value::Trace::collect();
+        let mut mi = Budget::LARGE.meter_traced(trace);
+        let (out_i, stats_i) = fixpoint::naive(&compiled, &base, &|_, _| false, &mut mi).unwrap();
+        assert_eq!(out_c, out_i);
+        assert_eq!(stats_c, stats_i);
+        assert_eq!(mc.facts(), mi.facts());
+        assert_eq!(mc.iterations(), mi.iterations());
     }
 
     #[test]
     fn fn_oracle_round_trips_through_values() {
-        with_plan(|| {
-            // q(X) :- node(X), not bad(X).
-            let compiled = Compiled::compile(&Program::from_rules([Rule::new(
-                Atom::new("q", [v("X")]),
-                [
-                    Literal::Pos(Atom::new("node", [v("X")])),
-                    Literal::Neg(Atom::new("bad", [v("X")])),
-                ],
-            )]))
+        // q(X) :- node(X), not bad(X).
+        let compiled = Compiled::compile(&Program::from_rules([Rule::new(
+            Atom::new("q", [v("X")]),
+            [
+                Literal::Pos(Atom::new("node", [v("X")])),
+                Literal::Neg(Atom::new("bad", [v("X")])),
+            ],
+        )]))
+        .unwrap();
+        let mut base = Interp::new();
+        base.insert("node", vec![i(1)]);
+        base.insert("node", vec![i(2)]);
+        let f = |p: &str, args: &[Value]| p == "bad" && args[0] != i(2);
+        let mut m = Budget::SMALL.meter();
+        let (out, _) = try_semi_naive(&compiled, &base, &NegOracle::Fn(&f), &mut m)
+            .expect("eligible")
             .unwrap();
-            let mut base = Interp::new();
-            base.insert("node", vec![i(1)]);
-            base.insert("node", vec![i(2)]);
-            let f = |p: &str, args: &[Value]| p == "bad" && args[0] != i(2);
-            let mut m = Budget::SMALL.meter();
-            let (out, _) = try_semi_naive(&compiled, &base, &NegOracle::Fn(&f), &mut m)
-                .expect("eligible")
-                .unwrap();
-            assert!(out.holds("q", &[i(1)]));
-            assert!(!out.holds("q", &[i(2)]));
-        });
+        assert!(out.holds("q", &[i(1)]));
+        assert!(!out.holds("q", &[i(2)]));
     }
 
     #[test]
     fn complement_oracle_matches_closure() {
-        with_plan(|| {
-            // un(X, Y) :- node(X), node(Y), not tc(X, Y).
-            let compiled = Compiled::compile(&Program::from_rules([Rule::new(
-                Atom::new("un", [v("X"), v("Y")]),
-                [
-                    Literal::Pos(Atom::new("node", [v("X")])),
-                    Literal::Pos(Atom::new("node", [v("Y")])),
-                    Literal::Neg(Atom::new("tc", [v("X"), v("Y")])),
-                ],
-            )]))
-            .unwrap();
-            let mut base = Interp::new();
-            let mut frozen = Interp::new();
-            for k in 0..4 {
-                base.insert("node", vec![i(k)]);
-            }
-            frozen.insert("tc", vec![i(0), i(1)]);
-            frozen.insert("tc", vec![i(2), i(3)]);
-            let mut mc = Budget::SMALL.meter();
-            let (out_c, stats_c) =
-                try_semi_naive(&compiled, &base, &NegOracle::Complement(&frozen), &mut mc)
-                    .expect("eligible")
-                    .unwrap();
-            let trace = algrec_value::Trace::collect();
-            let mut mi = Budget::SMALL.meter_traced(trace);
-            let (out_i, stats_i) =
-                fixpoint::semi_naive(&compiled, &base, &|p, args| !frozen.holds(p, args), &mut mi)
-                    .unwrap();
-            assert_eq!(out_c, out_i);
-            assert_eq!(stats_c, stats_i);
-            assert_eq!(out_c.count("un"), 14);
-        });
+        // un(X, Y) :- node(X), node(Y), not tc(X, Y).
+        let compiled = Compiled::compile(&Program::from_rules([Rule::new(
+            Atom::new("un", [v("X"), v("Y")]),
+            [
+                Literal::Pos(Atom::new("node", [v("X")])),
+                Literal::Pos(Atom::new("node", [v("Y")])),
+                Literal::Neg(Atom::new("tc", [v("X"), v("Y")])),
+            ],
+        )]))
+        .unwrap();
+        let mut base = Interp::new();
+        let mut frozen = Interp::new();
+        for k in 0..4 {
+            base.insert("node", vec![i(k)]);
+        }
+        frozen.insert("tc", vec![i(0), i(1)]);
+        frozen.insert("tc", vec![i(2), i(3)]);
+        let mut mc = Budget::SMALL.meter();
+        let (out_c, stats_c) =
+            try_semi_naive(&compiled, &base, &NegOracle::Complement(&frozen), &mut mc)
+                .expect("eligible")
+                .unwrap();
+        let trace = algrec_value::Trace::collect();
+        let mut mi = Budget::SMALL.meter_traced(trace);
+        let (out_i, stats_i) =
+            fixpoint::semi_naive(&compiled, &base, &|p, args| !frozen.holds(p, args), &mut mi)
+                .unwrap();
+        assert_eq!(out_c, out_i);
+        assert_eq!(stats_c, stats_i);
+        assert_eq!(out_c.count("un"), 14);
     }
 
     #[test]
     fn compiled_inflationary_matches_interpreted() {
-        with_plan(|| {
-            // r(a).  q(X) :- r(X), not q(X).  — the Example 4 gadget.
-            let compiled = Compiled::compile(&Program::from_rules([
-                Rule::fact(Atom::new("r", [Expr::lit("a")])),
-                Rule::new(
-                    Atom::new("q", [v("X")]),
-                    [
-                        Literal::Pos(Atom::new("r", [v("X")])),
-                        Literal::Neg(Atom::new("q", [v("X")])),
-                    ],
-                ),
-            ]))
+        // r(a).  q(X) :- r(X), not q(X).  — the Example 4 gadget.
+        let compiled = Compiled::compile(&Program::from_rules([
+            Rule::fact(Atom::new("r", [Expr::lit("a")])),
+            Rule::new(
+                Atom::new("q", [v("X")]),
+                [
+                    Literal::Pos(Atom::new("r", [v("X")])),
+                    Literal::Neg(Atom::new("q", [v("X")])),
+                ],
+            ),
+        ]))
+        .unwrap();
+        let mut mc = Budget::SMALL.meter();
+        let (out_c, stats_c) = try_inflationary(&compiled, &Interp::new(), &mut mc)
+            .expect("eligible")
             .unwrap();
-            let mut mc = Budget::SMALL.meter();
-            let (out_c, stats_c) = try_inflationary(&compiled, &Interp::new(), &mut mc)
-                .expect("eligible")
-                .unwrap();
-            let trace = algrec_value::Trace::collect();
-            let mut mi = Budget::SMALL.meter_traced(trace);
-            let (out_i, stats_i) = inflationary(&compiled, &Interp::new(), &mut mi).unwrap();
-            assert_eq!(out_c, out_i);
-            assert_eq!(stats_c, stats_i);
-            assert_eq!(mc.facts(), mi.facts());
-            assert!(out_c.holds("q", &[Value::str("a")]));
-        });
+        let trace = algrec_value::Trace::collect();
+        let mut mi = Budget::SMALL.meter_traced(trace);
+        let (out_i, stats_i) = inflationary(&compiled, &Interp::new(), &mut mi).unwrap();
+        assert_eq!(out_c, out_i);
+        assert_eq!(stats_c, stats_i);
+        assert_eq!(mc.facts(), mi.facts());
+        assert!(out_c.holds("q", &[Value::str("a")]));
     }
 
     #[test]
     fn compiled_continuation_matches_interpreted() {
-        with_plan(|| {
-            let compiled = tc_program();
-            let base = chain(8);
-            let mut m = Budget::SMALL.meter();
-            let (fixed, _) = try_semi_naive(&compiled, &base, &NegOracle::False, &mut m)
+        let compiled = tc_program();
+        let base = chain(8);
+        let mut m = Budget::SMALL.meter();
+        let (fixed, _) = try_semi_naive(&compiled, &base, &NegOracle::False, &mut m)
+            .expect("eligible")
+            .unwrap();
+        let mut seed = Interp::new();
+        seed.insert("edge", vec![i(8), i(9)]);
+        seed.insert("orphan", vec![i(99)]); // unmentioned predicate
+        let mut total = fixed.clone();
+        total.absorb(&seed);
+        let mut mc = Budget::SMALL.meter();
+        let (out_c, added_c, stats_c) =
+            try_semi_naive_from(&compiled, &total, &seed, &NegOracle::False, &mut mc)
                 .expect("eligible")
                 .unwrap();
-            let mut seed = Interp::new();
-            seed.insert("edge", vec![i(8), i(9)]);
-            seed.insert("orphan", vec![i(99)]); // unmentioned predicate
-            let mut total = fixed.clone();
-            total.absorb(&seed);
-            let mut mc = Budget::SMALL.meter();
-            let (out_c, added_c, stats_c) =
-                try_semi_naive_from(&compiled, &total, &seed, &NegOracle::False, &mut mc)
-                    .expect("eligible")
-                    .unwrap();
-            let trace = algrec_value::Trace::collect();
-            let mut mi = Budget::SMALL.meter_traced(trace);
-            let (out_i, added_i, stats_i) =
-                fixpoint::semi_naive_from(&compiled, &total, &seed, &|_, _| false, &mut mi)
-                    .unwrap();
-            assert_eq!(out_c, out_i);
-            assert_eq!(added_c, added_i);
-            assert_eq!(stats_c, stats_i);
-            assert_eq!(mc.facts(), mi.facts());
-        });
+        let trace = algrec_value::Trace::collect();
+        let mut mi = Budget::SMALL.meter_traced(trace);
+        let (out_i, added_i, stats_i) =
+            fixpoint::semi_naive_from(&compiled, &total, &seed, &|_, _| false, &mut mi).unwrap();
+        assert_eq!(out_c, out_i);
+        assert_eq!(added_c, added_i);
+        assert_eq!(stats_c, stats_i);
+        assert_eq!(mc.facts(), mi.facts());
     }
 
     #[test]
     fn ineligible_programs_fall_back() {
-        with_plan(|| {
-            // nat(succ(X)) :- nat(X).  — function application in the head.
-            use crate::ast::Func;
-            let compiled = Compiled::compile(&Program::from_rules([
-                Rule::fact(Atom::new("nat", [Expr::int(0)])),
-                Rule::new(
-                    Atom::new("nat", [Expr::App(Func::Succ, vec![v("X")])]),
-                    [Literal::Pos(Atom::new("nat", [v("X")]))],
-                ),
-            ]))
-            .unwrap();
-            let mut m = Budget::SMALL.meter();
-            assert!(try_semi_naive(&compiled, &Interp::new(), &NegOracle::False, &mut m).is_none());
-        });
+        // nat(succ(X)) :- nat(X).  — function application in the head.
+        use crate::ast::Func;
+        let compiled = Compiled::compile(&Program::from_rules([
+            Rule::fact(Atom::new("nat", [Expr::int(0)])),
+            Rule::new(
+                Atom::new("nat", [Expr::App(Func::Succ, vec![v("X")])]),
+                [Literal::Pos(Atom::new("nat", [v("X")]))],
+            ),
+        ]))
+        .unwrap();
+        let mut m = Budget::SMALL.meter();
+        assert!(try_semi_naive(&compiled, &Interp::new(), &NegOracle::False, &mut m).is_none());
     }
 
+    /// A traced meter is the one selector of the interpreted reference:
+    /// every entry point that runs this program untraced refuses it
+    /// traced.
     #[test]
     fn traced_meters_fall_back() {
-        with_plan(|| {
-            let compiled = tc_program();
-            let trace = algrec_value::Trace::collect();
-            let mut m = Budget::SMALL.meter_traced(trace);
-            assert!(try_semi_naive(&compiled, &chain(3), &NegOracle::False, &mut m).is_none());
-        });
-    }
-
-    #[test]
-    fn disabled_toggle_falls_back() {
-        with_toggle(false, || {
-            let compiled = tc_program();
-            let mut m = Budget::SMALL.meter();
-            assert!(try_semi_naive(&compiled, &chain(3), &NegOracle::False, &mut m).is_none());
-        });
+        let (program, compiled, base) = (tc_rules(), tc_program(), chain(3));
+        let neg = &NegOracle::False;
+        for traced in [false, true] {
+            let meter = || match traced {
+                true => Budget::SMALL.meter_traced(algrec_value::Trace::collect()),
+                false => Budget::SMALL.meter(),
+            };
+            let ran = [
+                try_naive(&compiled, &base, neg, &mut meter()).is_some(),
+                try_semi_naive(&compiled, &base, neg, &mut meter()).is_some(),
+                try_semi_naive_from(&compiled, &base, &base, neg, &mut meter()).is_some(),
+                try_inflationary(&compiled, &base, &mut meter()).is_some(),
+                try_stratified(&program, &base, &mut meter()).is_some(),
+            ];
+            assert_eq!(ran, [!traced; 5], "traced = {traced}");
+        }
     }
 
     #[test]
     fn budget_errors_are_identical() {
-        with_plan(|| {
-            let compiled = tc_program();
-            let base = chain(10);
-            let budget = Budget::new(1_000, 20, 64);
-            let mut mc = budget.meter();
-            let err_c = try_semi_naive(&compiled, &base, &NegOracle::False, &mut mc)
-                .expect("eligible")
-                .unwrap_err();
-            let trace = algrec_value::Trace::collect();
-            let mut mi = budget.meter_traced(trace);
-            let err_i = fixpoint::semi_naive(&compiled, &base, &|_, _| false, &mut mi).unwrap_err();
-            assert_eq!(format!("{err_c}"), format!("{err_i}"));
-        });
+        let compiled = tc_program();
+        let base = chain(10);
+        let budget = Budget::new(1_000, 20, 64);
+        let mut mc = budget.meter();
+        let err_c = try_semi_naive(&compiled, &base, &NegOracle::False, &mut mc)
+            .expect("eligible")
+            .unwrap_err();
+        let trace = algrec_value::Trace::collect();
+        let mut mi = budget.meter_traced(trace);
+        let err_i = fixpoint::semi_naive(&compiled, &base, &|_, _| false, &mut mi).unwrap_err();
+        assert_eq!(format!("{err_c}"), format!("{err_i}"));
     }
 }

@@ -97,12 +97,10 @@ fn partition_facts(facts: &Interp, n: usize) -> Vec<Interp> {
     parts
 }
 
-/// Partition a fact's owning shard by its *first column* — the cluster's
-/// EDB partitioning function. All facts about one entity co-locate
-/// regardless of predicate (zero-arity facts hash their predicate name),
-/// so a shard worker's per-round work assignment is exactly the slice of
-/// the delta it owns. Like `partition_facts`, the choice of partition
-/// never affects the result — only which worker derives which candidate.
+/// A fact's owning shard by its *first column* — the cluster's EDB
+/// partitioning function, which routes facts to the shard logs on disk.
+/// All facts about one entity co-locate regardless of predicate
+/// (zero-arity facts hash their predicate name).
 pub fn shard_of_fact(pred: &str, args: &[Value], n: usize) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     match args.first() {
@@ -110,16 +108,6 @@ pub fn shard_of_fact(pred: &str, args: &[Value], n: usize) -> usize {
         None => pred.hash(&mut h),
     }
     (h.finish() % n as u64) as usize
-}
-
-/// Partition an interpretation's facts into `n` shard-owned parts by
-/// first column ([`shard_of_fact`]).
-fn partition_first_column(facts: &Interp, n: usize) -> Vec<Interp> {
-    let mut parts = vec![Interp::new(); n];
-    for (p, args) in facts.iter() {
-        parts[shard_of_fact(p, args, n)].insert(p, args.clone());
-    }
-    parts
 }
 
 /// One parallel worker's result: per-rule candidate buffers, plus the
@@ -184,8 +172,7 @@ fn fire_differential(
     derived: &mut Interp,
 ) -> Result<(), EvalError> {
     let threads = algrec_sched::threads();
-    let shards = algrec_sched::shards();
-    if (threads <= 1 && shards <= 1) || delta.total() < PAR_MIN_FACTS || firings.is_empty() {
+    if threads <= 1 || delta.total() < PAR_MIN_FACTS || firings.is_empty() {
         for &(rule, pos) in firings {
             apply_rule(
                 &compiled.rules[rule],
@@ -201,16 +188,7 @@ fn fire_differential(
         }
         return Ok(());
     }
-    // Sharded evaluation partitions by data ownership (first-column id,
-    // one part per shard worker); otherwise by whole-fact hash, one part
-    // per thread. Either way every worker joins its part against the
-    // same shared total and the merge below is partition-minor
-    // deterministic, so the two regimes are bit-identical.
-    let parts = if shards > 1 {
-        partition_first_column(delta, shards)
-    } else {
-        partition_facts(delta, threads)
-    };
+    let parts = partition_facts(delta, threads);
     let budget = worker_budget(meter);
     let traced = meter.is_traced();
     let results = algrec_sched::Pool::new(threads).run(parts.len(), |w| -> WorkerOut {

@@ -221,9 +221,16 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// How deeply expressions may nest. The parser recurses once per level,
+/// so without a bound one short line of `succ(`s overflows the stack of
+/// the thread that parses it.
+const MAX_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     idx: usize,
+    /// Nested expressions open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -233,7 +240,11 @@ impl Parser {
         while let Some(t) = lexer.next()? {
             toks.push(t);
         }
-        Ok(Parser { toks, idx: 0 })
+        Ok(Parser {
+            toks,
+            idx: 0,
+            depth: 0,
+        })
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -282,7 +293,20 @@ impl Parser {
         }
     }
 
+    /// One expression, a nesting level deeper; past [`MAX_DEPTH`] an
+    /// error. The depth is restored on failure too, because
+    /// `parse_literal` backtracks over a failed atom.
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let e = self.expr();
+        self.depth -= 1;
+        e
+    }
+
+    fn expr(&mut self) -> Result<Expr, ParseError> {
         match self.bump() {
             Some(Tok::UIdent(v)) => Ok(Expr::Var(v)),
             Some(Tok::Int(n)) => Ok(Expr::Lit(Value::Int(n))),

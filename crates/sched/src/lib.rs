@@ -1,6 +1,6 @@
 //! Concurrency substrate for the `algrec` stack.
 //!
-//! Two small, dependency-free pieces (std only), shared by the datalog
+//! Three small, dependency-free pieces (std only), shared by the datalog
 //! engine and the serving layer:
 //!
 //! * [`pool`] — a work-stealing worker pool over scoped threads. Jobs
@@ -15,14 +15,8 @@
 //!   *work* — only on the pointer swap itself) and then read the
 //!   immutable snapshot lock-free; each published snapshot carries the
 //!   epoch it was installed at.
-//! * [`threads`](mod@threads) — the engine-wide thread-count knob: `--threads N` /
-//!   `ALGREC_THREADS`, defaulting to the machine's available
-//!   parallelism.
-//! * [`shards`](mod@shards) — the engine-wide shard-count knob: `--shards N` /
-//!   `ALGREC_SHARDS`, defaulting to 1 (off). When set above 1, fixpoint
-//!   rounds partition their deltas by first-column id into exactly that
-//!   many shard-owned pieces instead of whole-fact hashes across the
-//!   thread count.
+//! * [`threads`](mod@threads) — the engine-wide thread-count knob:
+//!   `--threads N`, defaulting to the machine's available parallelism.
 //!
 //! The scheduling model follows the paper's own structure: rule
 //! instantiations within one semi-naive round are independent (the round
@@ -34,11 +28,9 @@
 #![forbid(unsafe_code)]
 
 pub mod pool;
-pub mod shards;
 pub mod swap;
 pub mod threads;
 
 pub use pool::Pool;
-pub use shards::{set_shards, shards};
 pub use swap::{Swap, Versioned};
 pub use threads::{set_threads, threads};

@@ -1,8 +1,8 @@
 //! The engine-wide worker-thread-count knob.
 //!
 //! Resolution order: an explicit [`set_threads`] call (the `--threads N`
-//! flag), else the `ALGREC_THREADS` environment variable, else the
-//! machine's available parallelism. The result is always at least 1.
+//! flag), else the machine's available parallelism. The result is always
+//! at least 1.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -11,34 +11,19 @@ use std::sync::OnceLock;
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Set the worker-thread count for all subsequent parallel evaluation
-/// (clamped up to 1). Called by the `--threads N` CLI flag and by tests;
-/// takes precedence over `ALGREC_THREADS`.
+/// (clamped up to 1). Called by the `--threads N` CLI flag and by tests.
 pub fn set_threads(n: usize) {
     OVERRIDE.store(n.max(1), Ordering::SeqCst);
 }
 
-/// The default thread count: `ALGREC_THREADS` if set to a positive
-/// integer, else available parallelism (1 if that is unknowable).
-fn default_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Ok(v) = std::env::var("ALGREC_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })
-}
-
-/// The current worker-thread count (≥ 1). `1` means all evaluation is
+/// The current worker-thread count (≥ 1): the override, else available
+/// parallelism (1 if that is unknowable). `1` means all evaluation is
 /// strictly sequential — the engines take their exact single-threaded
 /// paths, not a one-worker pool.
 pub fn threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
     match OVERRIDE.load(Ordering::SeqCst) {
-        0 => default_threads(),
+        0 => *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         n => n,
     }
 }

@@ -277,7 +277,7 @@ pub fn route(
             program,
             db,
             budget,
-            algrec_core::EvalOptions::default(),
+            algrec_core::EvalOptions::OPTIMIZED,
             trace,
         )?),
     })
@@ -931,7 +931,10 @@ mod tests {
             for src in srcs {
                 let program = parse(src);
                 assert_eq!(plan(&program, &db).is_some(), in_class, "{src}");
-                let core = algrec_core::eval_valid(&program, &db, Budget::SMALL);
+                // The seed evaluator: in class it checks the translation,
+                // out of class the optimized evaluator the route runs.
+                let baseline = algrec_core::EvalOptions::BASELINE;
+                let core = algrec_core::eval_valid_with(&program, &db, Budget::SMALL, baseline);
                 let ours = eval_valid(&program, &db, Budget::SMALL, Trace::Null);
                 match (core, ours) {
                     (Ok(core), Ok(ours)) => {

@@ -149,6 +149,7 @@ pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         chars: src.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -159,9 +160,16 @@ pub fn parse(src: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a bound one short line of `[`s overflows the
+/// stack of the connection thread that parses it.
+const MAX_DEPTH: usize = 256;
+
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -203,8 +211,8 @@ impl Parser {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => Ok(Json::Str(self.string()?)),
             Some('t') => self.keyword("true", Json::Bool(true)),
             Some('f') => self.keyword("false", Json::Bool(false)),
@@ -213,6 +221,21 @@ impl Parser {
             Some(c) => Err(format!("unexpected `{c}` at offset {}", self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -345,9 +368,12 @@ impl Parser {
         }
         let text: String = self.chars[start..self.pos].iter().collect();
         if float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
+            // `1e999` parses to infinity, which JSON cannot write back.
+            match text.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Json::Float(x)),
+                Ok(_) => Err(format!("bad number `{text}`: out of range")),
+                Err(e) => Err(format!("bad number `{text}`: {e}")),
+            }
         } else {
             text.parse::<i64>()
                 .map(Json::Int)

@@ -1101,4 +1101,109 @@ mod tests {
             reply.line()
         );
     }
+
+    /// The nesting bound of the JSON, algebra and datalog parsers.
+    const BOUND: usize = 256;
+
+    /// Register `program` as a view (`kind` datalog or algebra) and
+    /// return the reply line.
+    fn register(shared: &SharedSession, kind: &str, program: &str) -> String {
+        let line = Json::obj([
+            ("id", Json::Int(1)),
+            ("op", Json::str("register")),
+            ("view", Json::str("v")),
+            ("kind", Json::str(kind)),
+            ("program", Json::str(program)),
+        ]);
+        handle_line(shared, &line.to_string()).line().to_string()
+    }
+
+    /// Query the view of [`register`], then drop it.
+    fn query_and_drop(shared: &SharedSession) -> String {
+        let reply = handle_line(shared, r#"{"id": 2, "op": "query", "view": "v"}"#);
+        handle_line(shared, r#"{"id": 3, "op": "unregister", "view": "v"}"#);
+        reply.line().to_string()
+    }
+
+    #[test]
+    fn json_nesting_past_the_bound_is_a_bad_request() {
+        let shared = SharedSession::new(Session::new(Budget::SMALL));
+        // The request object is the first level, the id the other ones.
+        let ping = |levels: usize| {
+            let id = format!("{}{}", "[".repeat(levels - 1), "]".repeat(levels - 1));
+            handle_line(&shared, &format!(r#"{{"id": {id}, "op": "ping"}}"#))
+        };
+        let reply = ping(BOUND);
+        assert!(reply.line().contains(r#""pong":true"#), "{}", reply.line());
+        json::parse(reply.line()).unwrap();
+        let reply = ping(BOUND + 1);
+        assert!(
+            reply.line().contains(r#""code":"bad-request""#),
+            "{}",
+            reply.line()
+        );
+        assert!(reply.line().contains("nesting"), "{}", reply.line());
+        let reply = handle_line(&shared, &"[".repeat(20_000));
+        assert!(
+            reply.line().contains(r#""code":"bad-request""#),
+            "{}",
+            reply.line()
+        );
+    }
+
+    #[test]
+    fn algebra_nesting_past_the_bound_is_a_parse_error() {
+        let shared = SharedSession::new(Session::new(Budget::SMALL));
+        handle_line(&shared, r#"{"id": 0, "op": "load", "facts": "e(1, 2)."}"#);
+        // The query is the first level, each pair of parentheses one more.
+        let parens = |levels: usize| {
+            let n = levels - 1;
+            format!("query {}e{};", "(".repeat(n), ")".repeat(n))
+        };
+        // `e` is one level, each `union` one more.
+        let unions = |levels: usize| format!("query e{};", " union e".repeat(levels - 1));
+        for program in [parens(BOUND), unions(BOUND)] {
+            let reply = register(&shared, "algebra", &program);
+            assert!(reply.contains(r#""ok":true"#), "{reply}");
+            let reply = query_and_drop(&shared);
+            assert!(reply.contains("[1, 2]"), "{reply}");
+        }
+        for program in [parens(BOUND + 1), unions(BOUND + 1), parens(20_000)] {
+            let reply = register(&shared, "algebra", &program);
+            assert!(reply.contains(r#""code":"parse""#), "{reply}");
+        }
+    }
+
+    #[test]
+    fn datalog_nesting_past_the_bound_is_a_parse_error() {
+        let shared = SharedSession::new(Session::new(Budget::SMALL));
+        handle_line(&shared, r#"{"id": 0, "op": "load", "facts": "q(0)."}"#);
+        // `succ(…)` is one level, its argument one more.
+        let succ = |levels: usize| {
+            let n = levels - 1;
+            format!("p(Y) :- q(X), Y = {}X{}.", "succ(".repeat(n), ")".repeat(n))
+        };
+        let reply = register(&shared, "datalog", &succ(BOUND));
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+        let reply = query_and_drop(&shared);
+        assert!(reply.contains(&format!("p({}).", BOUND - 1)), "{reply}");
+        for program in [succ(BOUND + 1), succ(20_000)] {
+            let reply = register(&shared, "datalog", &program);
+            assert!(reply.contains(r#""code":"parse""#), "{reply}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_a_bad_request() {
+        let shared = SharedSession::new(Session::new(Budget::SMALL));
+        for id in ["1e999", "-1e999"] {
+            let reply = handle_line(&shared, &format!(r#"{{"id": {id}, "op": "ping"}}"#));
+            assert!(
+                reply.line().contains(r#""code":"bad-request""#),
+                "{}",
+                reply.line()
+            );
+            json::parse(reply.line()).unwrap();
+        }
+    }
 }

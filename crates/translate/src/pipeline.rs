@@ -66,7 +66,7 @@ pub fn check_roundtrip(
     db: &Database,
     budget: Budget,
 ) -> Result<RoundTrip, TranslateError> {
-    check_roundtrip_with(program, pred, db, budget, EvalOptions::default())
+    check_roundtrip_with(program, pred, db, budget, EvalOptions::OPTIMIZED)
 }
 
 /// [`check_roundtrip`] with explicit algebra-side evaluation options

@@ -5,10 +5,12 @@
 
 use algrec_core::expr::{AlgExpr, CmpOp as ACmp, FuncExpr};
 use algrec_core::program::AlgProgram;
+use algrec_core::EvalOptions;
 use algrec_datalog::ast::{Atom, CmpOp, Expr, Literal, Program, Rule};
 use algrec_datalog::{evaluate, Semantics};
 use algrec_translate::{
-    algebra_to_datalog, check_roundtrip, edb_arities, inflationary_to_valid, TranslationMode,
+    algebra_to_datalog, check_roundtrip, check_roundtrip_with, edb_arities, inflationary_to_valid,
+    TranslationMode,
 };
 use algrec_value::{Budget, Database, Relation, Value};
 use proptest::prelude::*;
@@ -103,12 +105,17 @@ proptest! {
 
     /// Theorem 6.2 on machine-generated (frequently non-stratified)
     /// programs: the valid models agree three-valuedly for every IDB
-    /// predicate.
+    /// predicate, with the algebra side on the optimized and on the seed
+    /// evaluator.
     #[test]
     fn theorem_6_2_on_random_programs(program in arb_program(), db in arb_db()) {
         for pred in program.idb_preds() {
             let rt = check_roundtrip(&program, pred, &db, Budget::LARGE).unwrap();
             prop_assert!(rt.agree(), "{program}\npred {pred}: {rt:?}");
+            let seed =
+                check_roundtrip_with(&program, pred, &db, Budget::LARGE, EvalOptions::BASELINE)
+                    .unwrap();
+            prop_assert_eq!(seed, rt, "{}\npred {}", program, pred);
         }
     }
 

@@ -16,10 +16,9 @@
 //! ```
 //!
 //! Every command also accepts `--threads N`, bounding the worker pool
-//! the fixpoint engines fan out to (default: the `ALGREC_THREADS`
-//! environment variable, else the machine's available parallelism;
-//! `--threads 1` forces fully sequential evaluation). Outputs are
-//! bit-identical at every thread count.
+//! the fixpoint engines fan out to (default: the machine's available
+//! parallelism; `--threads 1` forces fully sequential evaluation).
+//! Outputs are bit-identical at every thread count.
 //!
 //! * deduction programs use the Datalog syntax of `algrec_datalog::parser`;
 //! * facts files are Datalog fact lists (`edge(1, 2).`), loaded as the
@@ -220,7 +219,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     return Err("--shards must be at least 1".into());
                 }
                 args.shards = n;
-                algrec::sched::set_shards(n);
             }
             "--primary" => args.primary = Some(it.next().ok_or("--primary needs a value")?.clone()),
             "--replica" => args
@@ -533,9 +531,6 @@ fn cmd_cluster(a: &Args) -> Result<(), String> {
                 .data_dir
                 .as_ref()
                 .ok_or("cluster serve requires --data-dir")?;
-            // The CLI shard count drives both layers: the on-disk WAL
-            // partitioning and the engine's partitioned evaluation.
-            algrec::sched::set_shards(a.shards);
             let (mut session, report, shards) = algrec::cluster::open_primary_opts(
                 std::path::Path::new(dir),
                 a.shards,

@@ -21,8 +21,7 @@
 //! * [`core`] — the algebra family and its valid-semantics evaluator
 //!   (Section 3);
 //! * [`plan`] — the hash-consed plan IR, cost-based join orderer and
-//!   `explain` rendering behind the compiled execution path
-//!   (`ALGREC_PLAN_BASELINE=1` keeps the interpreted path);
+//!   `explain` rendering behind the compiled execution path;
 //! * [`translate`] — the Section 5/6 translations and the theorem
 //!   harnesses;
 //! * [`serve`] — the incremental materialized-view session engine behind
@@ -30,10 +29,8 @@
 //! * [`store`] — the durable store under the serving layer: write-ahead
 //!   log, snapshots, and crash recovery (`--data-dir`);
 //! * [`sched`] — the concurrency substrate: the worker pool behind
-//!   parallel fixpoint rounds (`--threads`, `ALGREC_THREADS`), the
-//!   shard-count knob behind partitioned evaluation (`--shards`), and
-//!   the epoch-versioned snapshot swap behind the server's lock-free
-//!   reads;
+//!   parallel fixpoint rounds (`--threads`) and the epoch-versioned
+//!   snapshot swap behind the server's lock-free reads;
 //! * [`cluster`] — the serving fleet: hash-sharded per-shard WALs on
 //!   the primary, WAL-shipping replicas with epoch-gated consistent
 //!   reads, and the epoch-vector-pinning router (`algrec cluster

@@ -155,7 +155,7 @@ fn algebra_valid_gadget_exhausts_cleanly() {
     let db = Database::new();
     let run = |p: &algrec::core::AlgProgram, b: Budget| {
         let tr = Trace::collect();
-        let err = eval_valid_traced(p, &db, b, EvalOptions::default(), tr.clone())
+        let err = eval_valid_traced(p, &db, b, EvalOptions::OPTIMIZED, tr.clone())
             .expect_err("must exhaust");
         (err, tr.stats().unwrap())
     };
@@ -194,7 +194,7 @@ fn algebra_successor_ifp_exhausts_cleanly() {
     let db = Database::new();
     let run = |b: Budget| {
         let tr = Trace::collect();
-        let err = algrec::core::eval_exact_traced(&p, &db, b, EvalOptions::default(), tr.clone())
+        let err = algrec::core::eval_exact_traced(&p, &db, b, EvalOptions::OPTIMIZED, tr.clone())
             .expect_err("must exhaust");
         (err, tr.stats().unwrap())
     };

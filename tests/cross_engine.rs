@@ -8,7 +8,9 @@ use algrec::core::{eval_exact_with, AlgExpr, AlgProgram, CmpOp, EvalOptions, Fun
 use algrec::prelude::*;
 use algrec_datalog::parser::parse_program as parse_dl;
 use algrec_datalog::stable_models_of;
-use algrec_translate::{datalog_to_algebra, edb_arities, inflationary_to_valid};
+use algrec_translate::{
+    datalog_to_algebra, edb_arities, ifp_algebra_to_algebra_eq, inflationary_to_valid,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -344,12 +346,7 @@ proptest! {
         let program = win_program();
         let alg = datalog_to_algebra(&program, "win", &edb_arities(&db)).unwrap();
         let reference = eval_valid_with(&alg, &db, Budget::SMALL, EvalOptions::BASELINE).unwrap();
-        for opts in [
-            EvalOptions::OPTIMIZED,
-            EvalOptions { interning: false, ..EvalOptions::OPTIMIZED },
-            EvalOptions { index: false, ..EvalOptions::OPTIMIZED },
-            EvalOptions { delta: false, ..EvalOptions::OPTIMIZED },
-        ] {
+        for opts in ALL_OPTIONS {
             let out = eval_valid_with(&alg, &db, Budget::SMALL, opts).unwrap();
             prop_assert_eq!(&out.query, &reference.query);
             prop_assert_eq!(&out.constants, &reference.constants);
@@ -360,7 +357,9 @@ proptest! {
     /// under every optimization combination, both as the positive
     /// IFP-algebra query (exact) and as the translated algebra= program
     /// (valid): each combination computes exactly what the seed slow
-    /// path computes.
+    /// path computes. The fixed programs of the paper-claim, budget and
+    /// stats tests ride along ([`paper_programs`]), so every program
+    /// those tests run on the default options has this seed reference.
     #[test]
     fn every_option_combination_agrees_on_tc_complement(edges in arb_edges(7, 16)) {
         let db = graph_db(&edges);
@@ -376,18 +375,101 @@ proptest! {
         let valid = datalog_to_algebra(&program, "un", &edb_arities(&db)).unwrap();
         let exact_ref = eval_exact_with(&exact, &db, Budget::LARGE, EvalOptions::BASELINE).unwrap();
         let valid_ref = eval_valid_with(&valid, &db, Budget::LARGE, EvalOptions::BASELINE).unwrap();
-        for opts in [
-            EvalOptions::OPTIMIZED,
-            EvalOptions { interning: false, ..EvalOptions::OPTIMIZED },
-            EvalOptions { index: false, ..EvalOptions::OPTIMIZED },
-            EvalOptions { delta: false, ..EvalOptions::OPTIMIZED },
-        ] {
+        for opts in ALL_OPTIONS {
             let out = eval_exact_with(&exact, &db, Budget::LARGE, opts).unwrap();
             prop_assert_eq!(&out, &exact_ref, "exact diverged under {:?}", opts);
             let out = eval_valid_with(&valid, &db, Budget::LARGE, opts).unwrap();
             prop_assert_eq!(&out.query, &valid_ref.query, "valid diverged under {:?}", opts);
         }
+        let (exact, valid) = paper_programs(&edges);
+        // Iterations are the only finite axis: on a divergent program the
+        // seed path's facts count grows faster, so with both axes finite
+        // the two paths would exhaust different ones first.
+        let iterations = Budget { max_iterations: 64, max_facts: usize::MAX, ..Budget::SMALL };
+        for program in &exact {
+            let reference = eval_exact_with(program, &db, iterations, EvalOptions::BASELINE);
+            for opts in ALL_OPTIONS {
+                let out = eval_exact_with(program, &db, iterations, opts);
+                prop_assert_eq!(&out, &reference, "{} under {:?}", program, opts);
+            }
+        }
+        for (program, db) in &valid {
+            let reference =
+                eval_valid_with(program, db, Budget::LARGE, EvalOptions::BASELINE).unwrap();
+            for opts in ALL_OPTIONS {
+                let out = eval_valid_with(program, db, Budget::LARGE, opts).unwrap();
+                prop_assert_eq!(&out.query, &reference.query, "{} under {:?}", program, opts);
+                prop_assert_eq!(&out.constants, &reference.constants, "{}", program);
+            }
+        }
     }
+}
+
+/// Every optimization on, and each one off in turn.
+const ALL_OPTIONS: [EvalOptions; 4] = [
+    EvalOptions::OPTIMIZED,
+    EvalOptions {
+        interning: false,
+        ..EvalOptions::OPTIMIZED
+    },
+    EvalOptions {
+        index: false,
+        ..EvalOptions::OPTIMIZED
+    },
+    EvalOptions {
+        delta: false,
+        ..EvalOptions::OPTIMIZED
+    },
+];
+
+/// The algebra programs `paper_claims.rs`, `budget_exhaustion.rs` and
+/// `stats_invariants.rs` evaluate, plus the algebra side of the
+/// `check_roundtrip` cases in `paper_claims.rs`, over `graph_db`'s
+/// relations (`move`, `node`, `s0`, `a`, `b`, `person`, `parent` and `d`
+/// renamed onto `edge` and `n`): the exact IFP-algebra queries (the
+/// successor diverges, so its budget error is compared too), then the
+/// valid algebra= programs, each with the database it is checked on.
+fn paper_programs(edges: &BTreeSet<(i64, i64)>) -> (Vec<AlgProgram>, Vec<(AlgProgram, Database)>) {
+    let db = graph_db(edges);
+    let alg = |src: &str| algrec::core::parser::parse_program(src).unwrap();
+    let ifp_tc = "query ifp(t, edge union map(select(t * edge, x.1 = x.2), [x.0, x.3]));";
+    let exact = [
+        "query ifp(x, {'a'} - x);",
+        "query ifp(x, edge - x);",
+        "query map(edge, x.0) - map(edge, x.1);",
+        "query ifp(s, {0} union map(s, add(x, 1)));",
+    ]
+    .map(alg);
+    let mut valid: Vec<(AlgProgram, Database)> = [
+        "def s = {'a'} - s; query s;",
+        "def s = map({'a'} - s, [x, x]); query s;",
+        "def sp = select(n, x = 1) - sp; query sp;",
+        "def win = map(edge - (map(edge, x.0) * win), x.0); query win;",
+        "def s = n - (map(edge, x.0) - s); query s;",
+        "def r = {'a'} - r; query r - {'a'};",
+    ]
+    .map(|src| (alg(src), db.clone()))
+    .into();
+    // Theorem 3.5's IFP-free equivalents, two stages deep on the graph's
+    // first two edges: the staged closure is slow to compare on more.
+    let small = graph_db(&edges.iter().take(2).copied().collect());
+    for src in ["query ifp(x, {'a'} - x);", ifp_tc] {
+        let program = ifp_algebra_to_algebra_eq(&alg(src), &small, 2).unwrap();
+        valid.push((program, small.clone()));
+    }
+    // Theorem 6.2's translations.
+    for (src, pred) in [
+        (
+            "sg(X, X) :- n(X).\nsg(X, Y) :- edge(XP, X), edge(YP, Y), sg(XP, YP).",
+            "sg",
+        ),
+        ("p(X) :- n(X), not q(X).\nq(X) :- n(X), not p(X).", "p"),
+    ] {
+        let program = parse_dl(src).unwrap();
+        let translated = datalog_to_algebra(&program, pred, &edb_arities(&db)).unwrap();
+        valid.push((translated, db.clone()));
+    }
+    (exact.into(), valid)
 }
 
 // Named replays of cases `cross_engine.proptest-regressions` records

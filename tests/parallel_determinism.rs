@@ -6,20 +6,12 @@
 //! hash-partitioned parallel path that the single-threaded baseline
 //! never enters.
 //!
-//! The thread and shard overrides are process-global
-//! (`algrec::sched::set_threads` / `set_shards`), so this file holds
-//! exactly one `#[test]`: the test binary cannot race another test
-//! mutating the overrides.
-//!
-//! The same sweep covers the cluster's sharded evaluation: with
-//! `set_shards(n)` the engines partition each round's delta by
-//! first-column id into n shard-owned parts instead of whole-fact
-//! hashes, and the {1, 2, 4}-shard runs must stay bit-identical too
-//! (the full six-semantics differential lives in
-//! `crates/cluster/tests/shard_differential.rs`).
+//! The thread override is process-global (`algrec::sched::set_threads`),
+//! so this file holds exactly one `#[test]`: the test binary cannot race
+//! another test mutating the override.
 
 use algrec::datalog::{evaluate_traced, parser::parse_program, Semantics};
-use algrec::sched::{set_shards, set_threads};
+use algrec::sched::set_threads;
 use algrec::value::{Budget, Database, EvalStats, Relation, Trace, Value};
 use proptest::prelude::*;
 
@@ -34,7 +26,6 @@ struct ThreadGuard;
 impl Drop for ThreadGuard {
     fn drop(&mut self) {
         set_threads(1);
-        set_shards(1);
     }
 }
 
@@ -80,24 +71,18 @@ proptest! {
                     .unwrap();
             let base_stats = deterministic_stats(&base_trace.stats().unwrap());
 
-            for (threads, shards) in [(2usize, 1usize), (4, 1), (8, 1), (2, 2), (2, 4), (4, 4)] {
+            for threads in [2, 4, 8] {
                 set_threads(threads);
-                set_shards(shards);
                 let trace = Trace::collect();
                 let out = evaluate_traced(&program, &db, semantics, Budget::LARGE, trace.clone())
                     .unwrap();
-                set_shards(1);
-                prop_assert_eq!(
-                    &out.model, &baseline.model,
-                    "model diverged at {} threads / {} shards", threads, shards
-                );
+                prop_assert_eq!(&out.model, &baseline.model, "model diverged at {} threads", threads);
                 prop_assert_eq!(out.rounds, baseline.rounds);
                 prop_assert_eq!(
                     deterministic_stats(&trace.stats().unwrap()),
                     base_stats.clone(),
-                    "deterministic trace counters diverged at {} threads / {} shards",
-                    threads,
-                    shards
+                    "deterministic trace counters diverged at {} threads",
+                    threads
                 );
             }
         }

@@ -1,16 +1,18 @@
 //! Differential tests for the plan-compiled execution path: for every
-//! engine and semantics, evaluating with the plan compiler enabled must
-//! be **bit-identical** to the interpreted baseline — same model (down
-//! to unknowns), same round counts, same errors on budget exhaustion.
-//! The toggle (`algrec::plan::set_enabled`) and the worker-pool override
-//! (`algrec::sched::set_threads`) are process-global, so every test in
-//! this binary serializes on one mutex before touching either.
+//! engine and semantics, evaluating with the plan compiler must be
+//! **bit-identical** to the interpreted reference — same model (down to
+//! unknowns), same round counts, same errors on budget exhaustion. The
+//! reference side runs under a collecting trace: every compiled entry
+//! point refuses a traced meter (pinned by the compiled module's
+//! `traced_meters_fall_back`), so a traced evaluation is the
+//! interpreted engine.
 
-use algrec::datalog::{evaluate, parser::parse_program, EvalError, Program, Semantics};
+use algrec::datalog::{
+    evaluate, evaluate_traced, parser::parse_program, EvalError, Program, Semantics,
+};
 use algrec::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const ALL_SEMANTICS: [Semantics; 6] = [
     Semantics::Naive,
@@ -29,34 +31,6 @@ const NEG_SEMANTICS: [Semantics; 4] = [
     Semantics::Valid,
 ];
 
-fn lock() -> MutexGuard<'static, ()> {
-    static M: OnceLock<Mutex<()>> = OnceLock::new();
-    M.get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Restore the toggle and the sequential thread default even when an
-/// assertion unwinds mid-test.
-struct EnvGuard {
-    plan: bool,
-}
-
-impl EnvGuard {
-    fn new() -> Self {
-        EnvGuard {
-            plan: algrec::plan::enabled(),
-        }
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        algrec::plan::set_enabled(self.plan);
-        algrec::sched::set_threads(1);
-    }
-}
-
 /// Evaluate once compiled, once interpreted; the caller compares.
 fn both_paths(
     program: &Program,
@@ -67,10 +41,8 @@ fn both_paths(
     Result<algrec::datalog::EvalOutcome, EvalError>,
     Result<algrec::datalog::EvalOutcome, EvalError>,
 ) {
-    algrec::plan::set_enabled(true);
     let compiled = evaluate(program, db, sem, budget);
-    algrec::plan::set_enabled(false);
-    let interpreted = evaluate(program, db, sem, budget);
+    let interpreted = evaluate_traced(program, db, sem, budget, Trace::collect());
     (compiled, interpreted)
 }
 
@@ -130,6 +102,37 @@ fn win() -> Program {
     parse_program("win(X) :- e(X, Y), not win(Y).").unwrap()
 }
 
+/// The datalog programs `paper_claims.rs` evaluates untraced that no
+/// other case here runs, their relations renamed onto `e` and `n`: same
+/// generation, the two-scenario game with its union, Prop 5.2's gadget,
+/// Prop 4.2's safety repair, and the Prop 5.1 and 5.4 translations of
+/// algebra programs.
+fn paper_programs(db: &Database) -> Vec<Program> {
+    let mut programs: Vec<Program> = [
+        "sg(X, X) :- n(X).\nsg(X, Y) :- e(XP, X), e(YP, Y), sg(XP, YP).",
+        "p(X) :- n(X), not q(X).\nq(X) :- n(X), not p(X).\nr(X) :- p(X).\nr(X) :- q(X).",
+        "r(a).\nq(X) :- r(X), not q(X).\nz(X) :- q(X), not r(X).",
+    ]
+    .map(|src| parse_program(src).unwrap())
+    .into();
+    let unsafe_q = parse_program("q(X) :- not n(X).").unwrap();
+    programs.push(algrec::datalog::safety::make_safe(
+        &unsafe_q,
+        &[("n", 1), ("e", 2)],
+    ));
+    let arities = algrec::translate::edb_arities(db);
+    for src in [
+        "query ifp(x, {'a'} - x);",
+        "def win = map(e - (map(e, x.0) * win), x.0); query win;",
+    ] {
+        let program = algrec::core::parser::parse_program(src).unwrap();
+        let mode = algrec::translate::TranslationMode::Naive;
+        let t = algrec::translate::algebra_to_datalog(&program, &arities, mode).unwrap();
+        programs.push(t.program);
+    }
+    programs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -139,8 +142,6 @@ proptest! {
     fn compiled_matches_interpreted_on_tc(
         edges in prop::collection::btree_set((0i64..10, 0i64..10), 0..24)
     ) {
-        let _l = lock();
-        let _g = EnvGuard::new();
         let db = edge_db("e", &edges);
         let p = tc();
         for sem in ALL_SEMANTICS {
@@ -150,17 +151,17 @@ proptest! {
 
     /// Multi-stratum negation on random graphs: compiled whole-
     /// stratification driver ≡ interpreted per-stratum driver, and the
-    /// other negation-capable semantics agree too.
+    /// other negation-capable semantics agree too — for the
+    /// stratified program and for [`paper_programs`].
     #[test]
     fn compiled_matches_interpreted_on_stratified_negation(
         edges in prop::collection::btree_set((0i64..8, 0i64..8), 0..18)
     ) {
-        let _l = lock();
-        let _g = EnvGuard::new();
         let db = graph_db(&edges);
-        let p = stratified_program();
-        for sem in NEG_SEMANTICS {
-            assert_paths_agree(&p, &db, sem, Budget::SMALL);
+        for p in std::iter::once(stratified_program()).chain(paper_programs(&db)) {
+            for sem in NEG_SEMANTICS {
+                assert_paths_agree(&p, &db, sem, Budget::SMALL);
+            }
         }
     }
 
@@ -171,8 +172,6 @@ proptest! {
     fn compiled_matches_interpreted_on_random_games(
         edges in prop::collection::btree_set((0i64..8, 0i64..8), 0..16)
     ) {
-        let _l = lock();
-        let _g = EnvGuard::new();
         let db = edge_db("e", &edges);
         let p = win();
         for sem in [Semantics::Inflationary, Semantics::WellFounded, Semantics::Valid] {
@@ -188,9 +187,6 @@ proptest! {
     fn compiled_path_is_deterministic_across_thread_counts(
         edges in prop::collection::btree_set((0i64..40, 0i64..40), 260..300)
     ) {
-        let _l = lock();
-        let _g = EnvGuard::new();
-        algrec::plan::set_enabled(true);
         let edges: BTreeSet<(i64, i64)> = edges.into_iter().collect();
         let db = edge_db("e", &edges);
         for (p, sem) in [(tc(), Semantics::SemiNaive), (win(), Semantics::Valid)] {
@@ -215,8 +211,6 @@ proptest! {
 /// interpreted semantics exactly.
 #[test]
 fn divergence_gadget_agrees_per_semantics() {
-    let _l = lock();
-    let _g = EnvGuard::new();
     let p = parse_program("r(a).\nq(X) :- r(X), not q(X).").unwrap();
     let db = Database::new();
     for sem in [
@@ -227,7 +221,6 @@ fn divergence_gadget_agrees_per_semantics() {
         assert_paths_agree(&p, &db, sem, Budget::SMALL);
     }
     // Sanity: the gadget really diverges between the two readings.
-    algrec::plan::set_enabled(true);
     let infl = evaluate(&p, &db, Semantics::Inflationary, Budget::SMALL).unwrap();
     let wf = evaluate(&p, &db, Semantics::WellFounded, Budget::SMALL).unwrap();
     assert!(infl.model.certain.holds("q", &[Value::str("a")]));
@@ -237,18 +230,15 @@ fn divergence_gadget_agrees_per_semantics() {
 
 /// Programs the id-space executor cannot compile (function application
 /// in the head) must fall back to the interpreted path silently — same
-/// results under either toggle state.
+/// results traced or not.
 #[test]
 fn non_compilable_programs_fall_back_and_agree() {
-    let _l = lock();
-    let _g = EnvGuard::new();
     let p =
         parse_program("nat(0).\nnat(succ(X)) :- nat(X), small(X).\nsmall(0).\nsmall(1).").unwrap();
     let db = Database::new();
     for sem in ALL_SEMANTICS {
         assert_paths_agree(&p, &db, sem, Budget::SMALL);
     }
-    algrec::plan::set_enabled(true);
     let out = evaluate(&p, &db, Semantics::Stratified, Budget::SMALL).unwrap();
     assert!(out.model.certain.holds("nat", &[Value::int(1)]));
 }
@@ -258,8 +248,6 @@ fn non_compilable_programs_fall_back_and_agree() {
 /// that once broke an engine — see `cross_engine.rs`).
 #[test]
 fn empty_edb_agrees_across_all_semantics() {
-    let _l = lock();
-    let _g = EnvGuard::new();
     let db = Database::new();
     for (p, sems) in [
         (tc(), &ALL_SEMANTICS[..]),
@@ -271,7 +259,6 @@ fn empty_edb_agrees_across_all_semantics() {
             // WIN is not stratified: both paths reject it identically
             // (checked above); the empty-model invariant applies to the
             // accepting semantics.
-            algrec::plan::set_enabled(true);
             if let Ok(out) = evaluate(&p, &db, sem, Budget::SMALL) {
                 assert!(out.model.is_exact());
                 assert_eq!(out.model.certain.total(), 0);
@@ -291,8 +278,6 @@ fn empty_edb_agrees_across_all_semantics() {
 /// must agree compiled ≡ interpreted down to the unknowns.
 #[test]
 fn regression_self_loop_is_three_valued_on_both_paths() {
-    let _l = lock();
-    let _g = EnvGuard::new();
     let edges: BTreeSet<(i64, i64)> = [(0, 0)].into_iter().collect();
     let db = edge_db("e", &edges);
     for sem in ALL_SEMANTICS {
@@ -305,7 +290,6 @@ fn regression_self_loop_is_three_valued_on_both_paths() {
     ] {
         assert_paths_agree(&win(), &db, sem, Budget::SMALL);
     }
-    algrec::plan::set_enabled(true);
     let out = evaluate(&win(), &db, Semantics::Valid, Budget::SMALL).unwrap();
     assert!(!out.model.is_exact(), "win(0) must be undefined");
 }
@@ -316,8 +300,6 @@ fn regression_self_loop_is_three_valued_on_both_paths() {
 /// reproduce exactly that, not a decided game.
 #[test]
 fn regression_two_cycle_draw_agrees_on_both_paths() {
-    let _l = lock();
-    let _g = EnvGuard::new();
     let edges: BTreeSet<(i64, i64)> = [(0, 1), (1, 0)].into_iter().collect();
     let db = edge_db("e", &edges);
     for sem in ALL_SEMANTICS {
@@ -330,7 +312,6 @@ fn regression_two_cycle_draw_agrees_on_both_paths() {
     ] {
         assert_paths_agree(&win(), &db, sem, Budget::SMALL);
     }
-    algrec::plan::set_enabled(true);
     let out = evaluate(&win(), &db, Semantics::WellFounded, Budget::SMALL).unwrap();
     assert_eq!(out.model.unknown_count(), 2, "both positions are drawn");
 }
@@ -342,15 +323,12 @@ fn regression_two_cycle_draw_agrees_on_both_paths() {
 /// per-stratum interpreted driver.
 #[test]
 fn regression_single_edge_populates_every_stratum() {
-    let _l = lock();
-    let _g = EnvGuard::new();
     let edges: BTreeSet<(i64, i64)> = [(0, 1)].into_iter().collect();
     let db = graph_db(&edges);
     let p = stratified_program();
     for sem in NEG_SEMANTICS {
         assert_paths_agree(&p, &db, sem, Budget::SMALL);
     }
-    algrec::plan::set_enabled(true);
     let out = evaluate(&p, &db, Semantics::Stratified, Budget::SMALL).unwrap();
     assert!(out.model.certain.holds("src", &[Value::int(0)]));
     assert!(out.model.certain.holds("dst", &[Value::int(1)]));
@@ -365,8 +343,6 @@ fn regression_single_edge_populates_every_stratum() {
 /// *identical* error at the identical point.
 #[test]
 fn budget_errors_are_identical_across_paths() {
-    let _l = lock();
-    let _g = EnvGuard::new();
     let edges: BTreeSet<(i64, i64)> = (0..12).map(|k| (k, k + 1)).collect();
     let db = edge_db("e", &edges);
     let p = tc();
