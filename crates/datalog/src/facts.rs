@@ -1,10 +1,10 @@
 //! Shared parsing and loading of ground facts — the extensional database.
 //!
 //! Fact files are Datalog fact lists (`edge(1, 2).`); the same grammar
-//! also carries single-fact deltas in the serving layer's `+fact` /
-//! `-fact` commands and in the line protocol. Everything that consumes
-//! ground facts — the `algrec` CLI's facts-file argument, the REPL and
-//! the TCP server — goes through this module, so the parse rules (ground
+//! also carries single-fact deltas in the line protocol's `assert` /
+//! `retract` requests. Everything that consumes ground facts — the
+//! `algrec` CLI's facts-file argument and the line protocol — goes
+//! through this module, so the parse rules (ground
 //! heads only, no rule bodies) and the in-place loading strategy are
 //! defined exactly once.
 

@@ -79,7 +79,7 @@ pub struct ViewSpec {
 /// One scenario, fully loaded into memory.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Directory name — the scenario's identity for filters and reports.
+    /// Directory name — the scenario's identity for `-f` and reports.
     pub name: String,
     /// The scenario's directory.
     pub dir: PathBuf,
@@ -87,7 +87,7 @@ pub struct Scenario {
     pub title: String,
     /// Longer description from `meta.json`.
     pub description: String,
-    /// Filterable tags.
+    /// Free-form tags, printed by `algrec scenario list`.
     pub tags: Vec<String>,
     /// Views registered at setup.
     pub views: Vec<ViewSpec>,
@@ -101,9 +101,8 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The semantics facet the filter DSL's `semantics` key tests:
-    /// every view's canonical semantics name (algebra views contribute
-    /// `algebra`).
+    /// Every view's canonical semantics name (algebra views contribute
+    /// `algebra`), as `algrec scenario list` and `run` print them.
     pub fn semantics_facet(&self) -> Vec<String> {
         self.views
             .iter()

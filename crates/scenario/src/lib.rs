@@ -5,21 +5,19 @@
 //! directory ([`corpus`]). The [`replay`](mod@replay) harness drives the trace
 //! against a fresh serving session — in-process or over live TCP — at
 //! adjustable concurrency and read scale-factor, diffing replies
-//! against the recording modulo epoch tags. Scenarios are selected with
-//! a small [`filter`] expression DSL (`name ~ "authz" & tag != slow`),
-//! and `algrec scenario run` ([`runner`]) reports, per scenario, whether
-//! every concurrency leg and the durable recovery leg matched.
+//! against the recording modulo epoch tags. `algrec scenario run`
+//! ([`runner`]) replays the whole corpus, or the one scenario `-f`
+//! names, and reports, per scenario, whether every concurrency leg and
+//! the durable recovery leg matched.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod corpus;
-pub mod filter;
 pub mod replay;
 pub mod runner;
 
 pub use corpus::{load_corpus, load_scenario, CorpusError, Scenario, ViewSpec};
-pub use filter::{parse as parse_filter, Expr as FilterExpr, ParseError as FilterError};
 pub use replay::{
     diff_modulo_epoch, replay, strip_epoch, Connector, Divergence, InProcessConnector,
     ReplayOptions, ReplayOutcome, TcpConnector, Transport,

@@ -1,7 +1,7 @@
 //! The scenario runner behind `algrec scenario list|run|record`.
 //!
-//! * [`list`] prints the corpus (after filtering) with titles, tags and
-//!   semantics.
+//! * [`list`] prints the corpus (or the one scenario `-f` names) with
+//!   titles, tags and semantics.
 //! * [`run`] replays every selected scenario at each configured
 //!   concurrency (in-process by default, against a live TCP server
 //!   under `--live`, or against an already-running external server —
@@ -13,7 +13,6 @@
 //!   and (re)writes its `expected.ndjson`.
 
 use crate::corpus::{load_corpus, Scenario};
-use crate::filter::Expr;
 use crate::replay::{
     diff_modulo_epoch, replay, setup_session, strip_epoch, Connector, InProcessConnector,
     ReplayOptions, ReplayOutcome, TcpConnector,
@@ -31,8 +30,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct RunOptions {
     /// Corpus directory.
     pub corpus: PathBuf,
-    /// Scenario selection; `None` selects everything.
-    pub filter: Option<Expr>,
+    /// The name of the one scenario to run; `None` runs them all.
+    pub filter: Option<String>,
     /// Concurrency legs to replay (each scenario runs once per entry).
     pub concurrency: Vec<usize>,
     /// Read scale-factor applied to every leg.
@@ -106,17 +105,24 @@ pub struct ScenarioReport {
     pub recovery: Option<RecoveryLeg>,
 }
 
-/// Load the corpus and apply the filter.
-pub fn select(corpus: &Path, filter: Option<&Expr>) -> Result<Vec<Scenario>, String> {
-    let scenarios = load_corpus(corpus).map_err(|e| e.to_string())?;
-    Ok(scenarios
-        .into_iter()
-        .filter(|s| filter.map_or(true, |f| f.matches(&s.name, &s.tags, &s.semantics_facet())))
-        .collect())
+/// Load the corpus, keeping only the scenario named `filter` when one
+/// is given. A name that is not in the corpus is an error.
+pub fn select(corpus: &Path, filter: Option<&str>) -> Result<Vec<Scenario>, String> {
+    let mut scenarios = load_corpus(corpus).map_err(|e| e.to_string())?;
+    if let Some(name) = filter {
+        scenarios.retain(|s| s.name == name);
+        if scenarios.is_empty() {
+            return Err(format!(
+                "no scenario named `{name}` in {}",
+                corpus.display()
+            ));
+        }
+    }
+    Ok(scenarios)
 }
 
-/// Print the (filtered) corpus, one scenario per line.
-pub fn list(out: &mut dyn Write, corpus: &Path, filter: Option<&Expr>) -> Result<(), String> {
+/// Print the selected scenarios, one per line.
+pub fn list(out: &mut dyn Write, corpus: &Path, filter: Option<&str>) -> Result<(), String> {
     let scenarios = select(corpus, filter)?;
     for s in &scenarios {
         writeln!(
@@ -259,7 +265,7 @@ fn recovery_leg_in(dir: &Path, scenario: &Scenario, budget: Budget) -> Result<Re
 /// false`) so one broken scenario doesn't hide the rest; the CLI exits
 /// non-zero when [`all_matched`] is false.
 pub fn run(out: &mut dyn Write, opts: &RunOptions) -> Result<Vec<ScenarioReport>, String> {
-    let scenarios = select(&opts.corpus, opts.filter.as_ref())?;
+    let scenarios = select(&opts.corpus, opts.filter.as_deref())?;
     if scenarios.is_empty() {
         return Err("no scenarios selected".into());
     }
@@ -361,7 +367,7 @@ pub fn all_matched(reports: &[ScenarioReport]) -> bool {
 pub fn record(
     out: &mut dyn Write,
     corpus: &Path,
-    filter: Option<&Expr>,
+    filter: Option<&str>,
     budget: Budget,
 ) -> Result<(), String> {
     let scenarios = select(corpus, filter)?;
@@ -491,16 +497,23 @@ mod tests {
     fn filter_selects_and_list_prints() {
         let root = seed_corpus("filtering");
         let mut sink = Vec::new();
-        let none = select(&root, Some(&crate::filter::parse("tag = slow").unwrap())).unwrap();
-        assert!(none.is_empty());
-        let all = select(&root, Some(&crate::filter::parse("tag != slow").unwrap())).unwrap();
-        assert_eq!(all.len(), 1);
-        list(
-            &mut sink,
-            &root,
-            Some(&crate::filter::parse("semantics = stratified").unwrap()),
-        )
-        .unwrap();
+        assert_eq!(select(&root, None).unwrap().len(), 1);
+        let named = select(&root, Some("tiny_tc")).unwrap();
+        assert_eq!(named.len(), 1);
+        assert_eq!(named[0].name, "tiny_tc");
+        // Names match exactly, and an unknown one is an error in every
+        // subcommand, not an empty selection.
+        let err = select(&root, Some("tiny")).unwrap_err();
+        assert!(err.contains("no scenario named `tiny`"), "{err}");
+        assert!(list(&mut sink, &root, Some("nosuch")).is_err());
+        assert!(record(&mut sink, &root, Some("nosuch"), Budget::LARGE).is_err());
+        let opts = RunOptions {
+            corpus: root.clone(),
+            filter: Some("nosuch".into()),
+            ..RunOptions::default()
+        };
+        assert!(run(&mut sink, &opts).unwrap_err().contains("nosuch"));
+        list(&mut sink, &root, Some("tiny_tc")).unwrap();
         let text = String::from_utf8(sink).unwrap();
         assert!(text.contains("tiny_tc"), "{text}");
         assert!(text.contains("1 scenario(s)"), "{text}");

@@ -18,11 +18,10 @@
 //! by a per-view `recompute` pin (see [`maintain`] and `DESIGN.md` §10
 //! for the strategy decision table).
 //!
-//! The session is exposed two ways: an interactive REPL
-//! ([`repl::run_repl`], the `algrec repl` subcommand) and a
-//! newline-delimited-JSON line protocol over TCP ([`server::serve`], the
-//! `algrec serve` subcommand). Both speak the same operations via
-//! [`protocol`].
+//! The session speaks one command language, the newline-delimited-JSON
+//! line [`protocol`], over two transports: TCP ([`server::serve`], the
+//! `algrec serve` subcommand) and standard input/output
+//! ([`server::serve_stdio`], the `algrec repl` subcommand).
 //!
 //! Concurrency: the TCP server wraps the session in a
 //! [`shared::SharedSession`] — writes serialize through a single-writer
@@ -38,7 +37,6 @@ pub mod algebra;
 pub mod json;
 pub mod maintain;
 pub mod protocol;
-pub mod repl;
 pub mod server;
 pub mod session;
 pub mod shared;
@@ -49,8 +47,7 @@ pub use protocol::{
     error_reply_for, handle_line, is_read_op, parse_semantics, semantics_name, shutting_down_reply,
     transport_error, Handled,
 };
-pub use repl::run_repl;
-pub use server::{serve, serve_traced};
+pub use server::{serve, serve_stdio, serve_traced};
 pub use session::{
     Answer, AnswerLines, DeltaOutcome, Durability, DurableEvent, OpStats, QueryAnswer, ReadView,
     RegisterOutcome, ServeError, Session, StrategyPin, ViewDef, ViewReport, ViewStats, ViewStatus,

@@ -341,8 +341,13 @@ fn str_field<'a>(req: &'a Json, key: &str) -> Result<&'a str, ServeError> {
 }
 
 /// Collect the facts of an `assert`/`retract` request: either a single
-/// `fact` string or a `facts` array of strings.
+/// `fact` string or a `facts` array of strings, never both.
 fn fact_sources(req: &Json) -> Result<Vec<String>, ServeError> {
+    if req.get("fact").is_some() && req.get("facts").is_some() {
+        return Err(ServeError::BadRequest(
+            "expected a `fact` string or a `facts` array, not both".into(),
+        ));
+    }
     if let Some(f) = req.get("fact").and_then(Json::as_str) {
         return Ok(vec![f.to_string()]);
     }
@@ -742,6 +747,30 @@ mod tests {
             reply.line()
         );
         assert!(reply.line().contains(r#""epoch":2"#), "{}", reply.line());
+    }
+
+    #[test]
+    fn fact_and_facts_together_are_a_bad_request() {
+        let shared = SharedSession::new(Session::new(Budget::LARGE));
+        for op in ["assert", "retract"] {
+            let reply = handle_line(
+                &shared,
+                &format!(r#"{{"id": 5, "op": "{op}", "fact": "e(1, 2)", "facts": ["e(3, 4)"]}}"#),
+            );
+            assert!(
+                reply.line().contains(r#""code":"bad-request""#),
+                "{}",
+                reply.line()
+            );
+            assert!(reply.line().contains("not both"), "{}", reply.line());
+        }
+        // Neither fact reached the database.
+        let reply = handle_line(&shared, r#"{"id": 6, "op": "db"}"#);
+        assert!(
+            reply.line().contains(r#""relations":[]"#),
+            "{}",
+            reply.line()
+        );
     }
 
     #[test]

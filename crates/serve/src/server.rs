@@ -1,4 +1,5 @@
-//! The NDJSON line-protocol TCP server (`algrec serve`).
+//! The NDJSON line-protocol transports: the TCP server (`algrec serve`)
+//! and the standard-input loop (`algrec repl`, [`serve_stdio`]).
 //!
 //! One [`Session`] shared across connections via
 //! [`crate::shared::SharedSession`]: each connection gets a thread
@@ -27,7 +28,8 @@
 //! streams in and the client gets a structured `line_too_long` error
 //! reply; likewise a non-UTF-8 line gets a `bad-request` reply. Both
 //! keep the connection open, so one bad request never tears down a
-//! client session.
+//! client session. [`serve_stdio`] reads its input through the same
+//! reader and answers the same way.
 
 use crate::protocol::{handle_line, shutting_down_reply, transport_error, Handled};
 use crate::session::Session;
@@ -142,6 +144,35 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
+/// Read the next request line from `reader` and turn it into its reply:
+/// an over-long line gets a `line_too_long` error and a non-UTF-8 line a
+/// `bad-request` one, blank lines are skipped, and every other line goes
+/// to `answer`. `Ok(None)` at end of stream; a read error (a socket
+/// timeout included) leaves the reader's partial line in place.
+fn next_reply<R: BufRead>(
+    reader: &mut LineReader<R>,
+    mut answer: impl FnMut(&str) -> Handled,
+) -> std::io::Result<Option<Handled>> {
+    loop {
+        let reply = match reader.next_line(MAX_LINE_BYTES)? {
+            ReadLine::Eof => return Ok(None),
+            ReadLine::TooLong => Handled::Reply(transport_error(
+                "line_too_long",
+                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            )),
+            ReadLine::Line(bytes) => match String::from_utf8(bytes) {
+                Err(_) => Handled::Reply(transport_error(
+                    "bad-request",
+                    "request line is not valid UTF-8",
+                )),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => answer(&line),
+            },
+        };
+        return Ok(Some(reply));
+    }
+}
+
 /// Send one reply: the line and its newline leave in a single
 /// (vectored) write on a socket with `TCP_NODELAY` set, so no part of a
 /// reply sits in the kernel waiting for the peer's delayed ACK of the
@@ -182,8 +213,16 @@ fn client_loop(
     let mut reader = LineReader::new(BufReader::new(stream.try_clone()?));
     let mut writer = stream;
     loop {
-        let read = match reader.next_line(MAX_LINE_BYTES) {
-            Ok(read) => read,
+        // Requests racing a shutdown are answered, not processed.
+        let reply = match next_reply(&mut reader, |line| {
+            if stop.load(Ordering::SeqCst) {
+                Handled::Reply(shutting_down_reply(line))
+            } else {
+                handle_line(shared, line)
+            }
+        }) {
+            Ok(Some(reply)) => reply,
+            Ok(None) => break,
             // An idle poll: before shutdown, just keep listening (any
             // partial line survives inside `reader`); once the stop flag
             // is up, an idle client is simply done — the drain has
@@ -195,25 +234,6 @@ fn client_loop(
                 continue;
             }
             Err(e) => return Err(e),
-        };
-        let reply = match read {
-            ReadLine::Eof => break,
-            ReadLine::TooLong => Handled::Reply(transport_error(
-                "line_too_long",
-                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            )),
-            ReadLine::Line(bytes) => match String::from_utf8(bytes) {
-                Err(_) => Handled::Reply(transport_error(
-                    "bad-request",
-                    "request line is not valid UTF-8",
-                )),
-                Ok(line) if line.trim().is_empty() => continue,
-                // Requests racing a shutdown are answered, not processed.
-                Ok(line) if stop.load(Ordering::SeqCst) => {
-                    Handled::Reply(shutting_down_reply(&line))
-                }
-                Ok(line) => handle_line(shared, &line),
-            },
         };
         // Raise the stop flag *before* the shutdown reply is written, so
         // a client that has read the acknowledgement can rely on every
@@ -243,23 +263,14 @@ fn drain_stream(stream: TcpStream) -> std::io::Result<()> {
     let mut reader = LineReader::new(BufReader::new(stream.try_clone()?));
     let mut writer = stream;
     loop {
-        let reply = match reader.next_line(MAX_LINE_BYTES) {
-            Ok(ReadLine::Eof) => break,
-            Ok(ReadLine::TooLong) => transport_error(
-                "line_too_long",
-                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            ),
-            Ok(ReadLine::Line(bytes)) => {
-                let line = String::from_utf8_lossy(&bytes);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                shutting_down_reply(&line)
-            }
+        match next_reply(&mut reader, |line| {
+            Handled::Reply(shutting_down_reply(line))
+        }) {
+            Ok(Some(reply)) => send_line(&mut writer, reply.line())?,
+            Ok(None) => break,
             Err(e) if is_timeout(&e) => break,
             Err(e) => return Err(e),
-        };
-        send_line(&mut writer, &reply)?;
+        }
     }
     Ok(())
 }
@@ -283,6 +294,27 @@ fn drain_backlog(listener: &TcpListener) -> std::io::Result<()> {
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Answer the request lines of `input` on `output` — one reply line per
+/// request, flushed as it is written — until end of input or the reply
+/// to `shutdown`. This is `algrec repl`: the protocol over a pipe, with
+/// the same line cap and error replies as a socket.
+pub fn serve_stdio(
+    shared: &SharedSession,
+    input: impl BufRead,
+    mut output: impl Write,
+) -> std::io::Result<()> {
+    let mut reader = LineReader::new(input);
+    while let Some(reply) = next_reply(&mut reader, |line| handle_line(shared, line))? {
+        output.write_all(reply.line().as_bytes())?;
+        output.write_all(b"\n")?;
+        output.flush()?;
+        if matches!(reply, Handled::Shutdown(_)) {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// Serve the session on `listener` until a client sends `shutdown`.
@@ -340,6 +372,32 @@ mod tests {
             replies.push(incoming.next().unwrap().unwrap());
         }
         replies
+    }
+
+    #[test]
+    fn stdio_loop_answers_bad_lines_and_stops_after_shutdown() {
+        let shared = SharedSession::new(Session::new(Budget::LARGE));
+        let mut input = format!(
+            r#"{{"id": 1, "op": "load", "facts": "{}"}}"#,
+            "x".repeat(MAX_LINE_BYTES)
+        )
+        .into_bytes();
+        input.extend_from_slice(b"\n{\"id\": 2, \"op\": \"ping\"}\n\n");
+        input.extend_from_slice(b"{\"id\": 3, \xff\xfe}\n");
+        input.extend_from_slice(b"{\"id\": 4, \"op\": \"shutdown\"}\n");
+        input.extend_from_slice(b"{\"id\": 5, \"op\": \"ping\"}\n");
+        let mut out = Vec::new();
+        serve_stdio(&shared, std::io::Cursor::new(input), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let replies: Vec<&str> = out.lines().collect();
+        // The blank line gets no reply, and neither does the line after
+        // `shutdown`.
+        assert_eq!(replies.len(), 4, "{out}");
+        assert!(replies[0].contains(r#""code":"line_too_long""#), "{out}");
+        assert!(replies[1].contains(r#""pong":true"#), "{out}");
+        assert!(replies[2].contains(r#""code":"bad-request""#), "{out}");
+        assert!(replies[2].contains("not valid UTF-8"), "{out}");
+        assert!(replies[3].contains(r#""bye":true"#), "{out}");
     }
 
     #[test]

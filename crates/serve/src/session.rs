@@ -1,8 +1,8 @@
 //! The materialized-view session: a database plus named views kept
 //! consistent under fact deltas.
 //!
-//! A [`Session`] is the shared state behind both front ends (REPL and
-//! TCP server). It owns the extensional database and a map of named
+//! A [`Session`] is the state behind the line protocol, whether it is
+//! served over TCP or over stdin/stdout. It owns the extensional database and a map of named
 //! views; [`Session::apply`] routes every change through
 //! [`DatabaseDelta::apply`] so only *effective* changes (facts actually
 //! added or removed) reach the maintainers, and views whose dependencies

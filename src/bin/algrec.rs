@@ -8,7 +8,7 @@
 //! algrec stable <program.dl>  [facts.dl] [--cap N]
 //! algrec repl   [facts.dl] [--data-dir DIR] [--sync P] [--snapshot-every N]
 //! algrec serve  [facts.dl] [--addr HOST:PORT] [--data-dir DIR] [--sync P] [--snapshot-every N]
-//! algrec scenario <list|run|record> [--corpus DIR] [-f EXPR] [--concurrency LIST]
+//! algrec scenario <list|run|record> [--corpus DIR] [-f NAME] [--concurrency LIST]
 //!                                   [--scale N] [--live] [--addr HOST:PORT] [--no-recovery]
 //! algrec cluster serve [facts.dl] --data-dir DIR [--shards N] [--addr HOST:PORT] [--sync P]
 //! algrec cluster join  --primary HOST:PORT [--addr HOST:PORT]
@@ -37,10 +37,12 @@
 //! * `--explain` (on `eval` and `alg`) prints the query plan — join
 //!   orders, access paths, shared subplans — instead of evaluating (see
 //!   `algrec_plan` and DESIGN.md §15);
-//! * `repl` is the interactive incremental-view session, `serve` the same
-//!   session behind a newline-delimited-JSON TCP protocol (the server
-//!   prints `% listening on ADDR` once bound; `--addr` defaults to
-//!   `127.0.0.1:0`). See `algrec_serve` and DESIGN.md §10.
+//! * `repl` and `serve` run the incremental-view session behind its
+//!   newline-delimited-JSON protocol: `repl` answers requests from stdin
+//!   on stdout, one reply line each, until end of input or `shutdown`;
+//!   `serve` answers them over TCP (the server prints `% listening on
+//!   ADDR` once bound; `--addr` defaults to `127.0.0.1:0`). See
+//!   `algrec_serve` and DESIGN.md §10.
 //! * `--data-dir DIR` makes the session durable: state is recovered from
 //!   DIR on startup (write-ahead log + snapshots, see `algrec_store` and
 //!   DESIGN.md §13) and every committed change is logged. `--sync`
@@ -53,9 +55,9 @@
 //!   `run` replays each scenario's recorded trace against a fresh
 //!   serving session at every `--concurrency` (comma-separated, default
 //!   `1,4`) and diffs replies against the recording modulo epoch tags,
-//!   `record` (re)writes the recordings. `-f`/`--filter` selects
-//!   scenarios with the filter DSL (`name ~ authz & tag != slow`, see
-//!   DESIGN.md §16); `--scale N` issues every read N times; `--live`
+//!   `record` (re)writes the recordings. `-f`/`--filter NAME` selects
+//!   the one scenario of that name (an unknown name is an error);
+//!   `--scale N` issues every read N times; `--live`
 //!   replays over a throwaway TCP server instead of in-process;
 //!   `--addr` replays against an already-running external server (e.g.
 //!   a cluster router, which must be pre-seeded — recovery is skipped);
@@ -72,7 +74,7 @@
 
 use algrec::prelude::*;
 use algrec::serve::parse_semantics;
-use std::io::{IsTerminal, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
@@ -408,7 +410,7 @@ fn cmd_stable(a: &Args) -> Result<(), String> {
 /// Build a serving session, preloading an optional facts file. With
 /// `--data-dir` the session is durable: recovered from the directory,
 /// then write-ahead-logging every committed change. The recovery report
-/// goes to stderr so stdout stays protocol-clean for `serve`.
+/// goes to stderr so stdout stays protocol-clean for `serve` and `repl`.
 fn session_of(a: &Args) -> Result<Session, String> {
     let mut session = match &a.data_dir {
         Some(dir) => {
@@ -450,10 +452,8 @@ fn session_of(a: &Args) -> Result<Session, String> {
 }
 
 fn cmd_repl(a: &Args) -> Result<(), String> {
-    let mut session = session_of(a)?;
-    let stdin = std::io::stdin();
-    let prompt = stdin.is_terminal();
-    run_repl(&mut session, stdin.lock(), std::io::stdout().lock(), prompt)
+    let shared = SharedSession::with_trace(session_of(a)?, trace_of(a));
+    algrec::serve::serve_stdio(&shared, std::io::stdin().lock(), std::io::stdout().lock())
         .map_err(|e| e.to_string())
 }
 
@@ -471,23 +471,18 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
 
 fn cmd_scenario(a: &Args) -> Result<(), String> {
     let [sub] = a.positional.as_slice() else {
-        return Err("usage: algrec scenario <list|run|record> [--corpus DIR] [-f EXPR] …".into());
+        return Err("usage: algrec scenario <list|run|record> [--corpus DIR] [-f NAME] …".into());
     };
     let corpus = std::path::PathBuf::from(&a.corpus);
-    let filter = a
-        .filter
-        .as_deref()
-        .map(algrec::scenario::parse_filter)
-        .transpose()
-        .map_err(|e| e.to_string())?;
+    let filter = a.filter.as_deref();
     let mut out = std::io::stdout().lock();
     match sub.as_str() {
-        "list" => algrec::scenario::list(&mut out, &corpus, filter.as_ref()),
-        "record" => algrec::scenario::record(&mut out, &corpus, filter.as_ref(), Budget::LARGE),
+        "list" => algrec::scenario::list(&mut out, &corpus, filter),
+        "record" => algrec::scenario::record(&mut out, &corpus, filter, Budget::LARGE),
         "run" => {
             let opts = algrec::scenario::RunOptions {
                 corpus,
-                filter,
+                filter: a.filter.clone(),
                 concurrency: a.concurrency.clone().unwrap_or_else(|| vec![1, 4]),
                 scale: a.scale.unwrap_or(1),
                 live: a.live,

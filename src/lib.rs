@@ -81,7 +81,7 @@ pub mod prelude {
         eval_exact, eval_valid, eval_valid_traced, AlgExpr, AlgProgram, EvalOptions, OpDef,
     };
     pub use algrec_datalog::{evaluate, evaluate_traced, load_facts, Program, Rule, Semantics};
-    pub use algrec_serve::{run_repl, serve, serve_traced, Session, SharedSession};
+    pub use algrec_serve::{serve, serve_traced, Session, SharedSession};
     pub use algrec_translate::{check_roundtrip, datalog_to_algebra};
     pub use algrec_value::{
         Budget, CollectSink, Database, EvalStats, LogSink, Relation, Trace, Truth, TvSet, Value,

@@ -203,46 +203,12 @@ fn bad_semantics_names_list_the_valid_forms() {
 }
 
 #[test]
-fn repl_runs_a_piped_script() {
-    use std::io::Write;
-    use std::process::Stdio;
-    let facts = write_tmp("repl_facts.dl", "e(1, 2).\ne(2, 3).");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_algrec"))
-        .args(["repl", &facts])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(
-            concat!(
-                "view paths : tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).\n",
-                "+e(3, 4)\n",
-                "query paths tc\n",
-                "-e(2, 3)\n",
-                "query paths tc\n",
-                "quit\n",
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // Piped (non-terminal) input: no prompt, just command output.
-    assert!(!stdout.contains("algrec>"), "{stdout}");
-    assert!(
-        stdout.contains("registered paths (stratified-incremental"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("tc(1, 4)."), "{stdout}");
-    // After the retraction the 1→4 path is gone but 3→4 remains.
-    let tail = stdout.rsplit("applied 1/1").next().unwrap();
-    assert!(!tail.contains("tc(1, 4)."), "{stdout}");
-    assert!(tail.contains("tc(3, 4)."), "{stdout}");
+fn scenario_list_fails_on_an_unknown_name() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let out = algrec(&["scenario", "list", "--corpus", corpus, "-f", "nosuch"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no scenario named `nosuch`"), "{stderr}");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! End-to-end golden test of `algrec serve`: spawn the real binary, drive
 //! a scripted NDJSON session over TCP, and diff the reply transcript
-//! against a committed golden file byte for byte. A second test checks
+//! against a committed golden file byte for byte. The same session piped
+//! through `algrec repl` must print the same file. A second test checks
 //! the serving-layer answers against cold `algrec eval` runs on the same
 //! final database — the incremental session must be observationally
 //! indistinguishable from from-scratch evaluation.
@@ -8,7 +9,7 @@
 //! Regenerate the golden transcript after an intentional protocol change
 //! with `UPDATE_GOLDEN=1 cargo test --test serve_golden`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 
@@ -76,6 +77,35 @@ fn scripted_session_matches_golden_transcript() {
         transcript, golden,
         "server replies diverged from tests/data/serve_session.golden \
          (UPDATE_GOLDEN=1 regenerates after an intentional change)"
+    );
+}
+
+#[test]
+fn repl_pipe_prints_the_golden_transcript() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_algrec"))
+        .arg("repl")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("repl starts");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(SESSION.as_bytes())
+        .unwrap();
+    let mut transcript = String::new();
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut transcript)
+        .unwrap();
+    assert!(child.wait().unwrap().success());
+    let golden = std::fs::read_to_string(GOLDEN_PATH).expect("golden transcript exists");
+    assert_eq!(
+        transcript, golden,
+        "`algrec repl` replies diverged from tests/data/serve_session.golden"
     );
 }
 
