@@ -157,9 +157,16 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok)>, SpecParseError> {
     Ok(out)
 }
 
+/// How deeply terms may nest. The parser recurses once per nesting
+/// level, so without a bound one short line of `s(`s overflows the stack
+/// of the thread that parses it.
+const MAX_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     idx: usize,
+    /// Argument lists open around the current token.
+    depth: usize,
     sig: Signature,
     vars: BTreeMap<String, String>, // name -> sort
     eqs: Vec<ConditionalEquation>,
@@ -202,7 +209,11 @@ impl Parser {
     fn parse_term(&mut self) -> Result<Term, SpecParseError> {
         let name = self.ident("a term")?;
         if self.peek() == Some(&Tok::LParen) {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+            }
             self.idx += 1;
+            self.depth += 1;
             let mut args = Vec::new();
             loop {
                 args.push(self.parse_term()?);
@@ -212,6 +223,7 @@ impl Parser {
                     _ => return Err(self.err("expected `,` or `)` in term")),
                 }
             }
+            self.depth -= 1;
             Ok(Term::Op(name, args))
         } else if let Some(sort) = self.vars.get(&name) {
             Ok(Term::Var(name.clone(), sort.clone()))
@@ -307,6 +319,7 @@ pub fn parse_spec(src: &str) -> Result<Specification, SpecParseError> {
     let mut p = Parser {
         toks: lex(src)?,
         idx: 0,
+        depth: 0,
         sig: Signature::new(),
         vars: BTreeMap::new(),
         eqs: Vec::new(),
@@ -411,6 +424,22 @@ mod tests {
         assert!(parse_spec("op f : s / t -> s;").is_err());
         let e = parse_spec("sorts s; op a : -> s; eq a = a").unwrap_err();
         assert!(e.to_string().contains("expected `;`"));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_an_overflow() {
+        let nested = |n: usize| {
+            format!(
+                "sorts nat; op z : -> nat; op s : nat -> nat; eq {}z{} = z;",
+                "s(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(parse_spec(&nested(MAX_DEPTH)).is_ok());
+        let e = parse_spec(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.to_string().contains("nesting deeper than 256"), "{e}");
+        let e = parse_spec(&nested(20_000)).unwrap_err();
+        assert!(e.to_string().contains("nesting deeper than 256"), "{e}");
     }
 
     #[test]

@@ -46,7 +46,7 @@
 pub mod model;
 pub mod pass;
 
-pub use model::{delta_interps, IncrementalModel, MaintainOutcome};
+pub use model::{delta_interps, IncrementalModel};
 pub use pass::{
     restrict, HeadDelta, LevelDelta, Oracle, PassAction, PassDelta, PassProgram, PassState,
 };

@@ -23,19 +23,6 @@ use algrec_value::budget::Meter;
 use algrec_value::{Database, DatabaseDelta};
 use std::collections::BTreeSet;
 
-/// What one incremental maintenance call did to the model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaintainOutcome {
-    /// Facts that changed across the certain and possible sets: the
-    /// symmetric difference of each, summed, over the whole model. Base
-    /// (EDB) facts count too, and a two-valued change counts once in each
-    /// set.
-    pub changed: usize,
-    /// Alternation levels (passes) skipped because the delta could not
-    /// reach them.
-    pub skipped: usize,
-}
-
 /// One stored alternation round.
 struct Round {
     possible: PassState,
@@ -145,7 +132,8 @@ impl IncrementalModel {
     }
 
     /// Apply one *effective* database delta (already applied to the
-    /// session database). The delta must not touch the model's IDB
+    /// session database) and return how many alternation levels (passes)
+    /// it could not reach. The delta must not touch the model's IDB
     /// predicates — the serving layer routes such changes to a full
     /// rebuild. On error the model is left inconsistent and must be
     /// rebuilt.
@@ -153,10 +141,10 @@ impl IncrementalModel {
         &mut self,
         delta: &DatabaseDelta,
         meter: &mut Meter,
-    ) -> Result<MaintainOutcome, EvalError> {
+    ) -> Result<usize, EvalError> {
         let (edb_ins, edb_del) = delta_interps(delta);
         if edb_ins.total() == 0 && edb_del.total() == 0 {
-            return Ok(MaintainOutcome::default());
+            return Ok(0);
         }
         debug_assert!(
             self.pass
@@ -165,7 +153,6 @@ impl IncrementalModel {
                 .all(|p| edb_ins.count(p) == 0 && edb_del.count(p) == 0),
             "delta must not touch IDB predicates"
         );
-        let before = self.model.clone();
         let old_base = self.base.clone();
         for (p, args) in edb_del.iter() {
             self.base.remove(p, args);
@@ -253,9 +240,7 @@ impl IncrementalModel {
             possible: last.possible.total().clone(),
         };
         meter.record_materialized(self.model.certain.total());
-        let changed = before.certain.diff(&self.model.certain).count()
-            + before.possible.diff(&self.model.possible).count();
-        Ok(MaintainOutcome { changed, skipped })
+        Ok(skipped)
     }
 }
 
@@ -381,8 +366,8 @@ mod tests {
         let mut d = DatabaseDelta::new();
         d.insert("unrelated", i(9));
         let eff = d.apply(&mut db);
-        let out = model.maintain(&eff, &mut meter).unwrap();
-        assert_eq!(out.skipped, levels, "every pass skipped");
+        let skipped = model.maintain(&eff, &mut meter).unwrap();
+        assert_eq!(skipped, levels, "every pass skipped");
         // The skipped passes still thread the base facts through, so the
         // model stays exactly the cold one (unlike a stale cache).
         assert_matches_cold(&model, &program, &db);

@@ -195,9 +195,9 @@ impl Plan {
     }
 
     /// The fact sets of `(certain, possible)` the answer is read from.
-    /// Captured before and after maintenance, the two compare equal by
-    /// pointer unless maintenance touched a set (a mutation un-shares it
-    /// first), and by content only then.
+    /// Captured at one publish and again at the next, the two compare
+    /// equal by pointer unless maintenance touched a set in between (a
+    /// mutation un-shares it first), and by content only then.
     pub(crate) fn answer_sets(
         &self,
         (certain, possible): (&Interp, &Interp),

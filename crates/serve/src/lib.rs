@@ -15,7 +15,7 @@
 //! semantics drive it over every pass of the alternating fixpoint
 //! itself. Changed-level recomputation serves the other inflationary
 //! programs and is otherwise the differential reference, selected only
-//! by a per-view `recompute` pin (see [`maintain`] and `DESIGN.md` §10
+//! by a per-view `recompute` pin (see [`session`] and `DESIGN.md` §10
 //! for the strategy decision table).
 //!
 //! The session speaks one command language, the newline-delimited-JSON
@@ -35,14 +35,13 @@
 
 pub mod algebra;
 pub mod json;
-pub mod maintain;
+mod maintain;
 pub mod protocol;
 pub mod server;
 pub mod session;
 pub mod shared;
 
 pub use json::Json;
-pub use maintain::{AlternatingView, MaintainReport, RecomputeView, StratifiedView};
 pub use protocol::{
     error_reply_for, handle_line, is_read_op, parse_semantics, semantics_name, shutting_down_reply,
     transport_error, Handled,

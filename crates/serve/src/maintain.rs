@@ -2,7 +2,11 @@
 //!
 //! A registered view is kept consistent with the session database under
 //! `+fact` / `-fact` deltas by one of three maintainers, chosen at
-//! registration time (see `DESIGN.md` §19 for the full decision table).
+//! registration time (see `DESIGN.md` §10 for the full decision table).
+//! A maintainer only updates its model and reports the strata, passes
+//! or levels a delta could not reach; the session publishes the answer
+//! and counts what moved in it (`session::Engine`, one case per
+//! maintainer beside the algebra recompute).
 //! The first two are drivers over the *same* per-level kernel,
 //! [`algrec_incr::PassProgram`] — the only counting / DRed
 //! implementation in the workspace:
@@ -78,21 +82,6 @@ use algrec_value::budget::Meter;
 use algrec_value::{Database, DatabaseDelta, SupportCounts};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// What one maintenance pass did to a view.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct MaintainReport {
-    /// How many facts the pass changed. The drivers count different
-    /// things: [`StratifiedView`] counts derived (IDB) facts that entered
-    /// or left the view; [`AlternatingView`] and [`RecomputeView`] count
-    /// the symmetric difference of the model's `certain` set plus that of
-    /// its `possible` set, over the whole model — database facts
-    /// included, so a two-valued change counts once in each set.
-    pub changed: usize,
-    /// Strata (or recompute levels) skipped because the delta could not
-    /// reach them.
-    pub skipped: usize,
-}
-
 /// What the stratum driver keeps per stratum beside the shared total.
 struct StratumState {
     kernel: PassProgram,
@@ -105,7 +94,7 @@ struct StratumState {
 }
 
 /// An incrementally maintained materialized view of a stratified program.
-pub struct StratifiedView {
+pub(crate) struct StratifiedView {
     strata: Vec<StratumState>,
     /// The materialized model: database facts plus every stratum's heads
     /// (exactly the `certain` interpretation a cold stratified evaluation
@@ -117,7 +106,11 @@ pub struct StratifiedView {
 impl StratifiedView {
     /// Materialize the view from scratch (also the registration-time cold
     /// baseline: the meter records the full evaluation cost).
-    pub fn new(program: &Program, db: &Database, meter: &mut Meter) -> Result<Self, EvalError> {
+    pub(crate) fn new(
+        program: &Program,
+        db: &Database,
+        meter: &mut Meter,
+    ) -> Result<Self, EvalError> {
         let mut total = Interp::from_database(db);
         let mut strata = Vec::new();
         for sp in strata_programs(program)? {
@@ -139,24 +132,25 @@ impl StratifiedView {
     }
 
     /// The materialized model (database facts included).
-    pub fn total(&self) -> &Interp {
+    pub(crate) fn total(&self) -> &Interp {
         &self.total
     }
 
     /// The view's derived (IDB) predicates.
-    pub fn idb_preds(&self) -> &BTreeSet<String> {
+    pub(crate) fn idb_preds(&self) -> &BTreeSet<String> {
         &self.idb
     }
 
     /// Apply one *effective* database delta (already applied to the
-    /// session database). The delta must not touch the view's IDB
-    /// predicates — the session routes such changes to a full rebuild.
-    /// On error the view is left inconsistent and must be rebuilt.
-    pub fn maintain(
+    /// session database) and return how many strata it could not reach.
+    /// The delta must not touch the view's IDB predicates — the session
+    /// routes such changes to a full rebuild. On error the view is left
+    /// inconsistent and must be rebuilt.
+    pub(crate) fn maintain(
         &mut self,
         delta: &DatabaseDelta,
         meter: &mut Meter,
-    ) -> Result<MaintainReport, EvalError> {
+    ) -> Result<usize, EvalError> {
         let (mut ins, mut del) = delta_interps(delta);
         let old_total = self.total.clone();
         for (p, args) in del.iter() {
@@ -165,12 +159,12 @@ impl StratifiedView {
         for (p, args) in ins.iter() {
             self.total.insert(p, args.clone());
         }
-        let mut report = MaintainReport::default();
+        let mut skipped = 0;
         for st in &mut self.strata {
             let st_ins = restrict(&ins, &st.routed);
             let st_del = restrict(&del, &st.routed);
             if st_ins.total() + st_del.total() == 0 {
-                report.skipped += 1;
+                skipped += 1;
                 continue;
             }
             let heads = st.kernel.replay(
@@ -186,12 +180,11 @@ impl StratifiedView {
                 Oracle::Own,
                 meter,
             )?;
-            report.changed += heads.ins.total() + heads.del.total();
             ins.absorb(&heads.ins);
             del.absorb(&heads.del);
         }
         meter.record_materialized(self.total.total());
-        Ok(report)
+        Ok(skipped)
     }
 }
 
@@ -208,7 +201,7 @@ struct Level {
 /// A view maintained by changed-level recomputation: the inflationary
 /// semantics on a program that is not semipositive, and the three-valued
 /// semantics when pinned `recompute`.
-pub struct RecomputeView {
+pub(crate) struct RecomputeView {
     semantics: Semantics,
     levels: Vec<Level>,
     deps: BTreeSet<String>,
@@ -290,7 +283,7 @@ fn scc_levels(program: &Program) -> Vec<Program> {
 
 impl RecomputeView {
     /// Materialize the view from scratch under the given semantics.
-    pub fn new(
+    pub(crate) fn new(
         program: &Program,
         semantics: Semantics,
         db: &Database,
@@ -344,40 +337,29 @@ impl RecomputeView {
     }
 
     /// The current model.
-    pub fn model(&self) -> &ThreeValued {
+    pub(crate) fn model(&self) -> &ThreeValued {
         &self.model
     }
 
     /// The view's derived (IDB) predicates.
-    pub fn idb_preds(&self) -> &BTreeSet<String> {
+    pub(crate) fn idb_preds(&self) -> &BTreeSet<String> {
         &self.idb
     }
 
-    /// Every predicate the view depends on.
-    pub fn deps(&self) -> &BTreeSet<String> {
-        &self.deps
-    }
-
     /// Recompute the levels affected by a delta, reusing cached
-    /// two-valued results of untouched lower levels.
-    pub fn maintain(
+    /// two-valued results of untouched lower levels; returns how many
+    /// levels it reused.
+    pub(crate) fn maintain(
         &mut self,
         db: &Database,
         delta: &DatabaseDelta,
         meter: &mut Meter,
-    ) -> Result<MaintainReport, EvalError> {
+    ) -> Result<usize, EvalError> {
         let changed: BTreeSet<String> = delta.names().map(str::to_string).collect();
         if changed.iter().all(|p| !self.deps.contains(p)) {
-            return Ok(MaintainReport {
-                changed: 0,
-                skipped: self.levels.len(),
-            });
+            return Ok(self.levels.len());
         }
-        let before = self.model.clone();
-        let skipped = self.evaluate_levels(db, &changed, meter)?;
-        let changed = before.certain.diff(&self.model.certain).count()
-            + before.possible.diff(&self.model.possible).count();
-        Ok(MaintainReport { changed, skipped })
+        self.evaluate_levels(db, &changed, meter)
     }
 
     fn evaluate_levels(
@@ -434,7 +416,7 @@ impl RecomputeView {
 /// level. For the valid-extended semantics the stable-completion
 /// refinement is re-run over the maintained well-founded model; the
 /// served model is the refined one.
-pub struct AlternatingView {
+pub(crate) struct AlternatingView {
     model: IncrementalModel,
     /// `Some(cap)` exactly for the valid-extended semantics.
     cap: Option<usize>,
@@ -445,7 +427,7 @@ pub struct AlternatingView {
 
 impl AlternatingView {
     /// Materialize the view from scratch under the given semantics.
-    pub fn new(
+    pub(crate) fn new(
         program: &Program,
         semantics: Semantics,
         db: &Database,
@@ -484,42 +466,26 @@ impl AlternatingView {
     }
 
     /// The current (served) model.
-    pub fn model(&self) -> &ThreeValued {
+    pub(crate) fn model(&self) -> &ThreeValued {
         &self.served
     }
 
     /// The view's derived (IDB) predicates.
-    pub fn idb_preds(&self) -> &BTreeSet<String> {
+    pub(crate) fn idb_preds(&self) -> &BTreeSet<String> {
         self.model.idb_preds()
-    }
-
-    /// Every predicate the view depends on.
-    pub fn deps(&self) -> &BTreeSet<String> {
-        self.model.deps()
     }
 
     /// Replay an *effective* delta (already applied to the session
     /// database, disjoint from the view's IDB predicates) through the
-    /// stored alternation passes.
-    pub fn maintain(
+    /// stored alternation passes; returns how many passes it skipped.
+    pub(crate) fn maintain(
         &mut self,
         delta: &DatabaseDelta,
         meter: &mut Meter,
-    ) -> Result<MaintainReport, EvalError> {
-        let outcome = self.model.maintain(delta, meter)?;
-        let skipped = outcome.skipped;
-        let changed = if self.cap.is_some() {
-            // The refinement can shift facts even when the well-founded
-            // model's delta is small, so diff the served model directly.
-            let before = std::mem::take(&mut self.served);
-            self.served = Self::refine(&self.model, self.cap, meter)?;
-            before.certain.diff(&self.served.certain).count()
-                + before.possible.diff(&self.served.possible).count()
-        } else {
-            self.served = self.model.model().clone();
-            outcome.changed
-        };
-        Ok(MaintainReport { changed, skipped })
+    ) -> Result<usize, EvalError> {
+        let skipped = self.model.maintain(delta, meter)?;
+        self.served = Self::refine(&self.model, self.cap, meter)?;
+        Ok(skipped)
     }
 }
 
@@ -568,8 +534,9 @@ mod tests {
         let mut d = DatabaseDelta::new();
         d.insert("e", Value::pair(i(4), i(5)));
         let eff = d.apply(&mut db);
-        let rep = view.maintain(&eff, &mut meter).unwrap();
-        assert!(rep.changed >= 4, "tc gains paths to 5, got {rep:?}");
+        let before = view.total().count("tc");
+        view.maintain(&eff, &mut meter).unwrap();
+        assert_eq!(view.total().count("tc"), before + 4, "tc gains paths to 5");
         assert_matches_cold(&view, &program, &db);
 
         // Delete a middle edge: long paths die, short ones survive.
@@ -604,8 +571,8 @@ mod tests {
         let mut d = DatabaseDelta::new();
         d.insert("e", Value::pair(i(2), i(3)));
         let eff = d.apply(&mut db);
-        let rep = view.maintain(&eff, &mut meter).unwrap();
-        assert_eq!(rep.skipped, 0);
+        let skipped = view.maintain(&eff, &mut meter).unwrap();
+        assert_eq!(skipped, 0);
         assert_matches_cold(&view, &program, &db);
         assert!(!view.total().holds("un", &[i(1), i(3)]));
 
@@ -621,8 +588,8 @@ mod tests {
         let mut d = DatabaseDelta::new();
         d.insert("n", i(4));
         let eff = d.apply(&mut db);
-        let rep = view.maintain(&eff, &mut meter).unwrap();
-        assert_eq!(rep.skipped, 1, "tc stratum untouched by n-delta");
+        let skipped = view.maintain(&eff, &mut meter).unwrap();
+        assert_eq!(skipped, 1, "tc stratum untouched by n-delta");
         assert_matches_cold(&view, &program, &db);
     }
 
@@ -679,8 +646,8 @@ mod tests {
         let mut d = DatabaseDelta::new();
         d.insert("player", i(3));
         let eff = d.apply(&mut db);
-        let rep = view.maintain(&db, &eff, &mut meter).unwrap();
-        assert_eq!(rep.skipped, 1, "win level reused from cache");
+        let skipped = view.maintain(&db, &eff, &mut meter).unwrap();
+        assert_eq!(skipped, 1, "win level reused from cache");
         let cold = evaluate(&program, &db, Semantics::Valid, Budget::SMALL).unwrap();
         assert_eq!(view.model(), &cold.model);
         assert_eq!(view.model().truth("happy", &[i(3)]), Truth::True);
@@ -689,9 +656,10 @@ mod tests {
         let mut d = DatabaseDelta::new();
         d.insert("unrelated", i(9));
         let eff = d.apply(&mut db);
-        let rep = view.maintain(&db, &eff, &mut meter).unwrap();
-        assert_eq!(rep.skipped, 2);
-        assert_eq!(rep.changed, 0);
+        let before = view.model().clone();
+        let skipped = view.maintain(&db, &eff, &mut meter).unwrap();
+        assert_eq!(skipped, 2);
+        assert_eq!(view.model(), &before);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! `load` (`facts`),
 //! `register` (`view`, `program`, optional `semantics`, optional
 //! `strategy: "auto" | "incremental" | "recompute"` to pin the
-//! three-valued maintainer, optional
-//! `kind: "algebra"`), `assert` / `retract` (`fact` or `facts`),
+//! three-valued maintainer, optional `kind: "algebra"`, which takes
+//! neither `semantics` nor `strategy`), `assert` / `retract` (`fact` or
+//! `facts`),
 //! `query` (`view`, optional `pred`), `explain` (`view`), `stats`
 //! (optional `view`), `views`, `db`, `unregister` (`view`), `shutdown`.
 //!
@@ -473,7 +474,19 @@ fn dispatch(session: &mut Session, req: &Json) -> Result<Payload<'static>, Serve
             let program = str_field(req, "program")?;
             let kind = req.get("kind").and_then(Json::as_str).unwrap_or("datalog");
             let out = match kind {
-                "algebra" => session.register_algebra(view, program)?,
+                "algebra" => {
+                    // Always the valid semantics, on the engine the
+                    // planner picks: say so rather than ignore the operand.
+                    if let Some(operand) = ["semantics", "strategy"]
+                        .into_iter()
+                        .find(|operand| req.get(operand).is_some())
+                    {
+                        return Err(ServeError::BadRequest(format!(
+                            "an algebra view takes no `{operand}`"
+                        )));
+                    }
+                    session.register_algebra(view, program)?
+                }
                 "datalog" => {
                     let semantics = match req.get("semantics").and_then(Json::as_str) {
                         Some(s) => parse_semantics(s).map_err(ServeError::BadRequest)?,
@@ -980,14 +993,17 @@ mod tests {
             ("alg", "algebra", "valid", "query e;"),
         ];
         for (view, kind, semantics, program) in register {
-            let line = Json::obj([
+            let mut fields = vec![
                 ("id", Json::Int(2)),
                 ("op", Json::str("register")),
                 ("view", Json::str(view)),
                 ("kind", Json::str(kind)),
-                ("semantics", Json::str(semantics)),
                 ("program", Json::str(program)),
-            ]);
+            ];
+            if kind == "datalog" {
+                fields.push(("semantics", Json::str(semantics)));
+            }
+            let line = Json::obj(fields);
             let reply = handle_line(&shared, &line.to_string());
             assert!(reply.line().contains(r#""ok":true"#), "{}", reply.line());
         }
@@ -1129,6 +1145,33 @@ mod tests {
             "{}",
             reply.line()
         );
+    }
+
+    #[test]
+    fn algebra_registration_rejects_datalog_operands() {
+        let shared = SharedSession::new(Session::new(Budget::LARGE));
+        for operand in [r#""semantics": "valid""#, r#""strategy": "recompute""#] {
+            let reply = handle_line(
+                &shared,
+                &format!(
+                    r#"{{"id": 1, "op": "register", "view": "a", "kind": "algebra", "program": "query e;", {operand}}}"#
+                ),
+            );
+            assert!(
+                reply.line().contains(r#""code":"bad-request""#),
+                "{}",
+                reply.line()
+            );
+            let name = operand.split('"').nth(1).unwrap();
+            assert!(
+                reply.line().contains(&format!("`{name}`")),
+                "{}",
+                reply.line()
+            );
+        }
+        // Nothing was registered.
+        let reply = handle_line(&shared, r#"{"id": 2, "op": "views"}"#);
+        assert!(reply.line().contains(r#""views":[]"#), "{}", reply.line());
     }
 
     /// The nesting bound of the JSON, algebra and datalog parsers.

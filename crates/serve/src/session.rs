@@ -5,20 +5,20 @@
 //! served over TCP or over stdin/stdout. It owns the extensional database and a map of named
 //! views; [`Session::apply`] routes every change through
 //! [`DatabaseDelta::apply`] so only *effective* changes (facts actually
-//! added or removed) reach the maintainers, and views whose dependencies
+//! added or removed) reach the views, and views whose dependencies
 //! the delta cannot touch are skipped with zero evaluation work.
 //!
-//! Maintenance strategy is chosen per view at registration time:
+//! Every view runs on one flat engine, chosen at registration time:
 //!
-//! | program / semantics                        | strategy                         |
+//! | program / semantics                        | engine                           |
 //! |--------------------------------------------|----------------------------------|
-//! | stratifiable, any coinciding semantics     | [`StratifiedView`]               |
-//! | non-stratified, well-founded / valid / ext | [`AlternatingView`]              |
-//! | inflationary, semipositive                 | [`StratifiedView`]               |
-//! | inflationary, otherwise                    | [`RecomputeView`] single         |
+//! | stratifiable, any coinciding semantics     | `StratifiedView`                 |
+//! | non-stratified, well-founded / valid / ext | `AlternatingView`                |
+//! | inflationary, semipositive                 | `StratifiedView`                 |
+//! | inflationary, otherwise                    | `RecomputeView` single           |
 //! | naive / semi-naive with negation           | rejected (as cold eval)          |
 //! | core algebra in the planner's class        | its Thm 6.2 translation, rows 1–2 |
-//! | core algebra outside it                    | recompute on dependency          |
+//! | core algebra outside it                    | `core::eval_valid` recompute     |
 //!
 //! The first three rows are two drivers over one maintenance kernel
 //! (`algrec_incr::PassProgram`). The inflationary semantics coincides
@@ -32,15 +32,22 @@
 //! from `not q(a)`, and it has no stratification; such a program keeps
 //! whole-program recomputation. An algebra view is planned by
 //! [`crate::algebra::plan`] against the shapes of the relations it
-//! reads; an in-class view checks each delta's inserted members against
-//! those shapes and re-plans through the rebuild path on a mismatch,
-//! while an out-of-class view re-plans at every recompute, so it moves
-//! back once its inputs are flat again. A registration can *pin* the
-//! three-valued strategy with [`StrategyPin`]: `incremental` overrides
-//! the stratifiable shortcut, and `recompute` selects
-//! [`RecomputeView`] levels — the only way to get changed-level
-//! recomputation, used by differential tests and scenario corpora to
-//! compare it with the kernel on the same trace.
+//! reads; an in-class view is its plan beside the maintainer of its
+//! translation, checks each delta's inserted members against those
+//! shapes and re-plans through the rebuild path on a mismatch, while an
+//! out-of-class view re-plans at every recompute, so it moves back once
+//! its inputs are flat again. A registration can *pin* the three-valued
+//! strategy with [`StrategyPin`]: `incremental` overrides the
+//! stratifiable shortcut, and `recompute` selects `RecomputeView`
+//! levels — the only way to get changed-level recomputation, used by
+//! differential tests and scenario corpora to compare it with the
+//! kernel on the same trace.
+//!
+//! A delta takes one step per view: route (skip, maintain or rebuild),
+//! maintain, then publish the answer. The publish renders only the
+//! predicates the write moved into the view's snapshot, and the same
+//! walk counts the answer lines that entered or left — the reply's
+//! [`ViewReport::changed`]. No maintainer counts anything.
 //!
 //! A delta that touches a predicate a view *derives* (EDB/IDB overlap),
 //! or any delta while the database holds a fact of such a predicate,
@@ -49,7 +56,7 @@
 //! current database.
 
 use crate::algebra::{self, Route};
-use crate::maintain::{AlternatingView, MaintainReport, RecomputeView, StratifiedView};
+use crate::maintain::{AlternatingView, RecomputeView, StratifiedView};
 use algrec_core::{AlgProgram, ValidAlgebraResult};
 use algrec_datalog::ast::Program;
 use algrec_datalog::explain::{catalog_from, explain_with_catalog};
@@ -59,9 +66,8 @@ use algrec_datalog::stratify::strata_programs;
 use algrec_datalog::Semantics;
 use algrec_value::relation::first_column;
 use algrec_value::{
-    Budget, Database, DatabaseDelta, EvalStats, Relation, SupportCounts, Trace, Value,
+    Budget, Database, DatabaseDelta, EvalStats, Meter, Relation, SupportCounts, Trace, Value,
 };
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -177,7 +183,7 @@ impl OpStats {
 /// Run `f` under a collecting trace and return its deterministic stats.
 fn traced<T, E>(
     budget: Budget,
-    f: impl FnOnce(&mut algrec_value::Meter) -> Result<T, E>,
+    f: impl FnOnce(&mut Meter) -> Result<T, E>,
 ) -> Result<(T, OpStats), E> {
     let trace = Trace::collect();
     let mut meter = budget.meter_traced(trace.clone());
@@ -313,145 +319,152 @@ pub trait Durability {
     }
 }
 
-enum Maintainer {
+/// What maintains one view: one of the three maintainers of a datalog
+/// program — a registered one, or an in-class algebra view's
+/// translation — or `algrec_core`'s answer to an algebra view outside
+/// the planner's class.
+enum Engine {
     Stratified(StratifiedView),
     // Boxed: the alternating maintainer's pass states dwarf the other
     // variants, and views live in a map where every entry pays the
     // largest variant's size.
-    Incremental(Box<AlternatingView>),
+    Alternating(Box<AlternatingView>),
     Recompute(RecomputeView),
-}
-
-impl Maintainer {
-    /// Materialize `program` with the maintainer a [`plan_datalog`]
-    /// label names.
-    fn new(
-        strategy: &str,
-        program: &Program,
-        semantics: Semantics,
-        db: &Database,
-        meter: &mut algrec_value::Meter,
-    ) -> Result<Self, ServeError> {
-        Ok(match strategy {
-            "stratified-incremental" => {
-                Maintainer::Stratified(StratifiedView::new(program, db, meter)?)
-            }
-            "incremental-alternating" => Maintainer::Incremental(Box::new(AlternatingView::new(
-                program, semantics, db, meter,
-            )?)),
-            _ => Maintainer::Recompute(RecomputeView::new(program, semantics, db, meter)?),
-        })
-    }
-
-    fn strategy(&self) -> &'static str {
-        match self {
-            Maintainer::Stratified(_) => "stratified-incremental",
-            Maintainer::Incremental(_) => "incremental-alternating",
-            Maintainer::Recompute(_) => "recompute-levels",
-        }
-    }
-
-    fn idb_preds(&self) -> &BTreeSet<String> {
-        match self {
-            Maintainer::Stratified(v) => v.idb_preds(),
-            Maintainer::Incremental(v) => v.idb_preds(),
-            Maintainer::Recompute(v) => v.idb_preds(),
-        }
-    }
-
-    /// The model as `(certain, possible)`; one interpretation twice for
-    /// the two-valued stratified maintainer.
-    fn model(&self) -> (&Interp, &Interp) {
-        match self {
-            Maintainer::Stratified(v) => (v.total(), v.total()),
-            Maintainer::Incremental(v) => (&v.model().certain, &v.model().possible),
-            Maintainer::Recompute(v) => (&v.model().certain, &v.model().possible),
-        }
-    }
-
-    fn maintain(
-        &mut self,
-        db: &Database,
-        delta: &DatabaseDelta,
-        meter: &mut algrec_value::Meter,
-    ) -> Result<MaintainReport, ServeError> {
-        Ok(match self {
-            Maintainer::Stratified(v) => v.maintain(delta, meter)?,
-            Maintainer::Incremental(v) => v.maintain(delta, meter)?,
-            Maintainer::Recompute(v) => v.maintain(db, delta, meter)?,
-        })
-    }
-}
-
-/// What evaluates an algebra view.
-enum AlgebraEngine {
-    /// In the planner's class: the translated program under the
-    /// maintainer [`plan_datalog`] picks for it. The answer is read off
-    /// its model when asked for, never kept beside it.
-    Translated {
-        plan: algebra::Plan,
-        maintainer: Box<Maintainer>,
-    },
-    /// Outside it: `algrec_core`'s answer, recomputed whenever a
-    /// relation in `deps` moves.
-    Recompute {
+    /// Recomputed, by planning the view again, whenever a relation in
+    /// `deps` moves.
+    Algebra {
         deps: BTreeSet<String>,
         result: ValidAlgebraResult,
     },
 }
 
-impl AlgebraEngine {
-    /// Plan `program` against `db` and materialize it.
-    fn new(
-        program: &AlgProgram,
+/// A maintainer's model — `certain` and `possible`, one interpretation
+/// twice when it is two-valued — beside its derived predicates.
+#[derive(Clone, Copy)]
+struct Model<'a> {
+    certain: &'a Interp,
+    possible: &'a Interp,
+    idb: &'a BTreeSet<String>,
+}
+
+/// What a view's answer is read from.
+enum Held<'a> {
+    /// A datalog view's model: the answer is its lines.
+    Model(Model<'a>),
+    /// An in-class algebra view: its translation's model, read through
+    /// the plan.
+    Translated(&'a algebra::Plan, Model<'a>),
+    /// The algebra recompute's own answer.
+    Answer(&'a ValidAlgebraResult),
+}
+
+impl Engine {
+    /// Materialize `program` with the maintainer a [`plan_datalog`]
+    /// label names.
+    fn maintainer(
+        strategy: &str,
+        program: &Program,
+        semantics: Semantics,
         db: &Database,
-        meter: &mut algrec_value::Meter,
+        meter: &mut Meter,
     ) -> Result<Self, ServeError> {
-        // The algebra evaluator builds its own meter: hand it the
-        // caller's budget and trace.
-        let route = algebra::route(program, db, *meter.budget(), meter.trace().clone())?;
-        Ok(match route {
-            Route::Evaluated(result) => AlgebraEngine::Recompute {
-                deps: program.external_names(),
-                result,
-            },
-            Route::Planned(plan) => {
-                let strategy = plan_datalog(&plan.program, Semantics::Valid, StrategyPin::Auto)?;
-                let maintainer = Box::new(Maintainer::new(
-                    strategy,
-                    &plan.program,
-                    Semantics::Valid,
-                    &plan.database(db),
-                    meter,
-                )?);
-                AlgebraEngine::Translated { plan, maintainer }
+        Ok(match strategy {
+            "stratified-incremental" => {
+                Engine::Stratified(StratifiedView::new(program, db, meter)?)
             }
+            "incremental-alternating" => Engine::Alternating(Box::new(AlternatingView::new(
+                program, semantics, db, meter,
+            )?)),
+            _ => Engine::Recompute(RecomputeView::new(program, semantics, db, meter)?),
         })
     }
 
     fn strategy(&self) -> &'static str {
         match self {
-            AlgebraEngine::Translated { maintainer, .. } => maintainer.strategy(),
-            AlgebraEngine::Recompute { .. } => "algebra-recompute",
+            Engine::Stratified(_) => "stratified-incremental",
+            Engine::Alternating(_) => "incremental-alternating",
+            Engine::Recompute(_) => "recompute-levels",
+            Engine::Algebra { .. } => "algebra-recompute",
         }
     }
 
-    /// Can a change to these relations reach the view?
-    fn reads_any(&self, names: &BTreeSet<String>) -> bool {
-        match self {
-            AlgebraEngine::Translated { plan, .. } => plan.reads_any(names),
-            AlgebraEngine::Recompute { deps, .. } => !deps.is_disjoint(names),
+    /// What the answer is read from; `translation` is an in-class
+    /// algebra view's plan.
+    fn held<'a>(&'a self, translation: Option<&'a algebra::Plan>) -> Held<'a> {
+        let (certain, possible, idb) = match self {
+            Engine::Stratified(v) => (v.total(), v.total(), v.idb_preds()),
+            Engine::Alternating(v) => (&v.model().certain, &v.model().possible, v.idb_preds()),
+            Engine::Recompute(v) => (&v.model().certain, &v.model().possible, v.idb_preds()),
+            Engine::Algebra { result, .. } => return Held::Answer(result),
+        };
+        let model = Model {
+            certain,
+            possible,
+            idb,
+        };
+        match translation {
+            Some(plan) => Held::Translated(plan, model),
+            None => Held::Model(model),
         }
     }
 
-    fn answer(&self) -> Cow<'_, ValidAlgebraResult> {
-        match self {
-            AlgebraEngine::Translated { plan, maintainer } => {
-                Cow::Owned(plan.answer(maintainer.model()))
+    /// Apply one effective delta; returns the strata, passes or levels
+    /// it could not reach. The algebra recompute is rebuilt instead.
+    fn maintain(
+        &mut self,
+        db: &Database,
+        delta: &DatabaseDelta,
+        meter: &mut Meter,
+    ) -> Result<usize, ServeError> {
+        Ok(match self {
+            Engine::Stratified(v) => v.maintain(delta, meter)?,
+            Engine::Alternating(v) => v.maintain(delta, meter)?,
+            Engine::Recompute(v) => v.maintain(db, delta, meter)?,
+            Engine::Algebra { .. } => {
+                return Err(ServeError::Eval(
+                    "internal: an algebra recompute is rebuilt, not maintained".into(),
+                ))
             }
-            AlgebraEngine::Recompute { result, .. } => Cow::Borrowed(result),
-        }
+        })
     }
+}
+
+/// Materialize a view on `db`: a datalog program on the maintainer
+/// [`plan_datalog`] picks for it; an algebra program on its translation
+/// when [`algebra::route`] plans it, else on `algrec_core`. The second
+/// half is the translation.
+fn materialize(
+    program: &ViewProgram,
+    semantics: Semantics,
+    pin: StrategyPin,
+    db: &Database,
+    meter: &mut Meter,
+) -> Result<(Engine, Option<algebra::Plan>), ServeError> {
+    let program = match program {
+        ViewProgram::Datalog(program) => {
+            let strategy = plan_datalog(program, semantics, pin)?;
+            let engine = Engine::maintainer(strategy, program, semantics, db, meter)?;
+            return Ok((engine, None));
+        }
+        ViewProgram::Algebra(program) => program,
+    };
+    // The algebra evaluator builds its own meter: hand it the caller's
+    // budget and trace.
+    Ok(
+        match algebra::route(program, db, *meter.budget(), meter.trace().clone())? {
+            Route::Evaluated(result) => {
+                let deps = program.external_names();
+                (Engine::Algebra { deps, result }, None)
+            }
+            Route::Planned(plan) => {
+                let strategy = plan_datalog(&plan.program, Semantics::Valid, StrategyPin::Auto)?;
+                let view_db = plan.database(db);
+                let engine =
+                    Engine::maintainer(strategy, &plan.program, Semantics::Valid, &view_db, meter)?;
+                (engine, Some(plan))
+            }
+        },
+    )
 }
 
 /// An algebra view's answer as a query reports it.
@@ -467,47 +480,20 @@ fn algebra_answer(result: &ValidAlgebraResult) -> QueryAnswer {
     }
 }
 
-enum ViewKind {
-    Datalog {
-        program: Arc<Program>,
-        semantics: Semantics,
-        maintainer: Maintainer,
-    },
-    Algebra {
-        program: Arc<AlgProgram>,
-        engine: AlgebraEngine,
-    },
-}
-
-impl ViewKind {
-    /// The program whose plan `explain` shows: an in-class algebra
-    /// view's translation, else the registered program.
-    fn program(&self) -> ViewProgram {
-        match self {
-            ViewKind::Datalog { program, .. }
-            | ViewKind::Algebra {
-                engine:
-                    AlgebraEngine::Translated {
-                        plan: algebra::Plan { program, .. },
-                        ..
-                    },
-                ..
-            } => ViewProgram::Datalog(Arc::clone(program)),
-            ViewKind::Algebra { program, .. } => ViewProgram::Algebra(Arc::clone(program)),
-        }
-    }
-}
-
 struct ViewEntry {
-    kind: ViewKind,
+    program: ViewProgram,
     /// Program source text as registered — retained so snapshots can
     /// re-register the view verbatim.
     source: String,
-    semantics_label: String,
-    strategy: &'static str,
+    /// The datalog semantics; an algebra view's is the valid one.
+    semantics: Semantics,
     /// The registration-time strategy pin, retained for the catalog so
     /// snapshots re-register the view with the same maintainer.
     pin: StrategyPin,
+    /// An in-class algebra view's translation: the program `engine`
+    /// maintains, and how the answer is read off its model.
+    translation: Option<algebra::Plan>,
+    engine: Engine,
     registration: OpStats,
     last: Option<OpStats>,
     cumulative: OpStats,
@@ -517,12 +503,11 @@ struct ViewEntry {
     dirty: Option<String>,
     /// The view's query plan against the database statistics it was last
     /// published with; replaced when those move.
-    plan: Arc<Plan>,
+    explain: Arc<Plan>,
     /// Rendered lines per predicate, each beside the fact set it was
     /// rendered from — what lets a publish re-render only what entered.
     rendered: Rendered,
-    /// The published form of the current state; `None` once maintenance
-    /// or a rebuild has moved the state past it.
+    /// The last published answer; a dirty view's is out of date.
     snapshot: Option<Arc<ViewSnapshot>>,
 }
 
@@ -560,9 +545,9 @@ pub struct ViewReport {
     pub view: String,
     /// What the session did to it.
     pub status: ViewStatus,
-    /// Facts the maintenance changed, as the view's maintainer counts
-    /// them ([`MaintainReport::changed`]); for an algebra view, 1 iff its
-    /// answer moved.
+    /// Answer lines that entered or left: over a datalog view's derived
+    /// predicates, certain and unknown lines alike; for an algebra view,
+    /// 1 iff its answer moved.
     pub changed: usize,
     /// Strata or levels skipped by the maintainer.
     pub skipped: usize,
@@ -660,6 +645,7 @@ impl DataStats {
 }
 
 /// A registered program, shared between the session and its snapshots.
+#[derive(Clone)]
 enum ViewProgram {
     Datalog(Arc<Program>),
     Algebra(Arc<AlgProgram>),
@@ -732,36 +718,25 @@ pub fn format_fact(pred: &str, args: &[Value]) -> String {
     )
 }
 
-/// Render a three-valued model as `(certain, unknown)` query lines, the
-/// shared answer path of the recompute and incremental maintainers.
-fn three_valued_answer(
-    model: &algrec_datalog::interp::ThreeValued,
-    idb: &BTreeSet<String>,
-    pred: Option<&str>,
-) -> (Vec<String>, Vec<String>) {
-    let list = |p: &str| -> Vec<String> {
-        model
-            .certain
-            .facts(p)
-            .map(|args| format!("{}.", format_fact(p, args)))
-            .collect()
+/// A datalog view's answer, rendered straight off its model — not from
+/// the lines a publish keeps — so the two can be compared: the certain
+/// facts, then the possible ones that are not certain.
+fn live_answer(model: Model<'_>, pred: Option<&str>) -> QueryAnswer {
+    let preds: Vec<&str> = match pred {
+        Some(p) => vec![p],
+        None => model.idb.iter().map(String::as_str).collect(),
     };
-    let mut certain = Vec::new();
-    match pred {
-        Some(p) => certain.extend(list(p)),
-        None => {
-            for p in idb {
-                certain.extend(list(p));
-            }
+    let (mut certain, mut unknown) = (Vec::new(), Vec::new());
+    for p in preds {
+        let facts = model.certain.facts(p);
+        certain.extend(facts.map(|args| format!("{}.", format_fact(p, args))));
+        if !std::ptr::eq(model.certain, model.possible) {
+            let facts = model.possible.facts(p);
+            let open = facts.filter(|args| !model.certain.holds(p, args));
+            unknown.extend(open.map(|args| format_fact(p, args)));
         }
     }
-    let unknown = model
-        .unknown_facts()
-        .into_iter()
-        .filter(|(p, _)| pred.map_or_else(|| idb.contains(p), |want| p == want))
-        .map(|(p, args)| format_fact(&p, &args))
-        .collect();
-    (certain, unknown)
+    QueryAnswer::Datalog { certain, unknown }
 }
 
 /// Choose the maintenance strategy for a datalog program, mirroring the
@@ -913,15 +888,9 @@ impl Session {
             .iter()
             .map(|(name, e)| ViewDef {
                 name: name.clone(),
-                kind: match e.kind {
-                    ViewKind::Datalog { .. } => "datalog",
-                    ViewKind::Algebra { .. } => "algebra",
-                },
+                kind: e.kind(),
                 program: e.source.clone(),
-                semantics: match &e.kind {
-                    ViewKind::Datalog { semantics, .. } => Some(*semantics),
-                    ViewKind::Algebra { .. } => None,
-                },
+                semantics: matches!(e.program, ViewProgram::Datalog(_)).then_some(e.semantics),
                 strategy: e.pin,
             })
             .collect()
@@ -1041,26 +1010,15 @@ impl Session {
         pin: StrategyPin,
     ) -> Result<RegisterOutcome, ServeError> {
         self.check_name(name)?;
-        let program = Arc::new(algrec_datalog::parser::parse_program(src)?);
-        let strategy = plan_datalog(&program, semantics, pin)?;
-        let (maintainer, stats) = traced(self.budget, |meter| {
-            Maintainer::new(strategy, &program, semantics, &self.db, meter)
-        })?;
-        let kind = ViewKind::Datalog {
-            program,
-            semantics,
-            maintainer,
-        };
-        let label = crate::protocol::semantics_name(semantics);
-        let entry = ViewEntry::new(kind, src, label, strategy, pin, stats, &self.data);
-        self.views.insert(name.to_string(), entry);
+        let program = ViewProgram::Datalog(Arc::new(algrec_datalog::parser::parse_program(src)?));
+        let out = self.register(name, src, program, semantics, pin)?;
         self.durably(&DurableEvent::RegisterDatalog {
             name,
             program: src,
             semantics,
             strategy: pin,
         })?;
-        Ok(RegisterOutcome { strategy, stats })
+        Ok(out)
     }
 
     /// Register a core-algebra program as a materialized view, always
@@ -1075,26 +1033,52 @@ impl Session {
         src: &str,
     ) -> Result<RegisterOutcome, ServeError> {
         self.check_name(name)?;
-        let program = Arc::new(
+        let program = ViewProgram::Algebra(Arc::new(
             algrec_core::parser::parse_program(src)
                 .map_err(|e| ServeError::Parse(e.to_string()))?,
-        );
-        let (engine, stats) = traced(self.budget, |meter| {
-            AlgebraEngine::new(&program, &self.db, meter)
+        ));
+        let out = self.register(name, src, program, Semantics::Valid, StrategyPin::Auto)?;
+        self.durably(&DurableEvent::RegisterAlgebra { name, program: src })?;
+        Ok(out)
+    }
+
+    /// Materialize and publish a parsed program as the view `name`.
+    fn register(
+        &mut self,
+        name: &str,
+        src: &str,
+        program: ViewProgram,
+        semantics: Semantics,
+        pin: StrategyPin,
+    ) -> Result<RegisterOutcome, ServeError> {
+        let ((engine, translation), stats) = traced(self.budget, |meter| {
+            materialize(&program, semantics, pin, &self.db, meter)
         })?;
         let strategy = engine.strategy();
-        let kind = ViewKind::Algebra { program, engine };
-        let entry = ViewEntry::new(
-            kind,
-            src,
-            "valid".to_string(),
-            strategy,
-            StrategyPin::Auto,
-            stats,
-            &self.data,
-        );
+        let explain = Arc::new(Plan::new(
+            ViewEntry::explained(&program, translation.as_ref()),
+            Arc::clone(&self.data),
+        ));
+        let mut entry = ViewEntry {
+            program,
+            source: src.to_string(),
+            semantics,
+            pin,
+            translation,
+            engine,
+            registration: stats,
+            last: None,
+            cumulative: OpStats::default(),
+            deltas_applied: 0,
+            strata_skipped: 0,
+            rebuilds: 0,
+            dirty: None,
+            explain,
+            rendered: Rendered::default(),
+            snapshot: None,
+        };
+        entry.publish();
         self.views.insert(name.to_string(), entry);
-        self.durably(&DurableEvent::RegisterAlgebra { name, program: src })?;
         Ok(RegisterOutcome { strategy, stats })
     }
 
@@ -1117,43 +1101,22 @@ impl Session {
         }
         self.rebuild_if_dirty(name)?;
         let entry = self.views.get(name).expect("checked above");
-        match &entry.kind {
-            ViewKind::Datalog { maintainer, .. } => {
-                let (certain, unknown) = match maintainer {
-                    Maintainer::Stratified(v) => {
-                        let mut lines = Vec::new();
-                        let preds: Vec<&str> = match pred {
-                            Some(p) => vec![p],
-                            None => v.idb_preds().iter().map(String::as_str).collect(),
-                        };
-                        for p in preds {
-                            for args in v.total().facts(p) {
-                                lines.push(format!("{}.", format_fact(p, args)));
-                            }
-                        }
-                        (lines, Vec::new())
-                    }
-                    Maintainer::Incremental(v) => {
-                        three_valued_answer(v.model(), v.idb_preds(), pred)
-                    }
-                    Maintainer::Recompute(v) => three_valued_answer(v.model(), v.idb_preds(), pred),
-                };
-                Ok(QueryAnswer::Datalog { certain, unknown })
+        Ok(match entry.engine.held(entry.translation.as_ref()) {
+            Held::Model(model) => live_answer(model, pred),
+            Held::Translated(plan, model) => {
+                algebra_answer(&plan.answer((model.certain, model.possible)))
             }
-            ViewKind::Algebra { engine, .. } => Ok(algebra_answer(&engine.answer())),
-        }
+            Held::Answer(result) => algebra_answer(result),
+        })
     }
 
     /// Statistics for one view, or for every view in name order.
     pub fn stats(&self, name: Option<&str>) -> Result<Vec<ViewStats>, ServeError> {
         let pick = |name: &String, e: &ViewEntry| ViewStats {
             name: name.clone(),
-            kind: match e.kind {
-                ViewKind::Datalog { .. } => "datalog",
-                ViewKind::Algebra { .. } => "algebra",
-            },
-            semantics: e.semantics_label.clone(),
-            strategy: e.strategy,
+            kind: e.kind(),
+            semantics: crate::protocol::semantics_name(e.semantics),
+            strategy: e.engine.strategy(),
             dirty: e.dirty.is_some(),
             deltas_applied: e.deltas_applied,
             strata_skipped: e.strata_skipped,
@@ -1181,12 +1144,9 @@ impl Session {
             .map(|(n, e)| {
                 (
                     n.clone(),
-                    match e.kind {
-                        ViewKind::Datalog { .. } => "datalog",
-                        ViewKind::Algebra { .. } => "algebra",
-                    },
-                    e.semantics_label.clone(),
-                    e.strategy,
+                    e.kind(),
+                    crate::protocol::semantics_name(e.semantics),
+                    e.engine.strategy(),
                 )
             })
             .collect()
@@ -1210,7 +1170,10 @@ impl Session {
             .views
             .get(name)
             .ok_or_else(|| ServeError::UnknownView(name.to_string()))?;
-        render_plan(&entry.kind.program(), &self.data)
+        render_plan(
+            &ViewEntry::explained(&entry.program, entry.translation.as_ref()),
+            &self.data,
+        )
     }
 
     fn check_name(&self, name: &str) -> Result<(), ServeError> {
@@ -1229,46 +1192,32 @@ impl Session {
     /// read-only protocol operations (`query`/`explain`/`stats`/`views`/
     /// `db`) can answer. The serving layer publishes one of these per
     /// committed write (see `crate::shared::SharedSession`); readers then
-    /// resolve against it lock-free, and nothing is rendered at read
-    /// time except a plan the first time it is asked for.
+    /// resolve against it lock-free.
     ///
-    /// A publish costs the sizes of the predicates the write touched, not what
-    /// the views hold. The session keeps, per view and predicate, the rendered
-    /// lines beside the fact set they were rendered from (`Rendered`): an
-    /// interpretation's fact sets are copy-on-write handles, so a predicate
-    /// whose handle is the one held is untouched and its lines are shared as
-    /// they are; a touched predicate is merge-walked whole against the held set
-    /// (its unknown facts found by one ordered walk) and only the facts that
-    /// entered are formatted, every other line being shared with the previous
-    /// epoch. A view no maintenance has moved since the last publish is shared
-    /// whole. That state lives here, in the session, not in the last published
-    /// snapshot — a caller that drops every snapshot pays the same. Plans are
-    /// not rendered here at all: a snapshot carries the program and the
-    /// database statistics (`Plan`).
+    /// Nothing is rendered here: the write that moved a view already
+    /// published its answer (`ViewEntry::publish`), so a capture collects
+    /// shared handles — each view's answer and its plan, which carries
+    /// the program and the database statistics and is rendered the first
+    /// time somebody asks (`Plan`).
     ///
     /// Lines are formatted by the same code as the live methods, so a
     /// snapshot reply is byte-identical to asking the session directly —
-    /// asserted by the `read_view_matches_live_session` test. Dirty
-    /// views are *not* rendered (a query would transparently rebuild,
-    /// which is writer work); [`ReadView::query`] reports them as
+    /// asserted by the `read_view_matches_live_session` test. A dirty
+    /// view's answer is *not* captured (a query would transparently
+    /// rebuild, which is writer work); [`ReadView::query`] reports it as
     /// needing the writer.
     pub fn read_view(&mut self) -> ReadView {
         let mut views = BTreeMap::new();
         for (name, entry) in &mut self.views {
-            // An algebra view's program changes with its engine.
-            let program = entry.kind.program();
-            if !Arc::ptr_eq(&entry.plan.data, &self.data) || !entry.plan.program.same(&program) {
-                entry.plan = Arc::new(Plan::new(program, Arc::clone(&self.data)));
+            // An algebra view's explained program changes with its engine.
+            let program = ViewEntry::explained(&entry.program, entry.translation.as_ref());
+            if !Arc::ptr_eq(&entry.explain.data, &self.data)
+                || !entry.explain.program.same(&program)
+            {
+                entry.explain = Arc::new(Plan::new(program, Arc::clone(&self.data)));
             }
-            let state = match &entry.snapshot {
-                Some(state) => Arc::clone(state),
-                None => {
-                    let state = Arc::new(entry.render());
-                    entry.snapshot = Some(Arc::clone(&state));
-                    state
-                }
-            };
-            let plan = Arc::clone(&entry.plan);
+            let state = entry.snapshot.clone().filter(|_| entry.dirty.is_none());
+            let plan = Arc::clone(&entry.explain);
             views.insert(name.clone(), PublishedView { state, plan });
         }
         ReadView {
@@ -1288,106 +1237,52 @@ impl Session {
         let budget = self.budget;
         let entry = self.views.get_mut(name).expect("checked");
         let (_, stats) = traced(budget, |meter| entry.rebuild(db, meter))?;
-        entry.snapshot = None;
         entry.rebuilds += 1;
         entry.cumulative.accumulate(&stats);
         entry.last = Some(stats);
         entry.dirty = None;
+        entry.publish();
         Ok(())
     }
 }
 
 impl ViewEntry {
-    fn new(
-        kind: ViewKind,
-        source: &str,
-        semantics_label: String,
-        strategy: &'static str,
-        pin: StrategyPin,
-        registration: OpStats,
-        data: &Arc<DataStats>,
-    ) -> Self {
-        let plan = Arc::new(Plan::new(kind.program(), Arc::clone(data)));
-        ViewEntry {
-            kind,
-            source: source.to_string(),
-            semantics_label,
-            strategy,
-            pin,
-            registration,
-            last: None,
-            cumulative: OpStats::default(),
-            deltas_applied: 0,
-            strata_skipped: 0,
-            rebuilds: 0,
-            dirty: None,
-            plan,
-            rendered: Rendered::default(),
-            snapshot: None,
+    fn kind(&self) -> &'static str {
+        match self.program {
+            ViewProgram::Datalog(_) => "datalog",
+            ViewProgram::Algebra(_) => "algebra",
         }
     }
 
-    /// The published form of the current state.
-    fn render(&mut self) -> ViewSnapshot {
-        match (&self.dirty, &self.kind) {
-            (Some(_), _) => ViewSnapshot::Dirty,
-            (None, ViewKind::Datalog { maintainer, .. }) => {
-                let (certain, possible, idb) = match maintainer {
-                    Maintainer::Stratified(v) => (v.total(), None, v.idb_preds()),
-                    Maintainer::Incremental(v) => {
-                        let model = v.model();
-                        (&model.certain, Some(&model.possible), v.idb_preds())
-                    }
-                    Maintainer::Recompute(v) => {
-                        let model = v.model();
-                        (&model.certain, Some(&model.possible), v.idb_preds())
-                    }
-                };
-                let (certain, unknown) = self.rendered.update(certain, possible);
-                ViewSnapshot::Datalog {
-                    certain,
-                    unknown,
-                    idb: idb.clone(),
-                }
-            }
-            (None, ViewKind::Algebra { engine, .. }) => {
-                ViewSnapshot::Algebra(algebra_answer(&engine.answer()))
-            }
+    /// The program whose plan `explain` shows: an in-class algebra
+    /// view's translation, else the registered program.
+    fn explained(program: &ViewProgram, translation: Option<&algebra::Plan>) -> ViewProgram {
+        match translation {
+            Some(plan) => ViewProgram::Datalog(Arc::clone(&plan.program)),
+            None => program.clone(),
         }
     }
 
-    /// Rebuild the materialization from scratch on the current database;
-    /// an algebra view is planned again. Returns whether an algebra
-    /// view's answer changed.
-    fn rebuild(
-        &mut self,
-        db: &Database,
-        meter: &mut algrec_value::Meter,
-    ) -> Result<bool, ServeError> {
-        match &mut self.kind {
-            ViewKind::Datalog {
-                program,
-                semantics,
-                maintainer,
-            } => {
-                *maintainer =
-                    Maintainer::new(maintainer.strategy(), program, *semantics, db, meter)?;
-                Ok(false)
-            }
-            ViewKind::Algebra { program, engine } => {
-                let next = AlgebraEngine::new(program, db, meter)?;
-                let changed = {
-                    let (before, after) = (engine.answer(), next.answer());
-                    before.query != after.query || before.constants != after.constants
-                };
-                self.strategy = next.strategy();
-                *engine = next;
-                Ok(changed)
-            }
+    /// Can a change to these relations reach the view? Always, for a
+    /// datalog view.
+    fn reads_any(&self, names: &BTreeSet<String>) -> bool {
+        match (&self.translation, &self.engine) {
+            (Some(plan), _) => plan.reads_any(names),
+            (None, Engine::Algebra { deps, .. }) => !deps.is_disjoint(names),
+            (None, _) => true,
         }
     }
 
-    /// Route one effective delta to this view.
+    /// Materialize the view from scratch on the current database; an
+    /// algebra view is planned again.
+    fn rebuild(&mut self, db: &Database, meter: &mut Meter) -> Result<(), ServeError> {
+        (self.engine, self.translation) =
+            materialize(&self.program, self.semantics, self.pin, db, meter)?;
+        Ok(())
+    }
+
+    /// Route one effective delta to this view, then publish its answer
+    /// and count the lines that moved.
     fn maintain(
         &mut self,
         db: &Database,
@@ -1396,109 +1291,132 @@ impl ViewEntry {
         budget: Budget,
     ) -> ViewReport {
         self.deltas_applied += 1;
+        let outcome = if self.reads_any(changed_preds) {
+            traced(budget, |meter| {
+                self.step(db, effective, changed_preds, meter)
+            })
+        } else {
+            Ok(((ViewStatus::Skipped, 1), OpStats::default()))
+        };
         let mut report = ViewReport {
             view: String::new(),
-            status: ViewStatus::Maintained,
+            status: ViewStatus::Error,
             changed: 0,
             skipped: 0,
             stats: OpStats::default(),
             error: None,
         };
-        let outcome: Result<(ViewStatus, MaintainReport, OpStats), ServeError> = (|| {
-            let rebuild = match &mut self.kind {
-                ViewKind::Datalog { maintainer, .. } => {
-                    // The incremental maintainers' support structures
-                    // assume derived predicates are never base facts: a
-                    // counting or DRed replay drops a derived fact with
-                    // its last derivation even when the database holds
-                    // it. A delta that edits such a predicate, or a
-                    // database that holds any fact of one, routes to a
-                    // rebuild, which folds them into the new base.
-                    let idb_hit = !matches!(maintainer, Maintainer::Recompute(_))
-                        && maintainer.idb_preds().iter().any(|p| {
-                            changed_preds.contains(p) || db.get(p).is_some_and(|r| !r.is_empty())
-                        });
-                    if self.dirty.is_none() && !idb_hit {
-                        let (rep, stats) =
-                            traced(budget, |meter| maintainer.maintain(db, effective, meter))?;
-                        return Ok((ViewStatus::Maintained, rep, stats));
-                    }
-                    true
-                }
-                ViewKind::Algebra { engine, .. } => {
-                    if !engine.reads_any(changed_preds) {
-                        let rep = MaintainReport {
-                            changed: 0,
-                            skipped: 1,
-                        };
-                        return Ok((ViewStatus::Skipped, rep, OpStats::default()));
-                    }
-                    match engine {
-                        AlgebraEngine::Translated { plan, maintainer }
-                            if self.dirty.is_none() && plan.admits(effective) =>
-                        {
-                            let delta = plan.restrict(effective);
-                            let before = plan.answer_sets(maintainer.model());
-                            let (rep, stats) =
-                                traced(budget, |meter| maintainer.maintain(db, &delta, meter))?;
-                            let moved = before != plan.answer_sets(maintainer.model());
-                            let rep = MaintainReport {
-                                changed: usize::from(moved),
-                                skipped: rep.skipped,
-                            };
-                            return Ok((ViewStatus::Maintained, rep, stats));
-                        }
-                        // A dirty view or a shape break: plan again.
-                        AlgebraEngine::Translated { .. } => true,
-                        // The recompute engine's ordinary work.
-                        AlgebraEngine::Recompute { .. } => self.dirty.is_some(),
-                    }
-                }
-            };
-            let (changed, stats) = traced(budget, |meter| self.rebuild(db, meter))?;
-            if rebuild {
-                self.rebuilds += 1;
-            }
-            self.dirty = None;
-            let rep = MaintainReport {
-                changed: usize::from(changed),
-                skipped: 0,
-            };
-            Ok((ViewStatus::Rebuilt, rep, stats))
-        })();
         match outcome {
-            Ok((status, rep, stats)) => {
-                if status == ViewStatus::Skipped && rep.changed == 0 && rep.skipped > 0 {
-                    report.status = ViewStatus::Skipped;
-                } else {
-                    report.status = status;
+            Ok(((status, skipped), stats)) => {
+                if status != ViewStatus::Skipped {
+                    report.changed = self.publish();
                 }
-                report.changed = rep.changed;
-                report.skipped = rep.skipped;
+                report.status = status;
+                report.skipped = skipped;
                 report.stats = stats;
-                self.strata_skipped += rep.skipped;
+                self.strata_skipped += skipped;
                 self.cumulative.accumulate(&stats);
                 self.last = Some(stats);
             }
             Err(e) => {
                 let msg = e.to_string();
                 self.dirty = Some(msg.clone());
-                report.status = ViewStatus::Error;
                 report.error = Some(msg);
             }
         }
-        // Only an algebra view can be where it was — skipped, or
-        // maintained without moving its answer, all its snapshot shows:
-        // even a delta no rule mentions lands in a datalog view's
-        // maintained total.
-        let unmoved = report.status == ViewStatus::Skipped
-            || (report.status == ViewStatus::Maintained
-                && report.changed == 0
-                && matches!(self.kind, ViewKind::Algebra { .. }));
-        if !unmoved {
-            self.snapshot = None;
-        }
         report
+    }
+
+    /// Maintain the view under `effective`, or rebuild it: when it is
+    /// dirty, on a shape break, on a delta or database that holds facts
+    /// of a derived predicate, and as the algebra recompute's ordinary
+    /// work. Returns the status and the strata, passes or levels skipped.
+    fn step(
+        &mut self,
+        db: &Database,
+        effective: &DatabaseDelta,
+        changed_preds: &BTreeSet<String>,
+        meter: &mut Meter,
+    ) -> Result<(ViewStatus, usize), ServeError> {
+        // The incremental maintainers' support structures assume derived
+        // predicates are never base facts: a counting or DRed replay
+        // drops a derived fact with its last derivation even when the
+        // database holds it. A delta that edits such a predicate, or a
+        // database that holds any fact of one, routes to a rebuild, which
+        // folds them into the new base. A translation's predicates are
+        // its own, so only a datalog view can be hit.
+        let idb_hit = match self.engine.held(self.translation.as_ref()) {
+            Held::Model(model) => {
+                !matches!(self.engine, Engine::Recompute(_))
+                    && model.idb.iter().any(|p| {
+                        changed_preds.contains(p) || db.get(p).is_some_and(|r| !r.is_empty())
+                    })
+            }
+            Held::Translated(..) | Held::Answer(_) => false,
+        };
+        let shape_break = self
+            .translation
+            .as_ref()
+            .is_some_and(|plan| !plan.admits(effective));
+        let forced = self.dirty.is_some() || idb_hit || shape_break;
+        if !forced && !matches!(self.engine, Engine::Algebra { .. }) {
+            let skipped = match &self.translation {
+                Some(plan) => self.engine.maintain(db, &plan.restrict(effective), meter)?,
+                None => self.engine.maintain(db, effective, meter)?,
+            };
+            return Ok((ViewStatus::Maintained, skipped));
+        }
+        self.rebuild(db, meter)?;
+        // The algebra recompute's ordinary work is not a rebuild.
+        self.rebuilds += usize::from(forced);
+        self.dirty = None;
+        Ok((ViewStatus::Rebuilt, 0))
+    }
+
+    /// Publish the current answer and return how many of its lines
+    /// entered or left since the last publish: over a datalog view's
+    /// derived predicates, certain and unknown lines alike, counted by
+    /// the walk that renders them; for an algebra view, 1 iff its answer
+    /// moved. An answer nothing moved keeps its published snapshot.
+    ///
+    /// This costs the sizes of the predicates the write touched, not what
+    /// the view holds (`Rendered::update`): a predicate whose fact set is
+    /// the one its lines were rendered from is shared as it is, and a
+    /// touched one is merge-walked against its lines, formatting only the
+    /// facts that entered. That state lives in the session, not in the
+    /// last published snapshot, so a caller that drops every snapshot
+    /// pays the same.
+    fn publish(&mut self) -> usize {
+        let answer = match self.engine.held(self.translation.as_ref()) {
+            Held::Model(model) => {
+                let (changed, moved) = self.rendered.update(model);
+                if moved || self.snapshot.is_none() {
+                    self.snapshot = Some(Arc::new(self.rendered.snapshot(model.idb)));
+                }
+                return changed;
+            }
+            Held::Translated(plan, model) => {
+                // The answer sets compare by pointer unless maintenance
+                // touched one (a mutation un-shares it first), and by
+                // content only then.
+                let sets = plan.answer_sets((model.certain, model.possible));
+                if self.snapshot.is_some() && self.rendered.answer_sets.as_ref() == Some(&sets) {
+                    return 0;
+                }
+                self.rendered.answer_sets = Some(sets);
+                algebra_answer(&plan.answer((model.certain, model.possible)))
+            }
+            Held::Answer(result) => {
+                self.rendered.answer_sets = None;
+                algebra_answer(result)
+            }
+        };
+        let kept =
+            matches!(self.snapshot.as_deref(), Some(ViewSnapshot::Algebra(was)) if *was == answer);
+        if !kept {
+            self.snapshot = Some(Arc::new(ViewSnapshot::Algebra(answer)));
+        }
+        usize::from(!kept)
     }
 }
 
@@ -1509,7 +1427,6 @@ impl Session {
     pub(crate) fn mark_dirty(&mut self, name: &str) {
         let entry = self.views.get_mut(name).expect("a registered view");
         entry.dirty = Some("marked dirty".into());
-        entry.snapshot = None;
     }
 }
 
@@ -1528,6 +1445,9 @@ struct Rendered {
     certain: BTreeMap<String, (FactSet, Lines)>,
     /// `pred(args)` lines of the undefined facts (possible, not certain).
     unknown: BTreeMap<String, UnknownLines>,
+    /// The fact sets an in-class algebra view's published answer was
+    /// read from (`algebra::Plan::answer_sets`).
+    answer_sets: Option<Vec<Option<FactSet>>>,
 }
 
 /// The undefined facts of one predicate and their lines, keyed by the
@@ -1542,26 +1462,26 @@ struct UnknownLines {
 
 /// Render `facts` (ascending), sharing the line of every fact that is
 /// also in `old` (ascending, aligned with `old_lines`): a merge walk
-/// that formats only what entered. Hands back `old_lines` itself when
-/// nothing entered or left.
+/// that formats only what entered, and counts the lines that entered or
+/// left. Hands back `old_lines` itself when none did.
 fn merge_lines<'a>(
     pred: &str,
     period: bool,
     old: impl Iterator<Item = &'a Vec<Value>>,
     old_lines: &Lines,
     facts: impl Iterator<Item = &'a Vec<Value>>,
-) -> Lines {
+) -> (Lines, usize) {
     let mut old = old.zip(old_lines.iter()).peekable();
     let mut lines = Vec::with_capacity(old_lines.len());
-    let mut same = true;
+    let mut moved = 0;
     for fact in facts {
         while old.next_if(|(was, _)| *was < fact).is_some() {
-            same = false;
+            moved += 1;
         }
         match old.next_if(|(was, _)| *was == fact) {
             Some((_, line)) => lines.push(Arc::clone(line)),
             None => {
-                same = false;
+                moved += 1;
                 let mut line = format_fact(pred, fact);
                 if period {
                     line.push('.');
@@ -1570,75 +1490,103 @@ fn merge_lines<'a>(
             }
         }
     }
-    if same && old.next().is_none() {
-        Arc::clone(old_lines)
+    moved += old.count();
+    if moved == 0 {
+        (Arc::clone(old_lines), 0)
     } else {
-        Arc::new(lines)
+        (Arc::new(lines), moved)
     }
 }
 
 impl Rendered {
-    /// Bring the lines up to `certain` (and, for a three-valued model,
-    /// `possible`), returning them per predicate. Certain lines carry
-    /// the trailing period, unknown lines do not — matching
-    /// [`Session::query`] exactly.
-    fn update(
-        &mut self,
-        certain: &Interp,
-        possible: Option<&Interp>,
-    ) -> (BTreeMap<String, Lines>, BTreeMap<String, Lines>) {
-        let none = Lines::default();
+    /// Bring the lines up to `model`. Certain lines carry the trailing
+    /// period, unknown lines do not — matching [`Session::query`]
+    /// exactly. Returns how many lines entered or left over the derived
+    /// predicates, and whether any line moved at all: a database
+    /// predicate's lines are rendered too, for a query that names it.
+    fn update(&mut self, model: Model<'_>) -> (usize, bool) {
+        let Model {
+            certain,
+            possible,
+            idb,
+        } = model;
+        let (mut changed, mut moved) = (0, false);
+        let mut count = |pred: &str, lines: usize| {
+            moved |= lines > 0;
+            if idb.contains(pred) {
+                changed += lines;
+            }
+        };
+
         let mut was = std::mem::take(&mut self.certain);
-        let mut certain_lines = BTreeMap::new();
         for (pred, set) in certain.fact_sets() {
-            let lines = match was.remove(pred) {
-                Some((old, lines)) if Arc::ptr_eq(&old, set) => lines,
-                Some((old, lines)) => merge_lines(pred, true, old.iter(), &lines, set.iter()),
-                None => merge_lines(pred, true, [].iter(), &none, set.iter()),
+            let (old, held) = was.remove(pred).unwrap_or_default();
+            let lines = if Arc::ptr_eq(&old, set) {
+                held
+            } else {
+                let (lines, n) = merge_lines(pred, true, old.iter(), &held, set.iter());
+                count(pred, n);
+                lines
             };
-            certain_lines.insert(pred.to_string(), Arc::clone(&lines));
             self.certain
                 .insert(pred.to_string(), (Arc::clone(set), lines));
         }
+        for (pred, (_, lines)) in &was {
+            count(pred, lines.len());
+        }
 
         let mut was = std::mem::take(&mut self.unknown);
-        let mut unknown_lines = BTreeMap::new();
-        let sets = possible.into_iter().flat_map(Interp::fact_sets);
-        for (pred, set) in sets {
-            // Two-valued here: pointer-equal sets, nothing read, no lines.
+        // Two-valued: one interpretation twice, nothing read, no lines.
+        let possible = (!std::ptr::eq(certain, possible)).then_some(possible);
+        for (pred, set) in possible.into_iter().flat_map(Interp::fact_sets) {
             let sure = certain.fact_set(pred);
-            let held = was.remove(pred).unwrap_or_default();
-            let moved = !Arc::ptr_eq(&held.possible, set)
-                || held.certain.as_ref().map(Arc::as_ptr) != sure.map(Arc::as_ptr);
-            let entry = if moved {
+            let mut held = was.remove(pred).unwrap_or_default();
+            if !Arc::ptr_eq(&held.possible, set)
+                || held.certain.as_ref().map(Arc::as_ptr) != sure.map(Arc::as_ptr)
+            {
                 let facts: Vec<Vec<Value>> = set_diff(Some(set), sure)
                     .filter(|&(unknown, _)| unknown)
                     .map(|(_, fact)| fact.clone())
                     .collect();
-                let lines = merge_lines(pred, false, held.facts.iter(), &held.lines, facts.iter());
-                UnknownLines {
+                let (lines, n) =
+                    merge_lines(pred, false, held.facts.iter(), &held.lines, facts.iter());
+                count(pred, n);
+                held = UnknownLines {
                     possible: Arc::clone(set),
                     certain: sure.cloned(),
                     facts,
                     lines,
-                }
-            } else {
-                held
-            };
-            if !entry.facts.is_empty() {
-                unknown_lines.insert(pred.to_string(), Arc::clone(&entry.lines));
+                };
             }
-            self.unknown.insert(pred.to_string(), entry);
+            self.unknown.insert(pred.to_string(), held);
         }
-        (certain_lines, unknown_lines)
+        for (pred, held) in &was {
+            count(pred, held.lines.len());
+        }
+        (changed, moved)
+    }
+
+    /// The lines as a snapshot publishes them.
+    fn snapshot(&self, idb: &BTreeSet<String>) -> ViewSnapshot {
+        ViewSnapshot::Datalog {
+            certain: self
+                .certain
+                .iter()
+                .map(|(pred, (_, lines))| (pred.clone(), Arc::clone(lines)))
+                .collect(),
+            unknown: self
+                .unknown
+                .iter()
+                .filter(|(_, held)| !held.facts.is_empty())
+                .map(|(pred, held)| (pred.clone(), Arc::clone(&held.lines)))
+                .collect(),
+            idb: idb.clone(),
+        }
     }
 }
 
-/// One view's pre-rendered state inside a [`ReadView`].
+/// One view's pre-rendered answer inside a [`ReadView`].
 enum ViewSnapshot {
-    /// The last maintenance failed; a query must go through the writer,
-    /// which transparently rebuilds.
-    Dirty,
     /// A datalog view: per-predicate rendered fact lines plus the
     /// derived-predicate set.
     Datalog {
@@ -1652,7 +1600,9 @@ enum ViewSnapshot {
 
 /// What a [`ReadView`] holds of one view, both shared with the session.
 struct PublishedView {
-    state: Arc<ViewSnapshot>,
+    /// `None` while the view is dirty: a query must go through the
+    /// writer, which transparently rebuilds.
+    state: Option<Arc<ViewSnapshot>>,
     plan: Arc<Plan>,
 }
 
@@ -1713,8 +1663,10 @@ impl ReadView {
             .views
             .get(name)
             .ok_or_else(|| ServeError::UnknownView(name.to_string()))?;
-        match &*view.state {
-            ViewSnapshot::Dirty => Ok(None),
+        let Some(state) = &view.state else {
+            return Ok(None);
+        };
+        match &**state {
             ViewSnapshot::Datalog {
                 certain,
                 unknown,
@@ -2033,6 +1985,37 @@ mod tests {
     }
 
     #[test]
+    fn changed_counts_answer_lines_that_entered_or_left() {
+        // `win(7)` is unknown on the self-loop; the escape to the dead
+        // position 8 makes it true: one unknown line leaves, one certain
+        // line enters. A write no rule reads moves no answer line, on
+        // every maintainer.
+        let mut session = Session::new(Budget::LARGE);
+        session.load("move(7, 7). e(1, 2).").unwrap();
+        for (view, pin) in [("auto", StrategyPin::Auto), ("rec", StrategyPin::Recompute)] {
+            session
+                .register_datalog_pinned(view, WIN, Semantics::Valid, pin)
+                .unwrap();
+        }
+        session
+            .register_datalog("paths", TC, Semantics::Valid)
+            .unwrap();
+        let changed = |out: DeltaOutcome| -> Vec<(String, usize)> {
+            out.views.into_iter().map(|r| (r.view, r.changed)).collect()
+        };
+        let out = session.assert_fact("move(7, 8)").unwrap();
+        assert_eq!(
+            changed(out),
+            [("auto".into(), 2), ("paths".into(), 0), ("rec".into(), 2)]
+        );
+        let out = session.assert_fact("noise(1)").unwrap();
+        assert_eq!(
+            changed(out),
+            [("auto".into(), 0), ("paths".into(), 0), ("rec".into(), 0)]
+        );
+    }
+
+    #[test]
     fn incremental_view_survives_idb_overlap_via_rebuild() {
         let mut session = Session::new(Budget::LARGE);
         session.load("move(1, 2).").unwrap();
@@ -2259,18 +2242,18 @@ mod tests {
             if fresh.contains(&name.as_str()) {
                 continue;
             }
-            let (before, after) = match (&*before.state, &*after.state) {
+            let (before, after) = match (before.state.as_deref(), after.state.as_deref()) {
                 (
-                    ViewSnapshot::Datalog {
+                    Some(ViewSnapshot::Datalog {
                         certain: c0,
                         unknown: u0,
                         ..
-                    },
-                    ViewSnapshot::Datalog {
+                    }),
+                    Some(ViewSnapshot::Datalog {
                         certain: c1,
                         unknown: u1,
                         ..
-                    },
+                    }),
                 ) => ([c0, u0], [c1, u1]),
                 _ => continue,
             };
@@ -2429,7 +2412,8 @@ mod tests {
                     let now = session.read_view();
                     let again = session.read_view();
                     for (name, view) in &now.views {
-                        assert!(Arc::ptr_eq(&view.state, &again.views[name].state));
+                        let state = |v: &PublishedView| v.state.as_ref().map(Arc::as_ptr);
+                        assert_eq!(state(view), state(&again.views[name]));
                         assert!(Arc::ptr_eq(&view.plan, &again.views[name].plan));
                     }
                     drop(now);
@@ -2437,9 +2421,11 @@ mod tests {
                 };
                 assert_snapshot_matches_live(&mut session, &now, &context);
                 assert_epochs_share(&prev, &now, fresh, &context);
-                seen_dirty |= matches!(&*now.views["paths"].state, ViewSnapshot::Dirty);
+                seen_dirty |= now.views["paths"].state.is_none();
                 for name in ["game", "ref"] {
-                    if let ViewSnapshot::Datalog { unknown, .. } = &*now.views[name].state {
+                    if let Some(ViewSnapshot::Datalog { unknown, .. }) =
+                        now.views[name].state.as_deref()
+                    {
                         seen_unknown |= !unknown.is_empty();
                     }
                 }

@@ -20,12 +20,8 @@
 //! planner relies on.
 
 use algrec_core::AlgProgram;
-use algrec_datalog::ast::Program;
-use algrec_datalog::interp::{Interp, ThreeValued};
 use algrec_datalog::parser::parse_program;
-use algrec_datalog::stratify::DepGraph;
 use algrec_datalog::{evaluate, Semantics};
-use algrec_incr::restrict;
 use algrec_serve::algebra;
 use algrec_serve::session::{QueryAnswer, Session};
 use algrec_serve::{StrategyPin, ViewStatus};
@@ -122,43 +118,17 @@ fn cold_answer(
     (certain, unknown)
 }
 
-/// Size of the symmetric difference of two interpretations, counted by
-/// one lookup per fact: the oracle for a reply's `changed`.
-fn diff_count(a: &Interp, b: &Interp) -> usize {
-    let mut n = 0;
-    for (p, args) in a.iter() {
-        if !b.holds(p, args) {
-            n += 1;
-        }
-    }
-    for (p, args) in b.iter() {
-        if !a.holds(p, args) {
-            n += 1;
-        }
-    }
-    n
-}
-
-/// A write's `changed` as DESIGN.md §10 defines it for each driver, from
-/// the cold models the count is taken between: the stratum driver
-/// counts derived facts that entered or left; the alternating driver
-/// and `recompute-levels` count the symmetric difference of `certain`
-/// plus that of `possible` over the whole model, base facts included.
-fn expected_changed(
-    strategy: &str,
-    program: &Program,
-    before: &ThreeValued,
-    after: &ThreeValued,
-) -> usize {
-    if strategy == "stratified-incremental" {
-        let idb: BTreeSet<String> = program.rules.iter().map(|r| r.head.pred.clone()).collect();
-        diff_count(
-            &restrict(&before.certain, &idb),
-            &restrict(&after.certain, &idb),
-        )
-    } else {
-        diff_count(&before.certain, &after.certain) + diff_count(&before.possible, &after.possible)
-    }
+/// A write's `changed` as DESIGN.md §10 defines it for every view: the
+/// lines of the rendered answer (`query(view, None)`), certain and
+/// unknown alike, that entered or left.
+fn lines_moved(before: &QueryAnswer, after: &QueryAnswer) -> usize {
+    let lines = |answer: &QueryAnswer| -> BTreeSet<String> {
+        let QueryAnswer::Datalog { certain, unknown } = answer else {
+            panic!("datalog answer expected")
+        };
+        certain.iter().chain(unknown).cloned().collect()
+    };
+    lines(before).symmetric_difference(&lines(after)).count()
 }
 
 fn check_view(
@@ -409,39 +379,24 @@ proptest! {
             Ok::<(), TestCaseError>(())
         };
         check_all(&mut session, "at registration")?;
-        let parsed = parse_program(program).unwrap();
-        let deps = DepGraph::of(&parsed).preds;
-        let cold = |session: &Session| evaluate(&parsed, session.db(), semantics, Budget::SMALL).unwrap().model;
-        // The cold model each view's `changed` was last counted against.
-        let mut counted: BTreeMap<String, ThreeValued> =
-            views.iter().map(|(view, _)| (view.to_string(), cold(&session))).collect();
+        let answer = |session: &mut Session, view: &str| session.query(view, None).unwrap();
         for (k, step) in steps.iter().enumerate() {
+            let before: Vec<QueryAnswer> =
+                views.iter().map(|(view, _)| answer(&mut session, view)).collect();
             let (insert, src) = fact_src(step);
             let out = if insert {
                 session.assert_fact(&src).unwrap()
             } else {
                 session.retract_fact(&src).unwrap()
             };
-            let after = cold(&session);
-            let pred = src.split('(').next().unwrap();
-            for report in &out.views {
-                let strategy = strategies[&report.view];
-                // `recompute-levels` skips a write to a predicate its
-                // program does not mention and counts that write's facts
-                // at its next recomputation.
-                let skips = out.applied == 0
-                    || (strategy == "recompute-levels" && !deps.contains(pred));
-                let expected = if skips {
-                    0
-                } else {
-                    let before = counted.insert(report.view.clone(), after.clone()).unwrap();
-                    expected_changed(strategy, &parsed, &before, &after)
-                };
+            // A write that changed nothing in the database reaches no view.
+            prop_assert_eq!(out.views.len(), if out.applied == 0 { 0 } else { views.len() });
+            for (report, before) in out.views.iter().zip(&before) {
                 prop_assert_eq!(
                     report.changed,
-                    expected,
+                    lines_moved(before, &answer(&mut session, &report.view)),
                     "`changed` of {} ({}) after step {} ({:?}, {:?})",
-                    report.view, strategy, k, step, semantics
+                    report.view, strategies[&report.view], k, step, semantics
                 );
             }
             check_all(&mut session, &format!("after step {k} ({step:?})"))?;

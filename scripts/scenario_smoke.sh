@@ -7,7 +7,9 @@
 #   Leg 2  full replay: every scenario runs at concurrency 1 and 4,
 #          and replies must match the committed recordings modulo epoch
 #          tags (`scenario run` exits non-zero on any divergence).
-#   Leg 3  crash mid-trace: replay a scenario's trace prefix against a
+#   Leg 3  fixed point: re-recording a copy of the corpus must leave
+#          every committed file byte-identical, epoch tags included.
+#   Leg 4  crash mid-trace: replay a scenario's trace prefix against a
 #          durable `algrec serve`, SIGKILL the server between two trace
 #          lines, restart on the same --data-dir, replay the tail, and
 #          require the maintained view to answer exactly like a freshly
@@ -45,7 +47,18 @@ if ! "$BIN" scenario run --concurrency 1,4; then
 fi
 echo "$SMOKE_NAME: OK (full corpus replayed)"
 
-# --- Leg 3: SIGKILL mid-trace, recovered tail == cold eval. ---------
+# --- Leg 3: the recordings are a fixed point of `record`. -----------
+# Leg 2 compares modulo epoch tags, so a hand-edited or stale recording
+# can pass it; a fresh recording of the same corpus cannot differ.
+cp -r scenarios "$work/corpus"
+"$BIN" scenario record --corpus "$work/corpus" >/dev/null
+if ! diff -r scenarios "$work/corpus"; then
+  echo "$SMOKE_NAME: re-recording changed the committed corpus (diff above)" >&2
+  exit 1
+fi
+echo "$SMOKE_NAME: OK (recordings are a fixed point of record)"
+
+# --- Leg 4: SIGKILL mid-trace, recovered tail == cold eval. ---------
 # Drive social_reachability's own corpus files over the wire: setup
 # requests are assembled from edb.dl and program.dl with jesc, then the
 # trace replays around a hard kill after line 8 (a committed assert).

@@ -144,6 +144,25 @@ fn spec_command() {
 }
 
 #[test]
+fn spec_nesting_past_the_bound_fails_cleanly() {
+    let deep = "s(".repeat(20_000) + "z" + &")".repeat(20_000);
+    let spec = write_tmp(
+        "deep.obj",
+        &format!("sorts nat;\nop z : -> nat ;\nop s : nat -> nat ;\neq {deep} = z ;"),
+    );
+    let out = algrec(&["spec", &spec]);
+    // An error exit, not the abort (a signal, no code) of a stack
+    // overflow.
+    assert!(
+        out.status.code().is_some_and(|code| code != 0),
+        "{:?}",
+        out.status
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than 256"), "{stderr}");
+}
+
+#[test]
 fn translate_command() {
     let program = write_tmp("win2.dl", "win(X) :- move(X, Y), not win(Y).");
     let facts = write_tmp("moves2.dl", "move(1, 2).");
