@@ -7,8 +7,10 @@
 //! see [`crate::server`]) instead of from disk. The pulled frames are
 //! the primary's literal log bytes, so the replica inherits every
 //! integrity property of the on-disk format — CRCs, sequence stamps,
-//! part counts — and applies commits through the same session entry
-//! points recovery uses.
+//! part counts. Because a replica serves reads between commits, it
+//! applies each commit to its live session
+//! ([`algrec_store::recover::apply_record`]) instead of folding the
+//! log and building once, as recovery does.
 //!
 //! The layer splits in two:
 //!
@@ -28,11 +30,11 @@
 //! replica's applied prefix is always a prefix of any future primary's
 //! log.
 
-use crate::shard::{apply_record, merge_parts};
+use crate::shard::reassemble;
 use algrec_serve::{Json, SharedSession};
 use algrec_store::codec::next_record;
+use algrec_store::recover::apply_record;
 use algrec_store::WalRecord;
-use algrec_value::DatabaseDelta;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -220,21 +222,14 @@ impl ReplicaCore {
                     holders.len()
                 ));
             }
-            let mut delta_parts: Vec<DatabaseDelta> = Vec::new();
-            let mut whole = None;
+            let mut parts = Vec::with_capacity(holders.len());
             let mut ends = Vec::with_capacity(holders.len());
             for &k in &holders {
                 let pending = self.queues[k].pop_front().unwrap();
-                match pending.record {
-                    WalRecord::Delta(d) => delta_parts.push(d),
-                    other => whole = Some(other),
-                }
+                parts.push(pending.record);
                 ends.push((k, pending.end));
             }
-            let record = match whole {
-                Some(r) => r,
-                None => WalRecord::Delta(merge_parts(&delta_parts)),
-            };
+            let record = reassemble(parts);
             let (applied, _) = self
                 .shared
                 .with_writer(|session| apply_record(session, record))

@@ -1,14 +1,15 @@
 //! Crash recovery: rebuild a live [`Session`] from the newest snapshot
 //! plus the write-ahead log after it.
 //!
-//! Recovery is replay through the *real* session entry points — the EDB
-//! is restored with [`Session::apply_delta`], views re-registered with
-//! the same `register_*` calls a client would make, logged deltas
-//! re-applied one by one. There is no second "load" code path that could
-//! drift from live semantics: a recovered session is a session that ran
-//! the same committed operations, so its view answers are bit-identical
-//! to the pre-crash state (and to a cold evaluation — see
-//! [`verify_against_cold`], which debug builds run on every open).
+//! A view's answer is a function of the database alone, so recovery is
+//! a load, not a replay. The snapshot (or an empty state) is a
+//! [`SnapshotState`]: a database plus a catalog of view definitions.
+//! [`fold_record`] applies each logged record to it — a delta to the
+//! database, a registration or a drop to the catalog — and
+//! [`materialize`] then installs the database and builds each surviving
+//! view once, cold. The cluster's checkpoint loader and its epoch-vector
+//! rebuild use the same two functions. [`apply_record`] is the one live
+//! meaning of a record, for a replica that serves reads between commits.
 //!
 //! A torn WAL tail (crash mid-append) is truncated on disk to the valid
 //! prefix before the log is reopened for appending; the committed prefix
@@ -18,7 +19,7 @@ use crate::codec::{CodecError, HEADER_LEN};
 use crate::snapshot::{load_snapshot_with_fallback, wal_generations, wal_path, SnapshotState};
 use crate::wal::{read_wal, WalRecord};
 use crate::StoreError;
-use algrec_serve::{parse_semantics, Session, StrategyPin};
+use algrec_serve::{parse_semantics, ServeError, Session, StrategyPin, ViewDef};
 use algrec_value::{Budget, DatabaseDelta, Trace, TraceEvent};
 use std::path::Path;
 
@@ -31,13 +32,13 @@ pub struct RecoveryReport {
     pub snapshot_relations: usize,
     /// Views re-registered from the snapshot catalog.
     pub snapshot_views: usize,
-    /// WAL records replayed after the snapshot.
+    /// WAL records folded in after the snapshot.
     pub replayed: usize,
     /// Bytes of torn WAL tail truncated (0 on a clean shutdown).
     pub truncated_bytes: usize,
     /// Corrupt snapshot generations skipped on the way to a usable one
     /// (possible only while the older generation's log survives, so the
-    /// fallback replays every commit the broken snapshot covered).
+    /// fallback folds in every commit the broken snapshot covered).
     pub snapshot_fallbacks: usize,
 }
 
@@ -48,97 +49,126 @@ impl RecoveryReport {
     }
 }
 
-fn replay_record(session: &mut Session, record: WalRecord) -> Result<(), String> {
+/// The view a registration record defines.
+fn view_def(record: WalRecord) -> Result<ViewDef, String> {
     match record {
-        WalRecord::Delta(delta) => session
-            .apply_delta(&delta)
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
         WalRecord::RegisterDatalog {
             name,
             semantics,
             program,
             strategy,
-        } => {
-            let semantics = parse_semantics(&semantics)?;
-            let pin = StrategyPin::parse(&strategy)
-                .ok_or_else(|| format!("bad strategy `{strategy}`"))?;
-            session
-                .register_datalog_pinned(&name, &program, semantics, pin)
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
-        WalRecord::RegisterAlgebra { name, program } => session
-            .register_algebra(&name, &program)
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
-        WalRecord::Unregister { name } => session.unregister(&name).map_err(|e| e.to_string()),
-        // Sequence stamps order records *across* logs (the cluster's
-        // per-shard WALs); replaying a single log just applies the
-        // inner record in its append order.
-        WalRecord::Sequenced { inner, .. } => replay_record(session, *inner),
+        } => Ok(ViewDef {
+            name,
+            kind: "datalog",
+            program,
+            semantics: Some(parse_semantics(&semantics)?),
+            strategy: StrategyPin::parse(&strategy)
+                .ok_or_else(|| format!("bad strategy `{strategy}`"))?,
+        }),
+        WalRecord::RegisterAlgebra { name, program } => Ok(ViewDef {
+            name,
+            kind: "algebra",
+            program,
+            semantics: None,
+            strategy: StrategyPin::Auto,
+        }),
+        other => Err(format!("not a registration: {other:?}")),
     }
 }
 
-/// Restore a snapshot's database and catalog into a fresh session
-/// through the real entry points (bulk delta, `ensure_relation` for
-/// emptied names, `register_*` per catalog entry). Shared with the
-/// cluster checkpoint loader.
-pub fn restore_snapshot(session: &mut Session, state: &SnapshotState) -> Result<(), StoreError> {
-    // EDB first — installed wholesale before any view exists, so there
-    // is nothing to maintain yet and restoration is a pure load
-    // (empty-but-registered relations come back with it; a per-member
-    // delta could not express those).
-    session.restore_database(state.db.clone());
-    // Then the catalog: registration materializes each view cold against
-    // the restored EDB, which is exactly the state it held at snapshot
-    // time (views are deterministic functions of the EDB).
-    for view in &state.views {
-        let result = match (view.kind, view.semantics) {
-            ("algebra", _) => session
-                .register_algebra(&view.name, &view.program)
-                .map(|_| ()),
-            (_, Some(semantics)) => session
-                .register_datalog_pinned(&view.name, &view.program, semantics, view.strategy)
-                .map(|_| ()),
-            (_, None) => Err(algrec_serve::ServeError::Store(format!(
-                "snapshot catalog entry {} has no semantics",
-                view.name
-            ))),
-        };
-        result.map_err(|e| StoreError::Replay {
-            record: 0,
-            error: format!("re-registering view {}: {e}", view.name),
-        })?;
+/// Register `view` on `session` through the entry point a client uses;
+/// an algebra view is the one without semantics.
+fn register_view(session: &mut Session, view: &ViewDef) -> Result<(), ServeError> {
+    match view.semantics {
+        None => session.register_algebra(&view.name, &view.program),
+        Some(s) => session.register_datalog_pinned(&view.name, &view.program, s, view.strategy),
+    }
+    .map(|_| ())
+}
+
+/// Apply one logged record to a live session: the delta through
+/// [`Session::apply_delta`], which maintains every view, a registration
+/// or a drop through the session's own entry points. A sequence stamp
+/// is stripped; a nested one is an error.
+pub fn apply_record(session: &mut Session, record: WalRecord) -> Result<(), String> {
+    let applied = match record.into_inner() {
+        WalRecord::Delta(delta) => session.apply_delta(&delta).map(|_| ()),
+        WalRecord::Unregister { name } => session.unregister(&name),
+        register => register_view(session, &view_def(register)?),
+    };
+    applied.map_err(|e| e.to_string())
+}
+
+/// Fold one logged record into a database plus a pending catalog: a
+/// delta is applied to `state.db` exactly as [`Session::apply_delta`]
+/// applies it, a registration inserts its [`ViewDef`] (in name order), a
+/// drop removes one. Registering a name twice or dropping an unknown
+/// name is an error. A sequence stamp is stripped; a nested one is an
+/// error.
+pub fn fold_record(state: &mut SnapshotState, record: WalRecord) -> Result<(), String> {
+    let views = &mut state.views;
+    match record.into_inner() {
+        WalRecord::Delta(delta) => {
+            delta.apply(&mut state.db);
+        }
+        WalRecord::Unregister { name } => {
+            let at = views
+                .binary_search_by(|v| v.name.cmp(&name))
+                .map_err(|_| format!("unregister of unknown view {name}"))?;
+            views.remove(at);
+        }
+        register => {
+            let view = view_def(register)?;
+            match views.binary_search_by(|v| v.name.cmp(&view.name)) {
+                Ok(_) => return Err(format!("view {} registered twice", view.name)),
+                Err(at) => views.insert(at, view),
+            }
+        }
     }
     Ok(())
 }
 
-/// Rebuild a session from the store directory. Returns the session, the
-/// report, and the active generation (whose WAL should be appended to).
+/// Build a session from a database plus a catalog: install the database
+/// wholesale, then register each view once, cold, under `budget`. A
+/// view whose build fails — its program no longer parses, or its cold
+/// build exhausts the budget — fails the whole build, naming the view.
+pub fn materialize(state: SnapshotState, budget: Budget) -> Result<Session, StoreError> {
+    let mut session = Session::new(budget);
+    session.restore_database(state.db);
+    for view in &state.views {
+        register_view(&mut session, view).map_err(|e| StoreError::Build {
+            view: view.name.clone(),
+            error: e.to_string(),
+        })?;
+    }
+    Ok(session)
+}
+
+/// Rebuild a session from the store directory: load the newest usable
+/// snapshot (or start empty), [`fold_record`] every logged record after
+/// it, then [`materialize`]. Returns the session, the report, and the
+/// active generation (whose WAL should be appended to).
 pub fn recover(
     dir: &Path,
     budget: Budget,
     trace: &Trace,
 ) -> Result<(Session, RecoveryReport, u64), StoreError> {
     std::fs::create_dir_all(dir)?;
-    let mut session = Session::new(budget);
     let mut report = RecoveryReport::default();
 
     let (loaded, fallbacks) = load_snapshot_with_fallback(dir, trace)?;
     report.snapshot_fallbacks = fallbacks;
-    let loaded_gen = match loaded {
+    let (loaded_gen, mut state) = match loaded {
         Some((gen, state)) => {
             report.snapshot_gen = Some(gen);
             report.snapshot_relations = state.db.len();
             report.snapshot_views = state.views.len();
-            restore_snapshot(&mut session, &state)?;
-            gen
+            (gen, state)
         }
-        None => 0,
+        None => (0, SnapshotState::default()),
     };
 
-    // Replay every log from the loaded generation on, oldest first.
+    // Fold every log from the loaded generation on, oldest first.
     // There is more than one only after a snapshot fallback (or a crash
     // between writing a snapshot and compacting): the older generation's
     // log carries the records between the two snapshots. Only the
@@ -181,7 +211,7 @@ pub fn recover(
             file.sync_all()?;
         }
         for record in contents.records {
-            replay_record(&mut session, record).map_err(|error| StoreError::Replay {
+            fold_record(&mut state, record).map_err(|error| StoreError::Replay {
                 record: report.replayed,
                 error,
             })?;
@@ -192,14 +222,15 @@ pub fn recover(
     if report.replayed > 0 {
         trace.emit(TraceEvent::RecoveryReplay(report.replayed));
     }
-    Ok((session, report, active_gen))
+    Ok((materialize(state, budget)?, report, active_gen))
 }
 
 /// Check that the recovered session answers every view query exactly as
 /// a cold session would: fresh session, same EDB, same registrations,
 /// compare [`algrec_serve::QueryAnswer`]s for equality. This is the
 /// paper's invariant — a materialized view is a pure function of the
-/// EDB — applied to durability. Debug builds run it on every open.
+/// EDB — applied to durability. The fault-injection tests run it on
+/// every recovered state.
 pub fn verify_against_cold(session: &mut Session) -> Result<(), String> {
     let mut cold = Session::new(session.budget());
     let mut delta = DatabaseDelta::new();

@@ -32,7 +32,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Everything a snapshot captures.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SnapshotState {
     /// The extensional database, all relations (empty ones included).
     pub db: Database,

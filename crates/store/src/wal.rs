@@ -18,7 +18,7 @@ use crate::codec::{
     check_header, decode_delta, encode_delta, frame_record, next_record, write_header, CodecError,
     FileKind, Reader,
 };
-use algrec_serve::{parse_semantics, StrategyPin};
+use algrec_serve::{parse_semantics, semantics_name, DurableEvent, StrategyPin};
 use algrec_value::{DatabaseDelta, Trace, TraceEvent};
 use std::io::Write;
 
@@ -82,7 +82,7 @@ pub enum WalRecord {
     RegisterDatalog {
         /// View name.
         name: String,
-        /// Semantics, in [`semantics_name`](algrec_serve::semantics_name) form (e.g. `"stratified"`,
+        /// Semantics, in [`semantics_name`] form (e.g. `"stratified"`,
         /// `"valid-extended:4"`).
         semantics: String,
         /// Program source, verbatim.
@@ -131,6 +131,33 @@ const REC_SEQUENCED: u8 = 4;
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
+}
+
+impl From<&DurableEvent<'_>> for WalRecord {
+    /// The record that logs one committed session change.
+    fn from(event: &DurableEvent<'_>) -> WalRecord {
+        match event {
+            DurableEvent::Delta(delta) => WalRecord::Delta((*delta).clone()),
+            DurableEvent::RegisterDatalog {
+                name,
+                program,
+                semantics,
+                strategy,
+            } => WalRecord::RegisterDatalog {
+                name: (*name).to_string(),
+                semantics: semantics_name(*semantics),
+                program: (*program).to_string(),
+                strategy: strategy.as_str().to_string(),
+            },
+            DurableEvent::RegisterAlgebra { name, program } => WalRecord::RegisterAlgebra {
+                name: (*name).to_string(),
+                program: (*program).to_string(),
+            },
+            DurableEvent::Unregister { name } => WalRecord::Unregister {
+                name: (*name).to_string(),
+            },
+        }
+    }
 }
 
 impl WalRecord {
@@ -206,15 +233,17 @@ impl WalRecord {
                 let parts = r.u32()?;
                 // The reader consumed tag + seq + parts = 13 bytes; the
                 // rest of the payload is the inner record, decoded by
-                // the same routine (one level only).
-                let inner = WalRecord::decode(&payload[13..])?;
-                if matches!(inner, WalRecord::Sequenced { .. }) {
+                // the same routine. One level only, checked on the inner
+                // tag *before* recursing, so a nest of stamps cannot run
+                // the decoder down the stack.
+                let inner = &payload[13..];
+                if inner.first() == Some(&REC_SEQUENCED) {
                     return Err(CodecError::Malformed("nested sequenced wal record".into()));
                 }
                 return Ok(WalRecord::Sequenced {
                     seq,
                     parts,
-                    inner: Box::new(inner),
+                    inner: Box::new(WalRecord::decode(inner)?),
                 });
             }
             other => return Err(CodecError::Malformed(format!("bad wal record tag {other}"))),
@@ -607,6 +636,21 @@ mod tests {
         };
         assert!(matches!(
             WalRecord::decode(&nested.encode()),
+            Err(CodecError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn deeply_nested_sequenced_payload_is_malformed_not_an_overflow() {
+        let mut payload = Vec::new();
+        for _ in 0..1_000_000 {
+            payload.push(REC_SEQUENCED);
+            payload.extend_from_slice(&0u64.to_le_bytes());
+            payload.extend_from_slice(&1u32.to_le_bytes());
+        }
+        payload.extend_from_slice(&WalRecord::Delta(DatabaseDelta::new()).encode());
+        assert!(matches!(
+            WalRecord::decode(&payload),
             Err(CodecError::Malformed(_))
         ));
     }
