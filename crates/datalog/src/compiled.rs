@@ -13,6 +13,18 @@
 //! no string hashing, no `Value` clones, no heap traffic per candidate
 //! and no per-match budget checks.
 //!
+//! **Entry points.** Each `try_*` runs one interpreted driver's work in
+//! id space: [`try_naive`], [`try_semi_naive`], [`try_semi_naive_from`]
+//! and [`try_inflationary`] one fixpoint; [`try_stratified`] every
+//! stratum on one machine; [`try_alternating`] the whole alternating
+//! fixpoint of the well-founded and valid semantics on one machine. The
+//! base is interned once per evaluation, not once per pass. The
+//! alternation keeps its two sides, `certain` and `possible`, as two
+//! id-space models ([`IdModel`]): each pass cuts the relations back to
+//! their base rows, reads negation as the complement of the other
+//! model, and hands back its own; convergence is tested on the models,
+//! and only the final pair is resolved back to values.
+//!
 //! **Eligibility.** A program is compilable when every head and body
 //! argument is a variable or a constant and every body literal is a
 //! positive or negative atom (no comparisons, equalities or function
@@ -41,7 +53,8 @@ use crate::ast::{Expr, Literal, Rule};
 use crate::engine::Compiled;
 use crate::error::EvalError;
 use crate::fixpoint::{FixpointStats, NegOracle, PAR_MIN_FACTS};
-use crate::interp::Interp;
+use crate::interp::{Interp, ThreeValued};
+use crate::wellfounded::AlternatingStats;
 use algrec_value::budget::Meter;
 use algrec_value::{Value, Vid};
 use std::collections::HashMap;
@@ -148,6 +161,12 @@ impl Chunk {
     fn iter(&self) -> impl Iterator<Item = &[Vid]> {
         (0..self.len()).map(move |i| self.row(i))
     }
+
+    /// Keep the first `len` rows.
+    fn truncate(&mut self, len: usize) {
+        self.data.truncate(self.offsets[len] as usize);
+        self.offsets.truncate(len + 1);
+    }
 }
 
 /// Deduplicating arena table: a [`Chunk`] row store plus an
@@ -225,14 +244,28 @@ impl Table {
     fn len(&self) -> usize {
         self.chunk.len()
     }
+
+    /// Keep the first `len` rows, emptying the slots of the rest. That
+    /// leaves every kept row findable: rows take their slots in index
+    /// order (on insertion and on `grow` alike), so the probe path of a
+    /// kept row only crosses slots of older, also kept, rows.
+    fn truncate(&mut self, len: usize) {
+        for slot in self.slots.iter_mut() {
+            // `EMPTY` is `u32::MAX`, so it passes through unchanged.
+            if *slot as usize >= len {
+                *slot = Self::EMPTY;
+            }
+        }
+        self.chunk.truncate(len);
+    }
 }
 
 /// One relation in id space: dedup/scan table plus first-column index.
 /// The index is a chain per key threaded through `next` (`heads[k]` is
 /// the newest row whose first column is `k`, `next[i]` the one before
-/// row `i`), so building it allocates nothing per key: a machine is
-/// rebuilt for every phase of the alternating fixpoint, and a relation
-/// like MOVE has almost as many keys as rows.
+/// row `i`), so building it allocates nothing per key: a relation like
+/// MOVE has almost as many keys as rows. The chains also make the index
+/// cheap to cut back to a prefix of the rows ([`Rel::truncate`]).
 #[derive(Default, Clone)]
 struct Rel {
     table: Table,
@@ -278,6 +311,23 @@ impl Rel {
     /// statistic): the size of the first-column index.
     fn distinct_first(&self) -> usize {
         self.heads.len()
+    }
+
+    /// Keep the first `len` rows: rows, dedup slots and first-column
+    /// index end as they were when row `len` arrived. Walking the dropped
+    /// rows newest first, each is the head of its key's chain when
+    /// reached, so its `next` link is the head to restore.
+    fn truncate(&mut self, len: usize) {
+        for ri in (len..self.len()).rev() {
+            if let Some(&k) = self.chunk().row(ri).first() {
+                match self.next[ri] {
+                    Self::END => self.heads.remove(&k),
+                    prev => self.heads.insert(k, prev),
+                };
+            }
+        }
+        self.next.truncate(len);
+        self.table.truncate(len);
     }
 }
 
@@ -770,6 +820,19 @@ fn lower(body: &[SrcLit], order: &[usize], delta_pos: Option<usize>, nvars: usiz
     ops.into_boxed_slice()
 }
 
+/// Which predicates some rule of `levels` negates.
+fn negated_preds(levels: &[Vec<Resolved>], npreds: usize) -> Vec<bool> {
+    let mut negated = vec![false; npreds];
+    for (_, _, _, body) in levels.iter().flatten() {
+        for lit in body {
+            if let SrcLit::Neg { pred, .. } = lit {
+                negated[*pred] = true;
+            }
+        }
+    }
+    negated
+}
+
 impl<'a> Machine<'a> {
     /// Resolve every level's rules against one shared table and intern
     /// the base interpretation. `None` when any converted value exceeds
@@ -786,6 +849,8 @@ impl<'a> Machine<'a> {
         meter: &Meter,
         total_oracle: bool,
     ) -> Option<(Machine<'a>, Vec<Vec<Resolved>>)> {
+        #[cfg(test)]
+        tests::MACHINE_BUILDS.with(|n| n.set(n.get() + 1));
         let limit = meter.budget().max_value_size;
         let mut table = PredTable::default();
         let mut resolved_levels = Vec::with_capacity(levels.len());
@@ -823,16 +888,7 @@ impl<'a> Machine<'a> {
                 NegOracle::False => NegDb::False,
                 NegOracle::Fn(f) => NegDb::Fn(*f),
                 NegOracle::Complement(frozen) => {
-                    let mut negated = vec![false; npreds];
-                    for resolved in &resolved_levels {
-                        for (_, _, _, body) in resolved {
-                            for lit in body {
-                                if let SrcLit::Neg { pred, .. } = lit {
-                                    negated[*pred] = true;
-                                }
-                            }
-                        }
-                    }
+                    let negated = negated_preds(&resolved_levels, npreds);
                     let mut sets: Vec<Option<FrozenSet>> = Vec::with_capacity(npreds);
                     sets.resize_with(npreds, || None);
                     let mut row: Vec<Vid> = Vec::new();
@@ -1104,12 +1160,24 @@ impl<'a> Machine<'a> {
     /// `u32` rank sequences — so the per-row sorting never touches
     /// values, and the `BTreeSet` bulk build sees already-sorted input.
     fn materialize_new(&self, out: &mut Interp) {
+        let rels: Vec<Option<&Chunk>> = self.total.rels.iter().map(|r| Some(r.chunk())).collect();
+        self.materialize(&rels, out);
+    }
+
+    /// [`Machine::materialize_new`] over other row sets: for each
+    /// predicate `p` given, the rows of `rels[p]` from `init[p]` on.
+    fn materialize(&self, rels: &[Option<&Chunk>], out: &mut Interp) {
+        let given = || {
+            rels.iter()
+                .enumerate()
+                .filter_map(|(p, chunk)| chunk.map(|c| (p, c)))
+        };
         algrec_value::intern::with_values(|values| {
             let mut rank: Vec<u32> = vec![u32::MAX; values.len()];
             let mut used: Vec<Vid> = Vec::new();
-            for (p, rel) in self.total.rels.iter().enumerate() {
-                for ri in self.init[p]..rel.len() {
-                    for &v in rel.chunk().row(ri) {
+            for (p, chunk) in given() {
+                for ri in self.init[p]..chunk.len() {
+                    for &v in chunk.row(ri) {
                         let slot = &mut rank[v.index() as usize];
                         if *slot == u32::MAX {
                             *slot = 0;
@@ -1124,12 +1192,11 @@ impl<'a> Machine<'a> {
             for (i, v) in used.iter().enumerate() {
                 rank[v.index() as usize] = i as u32;
             }
-            for (p, rel) in self.total.rels.iter().enumerate() {
-                let n = rel.len();
+            for (p, chunk) in given() {
+                let n = chunk.len();
                 if n == self.init[p] {
                     continue;
                 }
-                let chunk = rel.chunk();
                 let mut idxs: Vec<u32> = (self.init[p] as u32..n as u32).collect();
                 let max_arity = idxs
                     .iter()
@@ -1432,13 +1499,205 @@ pub(crate) fn try_stratified(
     Some(Ok((out, stats)))
 }
 
+/// One alternation pass's model in id space, indexed by predicate id:
+/// the full row set (base rows first) of every predicate a pass can
+/// grow or a negation can read — each rule head and each negated
+/// predicate — and `None` for the rest, whose rows are the base's in
+/// every pass. Moved into [`NegDb::Sets`], it is the complement oracle
+/// of the next pass.
+type IdModel = Vec<Option<Table>>;
+
+/// An observer of every alternation round's `(possible, certain)` pair.
+type RoundObserver<'a> = &'a mut dyn FnMut(&Interp, &Interp);
+
+/// Do two row sets hold the same rows?
+fn same_rows(a: &Table, b: &Table) -> bool {
+    a.len() == b.len() && a.chunk.iter().all(|row| b.contains(row))
+}
+
+/// A model's row sets, as [`Machine::materialize`] takes them.
+fn chunks(model: &IdModel) -> Vec<Option<&Chunk>> {
+    model.iter().map(|t| t.as_ref().map(|t| &t.chunk)).collect()
+}
+
+/// Do two models of the same machine hold the same facts?
+fn same_model(a: &IdModel, b: &IdModel) -> bool {
+    a.iter().zip(b).all(|pair| match pair {
+        (Some(a), Some(b)) => same_rows(a, b),
+        (a, b) => a.is_none() && b.is_none(),
+    })
+}
+
+impl Machine<'_> {
+    /// Take the rows of every `kept` predicate as a model and return each
+    /// relation to its base rows, so the next pass starts from the state
+    /// the build left. A relation without base rows is handed over
+    /// whole; one with base rows is copied and cut back.
+    fn take_model(&mut self, kept: &[bool]) -> IdModel {
+        let init = &self.init;
+        self.total
+            .rels
+            .iter_mut()
+            .enumerate()
+            .map(|(p, rel)| {
+                kept[p].then(|| match init[p] {
+                    0 => std::mem::take(rel).table,
+                    n => {
+                        let rows = rel.table.clone();
+                        rel.truncate(n);
+                        rows
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// One pass of the alternation: the semi-naive level with `¬p(x̄)`
+    /// read as `p(x̄) ∉ oracle`, its rounds added to `rounds`. Hands
+    /// `oracle` back beside the pass's model.
+    fn alternation_pass(
+        &mut self,
+        code: &LevelCode,
+        kept: &[bool],
+        oracle: IdModel,
+        phase: &'static str,
+        meter: &mut Meter,
+        rounds: &mut usize,
+    ) -> Result<(IdModel, IdModel), EvalError> {
+        self.neg = NegDb::Sets(oracle);
+        let mut stats = FixpointStats::default();
+        meter.phase_start(phase);
+        let run = self.semi_naive_level(code, meter, &mut stats);
+        meter.phase_end();
+        run?;
+        *rounds += stats.rounds;
+        let NegDb::Sets(oracle) = std::mem::replace(&mut self.neg, NegDb::False) else {
+            unreachable!("a pass runs under the oracle it was given")
+        };
+        Ok((oracle, self.take_model(kept)))
+    }
+
+    /// Materialize a `(certain, possible)` pair of models over `base`,
+    /// whose fact sets stay shared with `base` where no pass added to
+    /// them. A predicate that holds the same rows in both models gets
+    /// one fact set, shared by the two sides.
+    fn materialize_pair(
+        &self,
+        base: &Interp,
+        certain: &IdModel,
+        possible: &IdModel,
+    ) -> ThreeValued {
+        let mut possible_i = base.clone();
+        self.materialize(&chunks(possible), &mut possible_i);
+        let mut own = chunks(certain);
+        let mut shared = Vec::new();
+        for (p, (c, q)) in certain.iter().zip(possible).enumerate() {
+            if let (Some(c), Some(q)) = (c, q) {
+                if c.len() > self.init[p] && same_rows(c, q) {
+                    own[p] = None;
+                    shared.push(p);
+                }
+            }
+        }
+        let mut certain_i = base.clone();
+        self.materialize(&own, &mut certain_i);
+        for p in shared {
+            certain_i.share_pred(&self.table.names[p], &possible_i);
+        }
+        ThreeValued {
+            certain: certain_i,
+            possible: possible_i,
+        }
+    }
+}
+
+/// Compiled alternating fixpoint (well-founded and valid semantics): one
+/// machine, one lowering and two id-space models for the whole
+/// alternation; `None` keeps the interpreted per-pass driver
+/// (`wellfounded::alternating_loop`).
+///
+/// Every pass of the per-pass driver builds its machine from the same
+/// base and lowers the rules against the same base-only catalog; here
+/// both happen once. Each pass then starts from the base rows
+/// ([`Machine::take_model`] cuts the relations back) and reads negation
+/// as the complement of the other model: the possible pass the previous
+/// round's `certain`, the certain pass this round's `possible`. The
+/// meter sees the per-pass driver's exact charge schedule. Convergence
+/// is tested on the id models, and the result is materialized once, at
+/// the end — and per round only when `on_round` is given.
+pub(crate) fn try_alternating(
+    compiled: &Compiled,
+    base: &Interp,
+    meter: &mut Meter,
+    on_round: Option<RoundObserver<'_>>,
+) -> Option<Result<(ThreeValued, AlternatingStats), EvalError>> {
+    if !eligible(compiled, meter) {
+        return None;
+    }
+    let (mut machine, resolved) =
+        Machine::build(&[compiled], base, &NegOracle::False, meter, false)?;
+    let code = machine.compile_level(&resolved[0]);
+    let mut kept = negated_preds(&resolved, machine.table.names.len());
+    for rule in &code.rules {
+        kept[rule.head_pred] = true;
+    }
+    Some(alternate(&mut machine, &code, &kept, base, meter, on_round))
+}
+
+/// The alternation loop of [`try_alternating`], in the order of
+/// `wellfounded::alternating_loop`.
+fn alternate(
+    machine: &mut Machine<'_>,
+    code: &LevelCode,
+    kept: &[bool],
+    base: &Interp,
+    meter: &mut Meter,
+    mut on_round: Option<RoundObserver<'_>>,
+) -> Result<(ThreeValued, AlternatingStats), EvalError> {
+    let mut stats = AlternatingStats::default();
+    let rounds = &mut stats.inner_rounds;
+    // T₀: just the database.
+    let mut certain = machine.take_model(kept);
+    let mut possible;
+    meter.phase_start("alternation");
+    loop {
+        stats.outer_rounds += 1;
+        meter.tick_iteration()?;
+        let (prev, poss) =
+            machine.alternation_pass(code, kept, certain, "possible", meter, rounds)?;
+        let (poss, next) = machine.alternation_pass(code, kept, poss, "certain", meter, rounds)?;
+        possible = poss;
+        if let Some(observe) = on_round.as_deref_mut() {
+            let round = machine.materialize_pair(base, &next, &possible);
+            observe(&round.possible, &round.certain);
+        }
+        if same_model(&next, &prev) {
+            certain = prev;
+            break;
+        }
+        certain = next;
+    }
+    meter.phase_end();
+    let tv = machine.materialize_pair(base, &certain, &possible);
+    stats.certain_facts = tv.certain.total();
+    stats.possible_facts = tv.possible.total();
+    Ok((tv, stats))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::{Atom, Expr, Program};
     use crate::fixpoint;
     use crate::inflationary::inflationary;
+    use crate::wellfounded::{alternating_fixpoint, alternating_passes};
     use algrec_value::Budget;
+
+    thread_local! {
+        /// [`Machine::build`] calls made on this thread.
+        pub(super) static MACHINE_BUILDS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn i(n: i64) -> Value {
         Value::int(n)
@@ -1658,9 +1917,101 @@ mod tests {
                 try_semi_naive_from(&compiled, &base, &base, neg, &mut meter()).is_some(),
                 try_inflationary(&compiled, &base, &mut meter()).is_some(),
                 try_stratified(&program, &base, &mut meter()).is_some(),
+                try_alternating(&compiled, &base, &mut meter(), None).is_some(),
             ];
-            assert_eq!(ran, [!traced; 5], "traced = {traced}");
+            assert_eq!(ran, [!traced; 6], "traced = {traced}");
         }
+    }
+
+    /// `win(X) :- move(X, Y), not win(Y).` on the chain `0 → 1 → … → n`:
+    /// each alternation round decides one more position from the end, so
+    /// the rounds grow with `n`.
+    fn win_chain(n: i64) -> (Compiled, Interp) {
+        let compiled = Compiled::compile(&Program::from_rules([Rule::new(
+            Atom::new("win", [v("X")]),
+            [
+                Literal::Pos(Atom::new("move", [v("X"), v("Y")])),
+                Literal::Neg(Atom::new("win", [v("Y")])),
+            ],
+        )]))
+        .unwrap();
+        let mut base = Interp::new();
+        for k in 0..n {
+            base.insert("move", vec![i(k), i(k + 1)]);
+        }
+        // A drawn self-loop beside the chain keeps the model three-valued.
+        base.insert("move", vec![i(-1), i(-1)]);
+        (compiled, base)
+    }
+
+    fn builds_during<T>(run: impl FnOnce() -> T) -> (T, usize) {
+        MACHINE_BUILDS.with(|n| n.set(0));
+        let out = run();
+        (out, MACHINE_BUILDS.with(std::cell::Cell::get))
+    }
+
+    #[test]
+    fn an_alternation_builds_one_machine() {
+        for n in [1, 6, 24] {
+            let (compiled, base) = win_chain(n);
+            let ((tv, stats), builds) = builds_during(|| {
+                alternating_fixpoint(&compiled, &base, &mut Budget::LARGE.meter()).unwrap()
+            });
+            assert!(stats.outer_rounds as i64 > n / 2, "{n}: {stats:?}");
+            assert_eq!(builds, 1, "{n}: one build for {stats:?}");
+            assert_eq!(tv.unknown_count(), 1);
+            let ((rounds, recorded, _), builds) = builds_during(|| {
+                alternating_passes(&compiled, &base, &mut Budget::LARGE.meter()).unwrap()
+            });
+            assert_eq!((rounds.len(), builds), (stats.outer_rounds, 1));
+            assert_eq!(recorded, tv);
+            // The traced reference builds none.
+            let (_, builds) = builds_during(|| {
+                let mut meter = Budget::LARGE.meter_traced(algrec_value::Trace::collect());
+                alternating_fixpoint(&compiled, &base, &mut meter).unwrap()
+            });
+            assert_eq!(builds, 0);
+        }
+    }
+
+    #[test]
+    fn truncating_a_relation_restores_its_index() {
+        let mut rel = Rel::default();
+        let rows: Vec<[Vid; 2]> = (0..40)
+            .map(|k| [Vid::of(&i(k % 7)), Vid::of(&i(k))])
+            .collect();
+        for row in &rows[..25] {
+            rel.insert(row);
+        }
+        let mut fresh = rel.clone();
+        for row in &rows[25..] {
+            rel.insert(row);
+        }
+        rel.truncate(25);
+        for row in &rows[25..] {
+            assert!(!rel.contains(row));
+        }
+        for k in 0..7 {
+            let key = Vid::of(&i(k));
+            let chain = |r: &Rel| {
+                let mut out = Vec::new();
+                let mut ri = r.heads.get(&key).copied().unwrap_or(Rel::END);
+                while ri != Rel::END {
+                    out.push(r.chunk().row(ri as usize).to_vec());
+                    ri = r.next[ri as usize];
+                }
+                out
+            };
+            assert_eq!(chain(&rel), chain(&fresh), "key {k}");
+        }
+        // The cut relation accepts the dropped rows again, in step with
+        // one that never held them.
+        for row in &rows[25..] {
+            assert!(rel.insert(row));
+            assert!(fresh.insert(row));
+        }
+        assert_eq!(rel.chunk().data, fresh.chunk().data);
+        assert!(rows.iter().all(|row| rel.contains(row)));
     }
 
     #[test]

@@ -55,12 +55,17 @@ pub struct AlternationRound {
 /// Compute the alternating fixpoint of a compiled program over a base
 /// (extensional) interpretation. Returns the three-valued result: facts
 /// in `certain` are true, facts in `possible \ certain` are undefined,
-/// everything else is false.
+/// everything else is false. Eligible programs run every pass in one
+/// id-space machine (`compiled`); a traced meter or a rule the compiler
+/// cannot take keeps the interpreted per-pass reference.
 pub fn alternating_fixpoint(
     compiled: &Compiled,
     base: &Interp,
     meter: &mut Meter,
 ) -> Result<(ThreeValued, AlternatingStats), EvalError> {
+    if let Some(res) = crate::compiled::try_alternating(compiled, base, meter, None) {
+        return res;
+    }
     alternating_loop(compiled, base, meter, &mut |_, _| {})
 }
 
@@ -75,16 +80,23 @@ pub fn alternating_passes(
     meter: &mut Meter,
 ) -> Result<(Vec<AlternationRound>, ThreeValued, AlternatingStats), EvalError> {
     let mut rounds = Vec::new();
-    let (tv, stats) = alternating_loop(compiled, base, meter, &mut |possible, certain| {
+    let mut record = |possible: &Interp, certain: &Interp| {
         rounds.push(AlternationRound {
             possible: possible.clone(),
             certain: certain.clone(),
         });
-    })?;
+    };
+    let (tv, stats) =
+        match crate::compiled::try_alternating(compiled, base, meter, Some(&mut record)) {
+            Some(res) => res?,
+            None => alternating_loop(compiled, base, meter, &mut record)?,
+        };
     Ok((rounds, tv, stats))
 }
 
-/// The shared alternation loop. `on_round(possible, certain)` observes
+/// The interpreted alternation loop: the reference the compiled
+/// `try_alternating` reproduces, run on traced meters and on programs
+/// the compiler cannot take. `on_round(possible, certain)` observes
 /// every completed round, including the final one that detects
 /// convergence; the observer must not mutate evaluation state (it only
 /// gets shared references), so both entry points stay bit-identical.

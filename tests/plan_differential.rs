@@ -7,8 +7,11 @@
 //! `traced_meters_fall_back`), so a traced evaluation is the
 //! interpreted engine.
 
+use algrec::datalog::engine::Compiled;
+use algrec::datalog::wellfounded::{alternating_fixpoint, alternating_passes, AlternatingStats};
 use algrec::datalog::{
-    evaluate, evaluate_traced, parser::parse_program, EvalError, Program, Semantics,
+    evaluate, evaluate_traced, parser::parse_program, EvalError, Interp, Program, Semantics,
+    ThreeValued,
 };
 use algrec::prelude::*;
 use proptest::prelude::*;
@@ -133,8 +136,108 @@ fn paper_programs(db: &Database) -> Vec<Program> {
     programs
 }
 
+/// One alternating-fixpoint run: its result, and the iterations and
+/// facts its meter was charged (also when it failed).
+type AlternationRun = (
+    Result<(ThreeValued, AlternatingStats), EvalError>,
+    usize,
+    usize,
+);
+
+/// Run the alternating fixpoint untraced (the compiled one-machine
+/// alternation) and traced (the interpreted per-pass reference).
+fn alternation_paths(program: &Program, db: &Database, budget: Budget) -> [AlternationRun; 2] {
+    let compiled = Compiled::compile(program).unwrap();
+    let base = Interp::from_database(db);
+    [budget.meter(), budget.meter_traced(Trace::collect())].map(|mut meter| {
+        let out = alternating_fixpoint(&compiled, &base, &mut meter);
+        (out, meter.iterations(), meter.facts())
+    })
+}
+
+/// Assert the two alternation paths agree: the model, every field of
+/// [`AlternatingStats`], the meter's charges, the error if any, and the
+/// per-round record `alternating_passes` keeps.
+fn assert_alternation_agrees(program: &Program, db: &Database, budget: Budget) {
+    let [(c, c_iters, c_facts), (i, i_iters, i_facts)] = alternation_paths(program, db, budget);
+    assert_eq!(
+        (c_iters, c_facts),
+        (i_iters, i_facts),
+        "meter charges diverged"
+    );
+    match (c, i) {
+        (Ok((c_model, c_stats)), Ok((i_model, i_stats))) => {
+            assert_eq!(c_model, i_model, "model diverged");
+            assert_eq!(c_stats, i_stats, "stats diverged");
+        }
+        (c, i) => assert_eq!(
+            format!("{:?}", c.err()),
+            format!("{:?}", i.err()),
+            "error diverged"
+        ),
+    }
+    let compiled = Compiled::compile(program).unwrap();
+    let base = Interp::from_database(db);
+    let [c, i] = [budget.meter(), budget.meter_traced(Trace::collect())]
+        .map(|mut meter| alternating_passes(&compiled, &base, &mut meter));
+    match (c, i) {
+        (Ok(c), Ok(i)) => assert_eq!(c, i, "recorded rounds diverged"),
+        (c, i) => assert_eq!(format!("{:?}", c.err()), format!("{:?}", i.err())),
+    }
+}
+
+/// WIN over a game that also holds base facts of `win` itself, and a
+/// variant that negates the database predicate `bad`.
+fn alternation_programs() -> [Program; 2] {
+    [
+        win(),
+        parse_program("win(X) :- e(X, Y), not win(Y), not bad(Y).\nsafe(X) :- n(X), not bad(X).")
+            .unwrap(),
+    ]
+}
+
+/// A game with base facts of `win` and `bad` beside its moves.
+fn game_db(edges: &BTreeSet<(i64, i64)>, won: &BTreeSet<i64>, bad: &BTreeSet<i64>) -> Database {
+    let mut db = graph_db(edges);
+    db.set(
+        "win",
+        Relation::from_values(won.iter().map(|k| Value::int(*k))),
+    );
+    db.set(
+        "bad",
+        Relation::from_values(bad.iter().map(|k| Value::int(*k))),
+    );
+    db
+}
+
+/// WIN on the chain `0 → 1 → … → n`, beside a drawn self-loop: each
+/// alternation round decides one more chain position, so the run takes
+/// many rounds and stays three-valued.
+fn chain_game(n: i64) -> Database {
+    let mut edges: BTreeSet<(i64, i64)> = (0..n).map(|k| (k, k + 1)).collect();
+    edges.insert((-1, -1));
+    edge_db("e", &edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The alternating fixpoint itself, not just the model `evaluate`
+    /// reports: on random games — some holding base facts of `win`, one
+    /// program negating the database predicate `bad` — the one-machine
+    /// alternation matches the per-pass reference field for field.
+    #[test]
+    fn alternation_matches_the_per_pass_reference(
+        edges in prop::collection::btree_set((0i64..8, 0i64..8), 0..16),
+        won in prop::collection::btree_set(0i64..8, 0..3),
+        bad in prop::collection::btree_set(0i64..8, 0..3),
+    ) {
+        let db = game_db(&edges, &won, &bad);
+        for p in alternation_programs() {
+            assert_alternation_agrees(&p, &db, Budget::SMALL);
+        }
+        assert_alternation_agrees(&win(), &edge_db("e", &edges), Budget::SMALL);
+    }
 
     /// Positive recursion: all six semantics agree compiled ≡
     /// interpreted on random graphs.
@@ -226,6 +329,67 @@ fn divergence_gadget_agrees_per_semantics() {
     assert!(infl.model.certain.holds("q", &[Value::str("a")]));
     assert!(!wf.model.certain.holds("q", &[Value::str("a")]));
     assert!(!wf.model.is_exact(), "q(a) is unknown under well-founded");
+}
+
+/// The §3.2 gadget `S = {a} − S`, as deduction and as Prop 5.1's
+/// translation of the algebra equation: the alternation leaves `a`
+/// unknown on both paths, with the same stats and meter charges.
+#[test]
+fn gadget_alternation_matches_the_per_pass_reference() {
+    let db = Database::new();
+    let arities = algrec::translate::edb_arities(&db);
+    let algebra = algrec::core::parser::parse_program("query ifp(x, {'a'} - x);").unwrap();
+    let mode = algrec::translate::TranslationMode::Naive;
+    let translated = algrec::translate::algebra_to_datalog(&algebra, &arities, mode)
+        .unwrap()
+        .program;
+    let gadget = parse_program("r(a).\nq(X) :- r(X), not q(X).").unwrap();
+    for p in [gadget.clone(), translated] {
+        assert_alternation_agrees(&p, &db, Budget::SMALL);
+    }
+    let [(out, ..), _] = alternation_paths(&gadget, &db, Budget::SMALL);
+    let (tv, _) = out.unwrap();
+    assert_eq!(
+        tv.unknown_facts(),
+        vec![("q".to_string(), vec![Value::str("a")])]
+    );
+}
+
+/// Every iteration cap from 1 to the count a WIN run needs, and fact
+/// caps across the run, under both alternation semantics: the compiled
+/// alternation fails with the reference's error, after the same charges.
+#[test]
+fn alternation_budget_sweep_fails_identically() {
+    let db = chain_game(12);
+    let p = win();
+    let [(out, iterations, facts), _] = alternation_paths(&p, &db, Budget::SMALL);
+    let (_, stats) = out.unwrap();
+    assert!(stats.outer_rounds > 6, "{stats:?}");
+    let mut budgets: Vec<Budget> = (1..=iterations)
+        .map(|cap| Budget::new(cap, Budget::SMALL.max_facts, 256))
+        .collect();
+    for cap in [0, 1, 2, facts / 4, facts / 2, facts - 1, facts] {
+        budgets.push(Budget::new(Budget::SMALL.max_iterations, cap, 256));
+    }
+    for budget in budgets {
+        assert_alternation_agrees(&p, &db, budget);
+        for sem in [Semantics::WellFounded, Semantics::Valid] {
+            let (c, i) = both_paths(&p, &db, sem, budget);
+            assert_eq!(
+                c.as_ref().err().map(|e| e.to_string()),
+                i.as_ref().err().map(|e| e.to_string()),
+                "{sem:?} under {budget:?}"
+            );
+        }
+    }
+    // The caps that exactly fit succeed.
+    for budget in [
+        Budget::new(iterations, Budget::SMALL.max_facts, 256),
+        Budget::new(Budget::SMALL.max_iterations, facts, 256),
+    ] {
+        let [(c, ..), _] = alternation_paths(&p, &db, budget);
+        assert!(c.is_ok(), "{budget:?}");
+    }
 }
 
 /// Programs the id-space executor cannot compile (function application
