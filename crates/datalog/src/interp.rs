@@ -90,13 +90,14 @@ impl Interp {
 
     /// Load the extensional database: each relation's members become
     /// facts. A member that is a tuple `[a, b, …]` becomes the fact
-    /// `R(a, b, …)`; a non-tuple member `v` becomes the unary fact `R(v)`.
+    /// `R(a, b, …)`; a non-tuple member `v` becomes the unary fact `R(v)`
+    /// (so `v` and `[v]` are one fact). Each non-empty relation is one
+    /// [`Interp::insert_all`], a sorted bulk build; an empty relation
+    /// gets no entry.
     pub fn from_database(db: &Database) -> Self {
         let mut out = Interp::new();
         for (name, rel) in db.iter() {
-            for v in rel.iter() {
-                out.insert(name, tuple_args(v));
-            }
+            out.insert_all(name, rel.iter().map(tuple_args).collect());
         }
         out
     }
@@ -542,6 +543,56 @@ mod tests {
         let m = Interp::from_database(&db);
         assert!(m.holds("e", &[i(1), i(2)]));
         assert!(m.holds("u", &[i(7)]));
+    }
+
+    /// A random database member: bare scalars, tuples of width 0 to 3
+    /// (the 1-tuple `[v]` next to the bare `v`), nested tuples and sets.
+    fn member() -> impl Strategy<Value = Value> {
+        let scalar = prop_oneof![
+            (-2..3i64).prop_map(Value::int),
+            any::<bool>().prop_map(Value::Bool),
+            prop::sample::select(&["a", "b"]).prop_map(Value::str),
+        ];
+        prop_oneof![
+            scalar.clone(),
+            prop::collection::vec(scalar.clone(), 0..4).prop_map(Value::Tuple),
+            (scalar.clone(), scalar.clone())
+                .prop_map(|(a, b)| Value::tuple([Value::tuple([a]), b])),
+            prop::collection::vec(scalar, 0..3).prop_map(Value::set),
+        ]
+    }
+
+    proptest! {
+        /// The bulk load builds the interpretation the per-fact
+        /// [`Interp::insert`] loop builds: the same tuple spreading, the
+        /// same dedup of `v` and `[v]`, and no entry for an empty
+        /// relation.
+        #[test]
+        fn from_database_matches_per_fact_inserts(
+            rels in prop::collection::vec(
+                (prop::sample::select(&["e", "p", "q"]), prop::collection::vec(member(), 0..8)),
+                0..5,
+            ),
+        ) {
+            let mut db = Database::new();
+            for (name, members) in rels {
+                db.set(name, Relation::from_values(members));
+            }
+            let mut per_fact = Interp::new();
+            for (name, rel) in db.iter() {
+                for v in rel.iter() {
+                    per_fact.insert(name, tuple_args(v));
+                }
+            }
+            let bulk = Interp::from_database(&db);
+            prop_assert_eq!(&bulk, &per_fact);
+            let non_empty: Vec<&str> = db
+                .iter()
+                .filter(|(_, rel)| !rel.is_empty())
+                .map(|(name, _)| name)
+                .collect();
+            prop_assert_eq!(bulk.preds().collect::<Vec<_>>(), non_empty);
+        }
     }
 
     #[test]

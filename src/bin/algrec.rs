@@ -74,7 +74,8 @@
 
 use algrec::prelude::*;
 use algrec::serve::parse_semantics;
-use std::io::Write;
+use algrec::serve::session::format_fact;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
@@ -82,8 +83,18 @@ fn fail(msg: impl std::fmt::Display) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Write a command's answer through one buffer on the locked stdout,
+/// flushed once. A failed write — a closed pipe, say — is an error for
+/// `main` to report, not a panic.
+fn emit(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Result<(), String> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("stdout: {e}"))
+}
+
 /// Parse a facts file (Datalog facts only) into a database, through the
-/// shared in-place loader (the old per-fact relation clone was O(n²)).
+/// shared loader (one parse, one sorted build per relation).
 fn load_db(path: Option<&str>) -> Result<Database, String> {
     let Some(path) = path else {
         return Ok(Database::new());
@@ -275,38 +286,24 @@ fn cmd_eval(a: &Args) -> Result<(), String> {
     if a.explain {
         let plan =
             algrec::datalog::explain_program(&program, &db, None).map_err(|e| e.to_string())?;
-        println!("{plan}");
-        return Ok(());
+        return emit(|w| writeln!(w, "{plan}"));
     }
     let out = evaluate_traced(&program, &db, a.semantics, Budget::LARGE, trace_of(a))
         .map_err(|e| e.to_string())?;
-    match &a.pred {
+    emit(|w| match &a.pred {
         Some(p) => {
-            for facts in out.model.certain.facts(p) {
-                println!(
-                    "{p}({}).",
-                    facts
-                        .iter()
-                        .map(|v| v.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
+            for args in out.model.certain.facts(p) {
+                writeln!(w, "{}.", format_fact(p, args))?;
             }
-            for (q, facts) in out.model.unknown_facts() {
+            for (q, args) in out.model.unknown_facts() {
                 if &q == p {
-                    println!(
-                        "% unknown: {p}({})",
-                        facts
-                            .iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
+                    writeln!(w, "% unknown: {}", format_fact(p, &args))?;
                 }
             }
+            Ok(())
         }
-        None => print!("{}", out.model),
-    }
+        None => write!(w, "{}", out.model),
+    })?;
     if !out.model.is_exact() {
         eprintln!(
             "% {} fact(s) undefined — the program has no initial valid model on this database",
@@ -325,12 +322,11 @@ fn cmd_alg(a: &Args) -> Result<(), String> {
     let db = load_db(rest.first().map(String::as_str))?;
     if a.explain {
         let plan = algrec::serve::algebra::explain(&program, &db).map_err(|e| e.to_string())?;
-        println!("{plan}");
-        return Ok(());
+        return emit(|w| writeln!(w, "{plan}"));
     }
     let out = algrec::serve::algebra::eval_valid(&program, &db, Budget::LARGE, trace_of(a))
         .map_err(|e| e.to_string())?;
-    println!("{}", out.query);
+    emit(|w| writeln!(w, "{}", out.query))?;
     if !out.is_well_defined() {
         eprintln!("% result is three-valued (members marked `?` are undefined)");
     }
@@ -344,36 +340,46 @@ fn cmd_spec(a: &Args) -> Result<(), String> {
     let spec = algrec_adt::parser::parse_spec(&read(spec_path)?).map_err(|e| e.to_string())?;
     let vi = algrec_adt::ValidInterpretation::compute(&spec, a.depth, Budget::LARGE)
         .map_err(|e| e.to_string())?;
-    println!(
-        "valid interpretation over depth-{} window: total = {}, undefined equalities = {}",
-        a.depth,
-        vi.is_total(),
-        vi.unknown_count()
-    );
-    for sort in spec.signature.sorts() {
-        let classes = vi.classes(sort);
-        println!("sort {sort}: {} class(es)", classes.len());
-        for class in classes {
-            println!(
-                "  {{ {} }}",
-                class
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
+    let analysis = if spec.signature.constants_only() {
+        Some(algrec_adt::initial_valid_model(&spec, Budget::LARGE).map_err(|e| e.to_string())?)
+    } else {
+        None
+    };
+    emit(|w| {
+        writeln!(
+            w,
+            "valid interpretation over depth-{} window: total = {}, undefined equalities = {}",
+            a.depth,
+            vi.is_total(),
+            vi.unknown_count()
+        )?;
+        for sort in spec.signature.sorts() {
+            let classes = vi.classes(sort);
+            writeln!(w, "sort {sort}: {} class(es)", classes.len())?;
+            for class in classes {
+                writeln!(
+                    w,
+                    "  {{ {} }}",
+                    class
+                        .iter()
+                        .map(|t| t.to_string())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                )?;
+            }
         }
-    }
-    if spec.signature.constants_only() {
-        let analysis =
-            algrec_adt::initial_valid_model(&spec, Budget::LARGE).map_err(|e| e.to_string())?;
-        println!("valid models: {}", analysis.valid_models.len());
-        match analysis.initial {
-            Some(p) => println!("initial valid model: {p}"),
-            None => println!("no initial valid model (the specification is not well-defined)"),
+        if let Some(analysis) = analysis {
+            writeln!(w, "valid models: {}", analysis.valid_models.len())?;
+            match analysis.initial {
+                Some(p) => writeln!(w, "initial valid model: {p}")?,
+                None => writeln!(
+                    w,
+                    "no initial valid model (the specification is not well-defined)"
+                )?,
+            }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 fn cmd_translate(a: &Args) -> Result<(), String> {
@@ -386,8 +392,7 @@ fn cmd_translate(a: &Args) -> Result<(), String> {
     let db = load_db(rest.first().map(String::as_str))?;
     let alg = datalog_to_algebra(&program, pred, &algrec_translate::edb_arities(&db))
         .map_err(|e| e.to_string())?;
-    println!("{alg}");
-    Ok(())
+    emit(|w| writeln!(w, "{alg}"))
 }
 
 fn cmd_stable(a: &Args) -> Result<(), String> {
@@ -399,12 +404,14 @@ fn cmd_stable(a: &Args) -> Result<(), String> {
     let db = load_db(rest.first().map(String::as_str))?;
     let models = algrec::datalog::stable_models_of(&program, &db, a.cap, Budget::LARGE)
         .map_err(|e| e.to_string())?;
-    println!("% {} stable model(s)", models.len());
-    for (k, m) in models.iter().enumerate() {
-        println!("%% model {k}");
-        print!("{m}");
-    }
-    Ok(())
+    emit(|w| {
+        writeln!(w, "% {} stable model(s)", models.len())?;
+        for (k, m) in models.iter().enumerate() {
+            writeln!(w, "%% model {k}")?;
+            write!(w, "{m}")?;
+        }
+        Ok(())
+    })
 }
 
 /// Build a serving session, preloading an optional facts file. With
@@ -464,8 +471,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let bound = listener.local_addr().map_err(|e| e.to_string())?;
     // Announce the actual address (port 0 binds an ephemeral port) so
     // scripted clients can connect; flush before blocking in accept.
-    println!("% listening on {bound}");
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    emit(|w| writeln!(w, "% listening on {bound}"))?;
     algrec::serve::serve_traced(listener, session, trace_of(a)).map_err(|e| e.to_string())
 }
 
@@ -506,8 +512,7 @@ fn bind_announced(a: &Args, role: &str) -> Result<std::net::TcpListener, String>
     let addr = a.addr.as_deref().unwrap_or("127.0.0.1:0");
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("{addr}: {e}"))?;
     let bound = listener.local_addr().map_err(|e| e.to_string())?;
-    println!("% {role} listening on {bound}");
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    emit(|w| writeln!(w, "% {role} listening on {bound}"))?;
     Ok(listener)
 }
 

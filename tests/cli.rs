@@ -207,6 +207,44 @@ fn eval_parameterized_valid_extended() {
     }
 }
 
+/// A reader that stops after the first line (`algrec eval … | head -n
+/// 1`) closes the pipe under a writer with far more than a pipe buffer
+/// left to write: `algrec` reports the failed write as one `algrec:` line
+/// and exits 1, with and without `--pred`, instead of panicking.
+#[test]
+fn a_closed_stdout_is_an_error_not_a_panic() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let program = write_tmp("copy.dl", "q(X) :- e(X).");
+    let facts: String = (0..30_000).map(|k| format!("e({k}).\n")).collect();
+    let facts = write_tmp("copy_facts.dl", &facts);
+    for pred in [&["--pred", "q"][..], &[]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_algrec"))
+            .args(["eval", &program, &facts, "--semantics", "semi-naive"])
+            .args(pred)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut first)
+            .unwrap();
+        assert!(!first.is_empty(), "{pred:?}: no first line");
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut stderr)
+            .unwrap();
+        let status = child.wait().unwrap();
+        assert!(!stderr.contains("panicked"), "{pred:?}: {stderr}");
+        assert_eq!(status.code(), Some(1), "{pred:?}: {stderr}");
+        assert!(stderr.starts_with("algrec: stdout: "), "{pred:?}: {stderr}");
+    }
+}
+
 #[test]
 fn bad_semantics_names_list_the_valid_forms() {
     let program = write_tmp("sem.dl", "p(1).");
