@@ -22,7 +22,8 @@ const GOLDEN_PATH: &str = concat!(
 /// Programs registered by the script (kept in sync with the .ndjson).
 const TC: &str = "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).";
 const WIN: &str = "win(X) :- e(X, Y), not win(Y).";
-/// The EDB after the script's load + assert/retract deltas.
+/// The `e` relation after the script's load + assert/retract deltas
+/// (its last writes go to `move`, which the two programs do not read).
 const FINAL_FACTS: &str = "e(1, 2).\ne(3, 4).\ne(4, 5).\ne(5, 5).";
 
 /// Spawn `algrec serve` on an ephemeral port and return the bound
