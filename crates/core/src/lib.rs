@@ -67,4 +67,6 @@ pub use explain::explain_program;
 pub use expr::{AlgExpr, CmpOp, Conjunction, FuncExpr, FuncOp};
 pub use opt::{simplify, simplify_program};
 pub use program::{AlgProgram, OpDef};
-pub use valid_eval::{eval_valid, eval_valid_traced, eval_valid_with, ValidAlgebraResult};
+pub use valid_eval::{
+    eval_valid, eval_valid_metered, eval_valid_traced, eval_valid_with, ValidAlgebraResult,
+};

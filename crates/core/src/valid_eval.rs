@@ -202,6 +202,19 @@ pub fn eval_valid_traced(
     opts: EvalOptions,
     trace: Trace,
 ) -> Result<ValidAlgebraResult, CoreError> {
+    eval_valid_metered(program, db, opts, &mut budget.meter_traced(trace))
+}
+
+/// [`eval_valid_with`] charged to the caller's `meter`: the evaluation's
+/// iterations, facts, delta rounds and result size land on its counters
+/// (and its trace, if one is attached), exactly as
+/// [`eval_valid_traced`] reports them on a meter of its own.
+pub fn eval_valid_metered(
+    program: &AlgProgram,
+    db: &Database,
+    opts: EvalOptions,
+    meter: &mut Meter,
+) -> Result<ValidAlgebraResult, CoreError> {
     let inlined = program.inline()?;
     let rec_names: Vec<String> = inlined.defs.iter().map(|d| d.name.clone()).collect();
     for d in &inlined.defs {
@@ -209,13 +222,12 @@ pub fn eval_valid_traced(
     }
     check_no_ifp_over_recursion(&inlined.query, &rec_names)?;
 
-    let mut meter = budget.meter_traced(trace);
     let mut ev = Evaluator::new(db, opts);
 
     // Non-recursive program: exact evaluation, trivially two-valued.
     if inlined.defs.is_empty() {
         let empty = SetEnv::new();
-        let q = ev.eval(&inlined.query, &empty, &empty, true, &mut meter)?;
+        let q = ev.eval(&inlined.query, &empty, &empty, true, meter)?;
         meter.record_materialized(q.len());
         return Ok(ValidAlgebraResult {
             constants: BTreeMap::new(),
@@ -244,12 +256,12 @@ pub fn eval_valid_traced(
         meter.tick_iteration()?;
         // Possible pass: subtracted sets read the certain bound.
         meter.phase_start("possible");
-        let possible = lfp(&mut ev, &defs, &certain, &mut meter);
+        let possible = lfp(&mut ev, &defs, &certain, meter);
         meter.phase_end();
         let possible = possible?;
         // Certain pass: subtracted sets read the possible bound.
         meter.phase_start("certain");
-        let next_certain = lfp(&mut ev, &defs, &possible, &mut meter);
+        let next_certain = lfp(&mut ev, &defs, &possible, meter);
         meter.phase_end();
         let next_certain = next_certain?;
         if next_certain == certain {
@@ -275,8 +287,8 @@ pub fn eval_valid_traced(
 
     // Query: lower bound reads (certain positively, possible negatively),
     // upper bound the reverse.
-    let q_lower = (*ev.eval(&inlined.query, &certain, &possible, true, &mut meter)?).clone();
-    let mut q_upper = (*ev.eval(&inlined.query, &possible, &certain, true, &mut meter)?).clone();
+    let q_lower = (*ev.eval(&inlined.query, &certain, &possible, true, meter)?).clone();
+    let mut q_upper = (*ev.eval(&inlined.query, &possible, &certain, true, meter)?).clone();
     q_upper.extend(q_lower.iter().cloned());
     meter.record_materialized(q_upper.len());
     Ok(ValidAlgebraResult {

@@ -13,12 +13,16 @@
 //! no string hashing, no `Value` clones, no heap traffic per candidate
 //! and no per-match budget checks.
 //!
-//! **Entry points.** Each `try_*` runs one interpreted driver's work in
-//! id space: [`try_naive`], [`try_semi_naive`], [`try_semi_naive_from`]
-//! and [`try_inflationary`] one fixpoint; [`try_stratified`] every
-//! stratum on one machine; [`try_alternating`] the whole alternating
-//! fixpoint of the well-founded and valid semantics on one machine. The
-//! base is interned once per evaluation, not once per pass. The
+//! **Entry points.** Each `try_*` runs one interpreted driver's cold
+//! work in id space: [`try_naive`], [`try_semi_naive`] and
+//! [`try_inflationary`] one fixpoint; [`try_stratified`] every stratum
+//! on one machine; [`try_alternating`] the whole alternating fixpoint of
+//! the well-founded and valid semantics on one machine. The base is
+//! interned once per evaluation, not once per pass. The semi-naive
+//! *continuation* (`fixpoint::semi_naive_from_oracle`, the step a
+//! maintained view runs on every write) has no entry point here: a
+//! machine interns the whole view it starts from, which would make each
+//! write cost the view's size instead of its delta's. The
 //! alternation keeps its two sides, `certain` and `possible`, as two
 //! id-space models ([`IdModel`]): each pass cuts the relations back to
 //! their base rows, reads negation as the complement of the other
@@ -373,10 +377,6 @@ impl PredTable {
         self.ids.insert(name.to_string(), i);
         i
     }
-
-    fn get(&self, name: &str) -> Option<usize> {
-        self.ids.get(name).copied()
-    }
 }
 
 /// A head argument or fully-bound literal argument.
@@ -625,6 +625,19 @@ fn rule_compilable(rule: &Rule) -> bool {
         })
 }
 
+thread_local! {
+    /// [`Machine::build`] calls made on this thread.
+    static MACHINE_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many id-space machines this thread has built: one per compiled
+/// evaluation, none for an interpreted one. Tests read it to pin which
+/// executor a call took.
+#[doc(hidden)]
+pub fn machine_builds() -> usize {
+    MACHINE_BUILDS.with(std::cell::Cell::get)
+}
+
 /// Shared gate for every entry point.
 fn eligible(compiled: &Compiled, meter: &Meter) -> bool {
     !meter.is_traced() && compiled.rules.iter().all(rule_compilable)
@@ -849,8 +862,7 @@ impl<'a> Machine<'a> {
         meter: &Meter,
         total_oracle: bool,
     ) -> Option<(Machine<'a>, Vec<Vec<Resolved>>)> {
-        #[cfg(test)]
-        tests::MACHINE_BUILDS.with(|n| n.set(n.get() + 1));
+        MACHINE_BUILDS.with(|n| n.set(n.get() + 1));
         let limit = meter.budget().max_value_size;
         let mut table = PredTable::default();
         let mut resolved_levels = Vec::with_capacity(levels.len());
@@ -978,32 +990,6 @@ impl<'a> Machine<'a> {
             firings,
             consumed,
         }
-    }
-
-    /// Intern an externally supplied delta (the continuation seed).
-    /// Returns the id-space delta over mentioned predicates plus the
-    /// count of seed facts over unmentioned ones (they drive the round
-    /// condition exactly as in the interpreted engine, then vanish).
-    fn intern_seed(&self, seed: &Interp, limit: usize) -> Option<(DeltaDb, usize)> {
-        let mut db: DeltaDb = vec![Chunk::default(); self.table.names.len()];
-        let mut extra = 0usize;
-        let mut row: Vec<Vid> = Vec::new();
-        for (pred, args) in seed.iter() {
-            match self.table.get(pred) {
-                Some(p) => {
-                    row.clear();
-                    for v in args {
-                        if v.size() > limit {
-                            return None;
-                        }
-                        row.push(Vid::of(v));
-                    }
-                    db[p].push(&row);
-                }
-                None => extra += 1,
-            }
-        }
-        Some((db, extra))
     }
 
     /// Append every candidate not yet in `total` to it, returning the
@@ -1317,52 +1303,6 @@ impl<'a> Machine<'a> {
         meter.phase_end();
         Ok(())
     }
-
-    fn run_semi_naive_from(
-        &mut self,
-        code: &LevelCode,
-        total_in: &Interp,
-        seed: (DeltaDb, usize),
-        meter: &mut Meter,
-    ) -> Result<(Interp, Interp, FixpointStats), EvalError> {
-        let (mut delta, extra) = seed;
-        let mut stats = FixpointStats::default();
-        meter.phase_start("semi-naive-from");
-        // The round condition counts *all* new facts from the previous
-        // round (plus seed facts over unmentioned preds), exactly like
-        // the interpreted engine's `delta.total()`.
-        let mut delta_count = delta_total(&delta) + extra;
-        while delta_count > 0 {
-            meter.tick_iteration()?;
-            stats.rounds += 1;
-            // Fire once per positive body literal whose predicate has
-            // facts in the current delta (the seed may contain EDB
-            // facts, so eligibility is by delta content, not IDB
-            // membership — same rule as the interpreted engine).
-            let mut firings = Vec::new();
-            for (r, rule) in code.rules.iter().enumerate() {
-                for (vi, variant) in rule.variants.iter().enumerate() {
-                    if !delta[variant.pred].is_empty() {
-                        firings.push((r, vi));
-                    }
-                }
-            }
-            stats.rule_applications += firings.len();
-            let mut derived = Derived::new(self.total.rels.len());
-            self.fire_differential(&code.rules, &delta, &firings, meter, &mut derived)?;
-            let (next, added) = self.split_new(derived, &code.consumed);
-            stats.derived += added;
-            delta = next;
-            delta_count = added;
-            meter.record_delta(added);
-        }
-        meter.phase_end();
-        let mut out = total_in.clone();
-        let mut added_all = Interp::new();
-        self.materialize_new(&mut out);
-        self.materialize_new(&mut added_all);
-        Ok((out, added_all, stats))
-    }
 }
 
 /// Compiled naive fixpoint; `None` when the program or meter keeps the
@@ -1407,24 +1347,6 @@ pub(crate) fn try_semi_naive(
                 (out, stats)
             }),
     )
-}
-
-/// Compiled semi-naive continuation; `None` keeps the interpreted path.
-pub(crate) fn try_semi_naive_from(
-    compiled: &Compiled,
-    total: &Interp,
-    seed: &Interp,
-    neg: &NegOracle<'_>,
-    meter: &mut Meter,
-) -> Option<Result<(Interp, Interp, FixpointStats), EvalError>> {
-    if !eligible(compiled, meter) {
-        return None;
-    }
-    let (mut machine, resolved) = Machine::build(&[compiled], total, neg, meter, false)?;
-    let code = machine.compile_level(&resolved[0]);
-    // Seed conversion can also fall back (oversized values).
-    let seed = machine.intern_seed(seed, meter.budget().max_value_size)?;
-    Some(machine.run_semi_naive_from(&code, total, seed, meter))
 }
 
 /// Compiled inflationary fixpoint; `None` keeps the interpreted path.
@@ -1693,12 +1615,6 @@ mod tests {
     use crate::wellfounded::{alternating_fixpoint, alternating_passes};
     use algrec_value::Budget;
 
-    thread_local! {
-        /// [`Machine::build`] calls made on this thread.
-        pub(super) static MACHINE_BUILDS: std::cell::Cell<usize> =
-            const { std::cell::Cell::new(0) };
-    }
-
     fn i(n: i64) -> Value {
         Value::int(n)
     }
@@ -1856,34 +1772,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_continuation_matches_interpreted() {
-        let compiled = tc_program();
-        let base = chain(8);
-        let mut m = Budget::SMALL.meter();
-        let (fixed, _) = try_semi_naive(&compiled, &base, &NegOracle::False, &mut m)
-            .expect("eligible")
-            .unwrap();
-        let mut seed = Interp::new();
-        seed.insert("edge", vec![i(8), i(9)]);
-        seed.insert("orphan", vec![i(99)]); // unmentioned predicate
-        let mut total = fixed.clone();
-        total.absorb(&seed);
-        let mut mc = Budget::SMALL.meter();
-        let (out_c, added_c, stats_c) =
-            try_semi_naive_from(&compiled, &total, &seed, &NegOracle::False, &mut mc)
-                .expect("eligible")
-                .unwrap();
-        let trace = algrec_value::Trace::collect();
-        let mut mi = Budget::SMALL.meter_traced(trace);
-        let (out_i, added_i, stats_i) =
-            fixpoint::semi_naive_from(&compiled, &total, &seed, &|_, _| false, &mut mi).unwrap();
-        assert_eq!(out_c, out_i);
-        assert_eq!(added_c, added_i);
-        assert_eq!(stats_c, stats_i);
-        assert_eq!(mc.facts(), mi.facts());
-    }
-
-    #[test]
     fn ineligible_programs_fall_back() {
         // nat(succ(X)) :- nat(X).  — function application in the head.
         use crate::ast::Func;
@@ -1914,12 +1802,11 @@ mod tests {
             let ran = [
                 try_naive(&compiled, &base, neg, &mut meter()).is_some(),
                 try_semi_naive(&compiled, &base, neg, &mut meter()).is_some(),
-                try_semi_naive_from(&compiled, &base, &base, neg, &mut meter()).is_some(),
                 try_inflationary(&compiled, &base, &mut meter()).is_some(),
                 try_stratified(&program, &base, &mut meter()).is_some(),
                 try_alternating(&compiled, &base, &mut meter(), None).is_some(),
             ];
-            assert_eq!(ran, [!traced; 6], "traced = {traced}");
+            assert_eq!(ran, [!traced; 5], "traced = {traced}");
         }
     }
 
@@ -1945,9 +1832,9 @@ mod tests {
     }
 
     fn builds_during<T>(run: impl FnOnce() -> T) -> (T, usize) {
-        MACHINE_BUILDS.with(|n| n.set(0));
+        let before = machine_builds();
         let out = run();
-        (out, MACHINE_BUILDS.with(std::cell::Cell::get))
+        (out, machine_builds() - before)
     }
 
     #[test]

@@ -429,8 +429,10 @@ pub fn semi_naive_from(
     semi_naive_from_oracle(compiled, total, seed, &NegOracle::Fn(neg), meter)
 }
 
-/// [`semi_naive_from`] with a structured negation oracle; eligible
-/// programs run compiled (see `compiled`).
+/// [`semi_naive_from`] with a structured negation oracle. Always
+/// interpreted, traced or not: the compiled executor would first intern
+/// all of `total`, so a write would cost the size of the view rather
+/// than the size of its consequences.
 pub fn semi_naive_from_oracle(
     compiled: &Compiled,
     total: &Interp,
@@ -438,9 +440,6 @@ pub fn semi_naive_from_oracle(
     neg: &NegOracle<'_>,
     meter: &mut Meter,
 ) -> Result<(Interp, Interp, FixpointStats), EvalError> {
-    if let Some(res) = crate::compiled::try_semi_naive_from(compiled, total, seed, neg, meter) {
-        return res;
-    }
     let negf = |p: &str, a: &[Value]| neg.test(p, a);
     let neg = &negf;
     let mut stats = FixpointStats::default();

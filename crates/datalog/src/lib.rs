@@ -52,6 +52,8 @@ pub mod stratify;
 pub mod wellfounded;
 
 pub use ast::{Atom, CmpOp, Expr, Func, Literal, Program, Rule};
+#[doc(hidden)]
+pub use compiled::machine_builds;
 pub use error::EvalError;
 pub use explain::explain_program;
 pub use facts::{load_facts, parse_fact, parse_facts};

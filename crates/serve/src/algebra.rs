@@ -63,7 +63,7 @@ use algrec_core::{AlgExpr, AlgProgram, CmpOp, FuncExpr, ValidAlgebraResult};
 use algrec_datalog::ast::{Atom, CmpOp as DCmp, Expr, Literal, Program, Rule};
 use algrec_datalog::interp::{FactSet, Interp};
 use algrec_datalog::{evaluate_traced, Semantics};
-use algrec_value::{Budget, Database, DatabaseDelta, Trace, TvSet, Value};
+use algrec_value::{Budget, Database, DatabaseDelta, Meter, Trace, TvSet, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -262,23 +262,17 @@ pub enum Route {
     Evaluated(ValidAlgebraResult),
 }
 
-/// Plan `program` for `db`, or evaluate it with `algrec_core` under
-/// `budget` and `trace` when it is outside the class — the one place
-/// both `algrec alg` and served views fall back.
-pub fn route(
-    program: &AlgProgram,
-    db: &Database,
-    budget: Budget,
-    trace: Trace,
-) -> Result<Route, ServeError> {
+/// Plan `program` for `db`, or evaluate it with `algrec_core`, charged
+/// to `meter`, when it is outside the class — how a served view is
+/// materialized; [`eval_valid`] takes the same two roads.
+pub fn route(program: &AlgProgram, db: &Database, meter: &mut Meter) -> Result<Route, ServeError> {
     Ok(match plan(program, db) {
         Some(plan) => Route::Planned(plan),
-        None => Route::Evaluated(algrec_core::eval_valid_traced(
+        None => Route::Evaluated(algrec_core::eval_valid_metered(
             program,
             db,
-            budget,
             algrec_core::EvalOptions::OPTIMIZED,
-            trace,
+            meter,
         )?),
     })
 }
@@ -291,9 +285,15 @@ pub fn eval_valid(
     budget: Budget,
     trace: Trace,
 ) -> Result<ValidAlgebraResult, ServeError> {
-    match route(program, db, budget, trace.clone())? {
-        Route::Planned(plan) => plan.evaluate(db, budget, trace),
-        Route::Evaluated(result) => Ok(result),
+    match plan(program, db) {
+        Some(plan) => plan.evaluate(db, budget, trace),
+        None => Ok(algrec_core::eval_valid_traced(
+            program,
+            db,
+            budget,
+            algrec_core::EvalOptions::OPTIMIZED,
+            trace,
+        )?),
     }
 }
 
