@@ -1,45 +1,47 @@
-//! WAL shipping: replicas that pull per-shard log frames from the
-//! primary and apply them in global commit order.
+//! WAL shipping: replicas that tail the primary's log generations.
 //!
 //! Replication reuses the durable artifacts the primary writes anyway:
-//! a replica is just another reader of the N shard logs, except it
-//! reads them over the line protocol (`repl` pulls against the primary,
-//! see [`crate::server`]) instead of from disk. The pulled frames are
-//! the primary's literal log bytes, so the replica inherits every
-//! integrity property of the on-disk format — CRCs, sequence stamps,
-//! part counts. Because a replica serves reads between commits, it
-//! applies each commit to its live session
-//! ([`algrec_store::recover::apply_record`]) instead of folding the
-//! log and building once, as recovery does.
+//! a replica is another reader of the store's `wal-{gen}` logs and
+//! `snapshot-{gen}` images, except it reads them over the line protocol
+//! (`repl` pulls against the primary, see [`crate::server`]) instead of
+//! from disk. The pulled frames are the primary's literal log bytes, so
+//! the replica inherits every integrity property of the on-disk format.
+//! Because a replica serves reads between commits, it applies each
+//! record to its live session ([`algrec_store::recover::apply_record`])
+//! instead of folding the log and building once, as recovery does.
 //!
-//! The layer splits in two:
+//! A replica is positioned at `(generation, records applied in that
+//! generation's log)` — a [`Position`] — and at the byte offset those
+//! records end at. It moves in three ways:
 //!
-//! * [`ReplicaCore`] — the pure reassembly state machine: per-shard
-//!   frame queues, complete-commit drain in sequence order, applied
-//!   offsets and epochs. It has no I/O and is driven directly by the
-//!   consistency proptest with adversarial chunk interleavings.
-//! * [`Replica`] — the TCP puller: subscribes to a primary, feeds the
-//!   core, tracks per-shard lag (log end minus applied offset),
-//!   heartbeats by polling, and resubscribes from its applied offsets
-//!   when the primary restarts.
+//! * it tails the current log by byte offset;
+//! * when that log is sealed (a newer generation exists) and fully
+//!   applied, it moves to the next log's header: it already holds that
+//!   generation's snapshot state;
+//! * when its generation is no longer retained — it lagged across a
+//!   compaction, or joined after generation 0 was compacted — it pulls
+//!   the newest snapshot image in chunks, replaces its session with it,
+//!   and tails that generation's log.
 //!
-//! Resubscription at the applied offsets is always valid: the core only
-//! advances `applied` past *complete* commits, the primary's own crash
-//! recovery truncates incomplete suffixes at the same boundary, and
-//! (under `SyncPolicy::Always`) a served frame is a synced frame — so a
-//! replica's applied prefix is always a prefix of any future primary's
-//! log.
+//! The layer splits in two: [`ReplicaCore`], the pure state machine the
+//! consistency proptest drives directly, and [`Replica`], the TCP puller
+//! that feeds it, heartbeats by polling, and resubscribes from its
+//! applied offset when the primary restarts. Resubscription there is
+//! always valid: the core only advances past intact frames, the
+//! primary's own crash recovery truncates torn tails at a frame
+//! boundary, and (under `SyncPolicy::Always`) a served frame is a synced
+//! frame, so a replica's applied prefix is a prefix of any future
+//! primary's log.
 
-use crate::shard::reassemble;
+use crate::primary::{decode_image, Position, LOG_START};
 use algrec_serve::{Json, SharedSession};
 use algrec_store::codec::next_record;
-use algrec_store::recover::apply_record;
+use algrec_store::recover::{apply_record, materialize};
 use algrec_store::WalRecord;
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -71,222 +73,183 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// One queued, not-yet-applied commit part.
-struct Pending {
-    seq: u64,
-    parts: u32,
-    record: WalRecord,
-    /// The byte offset just past this part's frame in its shard log.
-    end: u64,
-}
-
-/// The replication state machine: reassembles the primary's global
-/// commit order from N per-shard frame streams and applies complete
-/// commits to a local session.
-///
-/// Pure — no sockets, no clocks. [`feed`](ReplicaCore::feed) enqueues
-/// raw frame bytes for one shard; [`drain`](ReplicaCore::drain) applies
-/// every commit whose parts have all arrived. The consistency proptest
-/// drives these two entry points with adversarial interleavings and
-/// mid-stream [`reset_pending`](ReplicaCore::reset_pending) calls.
-pub struct ReplicaCore {
-    shared: Arc<SharedSession>,
-    queues: Vec<VecDeque<Pending>>,
-    /// Per-shard byte offsets: the frame boundary up to which every
-    /// commit has been applied. Safe resubscription points.
-    applied: Vec<u64>,
-    /// Per-shard applied record counts, mirrored atomically so server
-    /// threads can answer `cluster-stats` and check `min_epochs`.
-    epochs: Arc<Vec<AtomicU64>>,
-}
-
-impl ReplicaCore {
-    /// A fresh core over `shared`, expecting `shards` per-shard streams
-    /// whose applied prefixes start at `start` (the log header length).
-    pub fn new(shared: Arc<SharedSession>, shards: usize, start: u64) -> ReplicaCore {
-        ReplicaCore {
-            shared,
-            queues: (0..shards).map(|_| VecDeque::new()).collect(),
-            applied: vec![start; shards],
-            epochs: Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect()),
-        }
-    }
-
-    /// Number of shard streams.
-    pub fn shards(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The session this core applies commits to.
-    pub fn shared(&self) -> &Arc<SharedSession> {
-        &self.shared
-    }
-
-    /// Per-shard applied byte offsets — the safe resubscription points.
-    pub fn applied_offsets(&self) -> &[u64] {
-        &self.applied
-    }
-
-    /// The atomically-mirrored per-shard epochs (applied record
-    /// counts), shareable with server threads.
-    pub fn epochs(&self) -> Arc<Vec<AtomicU64>> {
-        Arc::clone(&self.epochs)
-    }
-
-    /// Enqueue raw frame bytes for `shard`, pulled starting at byte
-    /// offset `base` of that shard's log. Frames already applied or
-    /// queued (offset overlap after a retried pull) are skipped;
-    /// non-contiguous bytes (a gap past the queued end) are rejected.
-    pub fn feed(&mut self, shard: usize, bytes: &[u8], base: u64) -> Result<(), String> {
-        if shard >= self.queues.len() {
-            return Err(format!("no shard {shard}"));
-        }
-        let queued_end = self.queues[shard]
-            .back()
-            .map_or(self.applied[shard], |p| p.end);
-        if base > queued_end {
-            return Err(format!(
-                "shard {shard}: gap — fed offset {base}, stream continues at {queued_end}"
-            ));
-        }
-        let mut pos = 0usize;
-        loop {
-            let start = base + pos as u64;
-            let payload = match next_record(bytes, &mut pos) {
-                Ok(Some(p)) => p,
-                Ok(None) => return Ok(()),
-                Err(e) => return Err(format!("shard {shard}: {e}")),
-            };
-            let end = base + pos as u64;
-            if end <= queued_end {
-                continue; // overlap with an earlier pull
-            }
-            if start < queued_end {
-                return Err(format!(
-                    "shard {shard}: frame at {start} straddles the queued end {queued_end}"
-                ));
-            }
-            match WalRecord::decode(payload).map_err(|e| format!("shard {shard}: {e}"))? {
-                WalRecord::Sequenced { seq, parts, inner } => {
-                    self.queues[shard].push_back(Pending {
-                        seq,
-                        parts,
-                        record: *inner,
-                        end,
-                    })
-                }
-                other => {
-                    return Err(format!(
-                        "shard {shard}: unsequenced record {other:?} in a replicated stream"
-                    ))
-                }
-            }
-        }
-    }
-
-    /// Drop every queued-but-unapplied frame. Called when the pull
-    /// connection breaks: the puller resubscribes from the applied
-    /// offsets, so whatever was in flight will be fetched again.
-    pub fn reset_pending(&mut self) {
-        for q in &mut self.queues {
-            q.clear();
-        }
-    }
-
-    /// Apply every complete commit at the queue heads, in global
-    /// sequence order. Stops (without error) at the first commit with a
-    /// missing part — by the sequencing invariant the missing part is
-    /// in a shard whose queue has run dry, so the caller pulls more and
-    /// drains again. Returns the number of commits applied.
-    pub fn drain(&mut self) -> Result<usize, String> {
-        let n = self.queues.len();
-        let mut committed = 0usize;
-        loop {
-            let Some(seq) = (0..n)
-                .filter_map(|k| self.queues[k].front().map(|p| p.seq))
-                .min()
-            else {
-                return Ok(committed);
-            };
-            let holders: Vec<usize> = (0..n)
-                .filter(|&k| self.queues[k].front().is_some_and(|p| p.seq == seq))
-                .collect();
-            let parts = self.queues[holders[0]].front().unwrap().parts as usize;
-            if holders.len() < parts {
-                if holders.len() == n || (0..n).any(|k| self.queues[k].is_empty()) {
-                    return Ok(committed); // missing part not yet pulled
-                }
-                return Err(format!(
-                    "commit {seq}: {} of {parts} parts present but every stream has \
-                     moved past it — shard logs disagree",
-                    holders.len()
-                ));
-            }
-            let mut parts = Vec::with_capacity(holders.len());
-            let mut ends = Vec::with_capacity(holders.len());
-            for &k in &holders {
-                let pending = self.queues[k].pop_front().unwrap();
-                parts.push(pending.record);
-                ends.push((k, pending.end));
-            }
-            let record = reassemble(parts);
-            let (applied, _) = self
-                .shared
-                .with_writer(|session| apply_record(session, record))
-                .map_err(|_| "replica session poisoned".to_string())?;
-            applied.map_err(|e| format!("applying commit {seq}: {e}"))?;
-            // Only advance the epoch gate once the commit is actually
-            // visible in a published snapshot — a pinned read that
-            // passes the gate must see the pinned write.
-            for (k, end) in ends {
-                self.applied[k] = end;
-                self.epochs[k].fetch_add(1, Ordering::SeqCst);
-            }
-            committed += 1;
-        }
-    }
-}
-
-/// Shared, atomically-readable state of a live [`Replica`], consumed by
-/// the replica's server threads (`cluster-stats`, `min_epochs` checks)
-/// and by its owner for shutdown.
+/// What a replica has applied, shared between its core (which advances
+/// it), its puller (connectivity, the primary's log end) and its server
+/// threads (`cluster-stats`, `min_epochs` checks).
+#[derive(Default)]
 pub struct ReplicaState {
-    /// Per-shard applied record counts (the replica's epoch vector).
-    pub epochs: Arc<Vec<AtomicU64>>,
-    /// Per-shard primary log ends, as last reported by a pull reply.
-    pub ends: Vec<AtomicU64>,
-    /// Per-shard applied byte offsets.
-    pub applied: Vec<AtomicU64>,
+    position: Mutex<Position>,
+    /// Byte offset applied in the current generation's log.
+    pub(crate) offset: AtomicU64,
+    /// That log's valid length on the primary, as of the last pull.
+    pub(crate) end: AtomicU64,
+    /// Times the replica replaced its session with a snapshot image.
+    pub bootstraps: AtomicU64,
     /// Whether the puller currently holds a live primary connection.
     pub connected: AtomicBool,
-    /// Set when replication failed permanently (the primary reported a
-    /// stale offset — its logs no longer contain the replica's prefix).
-    /// Reads keep serving the last applied state.
+    /// Set when replication failed permanently (the primary no longer
+    /// holds the replica's prefix). Reads keep serving the last applied
+    /// state.
     pub fatal: AtomicBool,
     /// Raise to make the puller thread exit.
     pub stop: AtomicBool,
 }
 
 impl ReplicaState {
-    /// Per-shard replication lag in bytes: primary log end minus
-    /// applied offset, as of the last pull reply.
-    pub fn lag_bytes(&self) -> Vec<u64> {
-        self.ends
-            .iter()
-            .zip(&self.applied)
-            .map(|(e, a)| {
-                e.load(Ordering::SeqCst)
-                    .saturating_sub(a.load(Ordering::SeqCst))
-            })
-            .collect()
+    /// The applied position. It only moves once the state it names is
+    /// published, so a read that passes a pin sees the pinned write.
+    pub fn position(&self) -> Position {
+        *self.position.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The replica's epoch vector.
-    pub fn epoch_vector(&self) -> Vec<u64> {
-        self.epochs
-            .iter()
-            .map(|e| e.load(Ordering::SeqCst))
-            .collect()
+    /// Replication lag in bytes: the primary's log end minus the applied
+    /// offset, as of the last pull.
+    pub fn lag_bytes(&self) -> u64 {
+        self.end
+            .load(Ordering::SeqCst)
+            .saturating_sub(self.offset.load(Ordering::SeqCst))
+    }
+}
+
+/// The replication state machine: one stream of the primary's log
+/// generations, applied to a local session.
+///
+/// Pure — no sockets, no clocks. [`feed`](ReplicaCore::feed) applies
+/// pulled frames of the current generation's log,
+/// [`seal`](ReplicaCore::seal) moves from the end of a sealed log to the
+/// next generation's, and [`bootstrap`](ReplicaCore::bootstrap) replaces
+/// the session with a snapshot image. The consistency proptest drives
+/// these entry points directly, with adversarial chunkings and retried
+/// (overlapping) pulls.
+pub struct ReplicaCore {
+    shared: Arc<SharedSession>,
+    at: Position,
+    /// The frame boundary up to which the current log is applied: the
+    /// safe resubscription point.
+    offset: u64,
+    state: Arc<ReplicaState>,
+}
+
+impl ReplicaCore {
+    /// A fresh core over `shared`, at the start of generation 0.
+    pub fn new(shared: Arc<SharedSession>) -> ReplicaCore {
+        let state = Arc::new(ReplicaState::default());
+        state.offset.store(LOG_START, Ordering::SeqCst);
+        ReplicaCore {
+            shared,
+            at: Position::default(),
+            offset: LOG_START,
+            state,
+        }
+    }
+
+    /// The session this core applies records to.
+    pub fn shared(&self) -> &Arc<SharedSession> {
+        &self.shared
+    }
+
+    /// The state shared with the replica's puller and server threads.
+    pub fn state(&self) -> &Arc<ReplicaState> {
+        &self.state
+    }
+
+    /// The applied position.
+    pub fn position(&self) -> Position {
+        self.at
+    }
+
+    /// The applied byte offset in the current generation's log.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Publish the position after the state it names is visible.
+    fn publish(&self) {
+        *self
+            .state
+            .position
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = self.at;
+        self.state.offset.store(self.offset, Ordering::SeqCst);
+    }
+
+    /// Apply the frames in `bytes`, pulled from byte offset `base` of the
+    /// current generation's log, each through
+    /// [`algrec_store::recover::apply_record`]. Frames already applied (a
+    /// retried pull) are skipped; a gap past the applied offset is
+    /// rejected. Returns the number of records applied.
+    pub fn feed(&mut self, bytes: &[u8], base: u64) -> Result<usize, String> {
+        let gen = self.at.gen;
+        if base > self.offset {
+            return Err(format!(
+                "wal {gen}: gap — fed offset {base}, applied up to {}",
+                self.offset
+            ));
+        }
+        let mut pos = 0usize;
+        let mut applied = 0usize;
+        loop {
+            let start = base + pos as u64;
+            let payload = match next_record(bytes, &mut pos) {
+                Ok(Some(p)) => p,
+                Ok(None) => return Ok(applied),
+                Err(e) => return Err(format!("wal {gen}: {e}")),
+            };
+            let end = base + pos as u64;
+            if end <= self.offset {
+                continue; // overlap with an earlier pull
+            }
+            if start < self.offset {
+                return Err(format!(
+                    "wal {gen}: frame at {start} straddles the applied offset {}",
+                    self.offset
+                ));
+            }
+            let record = WalRecord::decode(payload).map_err(|e| format!("wal {gen}: {e}"))?;
+            let (outcome, _) = self
+                .shared
+                .with_writer(|session| apply_record(session, record))
+                .map_err(|_| "replica session poisoned".to_string())?;
+            outcome
+                .map_err(|e| format!("applying record {} of wal {gen}: {e}", self.at.records))?;
+            self.at.records += 1;
+            self.offset = end;
+            self.publish();
+            applied += 1;
+        }
+    }
+
+    /// Move from the end of the current log, sealed on the primary, to
+    /// the start of the next generation's. The session already holds
+    /// that generation's snapshot state, so nothing is loaded.
+    pub fn seal(&mut self) {
+        self.at = Position {
+            gen: self.at.gen + 1,
+            records: 0,
+        };
+        self.offset = LOG_START;
+        self.publish();
+    }
+
+    /// Replace the session with snapshot image `gen`, validated and then
+    /// built by [`algrec_store::recover::materialize`] under the
+    /// session's budget, and position at the start of that generation's
+    /// log.
+    pub fn bootstrap(&mut self, gen: u64, image: &[u8]) -> Result<(), String> {
+        let state = decode_image(image)?;
+        let (built, _) = self
+            .shared
+            .with_writer(|session| {
+                *session = materialize(state, session.budget()).map_err(|e| e.to_string())?;
+                Ok::<(), String>(())
+            })
+            .map_err(|_| "replica session poisoned".to_string())?;
+        built?;
+        self.at = Position { gen, records: 0 };
+        self.offset = LOG_START;
+        self.state.bootstraps.fetch_add(1, Ordering::SeqCst);
+        self.publish();
+        Ok(())
     }
 }
 
@@ -346,41 +309,97 @@ impl PullChannel {
     }
 }
 
-/// The primary's `repl` hello: shard count and per-shard geometry.
-struct Hello {
-    shards: usize,
-    start: u64,
-    ends: Vec<u64>,
+/// An integer field of a pull reply.
+fn int_field(reply: &Json, name: &str) -> Result<u64, String> {
+    reply
+        .get(name)
+        .and_then(Json::as_int)
+        .and_then(|n| u64::try_from(n).ok())
+        .ok_or_else(|| format!("pull reply missing {name}"))
 }
 
-fn hello(channel: &mut PullChannel) -> Result<Hello, String> {
-    let reply = channel.roundtrip(vec![("op", Json::str("repl"))])?;
-    let shards = reply
-        .get("shards")
+/// The hex bytes field of a pull reply.
+fn hex_field(reply: &Json, name: &str) -> Result<Vec<u8>, String> {
+    from_hex(
+        reply
+            .get(name)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("pull reply missing {name}"))?,
+    )
+}
+
+/// Pull chunk budget per request.
+const PULL_MAX_BYTES: i64 = 256 * 1024;
+
+/// Replace the core's session with the primary's newest snapshot, pulled
+/// in chunks. A primary whose newest snapshot is not past the core's
+/// generation no longer holds the core's prefix: that is fatal.
+fn bootstrap(channel: &mut PullChannel, core: &mut ReplicaCore) -> Result<(), String> {
+    let hello = channel.roundtrip(vec![("op", Json::str("repl"))])?;
+    let gen = hello
+        .get("snapshot")
         .and_then(Json::as_int)
-        .ok_or("hello reply missing shards")? as usize;
-    let start = reply
-        .get("start")
-        .and_then(Json::as_int)
-        .ok_or("hello reply missing start")? as u64;
-    let ends = match reply.get("ends") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|v| v.as_int().map(|i| i as u64).ok_or("non-integer end"))
-            .collect::<Result<Vec<u64>, _>>()?,
-        _ => return Err("hello reply missing ends".into()),
-    };
-    if shards == 0 || ends.len() != shards {
-        return Err(format!(
-            "malformed hello: {shards} shards, {} ends",
-            ends.len()
-        ));
+        .and_then(|g| u64::try_from(g).ok())
+        .filter(|&g| g > core.position().gen)
+        .ok_or_else(|| {
+            format!(
+                "stale-offset: the primary retains neither wal generation {} nor a newer snapshot",
+                core.position().gen
+            )
+        })?;
+    let mut image = Vec::new();
+    loop {
+        let reply = channel.roundtrip(vec![
+            ("op", Json::str("repl")),
+            ("snapshot", Json::Int(gen as i64)),
+            ("offset", Json::Int(image.len() as i64)),
+            ("max", Json::Int(PULL_MAX_BYTES)),
+        ])?;
+        let size = int_field(&reply, "size")?;
+        let bytes = hex_field(&reply, "bytes")?;
+        if bytes.is_empty() && (image.len() as u64) < size {
+            return Err(format!("snapshot {gen}: empty chunk at {}", image.len()));
+        }
+        image.extend_from_slice(&bytes);
+        if image.len() as u64 >= size {
+            return core.bootstrap(gen, &image);
+        }
     }
-    Ok(Hello {
-        shards,
-        start,
-        ends,
-    })
+}
+
+/// One pull against the primary: the next frames of the core's log, a
+/// seal when that log is sealed and fully applied, or a bootstrap when
+/// the primary no longer retains it. Returns whether the core moved.
+fn step(channel: &mut PullChannel, core: &mut ReplicaCore) -> Result<bool, String> {
+    let offset = core.offset();
+    let reply = match channel.roundtrip(vec![
+        ("op", Json::str("repl")),
+        ("gen", Json::Int(core.position().gen as i64)),
+        ("offset", Json::Int(offset as i64)),
+        ("max", Json::Int(PULL_MAX_BYTES)),
+    ]) {
+        Err(e) if e.starts_with("gone:") => return bootstrap(channel, core).map(|()| true),
+        reply => reply?,
+    };
+    let end = int_field(&reply, "end")?;
+    let sealed = matches!(reply.get("sealed"), Some(Json::Bool(true)));
+    core.state().end.store(end, Ordering::SeqCst);
+    let frames = hex_field(&reply, "frames")?;
+    let moved = !frames.is_empty();
+    core.feed(&frames, offset)?;
+    if sealed && core.offset() == end {
+        core.seal();
+        return Ok(true);
+    }
+    Ok(moved)
+}
+
+/// Pull from the primary at `addr` until a pull brings nothing new: the
+/// core then holds at least the primary's position when the call began.
+pub fn catch_up(addr: &str, core: &mut ReplicaCore) -> Result<(), String> {
+    let mut channel = PullChannel::connect(addr)?;
+    while step(&mut channel, core)? {}
+    Ok(())
 }
 
 /// A live replica: a local [`SharedSession`] kept in sync with a
@@ -393,25 +412,20 @@ pub struct Replica {
 
 impl Replica {
     /// Subscribe to the primary at `addr`: performs the `repl` hello
-    /// synchronously (learning the shard count), then spawns the puller
-    /// thread that streams frames into `shared` from offset zero.
+    /// synchronously (so a wrong address fails here), then spawns the
+    /// puller thread that streams the primary's log into `shared` from
+    /// the start of generation 0 — or, when that is no longer retained,
+    /// from the newest snapshot.
     pub fn start(addr: &str, shared: Arc<SharedSession>) -> Result<Replica, String> {
         let mut channel = PullChannel::connect(addr)?;
-        let h = hello(&mut channel)?;
-        let mut core = ReplicaCore::new(Arc::clone(&shared), h.shards, h.start);
-        let state = Arc::new(ReplicaState {
-            epochs: core.epochs(),
-            ends: h.ends.iter().map(|&e| AtomicU64::new(e)).collect(),
-            applied: (0..h.shards).map(|_| AtomicU64::new(h.start)).collect(),
-            connected: AtomicBool::new(true),
-            fatal: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-        });
-        let thread_state = Arc::clone(&state);
+        channel.roundtrip(vec![("op", Json::str("repl"))])?;
+        let mut core = ReplicaCore::new(Arc::clone(&shared));
+        let state = Arc::clone(core.state());
+        state.connected.store(true, Ordering::SeqCst);
         let thread_addr = addr.to_string();
         let puller = std::thread::Builder::new()
             .name("algrec-replica-pull".into())
-            .spawn(move || pull_loop(&thread_addr, &mut core, &thread_state, Some(channel)))
+            .spawn(move || pull_loop(&thread_addr, &mut core, Some(channel)))
             .map_err(|e| format!("spawning puller: {e}"))?;
         Ok(Replica {
             shared,
@@ -420,12 +434,12 @@ impl Replica {
         })
     }
 
-    /// The session the puller applies commits to.
+    /// The session the puller applies records to.
     pub fn shared(&self) -> &Arc<SharedSession> {
         &self.shared
     }
 
-    /// The shared atomic state (epochs, lag, connectivity).
+    /// The shared atomic state (position, lag, connectivity).
     pub fn state(&self) -> &Arc<ReplicaState> {
         &self.state
     }
@@ -445,108 +459,45 @@ impl Drop for Replica {
     }
 }
 
-/// How long the puller sleeps when a sweep pulled nothing new.
+/// How long the puller sleeps when a pull brought nothing new.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 /// How long the puller waits before redialing a broken primary.
 const RECONNECT_DELAY: Duration = Duration::from_millis(100);
-/// Pull chunk budget per request.
-const PULL_MAX_BYTES: i64 = 256 * 1024;
 
-/// One pull sweep over every shard: fetch from the local cursor, feed
-/// the core, drain. Returns whether any frame bytes arrived.
-fn sweep(
-    channel: &mut PullChannel,
-    core: &mut ReplicaCore,
-    state: &ReplicaState,
-    fetched: &mut [u64],
-) -> Result<bool, String> {
-    let mut progress = false;
-    for (k, cursor) in fetched.iter_mut().enumerate() {
-        let reply = channel.roundtrip(vec![
-            ("op", Json::str("repl")),
-            ("shard", Json::Int(k as i64)),
-            ("offset", Json::Int(*cursor as i64)),
-            ("max", Json::Int(PULL_MAX_BYTES)),
-        ])?;
-        let frames = reply
-            .get("frames")
-            .and_then(Json::as_str)
-            .ok_or("pull reply missing frames")?;
-        let next = reply
-            .get("next")
-            .and_then(Json::as_int)
-            .ok_or("pull reply missing next")? as u64;
-        let end = reply
-            .get("end")
-            .and_then(Json::as_int)
-            .ok_or("pull reply missing end")? as u64;
-        state.ends[k].store(end, Ordering::SeqCst);
-        if !frames.is_empty() {
-            let bytes = from_hex(frames)?;
-            core.feed(k, &bytes, *cursor)?;
-            *cursor = next;
-            progress = true;
-        }
-    }
-    core.drain()?;
-    for k in 0..core.shards() {
-        state.applied[k].store(core.applied_offsets()[k], Ordering::SeqCst);
-    }
-    Ok(progress)
-}
-
-/// The puller thread body: pull/drain until stopped, reconnecting and
-/// resubscribing from the applied offsets whenever the primary drops.
-fn pull_loop(
-    addr: &str,
-    core: &mut ReplicaCore,
-    state: &ReplicaState,
-    mut channel: Option<PullChannel>,
-) {
+/// The puller thread body: pull until stopped, redialing and resuming
+/// from the applied offset whenever the connection or a pull fails.
+fn pull_loop(addr: &str, core: &mut ReplicaCore, mut channel: Option<PullChannel>) {
+    let state = Arc::clone(core.state());
     while !state.stop.load(Ordering::SeqCst) {
-        let mut live = match channel.take() {
-            Some(c) => c,
-            None => match PullChannel::connect(addr).and_then(|mut c| {
-                hello(&mut c)?;
-                Ok(c)
-            }) {
-                Ok(c) => c,
-                Err(_) => {
-                    state.connected.store(false, Ordering::SeqCst);
-                    std::thread::sleep(RECONNECT_DELAY);
-                    continue;
-                }
-            },
+        let mut live = match channel
+            .take()
+            .map_or_else(|| PullChannel::connect(addr), Ok)
+        {
+            Ok(c) => c,
+            Err(_) => {
+                state.connected.store(false, Ordering::SeqCst);
+                std::thread::sleep(RECONNECT_DELAY);
+                continue;
+            }
         };
         state.connected.store(true, Ordering::SeqCst);
-        // Resubscribe from the applied offsets: anything that was in
-        // flight when the last connection broke gets pulled again.
-        core.reset_pending();
-        let mut fetched: Vec<u64> = core.applied_offsets().to_vec();
         loop {
             if state.stop.load(Ordering::SeqCst) {
                 return;
             }
-            match sweep(&mut live, core, state, &mut fetched) {
+            match step(&mut live, core) {
                 Ok(true) => {}
                 Ok(false) => std::thread::sleep(IDLE_POLL),
                 Err(e) if e.starts_with("stale-offset") => {
-                    // The primary's logs no longer contain our prefix
-                    // (rebuilt from scratch). Irrecoverable without a
-                    // full resync; keep serving the applied state.
+                    // The primary no longer holds our prefix (rebuilt
+                    // from scratch): keep serving the applied state.
                     state.fatal.store(true, Ordering::SeqCst);
                     state.connected.store(false, Ordering::SeqCst);
                     return;
                 }
-                Err(e) if e.starts_with("io:") => {
-                    state.connected.store(false, Ordering::SeqCst);
-                    std::thread::sleep(RECONNECT_DELAY);
-                    break; // redial
-                }
                 Err(_) => {
-                    // Protocol-level failure (malformed reply, feed
-                    // gap): drop the connection and restart clean from
-                    // the applied offsets.
+                    // A broken connection, a malformed reply or a feed
+                    // gap: redial and resume from the applied offset.
                     state.connected.store(false, Ordering::SeqCst);
                     std::thread::sleep(RECONNECT_DELAY);
                     break;

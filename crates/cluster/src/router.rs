@@ -6,10 +6,10 @@
 //! [`is_read_op`]:
 //!
 //! * **writes** forward to the primary over a single pipelined channel;
-//!   after every acknowledged write the router re-pins its **epoch
-//!   vector** (one per-shard epoch) from the primary's `cluster-stats`,
-//!   while still holding the primary channel — no later write can slip
-//!   between the ack and the pin.
+//!   after every acknowledged write the router re-pins the primary's
+//!   **position** (WAL generation, records in its log) from the
+//!   primary's `cluster-stats`, while still holding the primary channel
+//!   — no later write can slip between the ack and the pin.
 //! * **reads** fan out round-robin across the replicas with the current
 //!   pin attached as `min_epochs`. A replica that has not applied the
 //!   pinned prefix answers `stale`; the router retries the others,
@@ -24,6 +24,7 @@
 //! adding a replica adds a parallel pipeline (experiment E13 measures
 //! this scaling).
 
+use crate::primary::Position;
 use crate::server::serve_loop;
 use algrec_serve::{error_reply_for, is_read_op, json, Handled, Json};
 use std::io::{BufRead, BufReader, Write};
@@ -106,31 +107,25 @@ impl Channel {
 }
 
 /// The router's shared state: one mutex-serialized channel per backend
-/// plus the current epoch-vector pin.
+/// plus the current position pin.
 struct Backends {
     primary: Mutex<Channel>,
     replicas: Vec<Mutex<Channel>>,
-    /// The epoch vector of the last acknowledged write (empty until the
-    /// first write or stats fetch).
-    pins: Mutex<Vec<u64>>,
+    /// The primary's position after the last acknowledged write (none
+    /// until the first write or stats fetch).
+    pin: Mutex<Option<Position>>,
     /// Round-robin cursor over the replicas.
     rr: AtomicUsize,
 }
 
-/// The `epochs` array of a `cluster-stats` reply, if present.
-fn epochs_of(reply: &Json) -> Option<Vec<u64>> {
-    match reply.get("epochs") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|v| v.as_int().map(|i| i.max(0) as u64))
-            .collect(),
-        _ => None,
-    }
+/// The position of a `cluster-stats` reply, if present.
+fn position_of(reply: &Json) -> Option<Position> {
+    reply.get("epochs").and_then(Position::from_json)
 }
 
 impl Backends {
-    /// Forward a write to the primary and, on success, re-pin the epoch
-    /// vector — under the same channel lock, so the pin can never
+    /// Forward a write to the primary and, on success, re-pin the
+    /// position — under the same channel lock, so the pin can never
     /// reflect a later write than the one acknowledged.
     fn write(&self, line: &str) -> Result<String, String> {
         let mut primary = self.primary.lock().map_err(|_| "router poisoned")?;
@@ -146,8 +141,8 @@ impl Backends {
                 ])
                 .to_string(),
             )?;
-            if let Some(epochs) = json::parse(&stats).ok().as_ref().and_then(epochs_of) {
-                *self.pins.lock().map_err(|_| "router poisoned")? = epochs;
+            if let Some(at) = json::parse(&stats).ok().as_ref().and_then(position_of) {
+                *self.pin.lock().map_err(|_| "router poisoned")? = Some(at);
             }
         }
         Ok(reply)
@@ -164,18 +159,14 @@ impl Backends {
                 .map_err(|_| "router poisoned")?
                 .roundtrip(line);
         }
-        let pins = self.pins.lock().map_err(|_| "router poisoned")?.clone();
-        let pinned = if pins.is_empty() {
-            line.to_string()
-        } else if let Json::Obj(map) = req {
-            let mut map = map.clone();
-            map.insert(
-                "min_epochs".to_string(),
-                Json::Arr(pins.iter().map(|&e| Json::Int(e as i64)).collect()),
-            );
-            Json::Obj(map).to_string()
-        } else {
-            line.to_string()
+        let pin = *self.pin.lock().map_err(|_| "router poisoned")?;
+        let pinned = match (pin, req) {
+            (Some(at), Json::Obj(map)) => {
+                let mut map = map.clone();
+                map.insert("min_epochs".to_string(), at.to_json());
+                Json::Obj(map).to_string()
+            }
+            _ => line.to_string(),
         };
         let deadline = Instant::now() + READ_DEADLINE;
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
@@ -233,8 +224,8 @@ impl Backends {
                 .unwrap_or(Json::Null)
         };
         let primary = fetch(&self.primary);
-        if let Some(epochs) = epochs_of(&primary) {
-            *self.pins.lock().map_err(|_| "router poisoned")? = epochs;
+        if let Some(at) = position_of(&primary) {
+            *self.pin.lock().map_err(|_| "router poisoned")? = Some(at);
         }
         let replicas: Vec<Json> = self.replicas.iter().map(fetch).collect();
         Ok(Json::obj([
@@ -258,7 +249,7 @@ pub fn serve_router(listener: TcpListener, config: RouterConfig) {
             .iter()
             .map(|a| Mutex::new(Channel::new(a)))
             .collect(),
-        pins: Mutex::new(Vec::new()),
+        pin: Mutex::new(None),
         rr: AtomicUsize::new(0),
     });
     serve_loop(listener, move |line| {

@@ -5,13 +5,15 @@
 //! the cluster extensions:
 //!
 //! * **primary** ([`serve_primary`]): adds `repl` (the replication
-//!   hello/pull handler backed by the [`ShardSet`] logs) and
-//!   `cluster-stats` (per-shard epochs, log ends, shipped bytes).
+//!   hello, log pulls and snapshot-image pulls, served from the store's
+//!   generation files by [`Primary`]) and `cluster-stats` (position,
+//!   shipped bytes).
 //! * **replica** ([`serve_replica`]): serves reads from its own
 //!   [`SharedSession`] snapshots; rejects writes with `read-only`;
-//!   honors the router's `min_epochs` pin by answering `stale` when it
-//!   has not yet applied the pinned prefix; reports lag and
-//!   connectivity in `cluster-stats`.
+//!   honors the router's `min_epochs` pin — a [`Position`] — by
+//!   answering `stale` when it has not yet applied the pinned prefix;
+//!   reports its position, lag, bootstraps and connectivity in
+//!   `cluster-stats`.
 //!
 //! The loops here are deliberately simpler than the single-node
 //! server's: blocking per-connection reader threads (exiting on EOF),
@@ -20,13 +22,12 @@
 //! long-lived connections, so the single-node drain-and-join shutdown
 //! would stall on them.
 
+use crate::primary::{Position, Primary, PullError, LOG_START};
 use crate::repl::{to_hex, ReplicaState};
-use crate::shard::ShardSet;
 use algrec_serve::{
     error_reply_for, handle_line, is_read_op, json, shutting_down_reply, Handled, Json,
     SharedSession,
 };
-use algrec_store::codec::HEADER_LEN;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -98,100 +99,103 @@ where
     }
 }
 
-/// An integer-array field of a stats reply.
-fn int_arr(values: impl IntoIterator<Item = u64>) -> Json {
-    Json::Arr(values.into_iter().map(|v| Json::Int(v as i64)).collect())
+/// A non-negative integer field of a `repl` request: `Ok(None)` when
+/// absent, an error when present but not a count.
+fn count_field(req: &Json, name: &str) -> Result<Option<u64>, PullError> {
+    req.get(name)
+        .map(|v| {
+            v.as_int()
+                .and_then(|n| u64::try_from(n).ok())
+                .ok_or_else(|| PullError {
+                    code: "bad-request",
+                    message: format!("{name} must be a non-negative integer"),
+                })
+        })
+        .transpose()
 }
 
-/// Answer one `repl` request against the shard logs: without a `shard`
-/// field it is the subscription hello (shard count and log geometry);
-/// with one it pulls raw frames from the given offset.
-fn serve_repl(line: &str, req: &Json, shards: &ShardSet) -> String {
-    let id = req.get("id").cloned().unwrap_or(Json::Null);
-    let Some(k) = req.get("shard").and_then(Json::as_int) else {
-        return Json::obj([
-            ("id", id),
-            ("ok", Json::Bool(true)),
-            ("role", Json::str("primary")),
-            ("shards", Json::Int(shards.len() as i64)),
-            ("start", Json::Int(HEADER_LEN as i64)),
-            ("ends", int_arr(shards.offsets())),
-            ("epochs", int_arr(shards.epochs())),
-        ])
-        .to_string();
-    };
-    if k < 0 {
-        return error_reply_for(line, "bad-request", "negative shard index");
-    }
-    let offset = req
-        .get("offset")
-        .and_then(Json::as_int)
-        .map_or(HEADER_LEN, |o| o.max(0) as usize);
-    let max = req
-        .get("max")
-        .and_then(Json::as_int)
-        .map_or(PULL_DEFAULT_BYTES, |m| {
-            (m.max(1) as usize).min(PULL_CAP_BYTES)
-        });
-    match shards.pull(k as usize, offset, max) {
-        Ok((chunk, next, end)) => Json::obj([
-            ("id", id),
-            ("ok", Json::Bool(true)),
-            ("shard", Json::Int(k)),
+/// Answer one `repl` request: without `gen` or `snapshot` it is the
+/// subscription hello (position and newest snapshot generation); with
+/// `gen` it pulls raw frames of that generation's log from `offset`;
+/// with `snapshot` it pulls a chunk of that snapshot image.
+fn serve_repl(req: &Json, primary: &Primary) -> Result<Vec<(&'static str, Json)>, PullError> {
+    let offset = count_field(req, "offset")?;
+    let max = count_field(req, "max")?.map_or(PULL_DEFAULT_BYTES, |m| {
+        (m.max(1) as usize).min(PULL_CAP_BYTES)
+    });
+    if let Some(gen) = count_field(req, "gen")? {
+        let offset = offset.unwrap_or(LOG_START) as usize;
+        let chunk = primary.pull_log(gen, offset, max)?;
+        return Ok(vec![
+            ("gen", Json::Int(gen as i64)),
             ("from", Json::Int(offset as i64)),
-            ("next", Json::Int(next as i64)),
-            ("end", Json::Int(end as i64)),
-            ("frames", Json::str(to_hex(&chunk))),
-        ])
-        .to_string(),
-        Err(e) => error_reply_for(line, e.code, &e.message),
+            ("next", Json::Int(chunk.next as i64)),
+            ("end", Json::Int(chunk.end as i64)),
+            ("sealed", Json::Bool(chunk.sealed)),
+            ("frames", Json::str(to_hex(&chunk.frames))),
+        ]);
     }
+    if let Some(gen) = count_field(req, "snapshot")? {
+        let offset = offset.unwrap_or(0);
+        let chunk = primary.pull_snapshot(gen, offset, max)?;
+        return Ok(vec![
+            ("snapshot", Json::Int(gen as i64)),
+            ("from", Json::Int(offset as i64)),
+            ("size", Json::Int(chunk.size as i64)),
+            ("bytes", Json::str(to_hex(&chunk.bytes))),
+        ]);
+    }
+    Ok(vec![
+        ("role", Json::str("primary")),
+        ("epochs", primary.position().to_json()),
+        (
+            "snapshot",
+            primary
+                .newest_snapshot()?
+                .map_or(Json::Null, |g| Json::Int(g as i64)),
+        ),
+    ])
 }
 
-/// Serve a sharded primary on `listener` until a `shutdown` request:
-/// the full single-node protocol via `shared`, plus `repl` and
-/// `cluster-stats` backed by the shard logs.
-pub fn serve_primary(listener: TcpListener, shared: Arc<SharedSession>, shards: Arc<ShardSet>) {
+/// An `ok` reply to `req` carrying `body`'s fields.
+fn ok_reply(req: &Json, body: Vec<(&'static str, Json)>) -> String {
+    let id = req.get("id").cloned().unwrap_or(Json::Null);
+    Json::obj(
+        [("id", id), ("ok", Json::Bool(true))]
+            .into_iter()
+            .chain(body),
+    )
+    .to_string()
+}
+
+/// Serve a primary on `listener` until a `shutdown` request: the full
+/// single-node protocol via `shared`, plus `repl` and `cluster-stats`
+/// backed by the store's generation files.
+pub fn serve_primary(listener: TcpListener, shared: Arc<SharedSession>, primary: Arc<Primary>) {
     serve_loop(listener, move |line| {
         let Ok(req) = json::parse(line) else {
             return handle_line(&shared, line); // uniform bad-request reply
         };
         match req.get("op").and_then(Json::as_str) {
-            Some("repl") => Handled::Reply(serve_repl(line, &req, &shards)),
-            Some("cluster-stats") => Handled::Reply(
-                Json::obj([
-                    ("id", req.get("id").cloned().unwrap_or(Json::Null)),
-                    ("ok", Json::Bool(true)),
+            Some("repl") => Handled::Reply(match serve_repl(&req, &primary) {
+                Ok(body) => ok_reply(&req, body),
+                Err(e) => error_reply_for(line, e.code, &e.message),
+            }),
+            Some("cluster-stats") => Handled::Reply(ok_reply(
+                &req,
+                vec![
                     ("role", Json::str("primary")),
-                    ("shards", Json::Int(shards.len() as i64)),
-                    ("epochs", int_arr(shards.epochs())),
-                    ("ends", int_arr(shards.offsets())),
-                    ("shipped_bytes", Json::Int(shards.shipped_bytes() as i64)),
-                ])
-                .to_string(),
-            ),
+                    ("epochs", primary.position().to_json()),
+                    ("shipped_bytes", Json::Int(primary.shipped_bytes() as i64)),
+                ],
+            )),
             _ => handle_line(&shared, line),
         }
     });
 }
 
-/// True when the replica has applied at least the `min_epochs` vector
-/// pinned in `req` (absent pin ⇒ trivially satisfied).
-fn satisfies_pin(req: &Json, state: &ReplicaState) -> bool {
-    let Some(Json::Arr(wants)) = req.get("min_epochs") else {
-        return true;
-    };
-    wants.iter().enumerate().all(|(k, want)| {
-        let want = want.as_int().unwrap_or(0).max(0) as u64;
-        state
-            .epochs
-            .get(k)
-            .is_some_and(|have| have.load(Ordering::SeqCst) >= want)
-    })
-}
-
 /// Serve a replica on `listener` until a `shutdown` request: reads
-/// (epoch-gated by `min_epochs`) from the replica's own snapshots,
+/// (position-gated by `min_epochs`) from the replica's own snapshots,
 /// `read-only` rejections for writes, and replica-side `cluster-stats`.
 pub fn serve_replica(listener: TcpListener, shared: Arc<SharedSession>, state: Arc<ReplicaState>) {
     serve_loop(listener, move |line| {
@@ -200,38 +204,43 @@ pub fn serve_replica(listener: TcpListener, shared: Arc<SharedSession>, state: A
         };
         let op = req.get("op").and_then(Json::as_str).unwrap_or_default();
         match op {
-            "cluster-stats" => Handled::Reply(
-                Json::obj([
-                    ("id", req.get("id").cloned().unwrap_or(Json::Null)),
-                    ("ok", Json::Bool(true)),
+            "cluster-stats" => Handled::Reply(ok_reply(
+                &req,
+                vec![
                     ("role", Json::str("replica")),
-                    ("shards", Json::Int(state.epochs.len() as i64)),
-                    ("epochs", int_arr(state.epoch_vector())),
-                    ("lag", int_arr(state.lag_bytes())),
+                    ("epochs", state.position().to_json()),
+                    ("lag", Json::Int(state.lag_bytes() as i64)),
+                    (
+                        "bootstraps",
+                        Json::Int(state.bootstraps.load(Ordering::SeqCst) as i64),
+                    ),
                     (
                         "connected",
                         Json::Bool(state.connected.load(Ordering::SeqCst)),
                     ),
                     ("fatal", Json::Bool(state.fatal.load(Ordering::SeqCst))),
-                ])
-                .to_string(),
-            ),
+                ],
+            )),
             "repl" => Handled::Reply(error_reply_for(
                 line,
                 "not-primary",
                 "replicas do not serve replication pulls",
             )),
-            op if is_read_op(op) => {
-                if satisfies_pin(&req, &state) {
-                    handle_line(&shared, line)
-                } else {
-                    Handled::Reply(error_reply_for(
-                        line,
-                        "stale",
-                        "replica has not applied the pinned min_epochs yet",
-                    ))
-                }
-            }
+            op if is_read_op(op) => match req.get("min_epochs").map(Position::from_json) {
+                None => handle_line(&shared, line),
+                Some(Some(pin)) if state.position() >= pin => handle_line(&shared, line),
+                Some(Some(_)) => Handled::Reply(error_reply_for(
+                    line,
+                    "stale",
+                    "replica has not applied the pinned min_epochs yet",
+                )),
+                Some(None) => Handled::Reply(error_reply_for(
+                    line,
+                    "bad-request",
+                    "min_epochs must be a position [generation, records] of two \
+                     non-negative integers",
+                )),
+            },
             _ => Handled::Reply(error_reply_for(
                 line,
                 "read-only",

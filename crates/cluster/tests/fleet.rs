@@ -1,28 +1,27 @@
-//! An in-process fleet, end to end over real TCP: a sharded primary,
-//! replicas, and a router — exercising replication catch-up,
-//! epoch-gated reads, write rejection, router consistency, replica
-//! failover, a late-joining replica converging byte-identically
-//! (modulo epoch tags) with the primary, and a recorded scenario
-//! replayed through the router against its recording.
-//!
-//! No process-global knobs are touched here, so this file may grow more
-//! tests; the single-test discipline only applies to knob-mutating
-//! binaries like `shard_differential`.
+//! An in-process fleet, end to end over real TCP: a primary, replicas,
+//! and a router — exercising replication catch-up, position-gated reads,
+//! write rejection, router consistency, replica failover, a
+//! late-joining replica converging byte-identically (modulo epoch tags)
+//! with the primary, replicas crossing the primary's compacting
+//! generations, and a recorded scenario replayed through the router
+//! against its recording.
 
 use algrec_cluster::{
-    open_primary, serve_primary, serve_replica, serve_router, Replica, RouterConfig,
+    catch_up, open_primary, serve_primary, serve_replica, serve_router, Position, Replica,
+    ReplicaCore, RouterConfig,
 };
 use algrec_datalog::Semantics;
 use algrec_scenario::replay::setup_session;
 use algrec_scenario::{
     diff_modulo_epoch, load_scenario, replay, strip_epoch, ReplayOptions, TcpConnector,
 };
-use algrec_serve::{Session, SharedSession};
-use algrec_store::SyncPolicy;
-use algrec_value::Budget;
+use algrec_serve::{QueryAnswer, Session, SharedSession};
+use algrec_store::{StoreOptions, SyncPolicy};
+use algrec_value::{Budget, Trace};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,39 +73,42 @@ struct Fleet {
     threads: Vec<JoinHandle<()>>,
 }
 
-/// Stand up a primary (2 shards, seeded with a graph and a view) plus
-/// `n` replicas, all caught up.
+const TC: &str = "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).";
+
+/// Stand up a primary (seeded with a graph and a view) plus `n`
+/// replicas, all caught up.
 fn fleet(tag: &str, n: usize) -> Fleet {
     fleet_seeded(tag, n, |session| {
         session
             .load("e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 1). e(2, 5).")
             .unwrap();
         session
-            .register_datalog(
-                "closure",
-                "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).",
-                Semantics::SemiNaive,
-            )
+            .register_datalog("closure", TC, Semantics::SemiNaive)
             .unwrap();
     })
 }
 
-/// Stand up a primary (2 shards) seeded through its durability hook by
-/// `seed`, so the seed replicates, plus `n` replicas, all caught up.
-fn fleet_seeded(tag: &str, n: usize, seed: impl FnOnce(&mut Session)) -> Fleet {
+fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("algrec-fleet-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (mut session, _, shards) =
-        open_primary(&dir, 2, Budget::LARGE, SyncPolicy::Always).unwrap();
+    dir
+}
+
+/// Stand up a primary seeded through its durability hook by `seed`, so
+/// the seed replicates, plus `n` replicas, all caught up.
+fn fleet_seeded(tag: &str, n: usize, seed: impl FnOnce(&mut Session)) -> Fleet {
+    let dir = scratch(tag);
+    let (mut session, _, primary) =
+        open_primary(&dir, Budget::LARGE, StoreOptions::default()).unwrap();
     seed(&mut session);
     let shared = Arc::new(SharedSession::new(session));
     let (listener, primary_addr) = listen();
     let mut threads = Vec::new();
     {
         let shared = Arc::clone(&shared);
-        let shards = Arc::clone(&shards);
+        let primary = Arc::clone(&primary);
         threads.push(std::thread::spawn(move || {
-            serve_primary(listener, shared, shards)
+            serve_primary(listener, shared, primary)
         }));
     }
     let mut replicas = Vec::new();
@@ -117,9 +119,9 @@ fn fleet_seeded(tag: &str, n: usize, seed: impl FnOnce(&mut Session)) -> Fleet {
         replica_addrs.push(addr);
         threads.push(thread);
     }
-    let target = shards.epochs();
+    let target = primary.position();
     for replica in &replicas {
-        await_catch_up(replica, &target);
+        await_catch_up(replica, target);
     }
     Fleet {
         dir,
@@ -139,11 +141,11 @@ fn join_replica(primary_addr: &str) -> (Replica, String, JoinHandle<()>) {
     (replica, addr, thread)
 }
 
-fn await_catch_up(replica: &Replica, target: &[u64]) {
+fn await_catch_up(replica: &Replica, target: Position) {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let have = replica.state().epoch_vector();
-        if have.iter().zip(target).all(|(h, t)| h >= t) {
+        let have = replica.state().position();
+        if have >= target {
             return;
         }
         assert!(
@@ -211,14 +213,40 @@ fn replicas_answer_like_the_primary_and_enforce_their_role() {
     // Stats shapes for both roles.
     let reply = primary.roundtrip("{\"id\":34,\"op\":\"cluster-stats\"}");
     assert!(
-        reply.contains("\"role\":\"primary\"") && reply.contains("\"shards\":2"),
+        reply.contains("\"role\":\"primary\"") && reply.contains("\"epochs\":[0,2]"),
         "{reply}"
     );
     let reply = replica.roundtrip("{\"id\":35,\"op\":\"cluster-stats\"}");
     assert!(
-        reply.contains("\"role\":\"replica\"") && reply.contains("\"connected\":true"),
+        reply.contains("\"role\":\"replica\"")
+            && reply.contains("\"connected\":true")
+            && reply.contains("\"epochs\":[0,2]")
+            && reply.contains("\"bootstraps\":0"),
         "{reply}"
     );
+    fleet.teardown(&[]);
+}
+
+/// A pin that is not a position — a non-integer, a negative count, the
+/// wrong length, not an array — is a bad request, never a satisfied pin.
+#[test]
+fn a_malformed_pin_is_a_bad_request() {
+    let fleet = fleet("pins", 1);
+    let mut replica = Client::connect(&fleet.replica_addrs[0]);
+    for pin in [
+        "[\"x\"]",
+        "[\"x\",0]",
+        "[0,-1]",
+        "[0]",
+        "[0,0,0]",
+        "[]",
+        "0",
+        "null",
+    ] {
+        let line = format!("{{\"id\":36,\"min_epochs\":{pin},\"op\":\"db\"}}");
+        let reply = replica.roundtrip(&line);
+        assert!(reply.contains("\"code\":\"bad-request\""), "{pin}: {reply}");
+    }
     fleet.teardown(&[]);
 }
 
@@ -263,16 +291,9 @@ fn router_survives_a_dead_replica_and_late_joiners_converge() {
     let probe = Client::connect(&addr); // hold the server loop open
     drop(probe);
     let reply = primary.roundtrip("{\"id\":61,\"op\":\"repl\"}");
-    let epochs: Vec<u64> = {
-        let tail = reply.split("\"epochs\":[").nth(1).unwrap();
-        tail.split(']')
-            .next()
-            .unwrap()
-            .split(',')
-            .map(|s| s.parse().unwrap())
-            .collect()
-    };
-    await_catch_up(&replica, &epochs);
+    let reply = algrec_serve::json::parse(&reply).unwrap();
+    let at = Position::from_json(reply.get("epochs").unwrap()).unwrap();
+    await_catch_up(&replica, at);
     let mut late = Client::connect(&addr);
     for read in READS {
         assert_eq!(
@@ -324,4 +345,109 @@ fn scenario_replays_through_the_router_like_its_recording() {
     shutdown(&router_addr);
     router_thread.join().unwrap();
     fleet.teardown(&[]);
+}
+
+/// Everything observable about a session, for equality checks.
+fn observe(session: &mut Session) -> (Vec<(String, usize)>, Vec<String>, Vec<QueryAnswer>) {
+    let views: Vec<String> = session
+        .view_names()
+        .iter()
+        .map(|(name, ..)| name.clone())
+        .collect();
+    let answers = views
+        .iter()
+        .map(|name| session.query(name, None).unwrap())
+        .collect();
+    (session.db_summary(), views, answers)
+}
+
+/// How many files in `dir` have a name starting with `prefix`.
+fn count_files(dir: &Path, prefix: &str) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|entry| {
+            entry
+                .as_ref()
+                .unwrap()
+                .file_name()
+                .to_string_lossy()
+                .starts_with(prefix)
+        })
+        .count()
+}
+
+/// A primary snapshotting every two records keeps at most two log and
+/// two snapshot generations however long it runs, and reopens by
+/// replaying at most one cadence of records. A replica that lags across
+/// a compaction re-bootstraps from the newest snapshot; one that stays a
+/// generation behind crosses every seal without a bootstrap. Both
+/// converge to the primary.
+#[test]
+fn a_compacting_primary_stays_bounded_and_replicas_cross_its_generations() {
+    let dir = scratch("compaction");
+    let options = StoreOptions {
+        sync: SyncPolicy::Always,
+        snapshot_every: Some(2),
+    };
+    let (mut session, _, primary) = open_primary(&dir, Budget::LARGE, options).unwrap();
+    session
+        .register_datalog("closure", TC, Semantics::SemiNaive)
+        .unwrap();
+    let shared = Arc::new(SharedSession::new(session));
+    let (listener, addr) = listen();
+    let server = {
+        let shared = Arc::clone(&shared);
+        let primary = Arc::clone(&primary);
+        std::thread::spawn(move || serve_primary(listener, shared, primary))
+    };
+    let replica_core =
+        || ReplicaCore::new(Arc::new(SharedSession::new(Session::new(Budget::LARGE))));
+    let mut lagging = replica_core();
+    let mut following = replica_core();
+    catch_up(&addr, &mut lagging).unwrap();
+    catch_up(&addr, &mut following).unwrap();
+    assert_eq!(lagging.position(), primary.position());
+
+    let mut client = Client::connect(&addr);
+    for cycle in 0..12 {
+        // Two commits: one generation at this cadence.
+        for k in 0..2 {
+            let line = format!(
+                "{{\"fact\":\"e({cycle}, {})\",\"id\":{k},\"op\":\"assert\"}}",
+                cycle + k + 1
+            );
+            let reply = client.roundtrip(&line);
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+        }
+        let before = following.position();
+        catch_up(&addr, &mut following).unwrap();
+        assert_eq!(following.position(), primary.position());
+        assert_eq!(following.position().gen, before.gen + 1, "one seal crossed");
+        assert!(count_files(&dir, "wal-") <= 2, "cycle {cycle}");
+        assert!(count_files(&dir, "snapshot-") <= 2, "cycle {cycle}");
+    }
+    assert!(primary.position().gen >= 12);
+
+    // The lagging replica's generation 0 is long compacted.
+    catch_up(&addr, &mut lagging).unwrap();
+    assert_eq!(lagging.position(), primary.position());
+    assert_eq!(lagging.state().bootstraps.load(Ordering::SeqCst), 1);
+    assert_eq!(following.state().bootstraps.load(Ordering::SeqCst), 0);
+    let ((expected, _), _) = shared
+        .with_writer(|session| (observe(session), ()))
+        .unwrap();
+    for core in [&lagging, &following] {
+        let (have, _) = core.shared().with_writer(observe).unwrap();
+        assert_eq!(have, expected);
+    }
+
+    shutdown(&addr);
+    server.join().unwrap();
+    drop(client);
+    drop(shared);
+    let (mut reopened, report) =
+        algrec_store::open(&dir, Budget::LARGE, options, Trace::Null).unwrap();
+    assert!(report.replayed <= 2, "{report:?}");
+    assert_eq!(observe(&mut reopened), expected);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

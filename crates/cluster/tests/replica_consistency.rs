@@ -1,33 +1,32 @@
 //! The replication invariant, property-tested: **a replica's state is
-//! always the cold evaluation of its epoch vector.** However the
-//! per-shard frame streams are interleaved, however often the
-//! connection drops mid-stream (simulated by `reset_pending` plus
-//! re-feeding from the applied offsets, exactly what the TCP puller
-//! does), the replica session must be indistinguishable from a fresh
-//! session that replayed the first `epochs[k]` records of each shard
-//! log in global commit order ([`rebuild_at`]).
+//! always the cold evaluation of its position.** However the primary's
+//! log generations are chunked into pulls, however often a pull is
+//! retried (re-feeding frames already applied, exactly what the TCP
+//! puller does after a dropped connection), and whether the replica
+//! starts from generation 0 or bootstraps from a snapshot because
+//! compaction took the older logs, the replica session must be
+//! indistinguishable from a fresh session that loaded snapshot `gen` and
+//! folded the first `records` records of its log ([`rebuild_at`]).
 //!
-//! The workload mixes multi-shard fact batches, single-shard asserts,
-//! retracts, and view registrations, so commits of every part-count
-//! and kind cross the stream.
+//! The workload mixes fact batches, single asserts, retracts, and view
+//! registrations, and the primary snapshots every few records, so
+//! records of every kind cross seals and compactions.
 
-use algrec_cluster::{open_primary, rebuild_at, ReplicaCore};
+use algrec_cluster::{open_primary, rebuild_at, Position, ReplicaCore};
 use algrec_datalog::Semantics;
 use algrec_serve::{QueryAnswer, Session, SharedSession};
 use algrec_store::codec::HEADER_LEN;
-use algrec_store::{read_from, SyncPolicy};
+use algrec_store::snapshot::{snapshot_path, wal_generations, wal_path};
+use algrec_store::{read_from, StoreOptions, SyncPolicy};
 use algrec_value::Budget;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-const SHARDS: usize = 3;
 
 /// One primary-side operation.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Assert a batch of edges (one commit, possibly multi-part).
+    /// Assert a batch of edges (one record).
     Batch(Vec<(i64, i64)>),
     /// Retract one edge (no-ops if absent — then nothing is logged).
     Retract(i64, i64),
@@ -37,7 +36,7 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // The vendored proptest's `prop_oneof` is unweighted; repeating the
-    // batch arm biases the mix toward multi-part delta commits.
+    // batch arm biases the mix toward delta records.
     prop_oneof![
         proptest::collection::vec((0i64..12, 0i64..12), 1..6).prop_map(Op::Batch),
         proptest::collection::vec((0i64..12, 0i64..12), 1..6).prop_map(Op::Batch),
@@ -46,9 +45,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Drive the ops through a sharded primary, leaving its logs on disk.
-fn build_primary(dir: &Path, ops: &[Op]) {
-    let (mut session, _, _) = open_primary(dir, SHARDS, Budget::LARGE, SyncPolicy::Always).unwrap();
+/// Drive the ops through a primary snapshotting every `cadence` records,
+/// leaving its retained generations on disk. Returns its final position.
+fn build_primary(dir: &Path, ops: &[Op], cadence: usize) -> Position {
+    let options = StoreOptions {
+        sync: SyncPolicy::Always,
+        snapshot_every: Some(cadence),
+    };
+    let (mut session, _, primary) = open_primary(dir, Budget::LARGE, options).unwrap();
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Batch(edges) => {
@@ -72,6 +76,7 @@ fn build_primary(dir: &Path, ops: &[Op]) {
             }
         }
     }
+    primary.position()
 }
 
 /// Everything observable about a session, for equality checks.
@@ -88,111 +93,96 @@ fn observe(session: &mut Session) -> (Vec<(String, usize)>, Vec<String>, Vec<Que
     (session.db_summary(), views, answers)
 }
 
+/// The replica must equal the cold rebuild of exactly its position.
+fn check(dir: &Path, core: &ReplicaCore) -> Result<(), TestCaseError> {
+    let at = core.position();
+    let mut cold = rebuild_at(dir, at, Budget::LARGE).unwrap();
+    let expected = observe(&mut cold);
+    let (check, _) = core
+        .shared()
+        .with_writer(|live| -> Result<(), TestCaseError> {
+            prop_assert_eq!(&observe(live), &expected, "at {:?}", at);
+            Ok(())
+        })
+        .unwrap();
+    check
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn replica_state_is_always_the_cold_eval_of_its_epoch_vector(
+    fn replica_state_is_always_the_cold_eval_of_its_position(
         ops in proptest::collection::vec(op_strategy(), 4..14),
-        schedule in proptest::collection::vec((0usize..SHARDS, 1usize..4, 0u8..10), 20..60),
+        cadence in 2usize..5,
+        schedule in proptest::collection::vec((1usize..4, 0u8..10), 1..30),
     ) {
         let dir: PathBuf = std::env::temp_dir().join(format!(
             "algrec-repl-consistency-{}-{:x}",
             std::process::id(),
-            ops.len() * 1000 + schedule.len()
+            ops.len() * 1000 + cadence * 100 + schedule.len()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        build_primary(&dir, &ops);
+        let last = build_primary(&dir, &ops, cadence);
 
-        // Snapshot the shard logs and their frame boundaries.
-        let logs: Vec<Vec<u8>> = (0..SHARDS)
-            .map(|k| std::fs::read(dir.join(format!("shard-{k}.wal"))).unwrap())
-            .collect();
-        let boundaries: Vec<Vec<usize>> = logs
-            .iter()
-            .map(|bytes| {
-                let segment = read_from(bytes, HEADER_LEN).unwrap();
-                segment.frames.iter().map(|f| f.end).collect()
-            })
-            .collect();
-
+        // The replica starts where the oldest retained log starts: at
+        // generation 0 from an empty session, or from that generation's
+        // snapshot once compaction has taken generation 0.
+        let gens = wal_generations(&dir).unwrap();
+        prop_assert!(gens.len() <= 2, "retained logs {:?}", gens);
         let shared = Arc::new(SharedSession::new(Session::new(Budget::LARGE)));
-        let mut core = ReplicaCore::new(Arc::clone(&shared), SHARDS, HEADER_LEN as u64);
-        // Per-shard cursor: the next frame index to feed.
-        let mut cursor = [0usize; SHARDS];
+        let mut core = ReplicaCore::new(shared);
+        if gens[0] > 0 {
+            let image = std::fs::read(snapshot_path(&dir, gens[0])).unwrap();
+            core.bootstrap(gens[0], &image).unwrap();
+            check(&dir, &core)?;
+        }
 
-        let mut checkpoints = 0;
-        for &(shard, frames, coin) in &schedule {
-            if coin == 0 {
-                // Connection drop: everything queued is lost and the
-                // puller re-feeds from the applied offsets.
-                core.reset_pending();
-                for k in 0..SHARDS {
-                    let applied = core.applied_offsets()[k] as usize;
-                    cursor[k] = boundaries[k].iter().filter(|&&end| end <= applied).count();
-                }
-                continue;
-            }
-            let from = cursor[shard];
-            let to = (from + frames).min(boundaries[shard].len());
-            if from == to {
-                continue;
-            }
-            let start = if from == 0 { HEADER_LEN } else { boundaries[shard][from - 1] };
-            let end = boundaries[shard][to - 1];
-            core.feed(shard, &logs[shard][start..end], start as u64).unwrap();
-            cursor[shard] = to;
-            core.drain().unwrap();
-
-            if coin >= 7 {
-                // Checkpoint: the replica must equal the cold rebuild
-                // of exactly its epoch vector.
-                checkpoints += 1;
-                let epochs: Vec<u64> = core
-                    .epochs()
-                    .iter()
-                    .map(|e| e.load(Ordering::SeqCst))
-                    .collect();
-                let mut cold = rebuild_at(&dir, &epochs, Budget::LARGE).unwrap();
-                let expected = observe(&mut cold);
-                let (check, _) = shared
-                    .with_writer(|live| -> Result<(), TestCaseError> {
-                        prop_assert_eq!(&observe(live), &expected, "at epochs {:?}", &epochs);
-                        Ok(())
-                    })
+        let mut steps = schedule.iter().cycle();
+        for (i, &gen) in gens.iter().enumerate() {
+            prop_assert_eq!(core.position(), Position { gen, records: 0 });
+            let log = std::fs::read(wal_path(&dir, gen)).unwrap();
+            let ends: Vec<usize> = read_from(&log, HEADER_LEN)
+                .unwrap()
+                .frames
+                .iter()
+                .map(|f| f.end)
+                .collect();
+            let start_of = |frame: usize| if frame == 0 { HEADER_LEN } else { ends[frame - 1] };
+            // Frames applied so far.
+            let mut fed = 0usize;
+            while fed < ends.len() {
+                let &(frames, coin) = steps.next().unwrap();
+                // Coin 0: a retried pull, starting a frame before the
+                // applied offset; the overlap must be skipped.
+                let from = if coin == 0 { fed.saturating_sub(1) } else { fed };
+                let to = (fed + frames).min(ends.len());
+                let applied = core
+                    .feed(&log[start_of(from)..ends[to - 1]], start_of(from) as u64)
                     .unwrap();
-                check?;
+                prop_assert_eq!(applied, to - fed);
+                fed = to;
+                prop_assert_eq!(core.position(), Position { gen, records: fed as u64 });
+                if coin >= 7 {
+                    check(&dir, &core)?;
+                }
+            }
+            if i + 1 < gens.len() {
+                // The log is sealed: the next generation's snapshot is
+                // exactly the state at its end.
+                core.seal();
+                check(&dir, &core)?;
             }
         }
 
-        // Feed everything that remains and compare the final states.
-        for shard in 0..SHARDS {
-            let from = cursor[shard];
-            let total = boundaries[shard].len();
-            if from < total {
-                let start = if from == 0 { HEADER_LEN } else { boundaries[shard][from - 1] };
-                let end = boundaries[shard][total - 1];
-                core.feed(shard, &logs[shard][start..end], start as u64).unwrap();
-            }
-        }
-        core.drain().unwrap();
-        let epochs: Vec<u64> = core.epochs().iter().map(|e| e.load(Ordering::SeqCst)).collect();
-        let frame_counts: Vec<u64> = boundaries.iter().map(|b| b.len() as u64).collect();
-        prop_assert_eq!(&epochs, &frame_counts, "every logged record applied");
-        let mut cold = rebuild_at(&dir, &epochs, Budget::LARGE).unwrap();
-        let expected = observe(&mut cold);
-        let (check, _) = shared
-            .with_writer(|live| -> Result<(), TestCaseError> {
-                prop_assert_eq!(&observe(live), &expected);
-                Ok(())
-            })
-            .unwrap();
-        check?;
-        // At full epochs the cold rebuild is the primary's own recovery.
+        prop_assert_eq!(core.position(), last, "every retained record applied");
+        check(&dir, &core)?;
+        // At the final position the cold rebuild is the primary's own
+        // recovery.
         let (mut recovered, _, _) =
-            open_primary(&dir, SHARDS, Budget::LARGE, SyncPolicy::Always).unwrap();
-        prop_assert_eq!(&observe(&mut recovered), &expected);
-        let _ = checkpoints; // how many mid-stream comparisons ran
+            open_primary(&dir, Budget::LARGE, StoreOptions::default()).unwrap();
+        let (live, _) = core.shared().with_writer(observe).unwrap();
+        prop_assert_eq!(observe(&mut recovered), live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

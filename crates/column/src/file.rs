@@ -54,7 +54,7 @@ pub struct RunMeta {
     /// Rows in the run.
     pub rows: usize,
     /// The segment's tombstone flag: its rows are deletions. A format
-    /// bit; snapshots and checkpoints hold live rows only and write 0.
+    /// bit; snapshots hold live rows only and write 0.
     pub tombstone: bool,
     /// The caller-defined tag.
     pub tag: u32,

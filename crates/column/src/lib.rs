@@ -10,8 +10,7 @@
 //! [`file`](mod@file) gives runs a durable form: a self-delimiting segment with a
 //! CRC-32 footer per run, so a reader can *validate* a stored run
 //! (checksum walk) without materializing a single row — the cheap
-//! integrity gate the store's columnar snapshots and the cluster's shard
-//! checkpoints are built on.
+//! integrity gate the store's columnar snapshots are built on.
 //!
 //! That file format is the crate's whole job: DESIGN.md §18 records why
 //! runs are not what the executor, the algebra's set difference or the

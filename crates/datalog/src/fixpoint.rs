@@ -97,19 +97,6 @@ fn partition_facts(facts: &Interp, n: usize) -> Vec<Interp> {
     parts
 }
 
-/// A fact's owning shard by its *first column* — the cluster's EDB
-/// partitioning function, which routes facts to the shard logs on disk.
-/// All facts about one entity co-locate regardless of predicate
-/// (zero-arity facts hash their predicate name).
-pub fn shard_of_fact(pred: &str, args: &[Value], n: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    match args.first() {
-        Some(first) => first.hash(&mut h),
-        None => pred.hash(&mut h),
-    }
-    (h.finish() % n as u64) as usize
-}
-
 /// One parallel worker's result: per-rule candidate buffers, plus the
 /// worker's collected telemetry when the round is traced.
 type WorkerOut = Result<(Vec<Interp>, Option<EvalStats>), EvalError>;

@@ -1,10 +1,10 @@
 //! Columnar snapshots: relations persisted as sorted immutable run
 //! segments over a shared value dictionary.
 //!
-//! This is the one image [`crate::snapshot::write_snapshot`] and the
-//! cluster's checkpoints write; the row codec in [`crate::snapshot`]
-//! stays as the reader for stores written before it and as the
-//! reference the tests below compare against. A columnar snapshot
+//! This is the one image [`crate::snapshot::write_snapshot`] writes and
+//! the one a fleet replica bootstraps from; the row codec in
+//! [`crate::snapshot`] stays as the reader for stores written before it
+//! and as the reference the tests below compare against. A columnar snapshot
 //! ([`FileKind::ColumnSnapshot`]) replaces the row-encoded database
 //! image with three regions:
 //!

@@ -29,7 +29,7 @@ pub mod wal;
 
 pub use colsnap::ColumnSnapshotMeta;
 pub use recover::{recover, verify_against_cold, RecoveryReport};
-pub use wal::{read_frames, read_from, LogFile, SyncPolicy, Wal, WalFrame, WalRecord, WalSegment};
+pub use wal::{read_from, LogFile, SyncPolicy, Wal, WalFrame, WalRecord, WalSegment};
 
 use crate::codec::CodecError;
 use crate::snapshot::{compact, wal_path, write_snapshot, SnapshotState};
@@ -59,6 +59,15 @@ pub enum StoreError {
         /// What was wrong with it.
         error: String,
     },
+    /// The directory holds files of the retired sharded fleet layout —
+    /// per-shard `shard-*.wal` logs or a `checkpoint.ck` — which this
+    /// store does not read.
+    Legacy {
+        /// The data directory.
+        dir: PathBuf,
+        /// The retired files found, by name.
+        files: Vec<String>,
+    },
     /// A recovered view could not be built on the recovered database —
     /// for instance, its cold build exhausted the budget.
     Build {
@@ -79,6 +88,13 @@ impl fmt::Display for StoreError {
             StoreError::Replay { record, error } => {
                 write!(f, "recovery failed at wal record {record}: {error}")
             }
+            StoreError::Legacy { dir, files } => write!(
+                f,
+                "{} holds files of the retired sharded layout ({}); \
+                 this build reads only wal-*.log and snapshot-*.snap generations",
+                dir.display(),
+                files.join(", ")
+            ),
             StoreError::Build { view, error } => write!(f, "building view {view} failed: {error}"),
         }
     }

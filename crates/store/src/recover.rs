@@ -7,8 +7,8 @@
 //! [`fold_record`] applies each logged record to it — a delta to the
 //! database, a registration or a drop to the catalog — and
 //! [`materialize`] then installs the database and builds each surviving
-//! view once, cold. The cluster's checkpoint loader and its epoch-vector
-//! rebuild use the same two functions. [`apply_record`] is the one live
+//! view once, cold. The fleet's `rebuild_at` uses the same two functions,
+//! and a replica bootstrapping from a snapshot image uses `materialize`. [`apply_record`] is the one live
 //! meaning of a record, for a replica that serves reads between commits.
 //!
 //! A torn WAL tail (crash mid-append) is truncated on disk to the valid
@@ -88,10 +88,9 @@ fn register_view(session: &mut Session, view: &ViewDef) -> Result<(), ServeError
 
 /// Apply one logged record to a live session: the delta through
 /// [`Session::apply_delta`], which maintains every view, a registration
-/// or a drop through the session's own entry points. A sequence stamp
-/// is stripped; a nested one is an error.
+/// or a drop through the session's own entry points.
 pub fn apply_record(session: &mut Session, record: WalRecord) -> Result<(), String> {
-    let applied = match record.into_inner() {
+    let applied = match record {
         WalRecord::Delta(delta) => session.apply_delta(&delta).map(|_| ()),
         WalRecord::Unregister { name } => session.unregister(&name),
         register => register_view(session, &view_def(register)?),
@@ -103,11 +102,10 @@ pub fn apply_record(session: &mut Session, record: WalRecord) -> Result<(), Stri
 /// delta is applied to `state.db` exactly as [`Session::apply_delta`]
 /// applies it, a registration inserts its [`ViewDef`] (in name order), a
 /// drop removes one. Registering a name twice or dropping an unknown
-/// name is an error. A sequence stamp is stripped; a nested one is an
-/// error.
+/// name is an error.
 pub fn fold_record(state: &mut SnapshotState, record: WalRecord) -> Result<(), String> {
     let views = &mut state.views;
-    match record.into_inner() {
+    match record {
         WalRecord::Delta(delta) => {
             delta.apply(&mut state.db);
         }
@@ -144,6 +142,20 @@ pub fn materialize(state: SnapshotState, budget: Budget) -> Result<Session, Stor
     Ok(session)
 }
 
+/// Names of the files in `dir` from the retired sharded fleet layout:
+/// its per-shard logs `shard-*.wal` and its `checkpoint.ck`.
+fn legacy_files(dir: &Path) -> std::io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if name == "checkpoint.ck" || (name.starts_with("shard-") && name.ends_with(".wal")) {
+            files.push(name);
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
 /// Rebuild a session from the store directory: load the newest usable
 /// snapshot (or start empty), [`fold_record`] every logged record after
 /// it, then [`materialize`]. Returns the session, the report, and the
@@ -154,6 +166,13 @@ pub fn recover(
     trace: &Trace,
 ) -> Result<(Session, RecoveryReport, u64), StoreError> {
     std::fs::create_dir_all(dir)?;
+    let files = legacy_files(dir)?;
+    if !files.is_empty() {
+        return Err(StoreError::Legacy {
+            dir: dir.to_path_buf(),
+            files,
+        });
+    }
     let mut report = RecoveryReport::default();
 
     let (loaded, fallbacks) = load_snapshot_with_fallback(dir, trace)?;

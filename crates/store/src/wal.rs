@@ -104,29 +104,12 @@ pub enum WalRecord {
         /// View name.
         name: String,
     },
-    /// A record stamped with its position in a *global* commit sequence.
-    ///
-    /// The cluster layer partitions each commit across per-shard logs;
-    /// stamping every part with the commit's sequence number and the
-    /// total number of parts lets a reader (a replica, or sharded
-    /// recovery) reassemble the primary's exact commit order from N
-    /// independent logs. Replaying one ignores the stamp and applies the
-    /// inner record. Nesting is rejected at decode.
-    Sequenced {
-        /// Position of the originating commit in the global order.
-        seq: u64,
-        /// How many per-shard parts the commit was split into.
-        parts: u32,
-        /// The logged change itself.
-        inner: Box<WalRecord>,
-    },
 }
 
 const REC_DELTA: u8 = 0;
 const REC_REG_DATALOG: u8 = 1;
 const REC_REG_ALGEBRA: u8 = 2;
 const REC_UNREGISTER: u8 = 3;
-const REC_SEQUENCED: u8 = 4;
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -190,12 +173,6 @@ impl WalRecord {
                 out.push(REC_UNREGISTER);
                 put_str(&mut out, name);
             }
-            WalRecord::Sequenced { seq, parts, inner } => {
-                out.push(REC_SEQUENCED);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&parts.to_le_bytes());
-                out.extend_from_slice(&inner.encode());
-            }
         }
         out
     }
@@ -228,36 +205,10 @@ impl WalRecord {
                 program: r.str()?,
             },
             REC_UNREGISTER => WalRecord::Unregister { name: r.str()? },
-            REC_SEQUENCED => {
-                let seq = r.u64()?;
-                let parts = r.u32()?;
-                // The reader consumed tag + seq + parts = 13 bytes; the
-                // rest of the payload is the inner record, decoded by
-                // the same routine. One level only, checked on the inner
-                // tag *before* recursing, so a nest of stamps cannot run
-                // the decoder down the stack.
-                let inner = &payload[13..];
-                if inner.first() == Some(&REC_SEQUENCED) {
-                    return Err(CodecError::Malformed("nested sequenced wal record".into()));
-                }
-                return Ok(WalRecord::Sequenced {
-                    seq,
-                    parts,
-                    inner: Box::new(WalRecord::decode(inner)?),
-                });
-            }
             other => return Err(CodecError::Malformed(format!("bad wal record tag {other}"))),
         };
         r.finish()?;
         Ok(record)
-    }
-
-    /// Strip a [`WalRecord::Sequenced`] stamp, if any.
-    pub fn into_inner(self) -> WalRecord {
-        match self {
-            WalRecord::Sequenced { inner, .. } => *inner,
-            other => other,
-        }
     }
 }
 
@@ -412,22 +363,6 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalContents, CodecError> {
         records: segment.frames.into_iter().map(|f| f.record).collect(),
         valid_len: segment.valid_len,
     })
-}
-
-/// Decode a batch of *shipped* frames: raw `u32 len ∥ u32 crc ∥ payload`
-/// frames with no file header, as served to a replication subscriber.
-/// Unlike a log file on disk, a shipped batch has no business being
-/// torn — the primary only ships intact frames — so a torn tail here is
-/// a hard error, not a truncation point.
-pub fn read_frames(bytes: &[u8]) -> Result<Vec<WalRecord>, CodecError> {
-    let mut pos = 0;
-    let mut records = Vec::new();
-    loop {
-        match next_record(bytes, &mut pos)? {
-            Some(payload) => records.push(WalRecord::decode(payload)?),
-            None => return Ok(records),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -608,43 +543,16 @@ mod tests {
         let whole = read_wal(&image).unwrap();
         assert_eq!(whole.records, recs);
         assert_eq!(whole.valid_len, image.len());
-
-        // A shipped batch is the raw frame bytes, headerless; torn
-        // batches are hard errors there.
-        let batch = &image[offsets[0]..offsets[2]];
-        assert_eq!(read_frames(batch).unwrap(), recs[..2]);
-        assert!(read_frames(&image[offsets[0]..offsets[2] - 1]).is_err());
-    }
-
-    #[test]
-    fn sequenced_records_round_trip_and_reject_nesting() {
-        let mut delta = DatabaseDelta::new();
-        delta.insert("e", Value::pair(Value::int(7), Value::int(8)));
-        let rec = WalRecord::Sequenced {
-            seq: 0x0102_0304_0506_0708,
-            parts: 3,
-            inner: Box::new(WalRecord::Delta(delta.clone())),
-        };
-        let back = WalRecord::decode(&rec.encode()).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(back.into_inner(), WalRecord::Delta(delta));
-
-        let nested = WalRecord::Sequenced {
-            seq: 1,
-            parts: 1,
-            inner: Box::new(rec),
-        };
-        assert!(matches!(
-            WalRecord::decode(&nested.encode()),
-            Err(CodecError::Malformed(_))
-        ));
     }
 
     #[test]
     fn deeply_nested_sequenced_payload_is_malformed_not_an_overflow() {
+        // Tag 4 once stamped a record with a global commit sequence and
+        // nested the stamped record after it; it is retired, so a
+        // payload of such stamps is an unknown tag, rejected at once.
         let mut payload = Vec::new();
-        for _ in 0..1_000_000 {
-            payload.push(REC_SEQUENCED);
+        for _ in 0..1000 {
+            payload.push(4);
             payload.extend_from_slice(&0u64.to_le_bytes());
             payload.extend_from_slice(&1u32.to_le_bytes());
         }

@@ -270,9 +270,6 @@ fn replay_reference(session: &mut Session, records: &[WalRecord]) {
             WalRecord::Unregister { name } => {
                 session.unregister(name).unwrap();
             }
-            WalRecord::Sequenced { inner, .. } => {
-                replay_reference(session, std::slice::from_ref(inner));
-            }
         }
     }
 }

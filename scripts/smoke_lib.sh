@@ -74,7 +74,7 @@ start_server() {
 }
 
 # Start any serving verb of the binary (`start_node primary cluster
-# serve --shards 2 …`) as its own disowned process, logging to
+# serve --data-dir DIR …`) as its own disowned process, logging to
 # $work/NAME.log. Awaits the `% … listening on` banner (every server
 # role prints one) and exports $node/$host/$port. The pid is registered
 # with the EXIT trap, so a failing script never orphans a fleet.

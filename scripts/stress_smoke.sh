@@ -9,11 +9,12 @@
 # stress test (tests/concurrent_serve.rs); this leg exercises the real
 # binary end to end.
 #
-# Phase 4 promotes this to a multi-process *fleet* smoke: a sharded
-# durable primary, two WAL-shipping replicas, and the epoch-vector
-# router (`algrec cluster serve|join|route`), with a replica SIGKILLed
-# mid-traffic and a replacement converging to the primary's answers
-# modulo epoch tags.
+# Phase 4 promotes this to a multi-process *fleet* smoke: a durable
+# primary snapshotting every 3 records, two WAL-shipping replicas, and
+# the position-pinning router (`algrec cluster serve|join|route`), with
+# a replica SIGKILLed mid-traffic and a replacement, joining after
+# generation 0 was compacted, bootstrapping from a snapshot and
+# converging to the primary's answers modulo epoch tags.
 #
 # Usage: scripts/stress_smoke.sh            (builds target/release/algrec)
 #        ALGREC_BIN=path scripts/stress_smoke.sh
@@ -134,13 +135,13 @@ fi
 echo "$SMOKE_NAME: OK ($WRITERS writers x $FACTS_PER_WRITER commits raced $READERS readers; raced == cold == recovered)"
 
 # --- Phase 4: the serving fleet — 1 primary + 2 replicas + router. --
-# A sharded durable primary, two WAL-shipping replicas, and the
-# epoch-vector router, all separate processes over real TCP. A replica
-# is SIGKILLed mid-traffic (reads through the router must keep
-# succeeding), and a freshly joined replacement must converge to answer
-# byte-identically with the primary modulo epoch tags.
+# A durable primary, two WAL-shipping replicas, and the position-pinning
+# router, all separate processes over real TCP. A replica is SIGKILLed
+# mid-traffic (reads through the router must keep succeeding), and a
+# freshly joined replacement must converge to answer byte-identically
+# with the primary modulo epoch tags.
 fleetdir="$work/fleet"
-start_node primary cluster serve --data-dir "$fleetdir" --shards 2 --sync always --threads 2
+start_node primary cluster serve --data-dir "$fleetdir" --snapshot-every 3 --sync always --threads 2
 pri_host=$host pri_port=$port pri_addr="$host:$port"
 
 drive 2 <<EOF
@@ -162,7 +163,7 @@ start_node router cluster route --primary "$pri_addr" \
 router_host=$host router_port=$port
 
 # A write through the router must be visible to the very next read: the
-# router pins the primary's epoch vector, so replicas answer `stale`
+# router pins the primary's position, so replicas answer `stale`
 # until they have applied it and the router fails over meanwhile.
 drive 2 <<EOF
 {"id": 10, "op": "assert", "fact": "e(3, 4)"}
@@ -196,8 +197,31 @@ if [[ "$ok" -ne "$router_reads" ]]; then
   exit 1
 fi
 
+# Six more writes take the primary to generation 3, whose snapshot
+# compacts generation 0 away: the replacement replica cannot start from
+# an empty session and must bootstrap from the newest snapshot.
+host=$router_host port=$router_port
+drive 6 <<EOF
+{"id": 30, "op": "assert", "fact": "e(10, 11)"}
+{"id": 31, "op": "assert", "fact": "e(11, 12)"}
+{"id": 32, "op": "assert", "fact": "e(12, 13)"}
+{"id": 33, "op": "assert", "fact": "e(13, 14)"}
+{"id": 34, "op": "assert", "fact": "e(14, 15)"}
+{"id": 35, "op": "assert", "fact": "e(15, 16)"}
+EOF
+if [[ $(grep -c '"ok":true' "$replies") -ne 6 ]]; then
+  echo "$SMOKE_NAME: fleet writes through the router failed:" >&2
+  cat "$replies" >&2
+  exit 1
+fi
+if [[ -e "$fleetdir/wal-000000000000.log" ]]; then
+  echo "$SMOKE_NAME: generation 0 survived three snapshots:" >&2
+  ls "$fleetdir" >&2
+  exit 1
+fi
+
 # A replacement replica joins, catches up, and must answer exactly like
-# the primary (modulo epochs) under the primary's own epoch-vector pin.
+# the primary (modulo epochs) under the primary's own position pin.
 start_node replica2 cluster join --primary "$pri_addr"
 rep2_host=$host rep2_port=$port
 
@@ -232,6 +256,16 @@ EOF
   fi
 done
 
+host=$rep2_host port=$rep2_port
+drive 1 <<EOF
+{"id": 22, "op": "cluster-stats"}
+EOF
+if ! grep -q '"bootstraps":1' "$replies"; then
+  echo "$SMOKE_NAME: the late joiner did not bootstrap from a snapshot:" >&2
+  cat "$replies" >&2
+  exit 1
+fi
+
 # Orderly teardown: router first, then replicas, then the primary.
 for down in "$router_host:$router_port" "$rep1_host:$rep1_port" \
   "$rep2_host:$rep2_port" "$pri_addr"; do
@@ -241,4 +275,15 @@ for down in "$router_host:$router_port" "$rep1_host:$rep1_port" \
 EOF
 done
 
-echo "$SMOKE_NAME: OK (fleet survived a SIGKILLed replica; late joiner == primary modulo epochs)"
+# The primary's directory is the single node's: at most two log and two
+# snapshot generations, and nothing else.
+files=$(find "$fleetdir" -type f | wc -l)
+logs=$(find "$fleetdir" -name 'wal-*.log' | wc -l)
+snaps=$(find "$fleetdir" -name 'snapshot-*.snap' | wc -l)
+if [[ $logs -gt 2 || $snaps -gt 2 || $files -ne $((logs + snaps)) ]]; then
+  echo "$SMOKE_NAME: fleet directory not bounded ($files files):" >&2
+  ls "$fleetdir" >&2
+  exit 1
+fi
+
+echo "$SMOKE_NAME: OK (fleet survived a SIGKILLed replica; late joiner bootstrapped == primary modulo epochs; $files files on disk)"

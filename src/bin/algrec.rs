@@ -10,7 +10,7 @@
 //! algrec serve  [facts.dl] [--addr HOST:PORT] [--data-dir DIR] [--sync P] [--snapshot-every N]
 //! algrec scenario <list|run|record> [--corpus DIR] [-f NAME] [--concurrency LIST]
 //!                                   [--scale N] [--live] [--addr HOST:PORT] [--no-recovery]
-//! algrec cluster serve [facts.dl] --data-dir DIR [--shards N] [--addr HOST:PORT] [--sync P]
+//! algrec cluster serve [facts.dl] --data-dir DIR [--addr HOST:PORT] [--sync P] [--snapshot-every N]
 //! algrec cluster join  --primary HOST:PORT [--addr HOST:PORT]
 //! algrec cluster route --primary HOST:PORT [--replica HOST:PORT]… [--addr HOST:PORT]
 //! ```
@@ -64,9 +64,9 @@
 //!   `--no-recovery` skips the durable recovery leg; the command exits
 //!   non-zero when any reply diverges from the recording.
 //! * `cluster` runs the serving fleet (see `algrec_cluster` and
-//!   DESIGN.md §17): `serve` a sharded durable primary (`--shards`
-//!   hash-partitioned write-ahead logs under `--data-dir`, replication
-//!   feed on the same port), `join` a replica subscribed to
+//!   DESIGN.md §17): `serve` a durable primary (the same store as
+//!   `serve --data-dir`, with the same `--sync` and `--snapshot-every`;
+//!   replication feed on the same port), `join` a replica subscribed to
 //!   `--primary` (epoch-gated consistent reads, writes rejected),
 //!   and `route` the consistent-read front end over `--primary` plus
 //!   each `--replica`. All three servers print `% ROLE listening on
@@ -123,7 +123,6 @@ struct Args {
     scale: Option<usize>,
     live: bool,
     no_recovery: bool,
-    shards: usize,
     primary: Option<String>,
     replica_addrs: Vec<String>,
 }
@@ -147,7 +146,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         scale: None,
         live: false,
         no_recovery: false,
-        shards: 2,
         primary: None,
         replica_addrs: Vec::new(),
     };
@@ -221,17 +219,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
                     return Err("--scale must be at least 1".into());
                 }
                 args.scale = Some(n);
-            }
-            "--shards" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                args.shards = n;
             }
             "--primary" => args.primary = Some(it.next().ok_or("--primary needs a value")?.clone()),
             "--replica" => args
@@ -421,41 +408,57 @@ fn cmd_stable(a: &Args) -> Result<(), String> {
 fn session_of(a: &Args) -> Result<Session, String> {
     let mut session = match &a.data_dir {
         Some(dir) => {
-            let options = algrec::store::StoreOptions {
-                sync: a.sync,
-                snapshot_every: a.snapshot_every,
-            };
             let (session, report) = algrec::store::open(
                 std::path::Path::new(dir),
                 Budget::LARGE,
-                options,
+                store_options(a),
                 trace_of(a),
             )
             .map_err(|e| format!("{dir}: {e}"))?;
-            if report.restored_anything() {
-                eprintln!(
-                    "% recovered from {dir}: snapshot {} ({} relation(s), {} view(s)), \
-                     {} log record(s) replayed, {} torn byte(s) truncated",
-                    report
-                        .snapshot_gen
-                        .map_or("none".to_string(), |g| g.to_string()),
-                    report.snapshot_relations,
-                    report.snapshot_views,
-                    report.replayed,
-                    report.truncated_bytes,
-                );
-            }
+            report_recovery(dir, &report);
             session
         }
         None => Session::new(Budget::LARGE),
     };
-    // Re-loading the same facts file into a recovered session is a
-    // no-op: only the *effective* delta is applied and logged.
-    if let Some(path) = a.positional.first() {
+    preload(&mut session, a.positional.first())?;
+    Ok(session)
+}
+
+/// The store options `--sync` and `--snapshot-every` choose.
+fn store_options(a: &Args) -> algrec::store::StoreOptions {
+    algrec::store::StoreOptions {
+        sync: a.sync,
+        snapshot_every: a.snapshot_every,
+    }
+}
+
+/// Say on stderr what recovery restored, if anything, so stdout stays
+/// protocol-clean.
+fn report_recovery(dir: &str, report: &algrec::store::RecoveryReport) {
+    if report.restored_anything() {
+        eprintln!(
+            "% recovered from {dir}: snapshot {} ({} relation(s), {} view(s)), \
+             {} log record(s) replayed, {} torn byte(s) truncated",
+            report
+                .snapshot_gen
+                .map_or("none".to_string(), |g| g.to_string()),
+            report.snapshot_relations,
+            report.snapshot_views,
+            report.replayed,
+            report.truncated_bytes,
+        );
+    }
+}
+
+/// Load an optional facts file into a session. Re-loading the same file
+/// into a recovered session is a no-op: only the *effective* delta is
+/// applied and logged.
+fn preload(session: &mut Session, path: Option<&String>) -> Result<(), String> {
+    if let Some(path) = path {
         let text = read(path)?;
         session.load(&text).map_err(|e| format!("{path}: {e}"))?;
     }
-    Ok(session)
+    Ok(())
 }
 
 fn cmd_repl(a: &Args) -> Result<(), String> {
@@ -516,13 +519,13 @@ fn bind_announced(a: &Args, role: &str) -> Result<std::net::TcpListener, String>
     Ok(listener)
 }
 
-/// The serving fleet: `serve` a sharded durable primary, `join` a
+/// The serving fleet: `serve` a durable primary, `join` a
 /// replica to it, `route` consistent reads over the fleet.
 fn cmd_cluster(a: &Args) -> Result<(), String> {
     use std::sync::Arc;
     let [sub, rest @ ..] = a.positional.as_slice() else {
         return Err("usage: algrec cluster <serve|join|route> \
-             [--data-dir DIR] [--shards N] [--primary ADDR] [--replica ADDR]… "
+             [--data-dir DIR] [--primary ADDR] [--replica ADDR]… "
             .into());
     };
     match sub.as_str() {
@@ -531,34 +534,17 @@ fn cmd_cluster(a: &Args) -> Result<(), String> {
                 .data_dir
                 .as_ref()
                 .ok_or("cluster serve requires --data-dir")?;
-            let (mut session, report, shards) = algrec::cluster::open_primary_opts(
+            let (mut session, report, primary) = algrec::cluster::open_primary(
                 std::path::Path::new(dir),
-                a.shards,
                 Budget::LARGE,
-                a.sync,
-                a.snapshot_every,
-            )?;
-            if report.records > 0 {
-                let skipped = match report.checkpoint_seq {
-                    Some(seq) => format!(
-                        ", {} commit(s) skipped via checkpoint @{seq}",
-                        report.skipped_commits
-                    ),
-                    None => String::new(),
-                };
-                eprintln!(
-                    "% recovered from {dir}: {} commit(s) over {} record(s), \
-                     {} torn byte(s) truncated{skipped}",
-                    report.commits, report.records, report.truncated_bytes,
-                );
-            }
-            if let Some(path) = rest.first() {
-                let text = read(path)?;
-                session.load(&text).map_err(|e| format!("{path}: {e}"))?;
-            }
+                store_options(a),
+            )
+            .map_err(|e| format!("{dir}: {e}"))?;
+            report_recovery(dir, &report);
+            preload(&mut session, rest.first())?;
             let listener = bind_announced(a, "primary")?;
             let shared = Arc::new(SharedSession::new(session));
-            algrec::cluster::serve_primary(listener, shared, shards);
+            algrec::cluster::serve_primary(listener, shared, primary);
             Ok(())
         }
         "join" => {

@@ -12,7 +12,7 @@
 //!   three-valued sets;
 //! * [`column`](mod@column) — sorted immutable runs of `u32` rows and the
 //!   CRC-footered run file format the store's validate-before-decode
-//!   snapshots and the fleet's checkpoints are written in;
+//!   snapshots are written in;
 //! * [`adt`] — algebraic specifications with negation, valid
 //!   interpretations, initial valid models (Section 2);
 //! * [`datalog`] — deduction under minimal-model / stratified /
@@ -31,10 +31,10 @@
 //! * [`sched`] — the concurrency substrate: the worker pool behind
 //!   parallel fixpoint rounds (`--threads`) and the epoch-versioned
 //!   snapshot swap behind the server's lock-free reads;
-//! * [`cluster`] — the serving fleet: hash-sharded per-shard WALs on
-//!   the primary, WAL-shipping replicas with epoch-gated consistent
-//!   reads, and the epoch-vector-pinning router (`algrec cluster
-//!   serve|join|route`).
+//! * [`cluster`] — the serving fleet: a primary that is an ordinary
+//!   durable store, replicas that tail its WAL generations with
+//!   position-gated consistent reads, and the position-pinning router
+//!   (`algrec cluster serve|join|route`).
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-claim-by-claim verification record.

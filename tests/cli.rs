@@ -276,6 +276,30 @@ fn serve_rejects_unbindable_address() {
 }
 
 #[test]
+fn a_data_dir_of_the_retired_sharded_layout_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("algrec-cli-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("shard-0.wal"), b"").unwrap();
+    std::fs::write(dir.join("checkpoint.ck"), b"").unwrap();
+    let path = dir.to_string_lossy().into_owned();
+    // Both roles open the store before binding an address.
+    for args in [
+        vec!["serve", "--data-dir", path.as_str()],
+        vec!["cluster", "serve", "--data-dir", path.as_str()],
+    ] {
+        let out = algrec(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("checkpoint.ck, shard-0.wal") && !stderr.contains("panicked"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn error_paths() {
     assert!(!algrec(&[]).status.success());
     assert!(!algrec(&["frobnicate"]).status.success());
