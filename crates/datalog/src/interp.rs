@@ -7,8 +7,8 @@
 //! with `F` represented implicitly as "not possible").
 
 use crate::ast::Atom;
+pub use crate::factset::{set_diff, FactSet};
 use algrec_value::{ColumnIndex, Database, Relation, Truth, Value};
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -16,18 +16,17 @@ use std::sync::{Arc, Mutex};
 /// A ground fact: predicate name plus argument values.
 pub type Fact = (String, Vec<Value>);
 
-/// One predicate's fact set behind its copy-on-write handle.
-pub type FactSet = Arc<BTreeSet<Vec<Value>>>;
-
 /// A two-valued interpretation: for each predicate, the set of argument
 /// vectors that hold.
 ///
-/// Fact sets are held behind `Arc` with copy-on-write mutation
-/// (`Arc::make_mut`): cloning an interpretation — which the evaluators do
-/// at every stratum boundary, in [`ThreeValued::exact`], and when the
-/// serving layer snapshots — costs one reference bump per predicate
-/// instead of a deep copy of every fact. A clone that is subsequently
-/// mutated pays the deep copy then, for the mutated predicate only.
+/// Each predicate's facts are a persistent [`FactSet`]: a spine of
+/// `Arc`-shared leaves of at most [`LEAF`](crate::factset::LEAF) rows.
+/// Cloning an interpretation — which the evaluators do at every stratum
+/// boundary, in [`ThreeValued::exact`], and which the serving layer does
+/// for every write's old state and every published answer — costs one
+/// reference bump per predicate. A clone that is subsequently mutated
+/// copies the mutated predicate's spine of leaf pointers and the one
+/// leaf each mutation lands in, never the predicate's other rows.
 ///
 /// A bound first argument is looked up two ways. The ordered fact set
 /// itself answers it by prefix range ([`Interp::facts_with_first`],
@@ -105,12 +104,17 @@ impl Interp {
     /// Insert a fact; returns whether it was new. Invalidates the
     /// predicate's cached first-argument index.
     pub fn insert(&mut self, pred: &str, args: Vec<Value>) -> bool {
-        let set = self.preds.entry(pred.to_string()).or_default();
-        // Don't un-share (deep-copy) a set the fact is already in.
-        if set.contains(&args) {
-            return false;
+        match self.preds.get_mut(pred) {
+            Some(set) => {
+                if !set.insert(args) {
+                    return false;
+                }
+            }
+            None => {
+                self.preds
+                    .insert(pred.to_string(), FactSet::from_iter([args]));
+            }
         }
-        Arc::make_mut(set).insert(args);
         self.index_cache_mut().remove(pred);
         true
     }
@@ -127,11 +131,9 @@ impl Interp {
         match self.preds.get_mut(pred) {
             None => {
                 self.preds
-                    .insert(pred.to_string(), Arc::new(rows.into_iter().collect()));
+                    .insert(pred.to_string(), rows.into_iter().collect());
             }
-            Some(set) => {
-                Arc::make_mut(set).extend(rows);
-            }
+            Some(set) => set.extend(rows),
         }
         self.index_cache_mut().remove(pred);
     }
@@ -144,11 +146,9 @@ impl Interp {
         let Some(set) = self.preds.get_mut(pred) else {
             return false;
         };
-        // Don't un-share (deep-copy) a set the fact isn't in.
-        if !set.contains(args) {
+        if !set.remove(args) {
             return false;
         }
-        Arc::make_mut(set).remove(args);
         if set.is_empty() {
             self.preds.remove(pred);
         }
@@ -167,19 +167,20 @@ impl Interp {
     }
 
     /// The facts of `pred` whose first argument equals `first` — a prefix
-    /// range over the ordered fact set, so matching a bound first column
-    /// costs O(log n + answers) instead of a full scan. Needs no derived
-    /// state, so it is the probe of a freshly mutated predicate; it
-    /// yields the same facts in the same order as the hash index.
+    /// range over the ordered fact set ([`FactSet::with_first`]), so
+    /// matching a bound first column costs O(log n + answers) instead of
+    /// a full scan and allocates nothing. Needs no derived state, so it
+    /// is the probe of a freshly mutated predicate; it yields the same
+    /// facts in the same order as the hash index.
     pub fn facts_with_first<'a>(
         &'a self,
         pred: &str,
         first: &'a Value,
     ) -> impl Iterator<Item = &'a Vec<Value>> + 'a {
-        self.preds.get(pred).into_iter().flat_map(move |set| {
-            set.range(vec![first.clone()]..)
-                .take_while(move |f| f.first() == Some(first))
-        })
+        self.preds
+            .get(pred)
+            .into_iter()
+            .flat_map(move |set| set.with_first(first))
     }
 
     /// The first-argument index of this predicate if one is cached —
@@ -248,9 +249,10 @@ impl Interp {
 
     /// Every predicate's fact set behind its copy-on-write handle. A
     /// holder of a clone of the handle can tell an untouched predicate
-    /// from a mutated one by pointer: mutating a shared set un-shares it
-    /// first, so the same pointer means the same facts for as long as
-    /// the clone is held.
+    /// from a mutated one by pointer ([`FactSet::ptr_eq`]), and an
+    /// untouched leaf from a mutated one the same way: mutating a shared
+    /// set un-shares its spine and the leaf mutated first, so the same
+    /// pointer means the same facts for as long as the clone is held.
     pub fn fact_sets(&self) -> impl Iterator<Item = (&str, &FactSet)> {
         self.preds.iter().map(|(p, set)| (p.as_str(), set))
     }
@@ -279,18 +281,18 @@ impl Interp {
                     added += facts.len();
                     self.index_cache_mut().remove(pred);
                 }
+                Some(entry) if FactSet::ptr_eq(entry, facts) => {}
                 Some(entry) => {
-                    if Arc::ptr_eq(entry, facts) {
-                        continue;
-                    }
-                    // Un-share only if something is actually new.
-                    if facts.iter().any(|f| !entry.contains(f)) {
-                        let set = Arc::make_mut(entry);
-                        for f in facts.iter() {
-                            if set.insert(f.clone()) {
-                                added += 1;
-                            }
-                        }
+                    // Un-share only if something is actually new, and
+                    // then only the leaves it lands in.
+                    let new: Vec<Vec<Value>> = facts
+                        .iter()
+                        .filter(|f| !entry.contains(f))
+                        .cloned()
+                        .collect();
+                    if !new.is_empty() {
+                        added += new.len();
+                        entry.extend(new);
                         self.index_cache_mut().remove(pred);
                     }
                 }
@@ -323,6 +325,18 @@ impl Interp {
         self.index_cache_mut().remove(pred);
     }
 
+    /// The facts of the predicates in `preds`, sharing this
+    /// interpretation's handles: O(predicates), no fact copied.
+    pub fn restrict(&self, preds: &BTreeSet<String>) -> Interp {
+        let mut out = Interp::new();
+        for pred in preds {
+            if let Some(set) = self.preds.get(pred) {
+                out.preds.insert(pred.clone(), set.clone());
+            }
+        }
+        out
+    }
+
     /// Make `pred` hold exactly `other`'s facts of it, sharing `other`'s
     /// handle (so a [`set_diff`] against `other` skips it unread).
     pub(crate) fn share_pred(&mut self, pred: &str, other: &Interp) {
@@ -350,35 +364,6 @@ impl fmt::Display for Interp {
         }
         Ok(())
     }
-}
-
-/// The facts in exactly one of two fact sets (absent = empty), in order,
-/// tagged `true` when they are `a`'s (`a ∖ b`): an ordered merge costing
-/// O(|a| + |b|) comparisons, and none for pointer-equal handles.
-pub fn set_diff<'a>(
-    a: Option<&'a FactSet>,
-    b: Option<&'a FactSet>,
-) -> impl Iterator<Item = (bool, &'a Vec<Value>)> {
-    let shared = matches!((a, b), (Some(a), Some(b)) if Arc::ptr_eq(a, b));
-    let walk = |s: Option<&'a FactSet>| s.filter(|_| !shared).into_iter().flat_map(|s| s.iter());
-    let (mut a, mut b) = (walk(a).peekable(), walk(b).peekable());
-    std::iter::from_fn(move || loop {
-        let ord = match (a.peek(), b.peek()) {
-            (None, None) => return None,
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (Some(x), Some(y)) => {
-                #[cfg(test)]
-                tests::DIFF_COMPARISONS.with(|n| n.set(n.get() + 1));
-                x.cmp(y)
-            }
-        };
-        match ord {
-            Ordering::Less => return a.next().map(|f| (true, f)),
-            Ordering::Greater => return b.next().map(|f| (false, f)),
-            Ordering::Equal => (a.next(), b.next()),
-        };
-    })
 }
 
 /// Convert a relation member into a fact argument vector: tuples spread
@@ -493,13 +478,8 @@ impl fmt::Display for ThreeValued {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factset::{DIFF_COMPARISONS, LEAF, ROWS_COPIED};
     use proptest::prelude::*;
-
-    thread_local! {
-        /// Fact comparisons [`set_diff`] made on this thread.
-        pub(super) static DIFF_COMPARISONS: std::cell::Cell<usize> =
-            const { std::cell::Cell::new(0) };
-    }
 
     fn i(n: i64) -> Value {
         Value::int(n)
@@ -790,12 +770,49 @@ mod tests {
             1,
             "only `small` is read"
         );
-        // The same facts behind an un-shared handle are walked.
-        b.remove("big", &[i(0)]);
-        b.insert("big", vec![i(0)]);
+        // One touched leaf of a shared predicate is the only one read.
+        b.remove("big", &[i(5_000)]);
+        b.insert("big", vec![i(5_000)]);
         DIFF_COMPARISONS.with(|n| n.set(0));
         assert_eq!(a.diff(&b).count(), 1);
+        let read = DIFF_COMPARISONS.with(std::cell::Cell::get);
+        assert!((1..=2 * LEAF).contains(&read), "{read} comparisons");
+        // The same facts built afresh share no leaf and are walked.
+        let mut c = Interp::new();
+        c.insert_all("big", (0..10_000).map(|n| vec![i(n)]).collect());
+        DIFF_COMPARISONS.with(|n| n.set(0));
+        assert_eq!(set_diff(a.fact_set("big"), c.fact_set("big")).count(), 0);
         assert!(DIFF_COMPARISONS.with(std::cell::Cell::get) >= 10_000);
+    }
+
+    /// A one-fact write to a 10 000-fact predicate of a cloned
+    /// interpretation copies one leaf, and comparing the two
+    /// interpretations reads one leaf a side.
+    #[test]
+    fn a_one_fact_write_copies_and_compares_one_leaf() {
+        let mut old = Interp::new();
+        old.insert_all("big", (0..10_000).map(|n| vec![i(2 * n)]).collect());
+        for (edit, fact) in [(true, 777), (false, 778)] {
+            let mut new = old.clone();
+            ROWS_COPIED.with(|n| n.set(0));
+            if edit {
+                assert!(new.insert("big", vec![i(fact)]));
+            } else {
+                assert!(new.remove("big", &[i(fact)]));
+            }
+            let copied = ROWS_COPIED.with(std::cell::Cell::get);
+            assert!((1..=LEAF).contains(&copied), "copied {copied} rows");
+            DIFF_COMPARISONS.with(|n| n.set(0));
+            assert_eq!(
+                new.diff(&old).collect::<Vec<_>>(),
+                vec![("big", edit, &vec![i(fact)])]
+            );
+            let read = DIFF_COMPARISONS.with(std::cell::Cell::get);
+            assert!((1..=2 * LEAF).contains(&read), "{read} comparisons");
+            DIFF_COMPARISONS.with(|n| n.set(0));
+            assert_ne!(new, old);
+            assert_eq!(DIFF_COMPARISONS.with(std::cell::Cell::get), 0);
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod facts;
+pub mod factset;
 pub mod fixpoint;
 pub mod inflationary;
 pub mod interp;

@@ -47,6 +47,4 @@ pub mod model;
 pub mod pass;
 
 pub use model::{delta_interps, IncrementalModel};
-pub use pass::{
-    restrict, HeadDelta, LevelDelta, Oracle, PassAction, PassDelta, PassProgram, PassState,
-};
+pub use pass::{HeadDelta, LevelDelta, Oracle, PassAction, PassDelta, PassProgram, PassState};

@@ -213,17 +213,6 @@ fn head_fact(rule: &Rule, b: &Bindings) -> Result<Fact, EvalError> {
     Ok((rule.head.pred.clone(), args))
 }
 
-/// Facts of `src` whose predicate is in `preds`.
-pub fn restrict(src: &Interp, preds: &BTreeSet<String>) -> Interp {
-    let mut out = Interp::new();
-    for (p, args) in src.iter() {
-        if preds.contains(p) {
-            out.insert(p, args.clone());
-        }
-    }
-    out
-}
-
 impl PassProgram {
     /// Condense `program` for per-level maintenance.
     pub fn new(program: &Program) -> Result<Self, EvalError> {
@@ -413,8 +402,8 @@ impl PassProgram {
             });
         }
 
-        let koc_ins = restrict(oc_ins, &self.neg_preds);
-        let koc_del = restrict(oc_del, &self.neg_preds);
+        let koc_ins = oc_ins.restrict(&self.neg_preds);
+        let koc_del = oc_del.restrict(&self.neg_preds);
         let old_heads: usize = self.head_preds.iter().map(|p| state.total.count(p)).sum();
         if koc_ins.total() + koc_del.total() > FALLBACK_MIN.max(old_heads) {
             // The oracle moved more than the level's own content: replay
@@ -447,8 +436,8 @@ impl PassProgram {
             state.support.as_mut(),
             &old_total,
             LevelDelta {
-                ins: &restrict(edb_ins, &self.body_preds),
-                del: &restrict(edb_del, &self.body_preds),
+                ins: &edb_ins.restrict(&self.body_preds),
+                del: &edb_del.restrict(&self.body_preds),
                 oc_ins: &koc_ins,
                 oc_del: &koc_del,
             },

@@ -63,9 +63,11 @@
 //!
 //! A stratified write costs what its delta touches: the driver below
 //! does nothing per view fact (the `old_total` it hands the kernel is a
-//! copy-on-write clone — one reference bump per predicate, one copy of
-//! each predicate the write then mutates), and the kernel's firings
-//! start from the delta and build no index for it (see
+//! clone of persistent fact sets — one reference bump per predicate, and
+//! for each predicate the write then mutates, one copy of its spine of
+//! leaf pointers and of each leaf a mutation lands in; routing a delta
+//! to a stratum shares whole predicate handles), and the kernel's
+//! firings start from the delta and build no index for it (see
 //! `algrec_incr::pass`).
 
 use algrec_datalog::ast::{Program, Rule};
@@ -77,7 +79,7 @@ use algrec_datalog::stable::{refine_wfs, valid_extended};
 use algrec_datalog::stratify::{strata_programs, DepGraph};
 use algrec_datalog::wellfounded::alternating_fixpoint;
 use algrec_datalog::Semantics;
-use algrec_incr::{delta_interps, restrict, IncrementalModel, LevelDelta, Oracle, PassProgram};
+use algrec_incr::{delta_interps, IncrementalModel, LevelDelta, Oracle, PassProgram};
 use algrec_value::budget::Meter;
 use algrec_value::{Database, DatabaseDelta, SupportCounts};
 use std::collections::{BTreeMap, BTreeSet};
@@ -161,8 +163,8 @@ impl StratifiedView {
         }
         let mut skipped = 0;
         for st in &mut self.strata {
-            let st_ins = restrict(&ins, &st.routed);
-            let st_del = restrict(&del, &st.routed);
+            let st_ins = ins.restrict(&st.routed);
+            let st_del = del.restrict(&st.routed);
             if st_ins.total() + st_del.total() == 0 {
                 skipped += 1;
                 continue;
@@ -174,8 +176,8 @@ impl StratifiedView {
                 LevelDelta {
                     ins: &st_ins,
                     del: &st_del,
-                    oc_ins: &restrict(&ins, st.kernel.neg_preds()),
-                    oc_del: &restrict(&del, st.kernel.neg_preds()),
+                    oc_ins: &ins.restrict(st.kernel.neg_preds()),
+                    oc_del: &del.restrict(st.kernel.neg_preds()),
                 },
                 Oracle::Own,
                 meter,
@@ -382,8 +384,8 @@ impl RecomputeView {
                 continue;
             }
             let tv = block_of(self.semantics, &self.levels[k].program, &base, meter)?;
-            let cert = restrict(&tv.certain, &self.levels[k].heads);
-            let poss = restrict(&tv.possible, &self.levels[k].heads);
+            let cert = tv.certain.restrict(&self.levels[k].heads);
+            let poss = tv.possible.restrict(&self.levels[k].heads);
             if cert == poss {
                 if self.levels[k].cached.as_ref() != Some(&cert) {
                     changed.extend(self.levels[k].heads.iter().cloned());

@@ -194,14 +194,14 @@ fn query_json(
 /// "unknown":[…]}`. The keys are in the order a [`Json`] object sorts
 /// them, so the bytes are those of [`ok_reply`] over arrays of the same
 /// lines.
-fn datalog_reply<'a>(
+fn datalog_reply<'a, L: AsRef<str> + 'a>(
     id: &Json,
     epoch: u64,
-    certain: impl Iterator<Item = &'a str> + Clone,
-    unknown: impl Iterator<Item = &'a str> + Clone,
+    certain: impl Iterator<Item = &'a [L]>,
+    unknown: impl Iterator<Item = &'a [L]>,
+    arrays_len: usize,
 ) -> String {
-    let mut out =
-        String::with_capacity(encoded_len(certain.clone()) + encoded_len(unknown.clone()) + 64);
+    let mut out = String::with_capacity(arrays_len + 64);
     out.push_str("{\"certain\":");
     lines_into(certain, &mut out);
     out.push_str(",\"epoch\":");
@@ -214,20 +214,28 @@ fn datalog_reply<'a>(
     out
 }
 
-/// The size of [`lines_into`]'s array when no line needs an escape,
-/// which is the common case: quotes and a comma per line.
-fn encoded_len<'a>(lines: impl Iterator<Item = &'a str>) -> usize {
-    lines.map(|line| line.len() + 3).sum()
+/// The size of [`lines_into`]'s arrays for `(lines, bytes)` of lines
+/// when no line needs an escape, which is the common case: quotes and a
+/// comma per line.
+fn encoded_len((lines, bytes): (usize, usize)) -> usize {
+    bytes + 3 * lines
 }
 
-/// A JSON array of strings.
-fn lines_into<'a>(lines: impl Iterator<Item = &'a str>, out: &mut String) {
+/// `(lines, bytes)` of owned lines.
+fn owned_size(lines: &[String]) -> (usize, usize) {
+    (lines.len(), lines.iter().map(String::len).sum())
+}
+
+/// A JSON array of strings, given as runs of lines.
+fn lines_into<'a, L: AsRef<str> + 'a>(runs: impl Iterator<Item = &'a [L]>, out: &mut String) {
     out.push('[');
-    for (i, line) in lines.enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut sep = "";
+    for run in runs {
+        for line in run {
+            out.push_str(sep);
+            sep = ",";
+            json::escape_into(line.as_ref(), out);
         }
-        json::escape_into(line, out);
     }
     out.push(']');
 }
@@ -238,8 +246,9 @@ fn query_reply(id: Json, epoch: u64, answer: &QueryAnswer) -> String {
         QueryAnswer::Datalog { certain, unknown } => datalog_reply(
             &id,
             epoch,
-            certain.iter().map(String::as_str),
-            unknown.iter().map(String::as_str),
+            std::iter::once(&certain[..]),
+            std::iter::once(&unknown[..]),
+            encoded_len(owned_size(certain)) + encoded_len(owned_size(unknown)),
         ),
         QueryAnswer::Algebra {
             query,
@@ -263,9 +272,13 @@ impl Payload<'_> {
     fn reply(self, id: Json, epoch: u64) -> String {
         match self {
             Payload::Fields(fields) => ok_reply(id, epoch, fields),
-            Payload::Snapshot(Answer::Datalog { certain, unknown }) => {
-                datalog_reply(&id, epoch, certain.iter(), unknown.iter())
-            }
+            Payload::Snapshot(Answer::Datalog { certain, unknown }) => datalog_reply(
+                &id,
+                epoch,
+                certain.runs(),
+                unknown.runs(),
+                encoded_len(certain.size()) + encoded_len(unknown.size()),
+            ),
             Payload::Snapshot(Answer::Algebra(answer)) => query_reply(id, epoch, answer),
             Payload::Owned(answer) => query_reply(id, epoch, &answer),
         }

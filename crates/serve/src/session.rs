@@ -61,6 +61,7 @@ use algrec_core::{AlgProgram, ValidAlgebraResult};
 use algrec_datalog::ast::Program;
 use algrec_datalog::explain::{catalog_from, explain_with_catalog};
 use algrec_datalog::facts::{fact_value, parse_fact, parse_facts};
+use algrec_datalog::factset::LEAF;
 use algrec_datalog::interp::{set_diff, Fact, FactSet, Interp};
 use algrec_datalog::stratify::strata_programs;
 use algrec_datalog::Semantics;
@@ -1374,10 +1375,11 @@ impl ViewEntry {
     /// the walk that renders them; for an algebra view, 1 iff its answer
     /// moved. An answer nothing moved keeps its published snapshot.
     ///
-    /// This costs the sizes of the predicates the write touched, not what
-    /// the view holds (`Rendered::update`): a predicate whose fact set is
-    /// the one its lines were rendered from is shared as it is, and a
-    /// touched one is merge-walked against its lines, formatting only the
+    /// This costs the leaves the write touched, not what the view holds
+    /// (`Rendered::update`): a predicate whose fact set is the one its
+    /// lines were rendered from is shared as it is, and in a touched one
+    /// each leaf the two sets share keeps its run of lines, while the
+    /// rest are merge-walked against their lines, formatting only the
     /// facts that entered. That state lives in the session, not in the
     /// last published snapshot, so a caller that drops every snapshot
     /// pays the same.
@@ -1415,18 +1417,28 @@ impl ViewEntry {
     }
 }
 
-/// One predicate's rendered lines in fact order, shared line by line
-/// between the session, its snapshots and successive epochs.
-type Lines = Arc<Vec<Arc<str>>>;
+/// One fact-set leaf's rendered lines, in fact order.
+struct Run {
+    lines: Vec<Arc<str>>,
+    /// The lines' total length in bytes.
+    bytes: usize,
+}
+
+/// One predicate's rendered lines in fact order: one run per leaf of the
+/// fact set they were rendered from, each shared between the session,
+/// its snapshots and successive epochs until its leaf moves.
+type Lines = Arc<Vec<Arc<Run>>>;
 
 /// The rendered lines of one view, each predicate's beside what they
 /// were rendered from. Holding a clone of a fact-set handle is what
-/// makes pointer equality mean "untouched": a mutation un-shares the
-/// set first, so the maintainer can never change a set this cache still
-/// points at.
+/// makes pointer equality mean "untouched", for the whole set and for
+/// each leaf: a mutation un-shares the spine and the leaf it lands in
+/// first, so the maintainer can never change a set or a leaf this cache
+/// still points at.
 #[derive(Default)]
 struct Rendered {
-    /// `pred(args).` lines of the certain facts.
+    /// `pred(args).` lines of the certain facts, one run per leaf of the
+    /// set beside them.
     certain: BTreeMap<String, (FactSet, Lines)>,
     /// `pred(args)` lines of the undefined facts (possible, not certain).
     unknown: BTreeMap<String, UnknownLines>,
@@ -1445,42 +1457,87 @@ struct UnknownLines {
     lines: Lines,
 }
 
-/// Render `facts` (ascending), sharing the line of every fact that is
-/// also in `old` (ascending, aligned with `old_lines`): a merge walk
-/// that formats only what entered, and counts the lines that entered or
-/// left. Hands back `old_lines` itself when none did.
-fn merge_lines<'a>(
+/// Render the runs of `new` (each ascending, together ascending) onto
+/// `out`, sharing the line of every fact that is also in `old`
+/// (ascending `(fact, line)` pairs): a merge walk that formats only what
+/// entered. Returns the number of lines that entered or left; when none
+/// did, the caller keeps the lines it had.
+fn merge_runs<'a>(
     pred: &str,
     period: bool,
-    old: impl Iterator<Item = &'a Vec<Value>>,
-    old_lines: &Lines,
-    facts: impl Iterator<Item = &'a Vec<Value>>,
-) -> (Lines, usize) {
-    let mut old = old.zip(old_lines.iter()).peekable();
-    let mut lines = Vec::with_capacity(old_lines.len());
+    old: impl Iterator<Item = (&'a Vec<Value>, &'a Arc<str>)>,
+    new: impl Iterator<Item = &'a [Vec<Value>]>,
+    out: &mut Vec<Arc<Run>>,
+) -> usize {
+    let mut old = old.peekable();
     let mut moved = 0;
-    for fact in facts {
-        while old.next_if(|(was, _)| *was < fact).is_some() {
-            moved += 1;
-        }
-        match old.next_if(|(was, _)| *was == fact) {
-            Some((_, line)) => lines.push(Arc::clone(line)),
-            None => {
+    for facts in new {
+        let mut run = Run {
+            lines: Vec::with_capacity(facts.len()),
+            bytes: 0,
+        };
+        for fact in facts {
+            while old.next_if(|(was, _)| *was < fact).is_some() {
                 moved += 1;
-                let mut line = format_fact(pred, fact);
-                if period {
-                    line.push('.');
+            }
+            let line = match old.next_if(|(was, _)| *was == fact) {
+                Some((_, line)) => Arc::clone(line),
+                None => {
+                    moved += 1;
+                    let mut line = format_fact(pred, fact);
+                    if period {
+                        line.push('.');
+                    }
+                    Arc::from(line)
                 }
-                lines.push(Arc::from(line));
+            };
+            run.bytes += line.len();
+            run.lines.push(line);
+        }
+        out.push(Arc::new(run));
+    }
+    moved + old.count()
+}
+
+/// The certain lines of `set`, from those `held` of `old`: a leaf the
+/// two share keeps its run unread, and each span of leaves between two
+/// shared ones is merge-walked ([`merge_runs`]). Returns the lines and
+/// how many entered or left.
+fn rerender(pred: &str, old: &FactSet, held: &Lines, set: &FactSet) -> (Lines, usize) {
+    let (was, now) = (old.leaves(), set.leaves());
+    let mut runs = Vec::with_capacity(now.len());
+    let (mut i, mut j, mut moved) = (0, 0, 0);
+    while i < was.len() || j < now.len() {
+        if i < was.len() && j < now.len() && Arc::ptr_eq(&was[i], &now[j]) {
+            runs.push(Arc::clone(&held[i]));
+            i += 1;
+            j += 1;
+            continue;
+        }
+        // A shared leaf has the same first fact on both sides, and first
+        // facts ascend, so merging by first fact meets the next one.
+        let (i0, j0) = (i, j);
+        loop {
+            match (was.get(i), now.get(j)) {
+                (Some(x), Some(y)) if Arc::ptr_eq(x, y) => break,
+                (Some(x), Some(y)) => match x[0].cmp(&y[0]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => (i, j) = (i + 1, j + 1),
+                },
+                (Some(_), None) => i += 1,
+                (None, Some(_)) => j += 1,
+                (None, None) => break,
             }
         }
+        let old_lines = was[i0..i]
+            .iter()
+            .zip(&held[i0..i])
+            .flat_map(|(leaf, run)| leaf.iter().zip(&run.lines));
+        let new_facts = now[j0..j].iter().map(|leaf| &leaf[..]);
+        moved += merge_runs(pred, true, old_lines, new_facts, &mut runs);
     }
-    moved += old.count();
-    if moved == 0 {
-        (Arc::clone(old_lines), 0)
-    } else {
-        (Arc::new(lines), moved)
-    }
+    (Arc::new(runs), moved)
 }
 
 impl Rendered {
@@ -1506,18 +1563,23 @@ impl Rendered {
         let mut was = std::mem::take(&mut self.certain);
         for (pred, set) in certain.fact_sets() {
             let (old, held) = was.remove(pred).unwrap_or_default();
-            let lines = if Arc::ptr_eq(&old, set) {
-                held
+            let rendered = if FactSet::ptr_eq(&old, set) {
+                (old, held)
             } else {
-                let (lines, n) = merge_lines(pred, true, old.iter(), &held, set.iter());
+                let (lines, n) = rerender(pred, &old, &held, set);
                 count(pred, n);
-                lines
+                // Equal rows keep the lines they were rendered as, and the
+                // set they were rendered from.
+                if n == 0 {
+                    (old, held)
+                } else {
+                    (set.clone(), lines)
+                }
             };
-            self.certain
-                .insert(pred.to_string(), (Arc::clone(set), lines));
+            self.certain.insert(pred.to_string(), rendered);
         }
         for (pred, (_, lines)) in &was {
-            count(pred, lines.len());
+            count(pred, lines.iter().map(|run| run.lines.len()).sum());
         }
 
         let mut was = std::mem::take(&mut self.unknown);
@@ -1526,27 +1588,34 @@ impl Rendered {
         for (pred, set) in possible.into_iter().flat_map(Interp::fact_sets) {
             let sure = certain.fact_set(pred);
             let mut held = was.remove(pred).unwrap_or_default();
-            if !Arc::ptr_eq(&held.possible, set)
-                || held.certain.as_ref().map(Arc::as_ptr) != sure.map(Arc::as_ptr)
-            {
+            let same_certain = match (&held.certain, sure) {
+                (Some(a), Some(b)) => FactSet::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            };
+            if !FactSet::ptr_eq(&held.possible, set) || !same_certain {
                 let facts: Vec<Vec<Value>> = set_diff(Some(set), sure)
                     .filter(|&(unknown, _)| unknown)
                     .map(|(_, fact)| fact.clone())
                     .collect();
-                let (lines, n) =
-                    merge_lines(pred, false, held.facts.iter(), &held.lines, facts.iter());
+                let old_lines = held
+                    .facts
+                    .iter()
+                    .zip(held.lines.iter().flat_map(|run| &run.lines));
+                let mut runs = Vec::new();
+                let n = merge_runs(pred, false, old_lines, facts.chunks(LEAF), &mut runs);
                 count(pred, n);
                 held = UnknownLines {
-                    possible: Arc::clone(set),
+                    possible: set.clone(),
                     certain: sure.cloned(),
+                    lines: if n == 0 { held.lines } else { Arc::new(runs) },
                     facts,
-                    lines,
                 };
             }
             self.unknown.insert(pred.to_string(), held);
         }
         for (pred, held) in &was {
-            count(pred, held.lines.len());
+            count(pred, held.facts.len());
         }
         (changed, moved)
     }
@@ -1617,21 +1686,40 @@ pub enum Answer<'a> {
     Algebra(&'a QueryAnswer),
 }
 
-/// Lines of a borrowed [`Answer`], one predicate's run at a time.
-pub struct AnswerLines<'a>(Vec<&'a [Arc<str>]>);
+/// Lines of a borrowed [`Answer`], one predicate's runs at a time (one
+/// run per fact-set leaf).
+pub struct AnswerLines<'a>(Vec<&'a [Arc<Run>]>);
 
 impl<'a> AnswerLines<'a> {
     fn of(parts: impl IntoIterator<Item = &'a Lines>) -> Self {
         AnswerLines(parts.into_iter().map(|lines| &lines[..]).collect())
     }
 
+    /// The lines in answer order, one leaf's run at a time.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &'a [Arc<str>]> + '_ {
+        self.0
+            .iter()
+            .flat_map(|runs| runs.iter().map(|run| &run.lines[..]))
+    }
+
     /// Every line, in answer order.
     pub fn iter(&self) -> impl Iterator<Item = &'a str> + Clone + '_ {
-        self.0.iter().flat_map(|run| run.iter().map(|line| &**line))
+        self.0
+            .iter()
+            .flat_map(|runs| runs.iter().flat_map(|run| run.lines.iter().map(|l| &**l)))
+    }
+
+    /// The number of lines and their total length in bytes, read from
+    /// the runs without visiting a line.
+    pub(crate) fn size(&self) -> (usize, usize) {
+        self.0
+            .iter()
+            .flat_map(|runs| runs.iter())
+            .fold((0, 0), |(n, b), run| (n + run.lines.len(), b + run.bytes))
     }
 
     fn owned(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.0.iter().map(|run| run.len()).sum());
+        let mut out = Vec::with_capacity(self.size().0);
         out.extend(self.iter().map(str::to_string));
         out
     }
@@ -2172,6 +2260,61 @@ mod tests {
         );
     }
 
+    /// The lines of `view`'s certain runs that `now` does not share with
+    /// `before`: what the write between them rendered.
+    fn lines_rendered_between(before: &ReadView, now: &ReadView, view: &str) -> usize {
+        let certain = |snapshot: &ReadView| match snapshot.views[view].state.as_deref() {
+            Some(ViewSnapshot::Datalog { certain, .. }) => certain.clone(),
+            _ => panic!("a published datalog view"),
+        };
+        let (old, new) = (certain(before), certain(now));
+        new.iter()
+            .flat_map(|(pred, runs)| runs.iter().map(move |run| (pred, run)))
+            .filter(|(pred, run)| {
+                !old.get(*pred)
+                    .is_some_and(|held| held.iter().any(|h| Arc::ptr_eq(h, run)))
+            })
+            .map(|(_, run)| run.lines.len())
+            .sum()
+    }
+
+    /// A one-fact write to a 10 000-fact predicate renders the leaves it
+    /// touched, not the predicate: the database predicate's and the
+    /// derived one's, a leaf or a split pair each. Every other run is the
+    /// previous epoch's.
+    #[test]
+    fn a_one_fact_write_renders_one_leaf() {
+        let mut session = Session::new(Budget::LARGE);
+        let facts: String = (0..10_000)
+            .map(|n| format!("e({n}, {}). ", n + 1))
+            .collect();
+        session.load(&facts).unwrap();
+        session
+            .register_datalog("v", "p(X, Y) :- e(X, Y).", Semantics::Stratified)
+            .unwrap();
+        for (write, fact) in [(true, "e(4999, 7)"), (false, "e(5000, 5001)")] {
+            let before = session.read_view();
+            let out = if write {
+                session.assert_fact(fact)
+            } else {
+                session.retract_fact(fact)
+            }
+            .unwrap();
+            assert_eq!(out.views[0].changed, 1, "{fact}");
+            let rendered = lines_rendered_between(&before, &session.read_view(), "v");
+            assert!(
+                (1..=4 * (LEAF + 1)).contains(&rendered),
+                "{fact}: rendered {rendered} lines"
+            );
+        }
+        let QueryAnswer::Datalog { certain, .. } = session.query("v", Some("p")).unwrap() else {
+            panic!("a datalog view")
+        };
+        assert_eq!(certain.len(), 10_000);
+        assert!(certain.contains(&"p(4999, 7).".to_string()));
+        assert!(!certain.contains(&"p(5000, 5001).".to_string()));
+    }
+
     #[test]
     fn incremental_view_survives_idb_overlap_via_rebuild() {
         let mut session = Session::new(Budget::LARGE);
@@ -2415,17 +2558,21 @@ mod tests {
                 _ => continue,
             };
             for (was, is) in before.into_iter().zip(after) {
+                let flat = |lines: &Lines| -> Vec<Arc<str>> {
+                    lines.iter().flat_map(|run| run.lines.clone()).collect()
+                };
                 for (pred, lines) in is {
                     let Some(old) = was.get(pred) else { continue };
-                    if old == lines {
+                    let (old_lines, new_lines) = (flat(old), flat(lines));
+                    if old_lines == new_lines {
                         assert!(
                             Arc::ptr_eq(old, lines),
                             "{context}: {name}/{pred} re-rendered"
                         );
                         continue;
                     }
-                    for line in lines.iter() {
-                        if let Some(kept) = old.iter().find(|l| l == &line) {
+                    for line in &new_lines {
+                        if let Some(kept) = old_lines.iter().find(|l| *l == line) {
                             assert!(Arc::ptr_eq(kept, line), "{context}: {name}: {line}");
                         }
                     }
