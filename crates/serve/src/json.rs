@@ -70,30 +70,47 @@ impl Json {
 /// control byte, so non-ASCII text passes through verbatim.
 pub(crate) fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'\n' => 'n',
-            b'\r' => 'r',
-            b'\t' => 't',
-            0..=0x1f => 'u',
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        out.push('\\');
-        out.push(escape);
-        if escape == 'u' {
-            let hex = |d: u8| char::from_digit(u32::from(d), 16).expect("a nibble");
-            out.push_str("00");
-            out.push(hex(b >> 4));
-            out.push(hex(b & 0xf));
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
+    Escaped(out)
+        .write_str(s)
+        .expect("a String takes every write");
     out.push('"');
+}
+
+/// A [`fmt::Write`] that appends what it is given to a `String` with the
+/// escapes of a JSON string literal, but no quotes around it: a
+/// `Display` value written through it is formatted and escaped in one
+/// pass. Escapes are per byte and ASCII, so it does not matter where the
+/// formatter cuts its pieces.
+pub(crate) struct Escaped<'a>(pub(crate) &'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let out = &mut *self.0;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'\n' => 'n',
+                b'\r' => 'r',
+                b'\t' => 't',
+                0..=0x1f => 'u',
+                _ => continue,
+            };
+            out.push_str(&s[run..i]);
+            out.push('\\');
+            out.push(escape);
+            if escape == 'u' {
+                let hex = |d: u8| char::from_digit(u32::from(d), 16).expect("a nibble");
+                out.push_str("00");
+                out.push(hex(b >> 4));
+                out.push(hex(b & 0xf));
+            }
+            run = i + 1;
+        }
+        out.push_str(&s[run..]);
+        Ok(())
+    }
 }
 
 impl fmt::Display for Json {

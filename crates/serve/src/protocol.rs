@@ -46,8 +46,8 @@
 
 use crate::json::{self, Json};
 use crate::session::{
-    Answer, DeltaOutcome, OpStats, QueryAnswer, ReadView, ServeError, Session, StrategyPin,
-    ViewReport, ViewStats,
+    Answer, AnswerLines, DeltaOutcome, OpStats, QueryAnswer, ReadView, ServeError, Session,
+    StrategyPin, ViewReport, ViewStats,
 };
 use crate::shared::SharedSession;
 use algrec_datalog::Semantics;
@@ -167,8 +167,8 @@ fn view_stats_json(v: &ViewStats) -> Json {
 }
 
 /// An algebra view's `query` payload: one string plus the constants,
-/// small enough to go through the [`Json`] tree. Datalog answers are
-/// encoded by [`datalog_reply`].
+/// small enough to go through the [`Json`] tree. A datalog answer from
+/// a snapshot is copied out of its runs by [`datalog_reply`].
 fn query_json(
     query: &str,
     well_defined: bool,
@@ -189,73 +189,71 @@ fn query_json(
     ]
 }
 
-/// A datalog view's `query` reply, encoded once into one buffer straight
-/// from the lines: `{"certain":[…],"epoch":N,"id":…,"ok":true,
-/// "unknown":[…]}`. The keys are in the order a [`Json`] object sorts
-/// them, so the bytes are those of [`ok_reply`] over arrays of the same
-/// lines.
-fn datalog_reply<'a, L: AsRef<str> + 'a>(
+/// A datalog view's `query` reply from a snapshot:
+/// `{"certain":[…],"epoch":N,"id":…,"ok":true,"unknown":[…]}`, each
+/// array the runs' JSON elements joined by commas. The runs were escaped
+/// when their lines entered, so the reply is copied, not encoded, into
+/// one buffer sized from the runs' byte counts. The keys are in the
+/// order a [`Json`] object sorts them, so the bytes are those of
+/// [`query_reply`] over the same lines.
+fn datalog_reply(
     id: &Json,
     epoch: u64,
-    certain: impl Iterator<Item = &'a [L]>,
-    unknown: impl Iterator<Item = &'a [L]>,
-    arrays_len: usize,
+    certain: &AnswerLines<'_>,
+    unknown: &AnswerLines<'_>,
 ) -> String {
+    let (certain, unknown) = (certain.runs(), unknown.runs());
+    let arrays_len: usize = certain
+        .clone()
+        .chain(unknown.clone())
+        .map(|run| run.len() + 1)
+        .sum();
     let mut out = String::with_capacity(arrays_len + 64);
     out.push_str("{\"certain\":");
-    lines_into(certain, &mut out);
+    array_into(certain, &mut out);
     out.push_str(",\"epoch\":");
     Json::Int(epoch as i64).write_into(&mut out);
     out.push_str(",\"id\":");
     id.write_into(&mut out);
     out.push_str(",\"ok\":true,\"unknown\":");
-    lines_into(unknown, &mut out);
+    array_into(unknown, &mut out);
     out.push('}');
     out
 }
 
-/// The size of [`lines_into`]'s arrays for `(lines, bytes)` of lines
-/// when no line needs an escape, which is the common case: quotes and a
-/// comma per line.
-fn encoded_len((lines, bytes): (usize, usize)) -> usize {
-    bytes + 3 * lines
-}
-
-/// `(lines, bytes)` of owned lines.
-fn owned_size(lines: &[String]) -> (usize, usize) {
-    (lines.len(), lines.iter().map(String::len).sum())
-}
-
-/// A JSON array of strings, given as runs of lines.
-fn lines_into<'a, L: AsRef<str> + 'a>(runs: impl Iterator<Item = &'a [L]>, out: &mut String) {
+/// A JSON array of runs of elements.
+fn array_into<'a>(runs: impl Iterator<Item = &'a str>, out: &mut String) {
     out.push('[');
-    let mut sep = "";
-    for run in runs {
-        for line in run {
-            out.push_str(sep);
-            sep = ",";
-            json::escape_into(line.as_ref(), out);
+    for (i, run) in runs.enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        out.push_str(run);
     }
     out.push(']');
 }
 
-/// The reply to a `query` whose answer the writer computed.
+/// The reply to a `query` whose answer the writer computed, or an
+/// algebra view's: the lines go through the [`Json`] tree.
 fn query_reply(id: Json, epoch: u64, answer: &QueryAnswer) -> String {
-    match answer {
-        QueryAnswer::Datalog { certain, unknown } => datalog_reply(
-            &id,
-            epoch,
-            std::iter::once(&certain[..]),
-            std::iter::once(&unknown[..]),
-            encoded_len(owned_size(certain)) + encoded_len(owned_size(unknown)),
-        ),
+    let fields = match answer {
+        QueryAnswer::Datalog { certain, unknown } => vec![
+            (
+                "certain",
+                Json::Arr(certain.iter().map(Json::str).collect()),
+            ),
+            (
+                "unknown",
+                Json::Arr(unknown.iter().map(Json::str).collect()),
+            ),
+        ],
         QueryAnswer::Algebra {
             query,
             well_defined,
             constants,
-        } => ok_reply(id, epoch, query_json(query, *well_defined, constants)),
-    }
+        } => query_json(query, *well_defined, constants),
+    };
+    ok_reply(id, epoch, fields)
 }
 
 /// What a successful operation answers, beside the reply envelope.
@@ -272,13 +270,9 @@ impl Payload<'_> {
     fn reply(self, id: Json, epoch: u64) -> String {
         match self {
             Payload::Fields(fields) => ok_reply(id, epoch, fields),
-            Payload::Snapshot(Answer::Datalog { certain, unknown }) => datalog_reply(
-                &id,
-                epoch,
-                certain.runs(),
-                unknown.runs(),
-                encoded_len(certain.size()) + encoded_len(unknown.size()),
-            ),
+            Payload::Snapshot(Answer::Datalog { certain, unknown }) => {
+                datalog_reply(&id, epoch, &certain, &unknown)
+            }
             Payload::Snapshot(Answer::Algebra(answer)) => query_reply(id, epoch, answer),
             Payload::Owned(answer) => query_reply(id, epoch, &answer),
         }
@@ -656,7 +650,9 @@ pub fn handle_line(shared: &SharedSession, line: &str) -> Handled {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use algrec_value::Budget;
+    use algrec_value::{Budget, DatabaseDelta, Value};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn parses_parameterized_semantics() {
@@ -1092,6 +1088,122 @@ mod tests {
                 shared.epoch()
             )
         );
+    }
+
+    /// Text for a string constant: quotes, backslashes, every control
+    /// byte and non-ASCII beside plain letters, either a few characters
+    /// (or none) or longer than a leaf's lines are on average.
+    fn text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[\u{0}-\u{1f}\"\\az é\u{7f}😀]{0,4}",
+            "[\u{0}-\u{1f}\"\\az é\u{7f}😀]{40,120}",
+        ]
+    }
+
+    /// The view `copy` and the undefined view `open` over the strings of
+    /// `held`: for every query, what a snapshot answers and what the
+    /// reply sends.
+    fn check_string_views(
+        shared: &SharedSession,
+        held: &BTreeSet<String>,
+    ) -> Result<(), TestCaseError> {
+        let lines = |pred: &str, period: &str| -> Vec<String> {
+            held.iter()
+                .map(|s| format!("{pred}({s}){period}"))
+                .collect()
+        };
+        let datalog = |certain, unknown| QueryAnswer::Datalog { certain, unknown };
+        let cases = [
+            ("copy", Some("t"), datalog(lines("t", "."), vec![])),
+            ("copy", Some("s"), datalog(lines("s", "."), vec![])),
+            ("copy", None, datalog(lines("t", "."), vec![])),
+            ("open", Some("odd"), datalog(vec![], lines("odd", ""))),
+            ("open", None, datalog(vec![], lines("odd", ""))),
+        ];
+        let snap = shared.read();
+        for (view, pred, want) in cases {
+            // The snapshot's lines, read back from their JSON form.
+            let answer = snap.value.query(view, pred).unwrap().expect("a clean view");
+            prop_assert_eq!(&answer, &want, "{} {:?}", view, pred);
+            let mut req = vec![
+                ("id", Json::Int(9)),
+                ("op", Json::str("query")),
+                ("view", Json::str(view)),
+            ];
+            req.extend(pred.map(|p| ("pred", Json::str(p))));
+            let reply = handle_line(shared, &Json::obj(req).to_string());
+            prop_assert_eq!(
+                reply.line(),
+                ok_reply(Json::Int(9), snap.epoch, oracle(&answer)),
+                "{} {:?}",
+                view,
+                pred
+            );
+            // Independently of the escaper both sides share: one line,
+            // no raw control byte, and the parser reads the lines back.
+            prop_assert!(reply.line().bytes().all(|b| b >= 0x20), "{}", reply.line());
+            let mut tree = vec![
+                ("id", Json::Int(9)),
+                ("ok", Json::Bool(true)),
+                ("epoch", Json::Int(snap.epoch as i64)),
+            ];
+            tree.extend(oracle(&want));
+            prop_assert_eq!(json::parse(reply.line()), Ok(Json::obj(tree)));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Lines are escaped once, into their leaf's run, when their fact
+        /// enters. Whatever characters a string constant holds, a snapshot
+        /// reply is the bytes of the `Json` tree over the lines, and
+        /// `ReadView::query` reads the lines back as they were written —
+        /// at registration, and after a retraction and an insertion that
+        /// copy the lines that stay.
+        #[test]
+        fn any_string_replies_and_reads_back_as_published(
+            first in prop::collection::vec(text(), 0..160),
+            removed in prop::collection::vec(0usize..160, 0..8),
+            added in prop::collection::vec(text(), 0..8),
+        ) {
+            let mut session = Session::new(Budget::LARGE);
+            let mut delta = DatabaseDelta::new();
+            for s in &first {
+                delta.insert("s", Value::str(s));
+            }
+            session.apply_delta(&delta).unwrap();
+            session
+                .register_datalog("copy", "t(X) :- s(X).", Semantics::Stratified)
+                .unwrap();
+            session
+                .register_datalog("open", "odd(X) :- s(X), not odd(X).", Semantics::Valid)
+                .unwrap();
+            let shared = SharedSession::new(session);
+            let mut held: BTreeSet<String> = first.into_iter().collect();
+            check_string_views(&shared, &held)?;
+
+            let gone: BTreeSet<String> = removed
+                .iter()
+                .filter_map(|&k| held.iter().nth(k % held.len().max(1)).cloned())
+                .collect();
+            let mut delta = DatabaseDelta::new();
+            for s in &gone {
+                held.remove(s);
+                delta.remove("s", Value::str(s));
+            }
+            shared.with_writer(|s| s.apply_delta(&delta)).unwrap().0.unwrap();
+            check_string_views(&shared, &held)?;
+
+            let mut delta = DatabaseDelta::new();
+            for s in &added {
+                held.insert(s.clone());
+                delta.insert("s", Value::str(s));
+            }
+            shared.with_writer(|s| s.apply_delta(&delta)).unwrap().0.unwrap();
+            check_string_views(&shared, &held)?;
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@
 
 use algrec::prelude::*;
 use algrec::serve::parse_semantics;
-use algrec::serve::session::format_fact;
+use algrec::serve::session::write_fact;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
@@ -279,12 +279,17 @@ fn cmd_eval(a: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     emit(|w| match &a.pred {
         Some(p) => {
+            let mut line = String::new();
             for args in out.model.certain.facts(p) {
-                writeln!(w, "{}.", format_fact(p, args))?;
+                line.clear();
+                write_fact(&mut line, p, args).map_err(std::io::Error::other)?;
+                writeln!(w, "{line}.")?;
             }
             for (q, args) in out.model.unknown_facts() {
                 if &q == p {
-                    writeln!(w, "% unknown: {}", format_fact(p, &args))?;
+                    line.clear();
+                    write_fact(&mut line, p, &args).map_err(std::io::Error::other)?;
+                    writeln!(w, "% unknown: {line}")?;
                 }
             }
             Ok(())
